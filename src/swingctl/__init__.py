@@ -4,7 +4,9 @@ from .netgraph import GraphError, Incidence, PowerNetwork, build_incidence
 from .equilibrium import Equilibrium, EquilibriumError, energy, in_region, solve_equilibrium
 from .dynamics import Disturbance, IntegrationError, Scenario, Trajectory, rollout
 from .controller import (
+    BoundPolicy,
     ConstrainedAdapter,
+    ControlDecision,
     MonotoneAdapter,
     MonotoneParams,
     PolicyError,
@@ -13,7 +15,6 @@ from .controller import (
     init_monotone_params,
     init_policy_params,
     make_analytic_safe_controller,
-    make_monotone_controller,
     make_policy_controller,
     make_zero_controller,
 )
@@ -38,7 +39,9 @@ __all__ = [
     "Scenario",
     "Trajectory",
     "rollout",
+    "BoundPolicy",
     "ConstrainedAdapter",
+    "ControlDecision",
     "MonotoneAdapter",
     "MonotoneParams",
     "PolicyError",
@@ -47,7 +50,6 @@ __all__ = [
     "init_monotone_params",
     "init_policy_params",
     "make_analytic_safe_controller",
-    "make_monotone_controller",
     "make_policy_controller",
     "make_zero_controller",
     "TrainConfig",

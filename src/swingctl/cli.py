@@ -20,10 +20,7 @@ from .controller import (
     SafetySpec,
     init_monotone_params,
     init_policy_params,
-    ConstrainedAdapter,
-    MonotoneAdapter,
     make_analytic_safe_controller,
-    make_monotone_controller,
     make_policy_controller,
     make_zero_controller,
 )
@@ -67,20 +64,16 @@ def _build_controller(value: str, net, inc, eq, spec, projection: bool):
     if value == "safe":
         return make_analytic_safe_controller(spec, net, inc, eq)
     params, _ = sio.load_checkpoint(value)
-    if params.kind == "constrained":
-        return make_policy_controller(params, spec, net, inc, eq, projection=projection)
-    return make_monotone_controller(params, net.n_bus)
+    return make_policy_controller(params, spec, net, inc, eq, projection=projection)
 
 
-def _scenario_with_overrides(args, net):
+def _scenario_with_overrides(args, net, **patch):
+    """The scenario file with flag overrides, then `patch`, applied at once."""
     scenario = sio.load_scenario(args.scenario, net)
-    patch = {}
-    if getattr(args, "dt", None) is not None:
-        patch["dt"] = args.dt
-    if getattr(args, "noise", None) is not None:
-        patch["noise_bound"] = args.noise
-    if getattr(args, "horizon", None) is not None:
-        patch["horizon"] = args.horizon
+    flags = {"dt": "dt", "noise": "noise_bound", "horizon": "horizon"}
+    for flag, name in flags.items():
+        if getattr(args, flag, None) is not None:
+            patch.setdefault(name, getattr(args, flag))
     return dataclasses.replace(scenario, **patch) if patch else scenario
 
 
@@ -129,7 +122,6 @@ def _cmd_train(args) -> int:
     net = sio.load_network(args.net)
     inc = build_incidence(net)
     eq = solve_equilibrium(net, inc)
-    scenario = _scenario_with_overrides(args, net)
     cfg = sio.load_train_config(args.config) if args.config else TrainConfig()
     overrides = {
         name: getattr(args, name)
@@ -142,18 +134,16 @@ def _cmd_train(args) -> int:
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
     if args.policy == "constrained":
         params = init_policy_params(net.n_bus, cfg.m_hidden, rng, cfg.init_scale, cfg.dtilde_frac)
-        adapter = ConstrainedAdapter(params, spec, net, inc, eq)
     else:
         params = init_monotone_params(net.n_bus, cfg.m_hidden, rng, cfg.init_scale)
-        adapter = MonotoneAdapter(params)
-    scenario = dataclasses.replace(scenario, dt=cfg.dt, horizon=cfg.steps * cfg.dt)
+    scenario = _scenario_with_overrides(args, net, dt=cfg.dt, horizon=cfg.steps * cfg.dt)
 
     def progress(ep, loss, parts):
         if args.quiet:
             return
         print(f"episode {ep}: loss {loss:.6g}")
 
-    result = train(adapter, net, inc, eq, scenario, cfg, progress=progress)
+    result = train(params.bind(spec, net, inc, eq), net, inc, eq, scenario, cfg, progress=progress)
     sio.save_checkpoint(args.out, result.params, cfg)
     echo = {
         "command": "train",

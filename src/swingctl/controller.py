@@ -25,15 +25,19 @@ with ub = min(stability cap, upper safety barrier) and lb the mirrored max.
 This form is differentiable almost everywhere and exactly zero inside the
 dead zone, but because the ReLU gates scale rather than select, the raw
 output can exceed [lb, ub] for states far from a threshold or when a cap goes
-negative; `constraint_check` reports that per bus and `project_control`
-clamps it, which is how certified evaluation runs are produced.
+negative; `project_control` clamps it, which is how certified evaluation
+runs are produced.
 
-Everything here runs on plain numpy arrays or on autodiff tape nodes; see
-`tape` for the dispatch rules.
+Both policy kinds (this one and the decentralized monotone baseline) share
+one interface: a params class knows its kind tag, trainable keys and array
+shapes, and `bind` attaches it to a network as a `BoundPolicy`, whose
+`control` returns a `ControlDecision`. Everything here runs on plain numpy
+arrays or on autodiff tape nodes; see `tape` for the dispatch rules.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,28 +116,6 @@ class SafetySpec:
         return SafetySpec(np.full(n, float(lo)), np.full(n, float(hi)))
 
 
-def param_shapes(n: int, m_hidden: int) -> dict[str, tuple]:
-    """Shapes of the raw trainable arrays for the constrained policy."""
-    k = {}
-    for name in PARAM_KEYS:
-        if name in ("thr_lo", "thr_hi", "budget_raw"):
-            k[name] = (n,)
-        elif name.endswith(("_bp", "_bm")) and name.startswith("barrier"):
-            k[name] = (n, m_hidden - 1)
-        else:
-            k[name] = (n, m_hidden)
-    return k
-
-
-def mono_param_shapes(n: int, m_hidden: int) -> dict[str, tuple]:
-    return {
-        "resp_wp": (n, m_hidden),
-        "resp_wm": (n, m_hidden),
-        "resp_bp": (n, m_hidden - 1),
-        "resp_bm": (n, m_hidden - 1),
-    }
-
-
 @dataclass
 class PolicyParams:
     """Raw (unconstrained) trainables plus fixed structure choices.
@@ -147,6 +129,23 @@ class PolicyParams:
     dtilde_frac: np.ndarray
 
     kind = "constrained"
+    keys = PARAM_KEYS
+    fixed = ("dtilde_frac",)  # untrained per-bus fields a checkpoint stores
+
+    @staticmethod
+    def shapes(n: int, m_hidden: int) -> dict[str, tuple]:
+        shapes = {}
+        for name in PARAM_KEYS:
+            if name in ("thr_lo", "thr_hi", "budget_raw"):
+                shapes[name] = (n,)
+            elif name.startswith("barrier") and name.endswith(("_bp", "_bm")):
+                shapes[name] = (n, m_hidden - 1)
+            else:
+                shapes[name] = (n, m_hidden)
+        return shapes
+
+    def bind(self, spec, net, inc, eq) -> "ConstrainedAdapter":
+        return ConstrainedAdapter(self, spec, net, inc, eq)
 
 
 @dataclass
@@ -157,6 +156,20 @@ class MonotoneParams:
     m_hidden: int
 
     kind = "monotone"
+    keys = MONO_KEYS
+    fixed = ()
+
+    @staticmethod
+    def shapes(n: int, m_hidden: int) -> dict[str, tuple]:
+        return {
+            "resp_wp": (n, m_hidden),
+            "resp_wm": (n, m_hidden),
+            "resp_bp": (n, m_hidden - 1),
+            "resp_bm": (n, m_hidden - 1),
+        }
+
+    def bind(self, spec, net, inc, eq) -> "MonotoneAdapter":
+        return MonotoneAdapter(self, spec, net, inc, eq)
 
 
 def init_policy_params(
@@ -169,7 +182,7 @@ def init_policy_params(
     """Uniform +/-scale init, drawn in PARAM_KEYS order (reproducible)."""
     if not 0.0 < dtilde_frac < 1.0:
         raise PolicyError("dtilde_frac must lie in (0, 1)")
-    shapes = param_shapes(n, m_hidden)
+    shapes = PolicyParams.shapes(n, m_hidden)
     raw = {k: rng.uniform(-scale, scale, shapes[k]) for k in PARAM_KEYS}
     return PolicyParams(raw=raw, m_hidden=m_hidden, dtilde_frac=np.full(n, dtilde_frac))
 
@@ -177,7 +190,7 @@ def init_policy_params(
 def init_monotone_params(
     n: int, m_hidden: int, rng: np.random.Generator, scale: float = 0.1
 ) -> MonotoneParams:
-    shapes = mono_param_shapes(n, m_hidden)
+    shapes = MonotoneParams.shapes(n, m_hidden)
     raw = {k: rng.uniform(-scale, scale, shapes[k]) for k in MONO_KEYS}
     return MonotoneParams(raw=raw, m_hidden=m_hidden)
 
@@ -410,15 +423,20 @@ def gated_control(gate_hi, gate_lo, f, ub, lb):
 
 
 @dataclass
-class PolicyOutputs:
+class ControlDecision:
+    """One control evaluation: the control u, the budgets b, the per-bus
+    dead-zone mask, and the admissible interval [lower, upper] where the
+    policy has one (None otherwise). u, budgets and the bounds are arrays,
+    or tape nodes when the policy runs on tape leaves."""
+
     u: object
     budgets: object
     active: np.ndarray
-    upper: object
-    lower: object
+    upper: object = None
+    lower: object = None
 
 
-def policy_forward(ready: PolicyReady, consts: PolicyConsts, lam, omega, p) -> PolicyOutputs:
+def policy_forward(ready: PolicyReady, consts: PolicyConsts, lam, omega, p) -> ControlDecision:
     """Full policy at one measured state. Works on arrays or tape nodes."""
     active = active_mask(ready, omega)
     b = budget_vector(consts, active, ready.xi)
@@ -430,10 +448,10 @@ def policy_forward(ready: PolicyReady, consts: PolicyConsts, lam, omega, p) -> P
     gate_hi = relu(omega - ready.whi)
     gate_lo = relu(ready.wlo - omega)
     u = gated_control(gate_hi, gate_lo, f, ub, lb)
-    return PolicyOutputs(u=u, budgets=b, active=active, upper=ub, lower=lb)
+    return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
 
-def project_control(out: PolicyOutputs, ready: PolicyReady, omega) -> np.ndarray:
+def project_control(out: ControlDecision, ready: PolicyReady, omega) -> np.ndarray:
     """Clamp the raw policy output into the admissible interval (values only)."""
     w = np.asarray(value(omega), dtype=float)
     u = np.asarray(value(out.u), dtype=float)
@@ -445,65 +463,21 @@ def project_control(out: PolicyOutputs, ready: PolicyReady, omega) -> np.ndarray
     return proj
 
 
-# ------------------------------------------------------------------ checking
+# ---------------------------------------------------------------- validation
 
 
-@dataclass
-class ConstraintReport:
-    """Per-bus admissibility of a control against the branch bounds.
-
-    branch: +1 above the upper threshold, -1 below the lower one, 0 inside.
-    slack: distance to the binding bound (>= 0 means satisfied); inside the
-    dead zone the slack is -|u|, so any nonzero u shows up as a violation.
-    """
-
-    ok: bool
-    branch: np.ndarray
-    slack: np.ndarray
-    violations: list[int]
-
-
-def constraint_check(
-    params: PolicyParams,
-    spec: SafetySpec,
-    net: PowerNetwork,
-    inc: Incidence,
-    eq: Equilibrium,
-    lam: np.ndarray,
-    omega: np.ndarray,
-    p: np.ndarray,
-    u: np.ndarray,
-    tol: float = 1e-9,
-) -> ConstraintReport:
-    consts = make_policy_consts(params, spec, net, inc, eq)
-    ready = policy_precompute(params.raw, consts)
-    out = policy_forward(ready, consts, lam, omega, p)
-    w = np.asarray(omega, dtype=float)
-    u = np.asarray(u, dtype=float)
-    above = w > ready.whi_val
-    below = w < ready.wlo_val
-    branch = np.where(above, 1, np.where(below, -1, 0)).astype(np.int8)
-    slack = np.where(
-        above,
-        np.asarray(value(out.upper)) - u,
-        np.where(below, u - np.asarray(value(out.lower)), -np.abs(u)),
-    )
-    bad = np.nonzero(slack < -tol)[0]
-    return ConstraintReport(ok=bad.size == 0, branch=branch, slack=slack, violations=bad.tolist())
+def validate_class_k_weights(wp, wm, tag: str) -> None:
+    """Assert the signed partial sums that make a class-K map increasing."""
+    if not np.all(np.cumsum(np.asarray(value(wp)), axis=-1) > 0):
+        raise PolicyError(f"{tag}: a positive-branch partial sum is not > 0")
+    if not np.all(np.cumsum(np.asarray(value(wm)), axis=-1) < 0):
+        raise PolicyError(f"{tag}: a negative-branch partial sum is not < 0")
 
 
 def validate_policy(ready: PolicyReady, consts: PolicyConsts, atol: float = 1e-12) -> None:
     """Assert the structural invariants of the constrained tensors (values)."""
-    for wp, wm, tag in (
-        (ready.hi_wp, ready.hi_wm, "barrier_hi"),
-        (ready.lo_wp, ready.lo_wm, "barrier_lo"),
-    ):
-        pp = np.cumsum(np.asarray(value(wp)), axis=-1)
-        pm = np.cumsum(np.asarray(value(wm)), axis=-1)
-        if not np.all(pp > 0):
-            raise PolicyError(f"{tag}: a positive-branch partial sum is not > 0")
-        if not np.all(pm < 0):
-            raise PolicyError(f"{tag}: a negative-branch partial sum is not < 0")
+    validate_class_k_weights(ready.hi_wp, ready.hi_wm, "barrier_hi")
+    validate_class_k_weights(ready.lo_wp, ready.lo_wm, "barrier_lo")
     for bias, tag in (
         (ready.hi_bp, "barrier_hi_bp"),
         (ready.hi_bm, "barrier_hi_bm"),
@@ -531,16 +505,85 @@ def validate_policy(ready: PolicyReady, consts: PolicyConsts, atol: float = 1e-1
         raise PolicyError("budget potentials exceed the damping margin bound")
 
 
+# --------------------------------------------------------- monotone baseline
+
+
+def monotone_precompute(raw: dict):
+    wp, wm = class_k_weights(raw["resp_wp"], raw["resp_wm"])
+    bp, bm = class_k_biases(raw["resp_bp"], raw["resp_bm"])
+    return wp, wm, bp, bm
+
+
+def monotone_eval(ready, omega):
+    """Decentralized response u_i(w_i): strictly decreasing, zero at zero."""
+    wp, wm, bp, bm = ready
+    return -class_k_eval(wp, wm, bp, bm, omega)
+
+
+# ------------------------------------------------------------ bound policies
+
+
+class BoundPolicy:
+    """A policy's parameters bound to one network and safety band.
+
+    The one interface the simulator, the trainer and the CLI use for either
+    policy kind:
+
+      keys, raw                        trainable array names and values;
+      precompute(raw_like)             state-independent tensors per rollout;
+      control(ready, lam, omega, p)    a ControlDecision at a measured state;
+      validate(ready)                  PolicyError if an invariant fails;
+      rebuild(raw)                     params of the same kind with new raws.
+    """
+
+    def __init__(self, params, spec, net, inc, eq):
+        self.params = params
+
+    @property
+    def raw(self) -> dict:
+        return self.params.raw
+
+    @property
+    def keys(self) -> tuple:
+        return self.params.keys
+
+    def rebuild(self, raw: dict):
+        return dataclasses.replace(self.params, raw=raw)
+
+
+class ConstrainedAdapter(BoundPolicy):
+    """The constrained dead-zone policy bound to a network."""
+
+    def __init__(self, params: PolicyParams, spec, net, inc, eq):
+        super().__init__(params, spec, net, inc, eq)
+        self.consts = make_policy_consts(params, spec, net, inc, eq)
+
+    def precompute(self, raw_like: dict) -> PolicyReady:
+        return policy_precompute(raw_like, self.consts)
+
+    def control(self, ready: PolicyReady, lam, omega, p) -> ControlDecision:
+        return policy_forward(ready, self.consts, lam, omega, p)
+
+    def validate(self, ready: PolicyReady) -> None:
+        validate_policy(ready, self.consts)
+
+
+class MonotoneAdapter(BoundPolicy):
+    """The monotone baseline: no dead zone, no budgets, no admissible interval."""
+
+    def precompute(self, raw_like: dict):
+        return monotone_precompute(raw_like)
+
+    def control(self, ready, lam, omega, p) -> ControlDecision:
+        shape = np.shape(value(omega))
+        u = monotone_eval(ready, omega)
+        return ControlDecision(u=u, budgets=np.zeros(shape), active=np.zeros(shape, dtype=bool))
+
+    def validate(self, ready) -> None:
+        validate_class_k_weights(ready[0], ready[1], "monotone response")
+
+
 # --------------------------------------------------------------- controllers
-
-
-@dataclass
-class ControlDecision:
-    """What a controller returns to the simulator each step."""
-
-    u: np.ndarray
-    budgets: np.ndarray
-    active: np.ndarray
 
 
 def make_zero_controller(n: int):
@@ -554,22 +597,29 @@ def make_zero_controller(n: int):
 
 
 def make_policy_controller(
-    params: PolicyParams,
+    params,
     spec: SafetySpec,
     net: PowerNetwork,
     inc: Incidence,
     eq: Equilibrium,
     projection: bool = False,
 ):
-    """Bind a constrained policy to a network for simulation use."""
-    consts = make_policy_consts(params, spec, net, inc, eq)
-    ready = policy_precompute(params.raw, consts)
-    validate_policy(ready, consts)
+    """Bind a policy of either kind for simulation: (lam, omega, p) -> decision.
+
+    With projection on, u is clamped into the admissible interval; the
+    monotone policy has none, so projection leaves it unchanged.
+    """
+    policy = params.bind(spec, net, inc, eq)
+    ready = policy.precompute(params.raw)
+    policy.validate(ready)
 
     def control(lam, omega, p) -> ControlDecision:
-        out = policy_forward(ready, consts, lam, omega, p)
-        u = project_control(out, ready, omega) if projection else np.asarray(out.u, dtype=float)
-        return ControlDecision(u=u, budgets=np.asarray(out.budgets, dtype=float), active=out.active)
+        dec = policy.control(ready, lam, omega, p)
+        if projection and dec.upper is not None:
+            u = project_control(dec, ready, omega)
+        else:
+            u = np.asarray(dec.u, dtype=float)
+        return ControlDecision(u=u, budgets=np.asarray(dec.budgets, dtype=float), active=dec.active)
 
     return control
 
@@ -607,101 +657,3 @@ def make_analytic_safe_controller(
         return ControlDecision(u=u, budgets=np.zeros(n), active=above | below)
 
     return control
-
-
-def monotone_precompute(raw: dict):
-    wp, wm = class_k_weights(raw["resp_wp"], raw["resp_wm"])
-    bp, bm = class_k_biases(raw["resp_bp"], raw["resp_bm"])
-    return wp, wm, bp, bm
-
-
-def monotone_eval(ready, omega):
-    """Decentralized response u_i(w_i): strictly decreasing, zero at zero."""
-    wp, wm, bp, bm = ready
-    return -class_k_eval(wp, wm, bp, bm, omega)
-
-
-def make_monotone_controller(params: MonotoneParams, n: int):
-    ready = monotone_precompute(params.raw)
-    zero = np.zeros(n)
-    off = np.zeros(n, dtype=bool)
-
-    def control(lam, omega, p) -> ControlDecision:
-        return ControlDecision(u=monotone_eval(ready, omega), budgets=zero, active=off)
-
-    return control
-
-
-# ------------------------------------------------------------ train adapters
-
-
-class ConstrainedAdapter:
-    """Uniform training interface over the constrained policy."""
-
-    kind = "constrained"
-
-    def __init__(
-        self,
-        params: PolicyParams,
-        spec: SafetySpec,
-        net: PowerNetwork,
-        inc: Incidence,
-        eq: Equilibrium,
-    ):
-        self.params = params
-        self.spec = spec
-        self.consts = make_policy_consts(params, spec, net, inc, eq)
-
-    @property
-    def raw(self) -> dict:
-        return self.params.raw
-
-    @property
-    def keys(self) -> tuple:
-        return PARAM_KEYS
-
-    def precompute(self, raw_like: dict) -> PolicyReady:
-        return policy_precompute(raw_like, self.consts)
-
-    def control(self, ready: PolicyReady, lam, omega, p):
-        out = policy_forward(ready, self.consts, lam, omega, p)
-        return out.u
-
-    def validate(self, ready: PolicyReady) -> None:
-        validate_policy(ready, self.consts)
-
-    def rebuild(self, raw: dict) -> PolicyParams:
-        return PolicyParams(raw=raw, m_hidden=self.params.m_hidden, dtilde_frac=self.params.dtilde_frac)
-
-
-class MonotoneAdapter:
-    """Training interface over the monotone decentralized baseline."""
-
-    kind = "monotone"
-
-    def __init__(self, params: MonotoneParams):
-        self.params = params
-
-    @property
-    def raw(self) -> dict:
-        return self.params.raw
-
-    @property
-    def keys(self) -> tuple:
-        return MONO_KEYS
-
-    def precompute(self, raw_like: dict):
-        return monotone_precompute(raw_like)
-
-    def control(self, ready, lam, omega, p):
-        return monotone_eval(ready, omega)
-
-    def validate(self, ready) -> None:
-        wp, wm, bp, bm = ready
-        pp = np.cumsum(np.asarray(value(wp)), axis=-1)
-        pm = np.cumsum(np.asarray(value(wm)), axis=-1)
-        if not (np.all(pp > 0) and np.all(pm < 0)):
-            raise PolicyError("monotone response lost its sign-definite partial sums")
-
-    def rebuild(self, raw: dict) -> MonotoneParams:
-        return MonotoneParams(raw=raw, m_hidden=self.params.m_hidden)

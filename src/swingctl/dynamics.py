@@ -1,14 +1,15 @@
-"""Swing dynamics: vector field, explicit stepping, scenarios, rollouts.
+"""Swing dynamics: vector field, explicit stepping, scenarios, the closed loop.
 
 States are (lam, omega) with lam the per-edge angle differences (so lam stays
 in the row space of the incidence transpose by construction) and omega the
 per-bus frequency deviation in Hz. Controls and injections enter the omega
 equation only.
 
-The simulator steps with explicit Euler, matching the discretization the
-trainer differentiates through; an RK4 mode exists for cross-checks and is
-excluded from training. Controls are zero-order held over a step in both
-modes.
+`closed_loop` is the one stepping loop: the simulator (`rollout`) records a
+trajectory from it and the trainer (`training.episode_loss`) accumulates its
+loss from it, on arrays or tape nodes alike. It steps with explicit Euler,
+the discretization the trainer differentiates through; `rollout` can ask for
+RK4 instead for cross-checks. Controls are zero-order held over a step.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium, energy, in_region
 from .netgraph import Incidence, PowerNetwork
-from .tape import matvec, sin
+from .tape import matvec, sin, value
 
 
 class IntegrationError(RuntimeError):
@@ -62,6 +63,11 @@ class Scenario:
     def __post_init__(self):
         if self.horizon <= 0 or self.dt <= 0:
             raise ValueError("horizon and dt must be positive")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"horizon {self.horizon:g} is not an integer multiple of dt {self.dt:g}"
+            )
         if self.noise_bound < 0:
             raise ValueError("noise_bound must be nonnegative")
         object.__setattr__(self, "disturbances", tuple(self.disturbances))
@@ -84,6 +90,18 @@ def injection_at(net: PowerNetwork, scenario: Scenario, t: float) -> np.ndarray:
         if d.active(t):
             p[d.bus] += d.dp
     return p
+
+
+def injection_schedule(net: PowerNetwork, scenario: Scenario, rows: int, dt: float) -> np.ndarray:
+    """Injections at t = k*dt for k < rows, shape (rows, n).
+
+    Raises ValueError if a disturbance names a bus outside the network.
+    """
+    n = net.n_bus
+    for d in scenario.disturbances:
+        if d.bus >= n:
+            raise ValueError(f"disturbance bus index {d.bus} out of range for a {n}-bus network")
+    return np.array([injection_at(net, scenario, k * dt) for k in range(rows)]).reshape(rows, n)
 
 
 def swing_rhs(net: PowerNetwork, inc: Incidence, lam, omega, u, p):
@@ -172,6 +190,29 @@ class Trajectory:
         return float((self.loss_freq[:k] + self.loss_ctrl[:k]).sum() / k)
 
 
+def closed_loop(net, inc, control, lam0, omega0, p_rows, dt: float, noise=None, step=euler_step):
+    """Run the closed loop over the rows of the injection schedule `p_rows`.
+
+    At row k it evaluates `control(lam, measured, p_rows[k])` on the
+    measured frequency (the true one plus `noise[k]` when a noise block is
+    given), yields (lam, omega, decision) with the true state, then steps
+    to row k+1 holding decision.u and p_rows[k]; the last row is not
+    stepped. States may carry a leading batch axis and may be tape nodes.
+    Raises IntegrationError naming the step if the state goes non-finite.
+    """
+    lam, omega = lam0, omega0
+    last = len(p_rows) - 1
+    for k, p in enumerate(p_rows):
+        measured = omega if noise is None else omega + noise[k]
+        dec = control(lam, measured, p)
+        yield lam, omega, dec
+        if k == last:
+            return
+        lam, omega = step(net, inc, lam, omega, dec.u, p, dt)
+        if not (np.all(np.isfinite(value(lam))) and np.all(np.isfinite(value(omega)))):
+            raise IntegrationError(f"non-finite state after step {k + 1} (t={k * dt + dt:g})")
+
+
 def rollout(
     net: PowerNetwork,
     inc: Incidence,
@@ -188,43 +229,41 @@ def rollout(
     """Simulate the closed loop over the scenario horizon.
 
     The controller is any callable (lam, omega, p) -> ControlDecision; it sees
-    the measured frequency (true plus per-step uniform noise when the scenario
+    the measured frequency (true plus per-row uniform noise when the scenario
     carries a noise bound) and the true injections. Draw order per run:
-    initial state first (when not supplied), then one noise vector per row.
+    initial state first (when not supplied), then the (rows, n) noise block.
 
     Warns if the initial state falls outside the invariant energy region for
     the given beta; raises IntegrationError (with the step index) if the state
     goes non-finite.
     """
-    if integrator not in ("euler", "rk4"):
+    steppers = {"euler": euler_step, "rk4": rk4_step}
+    if integrator not in steppers:
         raise ValueError(f"unknown integrator {integrator!r}")
+    n, rows = net.n_bus, scenario.n_steps + 1
+    p_rows = injection_schedule(net, scenario, rows, scenario.dt)
     rng = np.random.Generator(np.random.Philox(seed))
     if lam0 is None or omega0 is None:
         lam0, omega0 = sample_initial_state(net, inc, scenario, rng)
-    lam = np.asarray(lam0, dtype=float).copy()
-    omega = np.asarray(omega0, dtype=float).copy()
-    if not in_region(net, inc, eq, lam, omega, beta):
+    lam0 = np.asarray(lam0, dtype=float).copy()
+    omega0 = np.asarray(omega0, dtype=float).copy()
+    if not in_region(net, inc, eq, lam0, omega0, beta):
         warnings.warn("initial state outside the invariant energy region", RuntimeWarning)
+    noise = None
+    if scenario.noise_bound > 0:
+        noise = rng.uniform(-scenario.noise_bound, scenario.noise_bound, (rows, n))
 
-    n, k_end = net.n_bus, scenario.n_steps
-    step = euler_step if integrator == "euler" else rk4_step
-    tgrid = np.arange(k_end + 1) * scenario.dt
-    rec_omega = np.empty((k_end + 1, n))
-    rec_lam = np.empty((k_end + 1, inc.b_mat.shape[1]))
-    rec_u = np.empty((k_end + 1, n))
-    rec_b = np.empty((k_end + 1, n))
-    rec_act = np.zeros((k_end + 1, n), dtype=bool)
-    rec_v = np.empty(k_end + 1)
-    rec_lf = np.empty(k_end + 1)
-    rec_lc = np.empty(k_end + 1)
-
-    for k in range(k_end + 1):
-        t = tgrid[k]
-        p = injection_at(net, scenario, t)
-        measured = omega
-        if scenario.noise_bound > 0:
-            measured = omega + rng.uniform(-scenario.noise_bound, scenario.noise_bound, n)
-        dec = controller(lam, measured, p)
+    rec_omega = np.empty((rows, n))
+    rec_lam = np.empty((rows, inc.b_mat.shape[1]))
+    rec_u = np.empty((rows, n))
+    rec_b = np.empty((rows, n))
+    rec_act = np.zeros((rows, n), dtype=bool)
+    rec_v = np.empty(rows)
+    rec_lf = np.empty(rows)
+    rec_lc = np.empty(rows)
+    step = steppers[integrator]
+    loop = closed_loop(net, inc, controller, lam0, omega0, p_rows, scenario.dt, noise, step)
+    for k, (lam, omega, dec) in enumerate(loop):
         rec_omega[k] = omega
         rec_lam[k] = lam
         rec_u[k] = dec.u
@@ -234,13 +273,9 @@ def rollout(
         dev = omega - eq.omega_sync
         rec_lf[k] = gamma * float(dev @ dev)
         rec_lc[k] = float(np.dot(dec.u, dec.u))
-        if k < k_end:
-            lam, omega = step(net, inc, lam, omega, dec.u, p, scenario.dt)
-            if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(omega))):
-                raise IntegrationError(f"non-finite state after step {k + 1} (t={t + scenario.dt:g})")
 
     return Trajectory(
-        t=tgrid,
+        t=np.arange(rows) * scenario.dt,
         omega=rec_omega,
         u=rec_u,
         budgets=rec_b,

@@ -150,12 +150,6 @@ def energy(net: PowerNetwork, inc: Incidence, eq: Equilibrium, lam: np.ndarray, 
     return kinetic + potential
 
 
-def dissipation_rate(net: PowerNetwork, eq: Equilibrium, omega: np.ndarray, u: np.ndarray) -> float:
-    """Time derivative of V along the flow: -sum D dev^2 + sum dev u."""
-    dev = np.asarray(omega, dtype=float) - eq.omega_sync
-    return float(-(net.damping @ dev**2) + dev @ np.asarray(u, dtype=float))
-
-
 def in_region(
     net: PowerNetwork,
     inc: Incidence,

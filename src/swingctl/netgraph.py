@@ -119,14 +119,13 @@ class Incidence:
 
     `b_mat` is the n x m incidence matrix with +1 at the lower-index endpoint
     of each edge and -1 at the higher one. `laplacian` is susceptance-weighted
-    (B diag(y) B^T); `lap_unit` uses unit edge weights and feeds the budget
-    machinery, whose row_l1 norms (2 * degree) bound the budget magnitudes.
+    (B diag(y) B^T). `row_l1` holds the row l1 norms of the unit-weight
+    Laplacian B B^T, that is 2 * degree; they bound the budget magnitudes.
     """
 
     b_mat: np.ndarray
     y_edge: np.ndarray
     laplacian: np.ndarray
-    lap_unit: np.ndarray
     row_l1: np.ndarray
     edge_ends: np.ndarray  # (m, 2) int, lower index first
     by_mat: np.ndarray  # B diag(y), used by the flow term and feedforward
@@ -143,30 +142,14 @@ def build_incidence(net: PowerNetwork) -> Incidence:
     y = net.susceptance
     by = b_mat * y  # column scaling
     lap = by @ b_mat.T
-    lap_unit = b_mat @ b_mat.T
-    row_l1 = np.abs(lap_unit).sum(axis=1)
     return Incidence(
         b_mat=b_mat,
         y_edge=y.copy(),
         laplacian=lap,
-        lap_unit=lap_unit,
-        row_l1=row_l1,
+        row_l1=2.0 * np.abs(b_mat).sum(axis=1),
         edge_ends=ends,
         by_mat=by,
     )
-
-
-def subgraph_laplacian(inc: Incidence, active: np.ndarray) -> np.ndarray:
-    """Unit-weight Laplacian of the subgraph induced by `active` buses.
-
-    An edge survives iff both endpoints are active. Rows and columns of
-    inactive buses are identically zero, so (L_sub @ xi)_i = 0 for any
-    inactive bus i and column sums vanish exactly.
-    """
-    active = np.asarray(active, dtype=bool)
-    on = active[inc.edge_ends[:, 0]] & active[inc.edge_ends[:, 1]]
-    cols = inc.b_mat[:, on]
-    return cols @ cols.T
 
 
 def pseudo_inverse_apply(lap: np.ndarray, v: np.ndarray) -> np.ndarray:

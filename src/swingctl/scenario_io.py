@@ -18,15 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import (
-    MONO_KEYS,
-    PARAM_KEYS,
-    MonotoneParams,
-    PolicyParams,
-    mono_param_shapes,
-    param_shapes,
-    SafetySpec,
-)
+from .controller import MonotoneParams, PolicyParams, SafetySpec
 from .dynamics import Disturbance, Scenario, Trajectory, rollout
 from .netgraph import GraphError, PowerNetwork
 from .training import TrainConfig
@@ -312,6 +304,10 @@ def save_train_config(path, cfg: TrainConfig) -> None:
 # --------------------------------------------------------------- checkpoint
 
 
+# Checkpoint `policy` tag -> params class.
+POLICY_CLASSES = {cls.kind: cls for cls in (PolicyParams, MonotoneParams)}
+
+
 def save_checkpoint(path, params, cfg: TrainConfig, seed: int | None = None) -> None:
     """Serialize trained parameters plus the config that produced them."""
     cfg_dict = cfg.to_dict()
@@ -325,8 +321,8 @@ def save_checkpoint(path, params, cfg: TrainConfig, seed: int | None = None) -> 
         "config_hash": config_hash(cfg_dict),
         "seed": cfg.seed if seed is None else seed,
     }
-    if params.kind == "constrained":
-        obj["dtilde_frac"] = np.asarray(params.dtilde_frac).tolist()
+    for name in params.fixed:
+        obj[name] = np.asarray(getattr(params, name)).tolist()
     _write_json(path, obj)
 
 
@@ -338,30 +334,22 @@ def load_checkpoint(path):
     policy = _need(obj, "policy", str, where)
     m_hidden = _need(obj, "m_hidden", int, where)
     raw_in = _need(obj, "raw", dict, where)
-    if policy == "constrained":
-        keys, shapes_of = PARAM_KEYS, param_shapes
-    elif policy == "monotone":
-        keys, shapes_of = MONO_KEYS, mono_param_shapes
-    else:
+    cls = POLICY_CLASSES.get(policy)
+    if cls is None:
         raise SchemaError(f"{where}: unknown policy kind {policy!r}")
-    missing = [k for k in keys if k not in raw_in]
+    missing = [k for k in cls.keys if k not in raw_in]
     if missing:
         raise SchemaError(f"{where}: raw is missing key {missing[0]!r}")
-    raw = {k: np.asarray(raw_in[k], dtype=float) for k in keys}
-    n = raw[keys[0]].shape[0]
-    shapes = shapes_of(n, m_hidden)
-    for k in keys:
+    raw = {k: np.asarray(raw_in[k], dtype=float) for k in cls.keys}
+    shapes = cls.shapes(raw[cls.keys[0]].shape[0], m_hidden)
+    for k in cls.keys:
         if raw[k].shape != shapes[k]:
             raise SchemaError(
                 f"{where}: raw[{k!r}] has shape {raw[k].shape}, expected {shapes[k]}"
             )
+    fixed = {name: np.asarray(_need(obj, name, list, where), dtype=float) for name in cls.fixed}
     meta = {k: obj.get(k) for k in ("config", "config_hash", "seed")}
-    if policy == "constrained":
-        frac = np.asarray(_need(obj, "dtilde_frac", list, where), dtype=float)
-        params = PolicyParams(raw=raw, m_hidden=m_hidden, dtilde_frac=frac)
-    else:
-        params = MonotoneParams(raw=raw, m_hidden=m_hidden)
-    return params, meta
+    return cls(raw=raw, m_hidden=m_hidden, **fixed), meta
 
 
 # ----------------------------------------------------------- CSV trajectory

@@ -1,28 +1,37 @@
 """Training loop: discretized rollouts, loss, exact gradients, Adam.
 
-The trainer unrolls the same explicit-Euler step the simulator uses, records
-every operation on the autodiff tape, and backpropagates through the whole
-rollout. A batch is carried as a leading axis on the state arrays, so one
-tape serves the entire episode and gradient accumulation order is fixed by
-construction (numpy's reduction order per parameter entry), making training
-bit-reproducible for a given seed.
+The trainer runs the simulator's own closed loop (`dynamics.closed_loop`,
+explicit Euler) on autodiff tape leaves and backpropagates through the whole
+rollout. The policy is any bound policy (`controller.BoundPolicy`), so both
+policy kinds train through the same code. A batch is carried as a leading
+axis on the state arrays, so one tape serves the entire episode and gradient
+accumulation order is fixed by construction (numpy's reduction order per
+parameter entry), making training bit-reproducible for a given seed.
 
-Loss per episode (averaged over the batch):
+Loss per episode of K rows (averaged over the batch):
 
     (1/K) sum_k [ gamma ||omega(k) - sync||^2 + ||u(k)||^2 ]
   + (rho/(K-1)) sum_k ||u(k) - u(k-1)||^2
 
-The second term penalizes step-to-step control variation; with rho > 0 the
+Rows 0..K-1 take K-1 Euler steps; no step past the last row is taken. The
+second term penalizes step-to-step control variation; with rho > 0 the
 learned policy responds more smoothly to measurement noise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
-from .dynamics import Scenario, euler_step, injection_at
+from .dynamics import (
+    IntegrationError,
+    Scenario,
+    closed_loop,
+    injection_schedule,
+    sample_initial_state,
+)
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
 from .tape import Tape, square, sum_all, value
@@ -62,7 +71,7 @@ class TrainConfig:
 
 
 def episode_loss(
-    adapter,
+    policy,
     net: PowerNetwork,
     inc: Incidence,
     eq: Equilibrium,
@@ -89,22 +98,18 @@ def episode_loss(
     if k_steps == 0:
         return 0.0, (0.0, 0.0, 0.0)
 
-    ready = adapter.precompute(raw_like)
-    lam, omega = lam0, omega0
+    control = partial(policy.control, policy.precompute(raw_like))
     freq_acc = 0.0
     ctrl_acc = 0.0
     lip_acc = 0.0
     u_prev = None
-    for k in range(k_steps):
-        measured = omega if noise is None else omega + noise[k]
-        u = adapter.control(ready, lam, measured, p_steps[k])
+    for _, omega, dec in closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise):
         dev = omega - eq.omega_sync
         freq_acc = freq_acc + sum_all(square(dev))
-        ctrl_acc = ctrl_acc + sum_all(square(u))
+        ctrl_acc = ctrl_acc + sum_all(square(dec.u))
         if u_prev is not None:
-            lip_acc = lip_acc + sum_all(square(u - u_prev))
-        u_prev = u
-        lam, omega = euler_step(net, inc, lam, omega, u, p_steps[k], dt)
+            lip_acc = lip_acc + sum_all(square(dec.u - u_prev))
+        u_prev = dec.u
 
     freq_term = gamma * freq_acc * (1.0 / (k_steps * n_batch))
     ctrl_term = ctrl_acc * (1.0 / (k_steps * n_batch))
@@ -116,15 +121,7 @@ def episode_loss(
     return loss, (freq_term, ctrl_term, lip_term)
 
 
-def forward_loss(adapter, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt) -> float:
-    """Value-only episode loss (no tape); used by finite-difference checks."""
-    loss, _ = episode_loss(
-        adapter, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt
-    )
-    return float(value(loss))
-
-
-def loss_and_grad(adapter, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt):
+def loss_and_grad(policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt):
     """Episode loss plus exact gradients for every raw parameter array.
 
     An empty horizon yields zero loss and zero gradients. A non-finite
@@ -132,15 +129,15 @@ def loss_and_grad(adapter, net, inc, eq, raw_values, lam0, omega0, p_steps, nois
     offending tape node.
     """
     if p_steps.shape[0] == 0:
-        zero = {k: np.zeros_like(raw_values[k]) for k in adapter.keys}
+        zero = {k: np.zeros_like(raw_values[k]) for k in policy.keys}
         return 0.0, (0.0, 0.0, 0.0), zero
     tp = Tape()
-    leaves = {k: tp.leaf(raw_values[k]) for k in adapter.keys}
+    leaves = {k: tp.leaf(raw_values[k]) for k in policy.keys}
     loss, parts = episode_loss(
-        adapter, net, inc, eq, leaves, lam0, omega0, p_steps, noise, gamma, rho, dt
+        policy, net, inc, eq, leaves, lam0, omega0, p_steps, noise, gamma, rho, dt
     )
     tp.backward(loss)
-    grads = {k: tp.grad(leaves[k]) for k in adapter.keys}
+    grads = {k: tp.grad(leaves[k]) for k in policy.keys}
     if any(not np.all(np.isfinite(g)) for g in grads.values()):
         tp.backward(loss, check_finite=True)  # raises TapeError at the source
         raise TrainingError("non-finite gradient with finite adjoints")
@@ -190,8 +187,6 @@ class TrainResult:
 
 def _sample_batch(net, inc, scenario: Scenario, batch: int, rng: np.random.Generator):
     """Batch initial states; per rollout: omega vector, then injection factors."""
-    from .dynamics import sample_initial_state
-
     lam0 = np.empty((batch, inc.b_mat.shape[1]))
     omega0 = np.empty((batch, net.n_bus))
     for b in range(batch):
@@ -200,7 +195,7 @@ def _sample_batch(net, inc, scenario: Scenario, batch: int, rng: np.random.Gener
 
 
 def train(
-    adapter,
+    policy,
     net: PowerNetwork,
     inc: Incidence,
     eq: Equilibrium,
@@ -213,12 +208,13 @@ def train(
     Per episode (all randomness from one counter-based stream, in this order):
     batch initial states, then the per-step measurement noise block. The
     structural invariants of the parameterization are re-validated every
-    episode; a loss above divergence_factor times the first episode's (or a
-    non-finite one) aborts with the partial curve attached.
+    episode; a loss above divergence_factor times the first episode's, a
+    non-finite one, or a state that leaves the representable range aborts
+    with a TrainingError carrying the partial curve.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    p_steps = np.stack([injection_at(net, scenario, k * cfg.dt) for k in range(cfg.steps)])
-    raw = {k: np.array(v, dtype=float) for k, v in adapter.raw.items()}
+    p_steps = injection_schedule(net, scenario, cfg.steps, cfg.dt)
+    raw = {k: np.array(v, dtype=float) for k, v in policy.raw.items()}
     state = AdamState.fresh(raw)
     curve_rows = []
     first_loss = None
@@ -230,9 +226,12 @@ def train(
             noise = rng.uniform(
                 -scenario.noise_bound, scenario.noise_bound, (cfg.steps, cfg.batch, net.n_bus)
             )
-        loss, parts, grads = loss_and_grad(
-            adapter, net, inc, eq, raw, lam0, omega0, p_steps, noise, cfg.gamma, cfg.rho, cfg.dt
-        )
+        try:
+            loss, parts, grads = loss_and_grad(
+                policy, net, inc, eq, raw, lam0, omega0, p_steps, noise, cfg.gamma, cfg.rho, cfg.dt
+            )
+        except IntegrationError as e:
+            raise TrainingError(f"episode {ep}: {e}", curve_rows) from e
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at episode {ep}", curve_rows)
         if first_loss is None:
@@ -242,12 +241,12 @@ def train(
                 f"divergence at episode {ep}: loss {loss:.6g} vs initial {first_loss:.6g}",
                 curve_rows,
             )
-        raw = adam_step(raw, grads, state, cfg, adapter.keys)
-        adapter.validate(adapter.precompute(raw))
+        raw = adam_step(raw, grads, state, cfg, policy.keys)
+        policy.validate(policy.precompute(raw))
         curve_rows.append((float(ep), loss, parts[0], parts[1], parts[2]))
         if progress is not None:
             progress(ep, loss, parts)
 
     curve = np.asarray(curve_rows, dtype=float).reshape(-1, 5)
     final = curve[-1, 1] if curve_rows else np.nan
-    return TrainResult(params=adapter.rebuild(raw), curve=curve, config=cfg, final_loss=final)
+    return TrainResult(params=policy.rebuild(raw), curve=curve, config=cfg, final_loss=final)

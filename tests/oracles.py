@@ -1,0 +1,79 @@
+"""Independent reference computations the tests check the package against.
+
+None of these run in the package itself: they restate a quantity in its
+plainest form (a dense Laplacian, a per-bus admissibility report, a
+value-only loss) so the tests can compare the production code to it.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from swingctl.controller import make_policy_consts, policy_forward, policy_precompute
+from swingctl.tape import value
+from swingctl.training import episode_loss
+
+
+def unit_laplacian(inc) -> np.ndarray:
+    """Unit-weight Laplacian B B^T."""
+    return inc.b_mat @ inc.b_mat.T
+
+
+def subgraph_laplacian(inc, active: np.ndarray) -> np.ndarray:
+    """Unit-weight Laplacian of the subgraph induced by `active` buses.
+
+    An edge survives iff both endpoints are active. Rows and columns of
+    inactive buses are identically zero, so (L_sub @ xi)_i = 0 for any
+    inactive bus i and column sums vanish exactly.
+    """
+    active = np.asarray(active, dtype=bool)
+    on = active[inc.edge_ends[:, 0]] & active[inc.edge_ends[:, 1]]
+    cols = inc.b_mat[:, on]
+    return cols @ cols.T
+
+
+def dissipation_rate(net, eq, omega: np.ndarray, u: np.ndarray) -> float:
+    """Time derivative of V along the flow: -sum D dev^2 + sum dev u."""
+    dev = np.asarray(omega, dtype=float) - eq.omega_sync
+    return float(-(net.damping @ dev**2) + dev @ np.asarray(u, dtype=float))
+
+
+def forward_loss(policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt) -> float:
+    """Value-only episode loss (no tape); used by finite-difference checks."""
+    loss, _ = episode_loss(
+        policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt
+    )
+    return float(value(loss))
+
+
+@dataclass
+class ConstraintReport:
+    """Per-bus admissibility of a control against the branch bounds.
+
+    branch: +1 above the upper threshold, -1 below the lower one, 0 inside.
+    slack: distance to the binding bound (>= 0 means satisfied); inside the
+    dead zone the slack is -|u|, so any nonzero u shows up as a violation.
+    """
+
+    ok: bool
+    branch: np.ndarray
+    slack: np.ndarray
+    violations: list[int]
+
+
+def constraint_check(params, spec, net, inc, eq, lam, omega, p, u, tol: float = 1e-9) -> ConstraintReport:
+    consts = make_policy_consts(params, spec, net, inc, eq)
+    ready = policy_precompute(params.raw, consts)
+    out = policy_forward(ready, consts, lam, omega, p)
+    w = np.asarray(omega, dtype=float)
+    u = np.asarray(u, dtype=float)
+    above = w > ready.whi_val
+    below = w < ready.wlo_val
+    branch = np.where(above, 1, np.where(below, -1, 0)).astype(np.int8)
+    slack = np.where(
+        above,
+        np.asarray(value(out.upper)) - u,
+        np.where(below, u - np.asarray(value(out.lower)), -np.abs(u)),
+    )
+    bad = np.nonzero(slack < -tol)[0]
+    return ConstraintReport(ok=bad.size == 0, branch=branch, slack=slack, violations=bad.tolist())

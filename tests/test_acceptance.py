@@ -12,17 +12,16 @@ import time
 import numpy as np
 import pytest
 
+from oracles import forward_loss
 from swingctl.cli import run as cli_run
 from swingctl.controller import (
     MONO_KEYS,
     PARAM_KEYS,
     ConstrainedAdapter,
-    MonotoneAdapter,
     SafetySpec,
     init_monotone_params,
     init_policy_params,
     make_analytic_safe_controller,
-    make_monotone_controller,
     make_policy_consts,
     make_policy_controller,
     policy_forward,
@@ -40,7 +39,7 @@ from swingctl.scenario_io import (
     save_checkpoint,
 )
 from swingctl.tape import value
-from swingctl.training import TrainConfig, forward_loss, loss_and_grad, train
+from swingctl.training import TrainConfig, loss_and_grad, train
 
 # ------------------------------------------------------- shared desk-scale runs
 
@@ -70,10 +69,9 @@ def fit(kind, rho, net, inc, eq, spec, scenario):
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
     if kind == "constrained":
         params = init_policy_params(net.n_bus, cfg.m_hidden, rng, cfg.init_scale, cfg.dtilde_frac)
-        adapter = ConstrainedAdapter(params, spec, net, inc, eq)
     else:
         params = init_monotone_params(net.n_bus, cfg.m_hidden, rng, cfg.init_scale)
-        adapter = MonotoneAdapter(params)
+    adapter = params.bind(spec, net, inc, eq)
     t0 = time.time()
     result = train(adapter, net, inc, eq, scenario, cfg)
     return result, time.time() - t0, cfg
@@ -222,7 +220,8 @@ def test_criterion_2_gradient_oracle(spec_band):
         worst, covered, checked = max(worst, w), covered | live, checked + c
     assert covered == set(PARAM_KEYS), f"uncovered: {sorted(set(PARAM_KEYS) - covered)}"
 
-    mono = MonotoneAdapter(init_monotone_params(2, m, np.random.default_rng(3), scale=0.5))
+    mono_params = init_monotone_params(2, m, np.random.default_rng(3), scale=0.5)
+    mono = mono_params.bind(spec_band, net, inc, eq)
     raw = {k: np.array(v) for k, v in mono.raw.items()}
     lam0 = eq.lam_eq + 0.1
     omega0 = np.array([0.15, -0.12])
@@ -342,7 +341,9 @@ def test_criterion_6_cost_ordering(
     ctrl_con = make_policy_controller(
         trained_rho0[0].params, spec39, net39, inc39, eq39, projection=True
     )
-    ctrl_mono = make_monotone_controller(trained_monotone[0].params, 39)
+    ctrl_mono = make_policy_controller(
+        trained_monotone[0].params, spec39, net39, inc39, eq39, projection=True
+    )
     ctrl_safe = make_analytic_safe_controller(spec39, net39, inc39, eq39)
     summaries, _ = compare(
         [("constrained", ctrl_con), ("monotone", ctrl_mono), ("analytic-safe", ctrl_safe)],

@@ -1,17 +1,21 @@
 """End-to-end command-line workflows on temporary files.
 
 Commands run in-process through cli.run so exit codes and artifacts can be
-asserted without spawning interpreters; one smoke test covers the installed
-console script.
+asserted without spawning interpreters; one smoke test covers `python -m
+swingctl` and, when one is installed, the console script.
 """
 
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swingctl
 from swingctl.cli import run
 from swingctl.scenario_io import bundled_path, load_checkpoint, load_curve, load_trajectory
 
@@ -275,6 +279,15 @@ def test_malformed_band_exits_one(files, capsys):
     assert "--band must be 'lo,hi'" in capsys.readouterr().err
 
 
+def test_horizon_off_the_dt_grid_exits_one(files, capsys):
+    code = run(
+        ["simulate", "--net", files["net"], "--scenario", files["quiet"], "--horizon", "2", "--dt", "0.3"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "not an integer multiple of dt" in err
+
+
 def test_infeasible_network_exits_one(files, capsys):
     bad = files["dir"] / "heavy.json"
     write_json(
@@ -295,6 +308,14 @@ def test_infeasible_network_exits_one(files, capsys):
 
 
 def test_console_script_help():
-    proc = subprocess.run(["swingctl", "--help"], capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "simulate" in proc.stdout and "compare" in proc.stdout
+    # the module entry point works from a plain checkout; the installed
+    # console script is checked too whenever one is on PATH
+    src = str(Path(swingctl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    commands = [[sys.executable, "-m", "swingctl", "--help"]]
+    if shutil.which("swingctl"):
+        commands.append(["swingctl", "--help"])
+    for cmd in commands:
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "simulate" in proc.stdout and "compare" in proc.stdout

@@ -5,8 +5,11 @@ structural invariants under random raw parameters, and the two baselines.
 import numpy as np
 import pytest
 
+from oracles import constraint_check
 from swingctl import controller as C
 from swingctl import tape as tp
+from swingctl.dynamics import Scenario, rollout
+from swingctl.equilibrium import in_region
 from swingctl.tape import Tape, value
 
 
@@ -303,7 +306,7 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
     consts = C.make_policy_consts(params, spec_band, net2, inc2, eq2)
     ready = C.policy_precompute(params.raw, consts)
     inside = 0.5 * (ready.wlo_val + ready.whi_val)
-    rep = C.constraint_check(
+    rep = constraint_check(
         params, spec_band, net2, inc2, eq2, eq2.lam_eq, inside, net2.p_nom, np.zeros(2)
     )
     assert rep.ok and rep.violations == [] and np.all(rep.branch == 0)
@@ -311,7 +314,7 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
     omega = np.array([0.18, -0.05])  # bus 0 above its upper threshold
     out = C.policy_forward(ready, consts, eq2.lam_eq, omega, net2.p_nom)
     u = C.project_control(out, ready, omega)
-    rep = C.constraint_check(
+    rep = constraint_check(
         params, spec_band, net2, inc2, eq2, eq2.lam_eq, omega, net2.p_nom, u
     )
     assert rep.ok
@@ -320,7 +323,7 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
 
     bad = u.copy()
     bad[0] = value(out.upper)[0] + 1.0
-    rep = C.constraint_check(
+    rep = constraint_check(
         params, spec_band, net2, inc2, eq2, eq2.lam_eq, omega, net2.p_nom, bad
     )
     assert not rep.ok and rep.violations == [0]
@@ -336,7 +339,7 @@ def test_projection_identity_and_clamp(net2, inc2, eq2, spec_band):
     ub, lb = value(out.upper), value(out.lower)
     assert proj[0] <= ub[0] + 1e-15 and proj[1] >= lb[1] - 1e-15
     # feasible outputs pass through unchanged
-    feasible = C.PolicyOutputs(
+    feasible = C.ControlDecision(
         u=np.array([ub[0] - 0.01, lb[1] + 0.01]),
         budgets=out.budgets,
         active=out.active,
@@ -347,7 +350,7 @@ def test_projection_identity_and_clamp(net2, inc2, eq2, spec_band):
         C.project_control(feasible, ready, omega), np.asarray(value(feasible.u))
     )
     # an output beyond the bound lands exactly on it
-    over = C.PolicyOutputs(
+    over = C.ControlDecision(
         u=np.array([ub[0] + 5.0, lb[1] - 5.0]),
         budgets=out.budgets,
         active=out.active,
@@ -375,10 +378,38 @@ def test_projection_property_random_states(net3, inc3, eq3, spec_band):
     assert np.all(proj[below] >= lb[below] - 1e-12)
     assert np.all(proj[~(above | below)] == 0.0)
     for i in range(0, 10**4, 500):
-        rep = C.constraint_check(
+        rep = constraint_check(
             params, spec_band, net3, inc3, eq3, lam[i], omega[i], net3.p_nom, proj[i]
         )
         assert rep.ok, f"row {i}: {rep.slack}"
+
+
+def test_projected_policy_keeps_dissipation_and_band_while_active(
+    net2, inc2, eq2, net3, inc3, eq3
+):
+    # large random policies and fast in-region starts push buses out of their
+    # dead zones, so the guarantee is exercised on the active branch too
+    sc = Scenario(horizon=1.0, dt=1e-3, init_omega_range=0.0, init_p_frac=0.0)
+    rng = np.random.default_rng(2026)
+    active_rows = rows = 0
+    for _ in range(10):
+        for net, inc, eq in ((net2, inc2, eq2), (net3, inc3, eq3)):
+            n = net.n_bus
+            spec = C.SafetySpec.band(-0.2, 0.2, n)
+            params = C.init_policy_params(n, 8, rng, scale=float(rng.uniform(0.5, 3.0)))
+            lam0, omega0 = eq.lam_eq, np.full(n, np.inf)
+            while not in_region(net, inc, eq, lam0, omega0):
+                lam0 = eq.lam_eq + rng.uniform(-0.15, 0.15, n) @ inc.b_mat
+                omega0 = rng.uniform(-0.18, 0.18, n)
+            ctrl = C.make_policy_controller(params, spec, net, inc, eq, projection=True)
+            traj = rollout(net, inc, eq, ctrl, sc, lam0=lam0, omega0=omega0)
+            dev = traj.omega - eq.omega_sync
+            balance = (-net.damping * dev**2 + dev * traj.u).sum(axis=1)
+            assert balance.max() <= 1e-12, f"damping balance {balance.max():.3e} (n={n})"
+            assert np.all(traj.omega >= spec.omega_min) and np.all(traj.omega <= spec.omega_max)
+            active_rows += int(traj.active.any(axis=1).sum())
+            rows += traj.t.shape[0]
+    assert active_rows >= 0.2 * rows, f"only {active_rows / rows:.1%} of steps active"
 
 
 def test_distributedness(net3, inc3, eq3, spec_band):

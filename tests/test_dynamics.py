@@ -108,6 +108,19 @@ def test_scenario_validation():
     assert Scenario(horizon=10.0, dt=5e-3).n_steps == 2000
 
 
+def test_scenario_rejects_horizon_off_the_dt_grid():
+    with pytest.raises(ValueError, match="not an integer multiple of dt"):
+        Scenario(horizon=2.0, dt=0.3)
+    # 0.3 / 0.1 rounds to 2.9999999999999996; a relative tolerance accepts it
+    assert Scenario(horizon=0.3, dt=0.1).n_steps == 3
+
+
+def test_rollout_rejects_disturbance_bus_outside_network(net2, inc2, eq2):
+    scen = Scenario(horizon=0.1, dt=1e-3, disturbances=(Disturbance(5, -0.1, 0.0, 0.05),))
+    with pytest.raises(ValueError, match="disturbance bus index 5"):
+        rollout(net2, inc2, eq2, make_zero_controller(2), scen)
+
+
 def test_injection_schedule(net39):
     dist = Disturbance(bus=37, dp=-float(net39.p_nom[37]), t0=0.0, t1=2.0)
     scen = Scenario(horizon=20.0, dt=5e-3, disturbances=(dist,))

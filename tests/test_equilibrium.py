@@ -9,9 +9,9 @@ time with the others held at their minimizers.
 import numpy as np
 import pytest
 
+from oracles import dissipation_rate
 from swingctl.equilibrium import (
     EquilibriumError,
-    dissipation_rate,
     energy,
     in_region,
     solve_equilibrium,

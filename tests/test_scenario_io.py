@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import forward_loss
 from swingctl.controller import (
     PARAM_KEYS,
     ConstrainedAdapter,
@@ -43,7 +44,7 @@ from swingctl.scenario_io import (
     save_trajectory,
     summarize,
 )
-from swingctl.training import TrainConfig, forward_loss
+from swingctl.training import TrainConfig
 from swingctl.verify import run_checks
 
 

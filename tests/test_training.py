@@ -5,20 +5,20 @@ training loop contract (determinism, divergence guard, empty runs).
 import numpy as np
 import pytest
 
+from oracles import forward_loss
 from swingctl.controller import (
     ConstrainedAdapter,
-    MonotoneAdapter,
+    ControlDecision,
     init_monotone_params,
     init_policy_params,
 )
-from swingctl.dynamics import Scenario
+from swingctl.dynamics import Disturbance, Scenario
 from swingctl.training import (
     AdamState,
     TrainConfig,
     TrainingError,
     adam_step,
     episode_loss,
-    forward_loss,
     loss_and_grad,
     train,
 )
@@ -38,7 +38,8 @@ class StubAdapter:
         return None
 
     def control(self, ready, lam, omega, p):
-        return self.u_fn(np.asarray(omega, dtype=float))
+        u = self.u_fn(np.asarray(omega, dtype=float))
+        return ControlDecision(u=u, budgets=np.zeros_like(u), active=np.zeros(u.shape, dtype=bool))
 
     def validate(self, ready):
         pass
@@ -201,9 +202,9 @@ def test_train_zero_episodes(net2, inc2, eq2, spec_band):
     assert all(np.array_equal(res.params.raw[k], before[k]) for k in adapter.keys)
 
 
-def test_train_smoke_descent(net2, inc2, eq2):
+def test_train_smoke_descent(net2, inc2, eq2, spec_band):
     # 30 episodes, K = 200 on the 2-bus: the loss must fall
-    adapter = MonotoneAdapter(init_monotone_params(2, 4, np.random.default_rng(0)))
+    adapter = init_monotone_params(2, 4, np.random.default_rng(0)).bind(spec_band, net2, inc2, eq2)
     scen = Scenario(horizon=1.0, dt=5e-3, init_omega_range=0.1, init_p_frac=0.1)
     cfg = TrainConfig(episodes=30, steps=200, dt=5e-3, batch=4, seed=3, m_hidden=4)
     res = train(adapter, net2, inc2, eq2, scen, cfg)
@@ -230,12 +231,31 @@ def test_train_determinism_and_progress(net2, inc2, eq2, spec_band):
     assert seen[1][1] == a.curve[1, 1]
 
 
-def test_train_divergence_guard(net2, inc2, eq2):
+def test_train_divergence_guard(net2, inc2, eq2, spec_band):
     # an absurd learning rate blows the monotone response up; the guard
     # aborts and hands back the partial curve
-    adapter = MonotoneAdapter(init_monotone_params(2, 4, np.random.default_rng(2)))
+    adapter = init_monotone_params(2, 4, np.random.default_rng(2)).bind(spec_band, net2, inc2, eq2)
     scen = Scenario(horizon=0.5, dt=5e-3, init_omega_range=0.1, init_p_frac=0.1)
     cfg = TrainConfig(episodes=60, steps=100, dt=5e-3, batch=2, lr=3e3, seed=0, m_hidden=4)
     with pytest.raises(TrainingError) as err, np.errstate(over="ignore", invalid="ignore"):
         train(adapter, net2, inc2, eq2, scen, cfg)
     assert len(err.value.curve) >= 1
+
+
+def test_train_rejects_disturbance_bus_outside_network(net2, inc2, eq2, spec_band):
+    adapter = make_adapter(net2, inc2, eq2, spec_band)
+    scen = Scenario(horizon=0.1, dt=5e-3, disturbances=(Disturbance(5, -0.1, 0.0, 0.05),))
+    with pytest.raises(ValueError, match="disturbance bus index 5"):
+        train(adapter, net2, inc2, eq2, scen, TrainConfig(episodes=1, steps=20, batch=2))
+
+
+def test_train_integration_failure_names_episode_and_step(net2, inc2, eq2, spec_band):
+    # dt = 5 makes explicit Euler diverge (factor -4 per step on omega); the
+    # loop stops at the first non-finite state and keeps the partial curve
+    adapter = make_adapter(net2, inc2, eq2, spec_band)
+    scen = Scenario(horizon=3000.0, dt=5.0, init_omega_range=0.1, init_p_frac=0.0)
+    cfg = TrainConfig(episodes=2, steps=600, dt=5.0, batch=1, m_hidden=4)
+    with pytest.raises(TrainingError, match="episode 0: non-finite state after step") as err:
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(adapter, net2, inc2, eq2, scen, cfg)
+    assert err.value.curve == []
