@@ -52,9 +52,14 @@ def _band_spec(arg: str, n: int) -> SafetySpec:
 
 
 def _load_spec(args, n: int) -> SafetySpec:
-    if args.spec is not None:
-        return sio.load_safety_spec(args.spec)
-    return _band_spec(args.band, n)
+    if args.spec is None:
+        return _band_spec(args.band, n)
+    spec = sio.load_safety_spec(args.spec)
+    try:
+        spec.per_bus(n)
+    except PolicyError as e:
+        raise sio.SchemaError(f"{args.spec}: {e}") from None
+    return spec
 
 
 def _build_controller(value: str, net, inc, eq, spec, projection: bool):
@@ -161,6 +166,8 @@ def _cmd_train(args) -> int:
 def _cmd_verify(args) -> int:
     traj = sio.load_trajectory(args.traj)
     net = sio.load_network(args.net)
+    if traj.n_bus != net.n_bus:
+        raise sio.SchemaError(f"{args.traj}: the trajectory has {traj.n_bus} buses, the network has {net.n_bus}")
     inc = build_incidence(net)
     eq = solve_equilibrium(net, inc)
     spec = _load_spec(args, net.n_bus)

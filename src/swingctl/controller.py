@@ -30,9 +30,13 @@ runs are produced.
 
 Both policy kinds (this one and the decentralized monotone baseline) share
 one interface: a params class knows its kind tag, trainable keys and array
-shapes, and `bind` attaches it to a network as a `BoundPolicy`, whose
-`control` returns a `ControlDecision`. Everything here runs on plain numpy
-arrays or on autodiff tape nodes; see `tape` for the dispatch rules.
+shapes, and `bind` attaches it to a network as a `BoundPolicy`. The bound
+policy is the whole policy: `ConstrainedAdapter` keeps the network, the
+per-bus band and D_tilde, builds a `PolicyReady` from the raws once per
+rollout (the barriers and the dead-zone response as (wp, wm, bp, bm)
+tuples), and its `control` returns a `ControlDecision`. Everything here runs
+on plain numpy arrays or on autodiff tape nodes; see `tape` for the dispatch
+rules.
 """
 
 from __future__ import annotations
@@ -102,8 +106,8 @@ class SafetySpec:
     def __post_init__(self):
         lo = np.atleast_1d(np.asarray(self.omega_min, dtype=float))
         hi = np.atleast_1d(np.asarray(self.omega_max, dtype=float))
-        if lo.shape != hi.shape:
-            raise PolicyError("omega_min and omega_max must share shape")
+        if lo.shape != hi.shape or lo.ndim != 1:
+            raise PolicyError("omega_min and omega_max must be scalars or per-bus lists of one shape")
         if np.any(lo >= hi):
             raise PolicyError("omega_min must be strictly below omega_max")
         if np.any(lo >= 0.0) or np.any(hi <= 0.0):
@@ -114,6 +118,15 @@ class SafetySpec:
     @staticmethod
     def band(lo: float, hi: float, n: int) -> "SafetySpec":
         return SafetySpec(np.full(n, float(lo)), np.full(n, float(hi)))
+
+    def per_bus(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(omega_min, omega_max) as (n,) arrays; a one-entry band covers every bus."""
+        if self.omega_min.size not in (1, n):
+            raise PolicyError(f"the band has {self.omega_min.size} entries, the network has {n} buses")
+        return (
+            np.broadcast_to(self.omega_min, (n,)).astype(float),
+            np.broadcast_to(self.omega_max, (n,)).astype(float),
+        )
 
 
 @dataclass
@@ -276,104 +289,31 @@ def deadzone_eval(wp, wm, bp, bm, wlo, whi, omega):
 # ------------------------------------------------------------ assembled policy
 
 
-@dataclass(frozen=True)
-class PolicyConsts:
-    """Per-network constants the policy closes over."""
-
-    damping: np.ndarray
-    dtilde: np.ndarray
-    by_mat: np.ndarray
-    bu_mat: np.ndarray
-    bu_mat_t: np.ndarray
-    row_l1: np.ndarray
-    edge_ends: np.ndarray
-    omega_sync: float
-    omega_min: np.ndarray
-    omega_max: np.ndarray
-
-
-def make_policy_consts(
-    params: PolicyParams,
-    spec: SafetySpec,
-    net: PowerNetwork,
-    inc: Incidence,
-    eq: Equilibrium,
-) -> PolicyConsts:
-    n = net.n_bus
-    lo = np.broadcast_to(spec.omega_min, (n,)).astype(float)
-    hi = np.broadcast_to(spec.omega_max, (n,)).astype(float)
-    if np.any(lo >= eq.omega_sync) or np.any(hi <= eq.omega_sync):
-        raise PolicyError("safety band must contain the synchronous frequency strictly")
-    return PolicyConsts(
-        damping=net.damping,
-        dtilde=params.dtilde_frac * net.damping,
-        by_mat=inc.by_mat,
-        bu_mat=inc.b_mat,
-        bu_mat_t=inc.b_mat.T,
-        row_l1=inc.row_l1,
-        edge_ends=inc.edge_ends,
-        omega_sync=eq.omega_sync,
-        omega_min=lo,
-        omega_max=hi,
+def class_k_params(raw: dict, prefix: str) -> tuple:
+    """(wp, wm, bp, bm) of the class-K network stored under `prefix` in raw."""
+    return class_k_weights(raw[f"{prefix}_wp"], raw[f"{prefix}_wm"]) + class_k_biases(
+        raw[f"{prefix}_bp"], raw[f"{prefix}_bm"]
     )
 
 
 @dataclass
 class PolicyReady:
-    """State-independent tensors computed once per rollout from the raws."""
+    """State-independent tensors computed once per rollout from the raws.
+
+    hi, lo and dz are (wp, wm, bp, bm) tuples: the upper and lower barriers'
+    class-K networks and the dead-zone response. wlo_val/whi_val are the
+    thresholds as plain values, for the dead-zone mask.
+    """
 
     wlo: object
     whi: object
     xi: object
     xi_cap: object
-    hi_wp: object
-    hi_wm: object
-    hi_bp: object
-    hi_bm: object
-    lo_wp: object
-    lo_wm: object
-    lo_bp: object
-    lo_bm: object
-    dz_wp: object
-    dz_wm: object
-    dz_bp: object
-    dz_bm: object
-    wlo_val: np.ndarray = None  # plain values for the dead-zone mask
-    whi_val: np.ndarray = None
-
-
-def policy_precompute(raw: dict, consts: PolicyConsts) -> PolicyReady:
-    hi_wp, hi_wm = class_k_weights(raw["barrier_hi_wp"], raw["barrier_hi_wm"])
-    hi_bp, hi_bm = class_k_biases(raw["barrier_hi_bp"], raw["barrier_hi_bm"])
-    lo_wp, lo_wm = class_k_weights(raw["barrier_lo_wp"], raw["barrier_lo_wm"])
-    lo_bp, lo_bm = class_k_biases(raw["barrier_lo_bp"], raw["barrier_lo_bm"])
-    wlo, whi = threshold_map(
-        raw["thr_lo"], raw["thr_hi"], consts.omega_sync, consts.omega_min, consts.omega_max
-    )
-    xi, xi_cap = budget_potentials(
-        raw["budget_raw"], wlo, whi, consts.omega_sync, consts.dtilde, consts.row_l1
-    )
-    dz_wp, dz_wm, dz_bp, dz_bm = deadzone_weights(raw)
-    return PolicyReady(
-        wlo=wlo,
-        whi=whi,
-        xi=xi,
-        xi_cap=xi_cap,
-        hi_wp=hi_wp,
-        hi_wm=hi_wm,
-        hi_bp=hi_bp,
-        hi_bm=hi_bm,
-        lo_wp=lo_wp,
-        lo_wm=lo_wm,
-        lo_bp=lo_bp,
-        lo_bm=lo_bm,
-        dz_wp=dz_wp,
-        dz_wm=dz_wm,
-        dz_bp=dz_bp,
-        dz_bm=dz_bm,
-        wlo_val=np.asarray(value(wlo), dtype=float),
-        whi_val=np.asarray(value(whi), dtype=float),
-    )
+    hi: tuple
+    lo: tuple
+    dz: tuple
+    wlo_val: np.ndarray
+    whi_val: np.ndarray
 
 
 def active_mask(ready: PolicyReady, omega) -> np.ndarray:
@@ -382,39 +322,25 @@ def active_mask(ready: PolicyReady, omega) -> np.ndarray:
     return (w < ready.wlo_val) | (w > ready.whi_val)
 
 
-def budget_vector(consts: PolicyConsts, active: np.ndarray, xi):
+def budget_vector(inc: Incidence, active: np.ndarray, xi):
     """b = L_sub @ xi without forming L_sub: gate edge differences of xi.
 
     `active` may be batched (..., n); the result matches its leading shape.
     """
-    on = active[..., consts.edge_ends[:, 0]] & active[..., consts.edge_ends[:, 1]]
-    edge_diff = matvec(consts.bu_mat_t, xi)
-    return matvec(consts.bu_mat, on.astype(float) * edge_diff)
+    on = active[..., inc.edge_ends[:, 0]] & active[..., inc.edge_ends[:, 1]]
+    edge_diff = matvec(inc.b_mat.T, xi)
+    return matvec(inc.b_mat, on.astype(float) * edge_diff)
 
 
-def feedforward_term(consts: PolicyConsts, lam, omega, p):
+def feedforward_term(net: PowerNetwork, inc: Incidence, lam, omega, p):
     """Local injection mismatch q = D w + (B Yb sin lam) - p from measurements."""
-    return consts.damping * omega + matvec(consts.by_mat, sin(lam)) - p
+    return net.damping * omega + matvec(inc.by_mat, sin(lam)) - p
 
 
-def stability_cap(consts: PolicyConsts, omega, b):
+def stability_cap(dtilde, omega_sync, omega, b):
     """Damping-budget cap D_tilde dev + b / dev, dev = omega - sync."""
-    dev = omega - consts.omega_sync
-    return consts.dtilde * dev + safe_div(b, dev)
-
-
-def policy_bounds(ready: PolicyReady, consts: PolicyConsts, omega, q, b):
-    """Upper and lower admissible-control bounds at the measured state."""
-    cap = stability_cap(consts, omega, b)
-    alpha_hi = class_k_eval(
-        ready.hi_wp, ready.hi_wm, ready.hi_bp, ready.hi_bm, consts.omega_max - omega
-    )
-    alpha_lo = class_k_eval(
-        ready.lo_wp, ready.lo_wm, ready.lo_bp, ready.lo_bm, consts.omega_min - omega
-    )
-    ub = minimum(cap, safe_div(alpha_hi, omega - ready.whi) + q)
-    lb = maximum(cap, safe_div(alpha_lo, ready.wlo - omega) + q)
-    return ub, lb
+    dev = omega - omega_sync
+    return dtilde * dev + safe_div(b, dev)
 
 
 def gated_control(gate_hi, gate_lo, f, ub, lb):
@@ -436,21 +362,6 @@ class ControlDecision:
     lower: object = None
 
 
-def policy_forward(ready: PolicyReady, consts: PolicyConsts, lam, omega, p) -> ControlDecision:
-    """Full policy at one measured state. Works on arrays or tape nodes."""
-    active = active_mask(ready, omega)
-    b = budget_vector(consts, active, ready.xi)
-    q = feedforward_term(consts, lam, omega, p)
-    ub, lb = policy_bounds(ready, consts, omega, q, b)
-    f = deadzone_eval(
-        ready.dz_wp, ready.dz_wm, ready.dz_bp, ready.dz_bm, ready.wlo, ready.whi, omega
-    )
-    gate_hi = relu(omega - ready.whi)
-    gate_lo = relu(ready.wlo - omega)
-    u = gated_control(gate_hi, gate_lo, f, ub, lb)
-    return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
-
-
 def project_control(out: ControlDecision, ready: PolicyReady, omega) -> np.ndarray:
     """Clamp the raw policy output into the admissible interval (values only)."""
     w = np.asarray(value(omega), dtype=float)
@@ -463,61 +374,19 @@ def project_control(out: ControlDecision, ready: PolicyReady, omega) -> np.ndarr
     return proj
 
 
-# ---------------------------------------------------------------- validation
-
-
-def validate_class_k_weights(wp, wm, tag: str) -> None:
-    """Assert the signed partial sums that make a class-K map increasing."""
-    if not np.all(np.cumsum(np.asarray(value(wp)), axis=-1) > 0):
+def validate_class_k(params: tuple, tag: str) -> None:
+    """Assert the invariants that make a (wp, wm, bp, bm) class-K map
+    increasing: signed weight partial sums, biases non-increasing from zero."""
+    wp, wm, bp, bm = (np.asarray(value(x)) for x in params)
+    if not np.all(np.cumsum(wp, axis=-1) > 0):
         raise PolicyError(f"{tag}: a positive-branch partial sum is not > 0")
-    if not np.all(np.cumsum(np.asarray(value(wm)), axis=-1) < 0):
+    if not np.all(np.cumsum(wm, axis=-1) < 0):
         raise PolicyError(f"{tag}: a negative-branch partial sum is not < 0")
-
-
-def validate_policy(ready: PolicyReady, consts: PolicyConsts, atol: float = 1e-12) -> None:
-    """Assert the structural invariants of the constrained tensors (values)."""
-    validate_class_k_weights(ready.hi_wp, ready.hi_wm, "barrier_hi")
-    validate_class_k_weights(ready.lo_wp, ready.lo_wm, "barrier_lo")
-    for bias, tag in (
-        (ready.hi_bp, "barrier_hi_bp"),
-        (ready.hi_bm, "barrier_hi_bm"),
-        (ready.lo_bp, "barrier_lo_bp"),
-        (ready.lo_bm, "barrier_lo_bm"),
-    ):
-        bv = np.asarray(value(bias))
-        if not np.all(bv[..., 0] == 0.0):
-            raise PolicyError(f"{tag}: first bias entry not pinned to zero")
-        if np.any(np.diff(bv, axis=-1) > 0):
-            raise PolicyError(f"{tag}: biases increase along the units")
-    for bias, tag in ((ready.dz_bp, "dz_bp"), (ready.dz_bm, "dz_bm")):
-        if np.any(np.asarray(value(bias)) > 0):
-            raise PolicyError(f"{tag}: dead-zone bias above zero")
-    wlo, whi = ready.wlo_val, ready.whi_val
-    if np.any(wlo <= consts.omega_min) or np.any(wlo >= consts.omega_sync):
-        raise PolicyError("lower threshold escaped (omega_min, omega_sync)")
-    if np.any(whi <= consts.omega_sync) or np.any(whi >= consts.omega_max):
-        raise PolicyError("upper threshold escaped (omega_sync, omega_max)")
-    xi = np.asarray(value(ready.xi))
-    margin = consts.dtilde * np.minimum(
-        (whi - consts.omega_sync) ** 2, (wlo - consts.omega_sync) ** 2
-    )
-    if np.any(consts.row_l1 * np.abs(xi).max() > margin + atol):
-        raise PolicyError("budget potentials exceed the damping margin bound")
-
-
-# --------------------------------------------------------- monotone baseline
-
-
-def monotone_precompute(raw: dict):
-    wp, wm = class_k_weights(raw["resp_wp"], raw["resp_wm"])
-    bp, bm = class_k_biases(raw["resp_bp"], raw["resp_bm"])
-    return wp, wm, bp, bm
-
-
-def monotone_eval(ready, omega):
-    """Decentralized response u_i(w_i): strictly decreasing, zero at zero."""
-    wp, wm, bp, bm = ready
-    return -class_k_eval(wp, wm, bp, bm, omega)
+    for bias, name in ((bp, f"{tag}_bp"), (bm, f"{tag}_bm")):
+        if not np.all(bias[..., 0] == 0.0):
+            raise PolicyError(f"{name}: first bias entry not pinned to zero")
+        if np.any(np.diff(bias, axis=-1) > 0):
+            raise PolicyError(f"{name}: biases increase along the units")
 
 
 # ------------------------------------------------------------ bound policies
@@ -534,9 +403,16 @@ class BoundPolicy:
       control(ready, lam, omega, p)    a ControlDecision at a measured state;
       validate(ready)                  PolicyError if an invariant fails;
       rebuild(raw)                     params of the same kind with new raws.
+
+    Binding checks that every per-bus array has one row per network bus.
     """
 
     def __init__(self, params, spec, net, inc, eq):
+        n = net.n_bus
+        for name in params.keys + params.fixed:
+            shape = np.shape(params.raw[name] if name in params.raw else getattr(params, name))
+            if shape[:1] != (n,):
+                raise PolicyError(f"{name} has shape {shape}, the network has {n} buses")
         self.params = params
 
     @property
@@ -552,35 +428,89 @@ class BoundPolicy:
 
 
 class ConstrainedAdapter(BoundPolicy):
-    """The constrained dead-zone policy bound to a network."""
+    """The constrained dead-zone policy bound to a network and safety band.
 
-    def __init__(self, params: PolicyParams, spec, net, inc, eq):
+    It keeps the network, its incidence and equilibrium, the per-bus band
+    and D_tilde = dtilde_frac * D, the damping share the stability cap keeps.
+    """
+
+    def __init__(self, params: PolicyParams, spec: SafetySpec, net, inc, eq):
         super().__init__(params, spec, net, inc, eq)
-        self.consts = make_policy_consts(params, spec, net, inc, eq)
+        self.omega_min, self.omega_max = spec.per_bus(net.n_bus)
+        if np.any(self.omega_min >= eq.omega_sync) or np.any(self.omega_max <= eq.omega_sync):
+            raise PolicyError("safety band must contain the synchronous frequency strictly")
+        self.net, self.inc, self.eq = net, inc, eq
+        self.dtilde = params.dtilde_frac * net.damping
 
     def precompute(self, raw_like: dict) -> PolicyReady:
-        return policy_precompute(raw_like, self.consts)
+        hi = class_k_params(raw_like, "barrier_hi")
+        lo = class_k_params(raw_like, "barrier_lo")
+        sync = self.eq.omega_sync
+        wlo, whi = threshold_map(
+            raw_like["thr_lo"], raw_like["thr_hi"], sync, self.omega_min, self.omega_max
+        )
+        xi, xi_cap = budget_potentials(
+            raw_like["budget_raw"], wlo, whi, sync, self.dtilde, self.inc.row_l1
+        )
+        return PolicyReady(
+            wlo=wlo,
+            whi=whi,
+            xi=xi,
+            xi_cap=xi_cap,
+            hi=hi,
+            lo=lo,
+            dz=deadzone_weights(raw_like),
+            wlo_val=np.asarray(value(wlo), dtype=float),
+            whi_val=np.asarray(value(whi), dtype=float),
+        )
 
     def control(self, ready: PolicyReady, lam, omega, p) -> ControlDecision:
-        return policy_forward(ready, self.consts, lam, omega, p)
+        """Full policy at one measured state. Works on arrays or tape nodes."""
+        active = active_mask(ready, omega)
+        b = budget_vector(self.inc, active, ready.xi)
+        q = feedforward_term(self.net, self.inc, lam, omega, p)
+        cap = stability_cap(self.dtilde, self.eq.omega_sync, omega, b)
+        alpha_hi = class_k_eval(*ready.hi, self.omega_max - omega)
+        alpha_lo = class_k_eval(*ready.lo, self.omega_min - omega)
+        ub = minimum(cap, safe_div(alpha_hi, omega - ready.whi) + q)
+        lb = maximum(cap, safe_div(alpha_lo, ready.wlo - omega) + q)
+        f = deadzone_eval(*ready.dz, ready.wlo, ready.whi, omega)
+        u = gated_control(relu(omega - ready.whi), relu(ready.wlo - omega), f, ub, lb)
+        return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
     def validate(self, ready: PolicyReady) -> None:
-        validate_policy(ready, self.consts)
+        """Assert the structural invariants of the constrained tensors (values)."""
+        validate_class_k(ready.hi, "barrier_hi")
+        validate_class_k(ready.lo, "barrier_lo")
+        for bias, tag in zip(ready.dz[2:], ("dz_bp", "dz_bm")):
+            if np.any(np.asarray(value(bias)) > 0):
+                raise PolicyError(f"{tag}: dead-zone bias above zero")
+        sync = self.eq.omega_sync
+        wlo, whi = ready.wlo_val, ready.whi_val
+        if np.any(wlo <= self.omega_min) or np.any(wlo >= sync):
+            raise PolicyError("lower threshold escaped (omega_min, omega_sync)")
+        if np.any(whi <= sync) or np.any(whi >= self.omega_max):
+            raise PolicyError("upper threshold escaped (omega_sync, omega_max)")
+        margin = self.dtilde * np.minimum((whi - sync) ** 2, (wlo - sync) ** 2)
+        if np.any(self.inc.row_l1 * np.abs(np.asarray(value(ready.xi))).max() > margin + 1e-12):
+            raise PolicyError("budget potentials exceed the damping margin bound")
 
 
 class MonotoneAdapter(BoundPolicy):
-    """The monotone baseline: no dead zone, no budgets, no admissible interval."""
+    """The decentralized monotone baseline u_i = -alpha_i(w_i): strictly
+    decreasing and zero at zero, with no dead zone, budgets or admissible
+    interval. Its ready is the class-K tuple (wp, wm, bp, bm)."""
 
-    def precompute(self, raw_like: dict):
-        return monotone_precompute(raw_like)
+    def precompute(self, raw_like: dict) -> tuple:
+        return class_k_params(raw_like, "resp")
 
-    def control(self, ready, lam, omega, p) -> ControlDecision:
+    def control(self, ready: tuple, lam, omega, p) -> ControlDecision:
         shape = np.shape(value(omega))
-        u = monotone_eval(ready, omega)
+        u = -class_k_eval(*ready, omega)
         return ControlDecision(u=u, budgets=np.zeros(shape), active=np.zeros(shape, dtype=bool))
 
-    def validate(self, ready) -> None:
-        validate_class_k_weights(ready[0], ready[1], "monotone response")
+    def validate(self, ready: tuple) -> None:
+        validate_class_k(ready, "resp")
 
 
 # --------------------------------------------------------------- controllers
@@ -640,8 +570,7 @@ def make_analytic_safe_controller(
     the band, at the price of tracking the full feedforward q.
     """
     n = net.n_bus
-    lo = np.broadcast_to(spec.omega_min, (n,)).astype(float)
-    hi = np.broadcast_to(spec.omega_max, (n,)).astype(float)
+    lo, hi = spec.per_bus(n)
     consts_d = net.damping
     by = inc.by_mat
 

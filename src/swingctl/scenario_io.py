@@ -292,7 +292,7 @@ def load_train_config(path) -> TrainConfig:
         raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
     try:
         return TrainConfig(**fields)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise SchemaError(f"{where}: {e}") from e
 
 
@@ -340,14 +340,26 @@ def load_checkpoint(path):
     missing = [k for k in cls.keys if k not in raw_in]
     if missing:
         raise SchemaError(f"{where}: raw is missing key {missing[0]!r}")
-    raw = {k: np.asarray(raw_in[k], dtype=float) for k in cls.keys}
-    shapes = cls.shapes(raw[cls.keys[0]].shape[0], m_hidden)
+    raw = {}
+    for k in cls.keys:
+        try:
+            raw[k] = np.asarray(raw_in[k], dtype=float)
+        except (TypeError, ValueError):
+            raise SchemaError(f"{where}: raw[{k!r}] is not a numeric array") from None
+    for k, shape in cls.shapes(1, m_hidden).items():
+        if raw[k].ndim != len(shape):
+            raise SchemaError(f"{where}: raw[{k!r}] has {raw[k].ndim} dimensions, expected {len(shape)}")
+    n = raw[cls.keys[0]].shape[0]
+    shapes = cls.shapes(n, m_hidden)
     for k in cls.keys:
         if raw[k].shape != shapes[k]:
             raise SchemaError(
                 f"{where}: raw[{k!r}] has shape {raw[k].shape}, expected {shapes[k]}"
             )
     fixed = {name: np.asarray(_need(obj, name, list, where), dtype=float) for name in cls.fixed}
+    for name, arr in fixed.items():
+        if arr.shape != (n,):
+            raise SchemaError(f"{where}: {name} has shape {arr.shape}, expected ({n},) for {n} buses")
     meta = {k: obj.get(k) for k in ("config", "config_hash", "seed")}
     return cls(raw=raw, m_hidden=m_hidden, **fixed), meta
 

@@ -66,6 +66,13 @@ class TrainConfig:
     adam_eps: float = 1e-8
     divergence_factor: float = 1e3
 
+    def __post_init__(self):
+        for name in ("batch", "steps", "m_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -85,8 +85,7 @@ def check_frequency_invariance(traj: Trajectory, spec) -> Verdict:
     Margin is the minimum distance from any monitored bus to its nearer
     bound over the whole run; buses that start outside are not monitored.
     """
-    lo = np.broadcast_to(spec.omega_min, (traj.n_bus,))
-    hi = np.broadcast_to(spec.omega_max, (traj.n_bus,))
+    lo, hi = spec.per_bus(traj.n_bus)
     monitored = (traj.omega[0] >= lo) & (traj.omega[0] <= hi)
     if not monitored.any():
         return Verdict(

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swingctl.controller import make_policy_consts, policy_forward, policy_precompute
 from swingctl.tape import value
 from swingctl.training import episode_loss
 
@@ -62,9 +61,9 @@ class ConstraintReport:
 
 
 def constraint_check(params, spec, net, inc, eq, lam, omega, p, u, tol: float = 1e-9) -> ConstraintReport:
-    consts = make_policy_consts(params, spec, net, inc, eq)
-    ready = policy_precompute(params.raw, consts)
-    out = policy_forward(ready, consts, lam, omega, p)
+    policy = params.bind(spec, net, inc, eq)
+    ready = policy.precompute(params.raw)
+    out = policy.control(ready, lam, omega, p)
     w = np.asarray(omega, dtype=float)
     u = np.asarray(u, dtype=float)
     above = w > ready.whi_val

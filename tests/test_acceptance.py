@@ -22,10 +22,7 @@ from swingctl.controller import (
     init_monotone_params,
     init_policy_params,
     make_analytic_safe_controller,
-    make_policy_consts,
     make_policy_controller,
-    policy_forward,
-    policy_precompute,
     project_control,
 )
 from swingctl.dynamics import Scenario, rollout
@@ -115,14 +112,14 @@ def test_criterion_1_structural_exactness(net3, inc3, eq3):
     n_draws = 0
     for _ in range(20):
         params = init_policy_params(3, 20, rng, scale=float(rng.uniform(0.05, 0.5)))
-        consts = make_policy_consts(params, spec, net3, inc3, eq3)
-        ready = policy_precompute(params.raw, consts)
+        policy = params.bind(spec, net3, inc3, eq3)
+        ready = policy.precompute(params.raw)
         batch = 500
         theta = rng.uniform(-0.6, 0.6, (batch, 3))
         lam = theta @ inc3.b_mat
         omega = rng.uniform(-0.3, 0.3, (batch, 3))
         p = net3.p_nom * rng.uniform(0.5, 1.5, (batch, 3))
-        out = policy_forward(ready, consts, lam, omega, p)
+        out = policy.control(ready, lam, omega, p)
         u = project_control(out, ready, omega)
         b = np.asarray(value(out.budgets))
         active = out.active
@@ -130,11 +127,11 @@ def test_criterion_1_structural_exactness(net3, inc3, eq3):
         assert np.all(b[~active] == 0.0), "nonzero budget inside the dead zone"
         assert np.abs(b.sum(axis=1)).max() < 1e-9, "budget sum drifted"
         xi = np.asarray(value(ready.xi))
-        margin = consts.dtilde * np.minimum(
-            (ready.whi_val - consts.omega_sync) ** 2,
-            (ready.wlo_val - consts.omega_sync) ** 2,
+        margin = policy.dtilde * np.minimum(
+            (ready.whi_val - eq3.omega_sync) ** 2,
+            (ready.wlo_val - eq3.omega_sync) ** 2,
         )
-        assert np.all(consts.row_l1 * np.abs(xi).max() <= margin + 1e-12), "xi bound"
+        assert np.all(inc3.row_l1 * np.abs(xi).max() <= margin + 1e-12), "xi bound"
         n_draws += batch
     elapsed = time.time() - t0
     print(f"criterion 1: {n_draws} draws structurally exact in {elapsed:.2f} s")

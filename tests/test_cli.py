@@ -17,7 +17,15 @@ import pytest
 
 import swingctl
 from swingctl.cli import run
-from swingctl.scenario_io import bundled_path, load_checkpoint, load_curve, load_trajectory
+from swingctl.controller import init_policy_params
+from swingctl.scenario_io import (
+    bundled_path,
+    load_checkpoint,
+    load_curve,
+    load_trajectory,
+    save_checkpoint,
+)
+from swingctl.training import TrainConfig
 
 
 def write_json(path, obj):
@@ -305,6 +313,82 @@ def test_infeasible_network_exits_one(files, capsys):
     code = run(["simulate", "--net", str(bad), "--scenario", files["quiet"]])
     assert code == 1
     assert "EquilibriumError" in capsys.readouterr().err
+
+
+def two_bus_checkpoint(files, **edits):
+    """A 2-bus, m=4 checkpoint file, with top-level or raw fields replaced."""
+    path = files["dir"] / "ck.json"
+    save_checkpoint(path, init_policy_params(2, 4, np.random.default_rng(0)), TrainConfig())
+    obj = json.loads(path.read_text())
+    for name, val in edits.items():
+        (obj["raw"] if name in obj["raw"] else obj)[name] = val
+    write_json(path, obj)
+    return str(path)
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({"barrier_hi_wp": 0.5}, "raw['barrier_hi_wp'] has 0 dimensions, expected 2"),
+        ({"dtilde_frac": [0.5, 0.5, 0.5]}, "dtilde_frac has shape (3,), expected (2,)"),
+        ({"thr_hi": [[0.1], 0.2]}, "raw['thr_hi'] is not a numeric array"),
+    ],
+)
+def test_malformed_checkpoint_exits_one(files, capsys, edits, message):
+    ckpt = two_bus_checkpoint(files, **edits)
+    code = simulate(files, "quiet", files["dir"] / "t.csv", files["dir"] / "v.json", ["--controller", ckpt])
+    assert code == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: SchemaError") and message in err
+
+
+def _checkpoint_on_3bus(files):
+    ckpt = two_bus_checkpoint(files)
+    return ["simulate", "--scenario", files["quiet"], "--controller", ckpt, "--out", str(files["dir"] / "t.csv")]
+
+
+def _spec_with_3_entries(files):
+    spec = files["dir"] / "spec.json"
+    band = {"omega_min": [-0.2] * 3, "omega_max": [0.2] * 3}
+    write_json(spec, {"format_version": 1, "kind": "safety_spec", **band})
+    return ["simulate", "--scenario", files["quiet"], "--spec", str(spec), "--out", str(files["dir"] / "t.csv")]
+
+
+def _verify_2bus_csv(files):
+    out = files["dir"] / "two.csv"
+    assert simulate(files, "quiet", out, files["dir"] / "v.json") == 0
+    return ["verify", "--traj", str(out)]
+
+
+@pytest.mark.parametrize(
+    "build, net, message",
+    [
+        (_checkpoint_on_3bus, "net_3bus.json", "PolicyError: barrier_hi_wp has shape (2, 4), the network has 3 buses"),
+        (_spec_with_3_entries, "net_2bus.json", "SchemaError: {dir}/spec.json: the band has 3 entries, the network has 2 buses"),
+        (_verify_2bus_csv, "net_3bus.json", "SchemaError: {dir}/two.csv: the trajectory has 2 buses, the network has 3"),
+    ],
+)
+def test_bus_count_mismatch_names_both_sizes(files, capsys, build, net, message):
+    argv = build(files)
+    capsys.readouterr()
+    code = run([*argv, "--net", str(bundled_path(net)), "--report", str(files["dir"] / "r.json")])
+    assert code == 1
+    assert one_error_line(capsys) == f"error: {message.format(dir=files['dir'])}\n"
+
+
+@pytest.mark.parametrize("flag", [["--batch", "0"], ["--steps", "0"], ["--m-hidden", "0"], ["--dt", "0"]])
+def test_train_rejects_unusable_sizes(files, capsys, flag):
+    argv = ["train", "--net", files["net"], "--scenario", files["train"], "--episodes", "1", "--quiet"]
+    code = run([*argv, *flag, "--out", str(files["dir"] / "ck.json"), "--curve", str(files["dir"] / "c.csv")])
+    assert code == 1
+    err = one_error_line(capsys)
+    assert err.startswith("error: ValueError") and flag[0].lstrip("-").replace("-", "_") in err
 
 
 def test_console_script_help():

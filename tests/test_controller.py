@@ -10,6 +10,7 @@ from swingctl import controller as C
 from swingctl import tape as tp
 from swingctl.dynamics import Scenario, rollout
 from swingctl.equilibrium import in_region
+from swingctl.netgraph import PowerNetwork
 from swingctl.tape import Tape, value
 
 
@@ -193,13 +194,13 @@ def test_deadzone_exactness_property(net3, inc3, eq3, spec_band):
     rng = np.random.default_rng(8)
     for _ in range(300):
         params = rand_params(3, rng, dz_amp=5.0)
-        consts = C.make_policy_consts(params, spec_band, net3, inc3, eq3)
-        ready = C.policy_precompute(params.raw, consts)
+        policy = params.bind(spec_band, net3, inc3, eq3)
+        ready = policy.precompute(params.raw)
         # draw omega inside each bus's dead zone: u must vanish exactly
         frac = rng.uniform(0.0, 1.0, 3)
         omega = ready.wlo_val + frac * (ready.whi_val - ready.wlo_val)
         lam = rng.uniform(-0.5, 0.5, 2)
-        out = C.policy_forward(ready, consts, lam, omega, net3.p_nom)
+        out = policy.control(ready, lam, omega, net3.p_nom)
         assert np.all(value(out.u) == 0.0)
         assert np.all(value(out.budgets) == 0.0)
 
@@ -207,27 +208,23 @@ def test_deadzone_exactness_property(net3, inc3, eq3, spec_band):
 # ------------------------------------------------------------------- budgets
 
 
-def test_budget_hand_cases(net3, inc3, eq3, spec_band):
-    params = rand_params(3, np.random.default_rng(0))
-    consts = C.make_policy_consts(params, spec_band, net3, inc3, eq3)
+def test_budget_hand_cases(inc3):
     xi = np.array([1.0, 0.0, -1.0])
-    b = value(C.budget_vector(consts, np.array([True, True, True]), xi))
+    b = value(C.budget_vector(inc3, np.array([True, True, True]), xi))
     assert np.array_equal(b, [1.0, 0.0, -1.0])
-    b = value(C.budget_vector(consts, np.array([True, True, False]), xi))
+    b = value(C.budget_vector(inc3, np.array([True, True, False]), xi))
     assert np.array_equal(b, [1.0, -1.0, 0.0])
     assert b[2] == 0.0
-    b = value(C.budget_vector(consts, np.zeros(3, dtype=bool), xi))
+    b = value(C.budget_vector(inc3, np.zeros(3, dtype=bool), xi))
     assert np.array_equal(b, np.zeros(3))
 
 
-def test_budget_conservation_and_locality_property(net3, inc3, eq3, spec_band):
+def test_budget_conservation_and_locality_property(inc3):
     rng = np.random.default_rng(12)
-    params = rand_params(3, rng)
-    consts = C.make_policy_consts(params, spec_band, net3, inc3, eq3)
     for _ in range(500):
         active = rng.random(3) < 0.5
         xi = rng.normal(size=3)
-        b = value(C.budget_vector(consts, active, xi))
+        b = value(C.budget_vector(inc3, active, xi))
         assert abs(b.sum()) < 1e-9
         assert np.all(b[~active] == 0.0)
 
@@ -236,47 +233,33 @@ def test_xi_bound_property(net3, inc3, eq3, spec_band):
     rng = np.random.default_rng(13)
     for _ in range(500):
         params = rand_params(3, rng, scale=rng.uniform(0.1, 1.5))
-        consts = C.make_policy_consts(params, spec_band, net3, inc3, eq3)
-        ready = C.policy_precompute(params.raw, consts)
+        policy = params.bind(spec_band, net3, inc3, eq3)
+        ready = policy.precompute(params.raw)
         xi = value(ready.xi)
-        margin = consts.dtilde * np.minimum(
-            (ready.whi_val - consts.omega_sync) ** 2,
-            (ready.wlo_val - consts.omega_sync) ** 2,
+        margin = policy.dtilde * np.minimum(
+            (ready.whi_val - eq3.omega_sync) ** 2,
+            (ready.wlo_val - eq3.omega_sync) ** 2,
         )
-        assert np.all(consts.row_l1 * np.abs(xi).max() <= margin + 1e-12)
+        assert np.all(inc3.row_l1 * np.abs(xi).max() <= margin + 1e-12)
 
 
 # ------------------------------------------------------- caps and feedforward
 
 
 def test_stability_cap_hand_cases():
-    consts = C.PolicyConsts(
-        damping=np.array([1.0]),
-        dtilde=np.array([0.5]),
-        by_mat=None,
-        bu_mat=None,
-        bu_mat_t=None,
-        row_l1=None,
-        edge_ends=None,
-        omega_sync=0.0,
-        omega_min=np.array([-0.2]),
-        omega_max=np.array([0.2]),
-    )
-    assert abs(value(C.stability_cap(consts, np.array([0.2]), np.array([0.0])))[0] - 0.1) < 1e-15
-    assert abs(value(C.stability_cap(consts, np.array([0.2]), np.array([0.02])))[0] - 0.2) < 1e-15
+    dtilde = np.array([0.5])
+    assert abs(value(C.stability_cap(dtilde, 0.0, np.array([0.2]), np.array([0.0])))[0] - 0.1) < 1e-15
+    assert abs(value(C.stability_cap(dtilde, 0.0, np.array([0.2]), np.array([0.02])))[0] - 0.2) < 1e-15
 
 
-def test_feedforward_hand_cases(net2, inc2, eq2, spec_band):
-    consts = C.make_policy_consts(
-        rand_params(2, np.random.default_rng(0)), spec_band, net2, inc2, eq2
-    )
-    q = value(C.feedforward_term(consts, np.array([0.0]), np.array([0.1, -0.1]), np.zeros(2)))
+def test_feedforward_hand_cases(net2, inc2, eq2):
+    q = value(C.feedforward_term(net2, inc2, np.array([0.0]), np.array([0.1, -0.1]), np.zeros(2)))
     assert np.allclose(q, [0.1, -0.1], atol=1e-15)
     q = value(
-        C.feedforward_term(consts, eq2.lam_eq, np.full(2, eq2.omega_sync), net2.p_nom)
+        C.feedforward_term(net2, inc2, eq2.lam_eq, np.full(2, eq2.omega_sync), net2.p_nom)
     )
     assert np.abs(q).max() < 1e-9
-    q = value(C.feedforward_term(consts, np.zeros(1), np.zeros(2), np.zeros(2)))
+    q = value(C.feedforward_term(net2, inc2, np.zeros(1), np.zeros(2), np.zeros(2)))
     assert np.array_equal(q, np.zeros(2))
 
 
@@ -292,10 +275,10 @@ def test_gated_control_hand_case():
 
 def test_policy_dead_zone_and_slack(net2, inc2, eq2, spec_band):
     params = rand_params(2, np.random.default_rng(42), dz_amp=6.0)
-    consts = C.make_policy_consts(params, spec_band, net2, inc2, eq2)
-    ready = C.policy_precompute(params.raw, consts)
+    policy = params.bind(spec_band, net2, inc2, eq2)
+    ready = policy.precompute(params.raw)
     inside = 0.5 * (ready.wlo_val + ready.whi_val)
-    out = C.policy_forward(ready, consts, eq2.lam_eq, inside, net2.p_nom)
+    out = policy.control(ready, eq2.lam_eq, inside, net2.p_nom)
     assert np.all(value(out.u) == 0.0)
     # upper-branch slack arithmetic from the worked numbers: bound 0.2, u 0.01
     assert abs((0.2 - 0.01) - 0.19) < 1e-15
@@ -303,8 +286,8 @@ def test_policy_dead_zone_and_slack(net2, inc2, eq2, spec_band):
 
 def test_constraint_check_cases(net2, inc2, eq2, spec_band):
     params = rand_params(2, np.random.default_rng(7), dz_amp=6.0)
-    consts = C.make_policy_consts(params, spec_band, net2, inc2, eq2)
-    ready = C.policy_precompute(params.raw, consts)
+    policy = params.bind(spec_band, net2, inc2, eq2)
+    ready = policy.precompute(params.raw)
     inside = 0.5 * (ready.wlo_val + ready.whi_val)
     rep = constraint_check(
         params, spec_band, net2, inc2, eq2, eq2.lam_eq, inside, net2.p_nom, np.zeros(2)
@@ -312,7 +295,7 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
     assert rep.ok and rep.violations == [] and np.all(rep.branch == 0)
 
     omega = np.array([0.18, -0.05])  # bus 0 above its upper threshold
-    out = C.policy_forward(ready, consts, eq2.lam_eq, omega, net2.p_nom)
+    out = policy.control(ready, eq2.lam_eq, omega, net2.p_nom)
     u = C.project_control(out, ready, omega)
     rep = constraint_check(
         params, spec_band, net2, inc2, eq2, eq2.lam_eq, omega, net2.p_nom, u
@@ -331,10 +314,10 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
 
 def test_projection_identity_and_clamp(net2, inc2, eq2, spec_band):
     params = rand_params(2, np.random.default_rng(11), dz_amp=6.0)
-    consts = C.make_policy_consts(params, spec_band, net2, inc2, eq2)
-    ready = C.policy_precompute(params.raw, consts)
+    policy = params.bind(spec_band, net2, inc2, eq2)
+    ready = policy.precompute(params.raw)
     omega = np.array([0.19, -0.18])
-    out = C.policy_forward(ready, consts, eq2.lam_eq, omega, net2.p_nom)
+    out = policy.control(ready, eq2.lam_eq, omega, net2.p_nom)
     proj = C.project_control(out, ready, omega)
     ub, lb = value(out.upper), value(out.lower)
     assert proj[0] <= ub[0] + 1e-15 and proj[1] >= lb[1] - 1e-15
@@ -365,11 +348,11 @@ def test_projection_property_random_states(net3, inc3, eq3, spec_band):
     # through the single-state reporting path
     rng = np.random.default_rng(17)
     params = rand_params(3, rng, dz_amp=4.0)
-    consts = C.make_policy_consts(params, spec_band, net3, inc3, eq3)
-    ready = C.policy_precompute(params.raw, consts)
+    policy = params.bind(spec_band, net3, inc3, eq3)
+    ready = policy.precompute(params.raw)
     omega = rng.uniform(-0.35, 0.35, size=(10**4, 3))
     lam = rng.uniform(-0.6, 0.6, size=(10**4, 2))
-    out = C.policy_forward(ready, consts, lam, omega, net3.p_nom)
+    out = policy.control(ready, lam, omega, net3.p_nom)
     proj = C.project_control(out, ready, omega)
     above = omega > ready.whi_val
     below = omega < ready.wlo_val
@@ -382,6 +365,58 @@ def test_projection_property_random_states(net3, inc3, eq3, spec_band):
             params, spec_band, net3, inc3, eq3, lam[i], omega[i], net3.p_nom, proj[i]
         )
         assert rep.ok, f"row {i}: {rep.slack}"
+
+
+def test_projected_control_meets_cap_and_barrier_where_they_bind(net3, inc3, eq3):
+    # Large dead-zone weights push the raw output past its bounds, so the
+    # projected u lands on them. The gates scale by omega - threshold (Hz),
+    # and only a gate above 1 lets the raw output reach a positive stability
+    # cap, so the band is +/-2 Hz with the thresholds pulled toward sync. The
+    # bounds are restated from net, params and the raws, not from the policy.
+    rng = np.random.default_rng(2027)
+    band, sync = 2.0, eq3.omega_sync
+    spec = C.SafetySpec.band(-band, band, 3)
+    on_cap = on_barrier = rows = 0
+    for _ in range(20):
+        params = rand_params(3, rng, scale=0.5, dz_amp=40.0)
+        raw = params.raw
+        raw["thr_lo"] = raw["thr_lo"] + 2.0
+        raw["thr_hi"] = raw["thr_hi"] + 2.0
+        policy = params.bind(spec, net3, inc3, eq3)
+        ready = policy.precompute(raw)
+        wlo, whi = (value(x) for x in C.threshold_map(raw["thr_lo"], raw["thr_hi"], sync, -band, band))
+        above = rng.random((100, 3)) < 0.5
+        near_edge = rng.random((100, 3)) < 0.5
+        frac = np.where(near_edge, rng.uniform(0.97, 1.0, (100, 3)), rng.uniform(0.0, 1.0, (100, 3)))
+        omega = np.where(above, whi + frac * (band - whi), wlo - frac * (wlo + band))
+        lam = rng.uniform(-0.5, 0.5, (100, 2))
+        p = rng.uniform(-3.0, 3.0, (100, 3))
+        dec = policy.control(ready, lam, omega, p)
+        u = C.project_control(dec, ready, omega)
+        assert dec.active.all()
+
+        # stability cap: u dev <= dtilde_frac D dev^2 + b on both branches
+        dev = omega - sync
+        slack_cap = params.dtilde_frac * net3.damping * dev**2 + value(dec.budgets) - u * dev
+        assert slack_cap.min() >= -1e-12, f"cap exceeded by {-slack_cap.min():.3e}"
+
+        # barrier: u <= alpha_hi(max - w)/(w - whi) + q above, mirrored below
+        hi = C.class_k_weights(raw["barrier_hi_wp"], raw["barrier_hi_wm"])
+        hi += C.class_k_biases(raw["barrier_hi_bp"], raw["barrier_hi_bm"])
+        lo = C.class_k_weights(raw["barrier_lo_wp"], raw["barrier_lo_wm"])
+        lo += C.class_k_biases(raw["barrier_lo_bp"], raw["barrier_lo_bm"])
+        q = net3.damping * omega + np.sin(lam) @ inc3.by_mat.T - p
+        bar_hi = value(C.class_k_eval(*hi, band - omega)) / (omega - whi) + q
+        bar_lo = value(C.class_k_eval(*lo, -band - omega)) / (wlo - omega) + q
+        slack_bar = np.where(above, bar_hi - u, u - bar_lo)
+        tol = 1e-9 * (1.0 + np.abs(np.where(above, bar_hi, bar_lo)))
+        assert np.all(slack_bar >= -tol), f"barrier exceeded by {-(slack_bar + tol).min():.3e}"
+
+        on_cap += int((slack_cap <= 1e-9).sum())
+        on_barrier += int((slack_bar <= tol).sum())
+        rows += u.size
+    # both bounds bind on a good share of the draws
+    assert on_cap >= 0.1 * rows and on_barrier >= 0.02 * rows, (on_cap, on_barrier, rows)
 
 
 def test_projected_policy_keeps_dissipation_and_band_while_active(
@@ -415,33 +450,34 @@ def test_projected_policy_keeps_dissipation_and_band_while_active(
 def test_distributedness(net3, inc3, eq3, spec_band):
     # bus 0's control and budget ignore non-neighbor state (bus 2, edge 1-2)
     params = rand_params(3, np.random.default_rng(23), dz_amp=4.0)
-    consts = C.make_policy_consts(params, spec_band, net3, inc3, eq3)
-    ready = C.policy_precompute(params.raw, consts)
+    policy = params.bind(spec_band, net3, inc3, eq3)
+    ready = policy.precompute(params.raw)
     omega = np.array([0.18, 0.15, 0.02])
     lam = np.array([0.3, 0.1])
-    base = C.policy_forward(ready, consts, lam, omega, net3.p_nom)
+    base = policy.control(ready, lam, omega, net3.p_nom)
     omega2 = omega.copy()
     omega2[2] = 0.19  # flips bus 2's mask; bus 0 only shares an edge with bus 1
     lam2 = lam.copy()
     lam2[1] = -0.4
-    pert = C.policy_forward(ready, consts, lam2, omega2, net3.p_nom)
+    pert = policy.control(ready, lam2, omega2, net3.p_nom)
     assert value(pert.u)[0] == value(base.u)[0]
     assert value(pert.budgets)[0] == value(base.budgets)[0]
 
 
 def test_validate_policy_flags_violations(net2, inc2, eq2, spec_band):
     params = rand_params(2, np.random.default_rng(3))
-    consts = C.make_policy_consts(params, spec_band, net2, inc2, eq2)
-    ready = C.policy_precompute(params.raw, consts)
-    C.validate_policy(ready, consts)  # reparameterized tensors always pass
-    broken = C.policy_precompute(params.raw, consts)
-    broken.dz_bp = np.abs(np.asarray(value(ready.dz_bp))) + 0.1
+    policy = params.bind(spec_band, net2, inc2, eq2)
+    ready = policy.precompute(params.raw)
+    policy.validate(ready)  # reparameterized tensors always pass
+    broken = policy.precompute(params.raw)
+    wp, wm, _, bm = broken.dz
+    broken.dz = (wp, wm, np.abs(np.asarray(value(ready.dz[2]))) + 0.1, bm)
     with pytest.raises(C.PolicyError, match="dz_bp"):
-        C.validate_policy(broken, consts)
-    shifted = C.policy_precompute(params.raw, consts)
+        policy.validate(broken)
+    shifted = policy.precompute(params.raw)
     shifted.wlo_val = np.array([-0.3, -0.3])  # escaped the band
     with pytest.raises(C.PolicyError, match="lower threshold"):
-        C.validate_policy(shifted, consts)
+        policy.validate(shifted)
 
 
 def test_safety_spec_validation():
@@ -449,6 +485,8 @@ def test_safety_spec_validation():
         C.SafetySpec(omega_min=0.1, omega_max=0.2)  # band must straddle zero
     with pytest.raises(ValueError):
         C.SafetySpec(omega_min=-0.2, omega_max=-0.1)
+    with pytest.raises(ValueError, match="per-bus lists"):
+        C.SafetySpec(omega_min=[[-0.2]], omega_max=[[0.2]])
     spec = C.SafetySpec(omega_min=-0.2, omega_max=0.2)
     assert spec.omega_min == -0.2 and spec.omega_max == 0.2
 
@@ -469,12 +507,14 @@ def test_analytic_safe_hand_cases(net2, inc2, eq2, spec_band):
 
 def test_monotone_baseline_properties():
     rng = np.random.default_rng(31)
+    net1 = PowerNetwork(inertia=[1.0], damping=[1.0], p_nom=[0.0], edges=(), susceptance=[])
     for _ in range(1000):
         params = C.init_monotone_params(1, 4, rng, scale=rng.uniform(0.2, 1.5))
-        ready = C.monotone_precompute(params.raw)
+        policy = params.bind(None, net1, None, None)
+        ready = policy.precompute(params.raw)
         w = np.sort(rng.uniform(-1.0, 1.0, size=5))
-        u = value(C.monotone_eval(ready, w.reshape(-1, 1))).ravel()
-        assert abs(value(C.monotone_eval(ready, np.zeros((1, 1)))).ravel()[0]) < 1e-15
+        u = value(policy.control(ready, None, w.reshape(-1, 1), None).u).ravel()
+        assert abs(value(policy.control(ready, None, np.zeros((1, 1)), None).u).ravel()[0]) < 1e-15
         assert np.all(np.diff(u) <= 1e-12)  # non-increasing
         assert np.all(u * w <= 1e-12)  # opposes the deviation
 

@@ -269,6 +269,19 @@ def test_train_config_unknown_field_rejected(tmp_path):
         load_train_config(path)
 
 
+@pytest.mark.parametrize("field, bad", [("batch", 0), ("steps", 0), ("m_hidden", 0), ("dt", 0.0), ("dt", -1e-3)])
+def test_train_config_unusable_size_rejected(tmp_path, field, bad):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: bad})
+    path = tmp_path / "cfg.json"
+    save_train_config(path, TrainConfig())
+    obj = json.loads(path.read_text())
+    obj[field] = bad
+    write_json(path, obj)
+    with pytest.raises(SchemaError, match=f"{field} must be"):
+        load_train_config(path)
+
+
 # -------------------------------------------------------------- checkpoints
 
 
