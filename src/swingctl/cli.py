@@ -43,23 +43,23 @@ DOMAIN_ERRORS = (
 )
 
 
-def _band_spec(arg: str, n: int) -> SafetySpec:
-    try:
-        lo, hi = (float(v) for v in arg.split(","))
-    except ValueError:
-        raise ValueError(f"--band must be 'lo,hi', got {arg!r}") from None
-    return SafetySpec.band(lo, hi, n)
-
-
-def _load_spec(args, n: int) -> SafetySpec:
+def _setup(args):
+    """(net, inc, eq, spec) from --net and --spec, or from --band."""
+    net = sio.load_network(args.net)
+    inc = build_incidence(net)
+    eq = solve_equilibrium(net, inc)
     if args.spec is None:
-        return _band_spec(args.band, n)
+        try:
+            lo, hi = (float(v) for v in args.band.split(","))
+        except ValueError:
+            raise ValueError(f"--band must be 'lo,hi', got {args.band!r}") from None
+        return net, inc, eq, SafetySpec.band(lo, hi, net.n_bus)
     spec = sio.load_safety_spec(args.spec)
     try:
-        spec.per_bus(n)
+        spec.per_bus(net.n_bus)
     except PolicyError as e:
         raise sio.SchemaError(f"{args.spec}: {e}") from None
-    return spec
+    return net, inc, eq, spec
 
 
 def _build_controller(value: str, net, inc, eq, spec, projection: bool):
@@ -83,13 +83,9 @@ def _scenario_with_overrides(args, net, **patch):
 
 
 def _cmd_simulate(args) -> int:
-    net = sio.load_network(args.net)
-    inc = build_incidence(net)
-    eq = solve_equilibrium(net, inc)
-    spec = _load_spec(args, net.n_bus)
+    net, inc, eq, spec = _setup(args)
     scenario = _scenario_with_overrides(args, net)
-    projection = args.projection == "on"
-    controller = _build_controller(args.controller, net, inc, eq, spec, projection)
+    controller = _build_controller(args.controller, net, inc, eq, spec, args.projection == "on")
     traj = rollout(
         net,
         inc,
@@ -124,9 +120,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    net = sio.load_network(args.net)
-    inc = build_incidence(net)
-    eq = solve_equilibrium(net, inc)
+    net, inc, eq, spec = _setup(args)
     cfg = sio.load_train_config(args.config) if args.config else TrainConfig()
     overrides = {
         name: getattr(args, name)
@@ -135,7 +129,6 @@ def _cmd_train(args) -> int:
     }
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
-    spec = _load_spec(args, net.n_bus)
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
     if args.policy == "constrained":
         params = init_policy_params(net.n_bus, cfg.m_hidden, rng, cfg.init_scale, cfg.dtilde_frac)
@@ -164,13 +157,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    net, inc, eq, spec = _setup(args)
     traj = sio.load_trajectory(args.traj)
-    net = sio.load_network(args.net)
     if traj.n_bus != net.n_bus:
         raise sio.SchemaError(f"{args.traj}: the trajectory has {traj.n_bus} buses, the network has {net.n_bus}")
-    inc = build_incidence(net)
-    eq = solve_equilibrium(net, inc)
-    spec = _load_spec(args, net.n_bus)
+    if traj.lam.shape[1] != net.n_edge:
+        raise sio.SchemaError(f"{args.traj}: the trajectory has {traj.lam.shape[1]} edges, the network has {net.n_edge}")
     report = run_checks(traj, spec, eq, beta=args.beta, tol=args.tol)
     if args.report:
         sio.save_report(args.report, report)
@@ -180,18 +172,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    net = sio.load_network(args.net)
-    inc = build_incidence(net)
-    eq = solve_equilibrium(net, inc)
-    spec = _load_spec(args, net.n_bus)
+    net, inc, eq, spec = _setup(args)
     scenario = _scenario_with_overrides(args, net)
-    projection = args.projection == "on"
     entries = []
     for item in args.controller:
         label, _, value = item.partition("=")
         if not value:
             label, value = item, item
-        entries.append((label, _build_controller(value, net, inc, eq, spec, projection)))
+        entries.append((label, _build_controller(value, net, inc, eq, spec, args.projection == "on")))
     summaries, _ = sio.compare(
         entries,
         net,

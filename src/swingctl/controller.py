@@ -571,12 +571,10 @@ def make_analytic_safe_controller(
     """
     n = net.n_bus
     lo, hi = spec.per_bus(n)
-    consts_d = net.damping
-    by = inc.by_mat
 
     def control(lam, omega, p) -> ControlDecision:
         w = np.asarray(omega, dtype=float)
-        q = consts_d * w + by @ np.sin(np.asarray(lam, dtype=float)) - p
+        q = feedforward_term(net, inc, np.asarray(lam, dtype=float), w, p)
         above = w > threshold
         below = w < -threshold
         with np.errstate(divide="ignore", invalid="ignore"):

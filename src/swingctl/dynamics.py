@@ -154,11 +154,12 @@ def sample_initial_state(
 class Trajectory:
     """Time-indexed record of one closed-loop run.
 
-    Row k holds the state at t = k*dt and the control evaluated at that state
-    (including the final row). Per-row loss columns store
-    gamma*||omega - sync||^2 and ||u||^2; the run cost averages the first
-    n_steps rows. `lam` and `active` are in-memory extras that a CSV
-    round-trip does not preserve.
+    Row k holds the state at t = k*dt (edge angles `lam`, frequencies
+    `omega`), the decision evaluated at that state (`u`, `budgets` and the
+    dead-zone mask `active`, including the final row), and its energy.
+    Per-row loss columns store gamma*||omega - sync||^2 and ||u||^2; the run
+    cost averages the first n_steps rows. The trajectory CSV stores every
+    column, so a loaded trajectory certifies exactly as the in-memory one.
     """
 
     t: np.ndarray
@@ -168,10 +169,10 @@ class Trajectory:
     v_energy: np.ndarray
     loss_freq: np.ndarray
     loss_ctrl: np.ndarray
+    lam: np.ndarray
+    active: np.ndarray
     dt: float
     gamma: float
-    lam: np.ndarray | None = None
-    active: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -234,8 +235,9 @@ def rollout(
     initial state first (when not supplied), then the (rows, n) noise block.
 
     Warns if the initial state falls outside the invariant energy region for
-    the given beta; raises IntegrationError (with the step index) if the state
-    goes non-finite.
+    the given beta (ValueError unless beta >= 1); raises IntegrationError
+    (with the step index) if the state goes non-finite. Energy and loss
+    columns are computed once over all recorded rows.
     """
     steppers = {"euler": euler_step, "rk4": rk4_step}
     if integrator not in steppers:
@@ -253,38 +255,27 @@ def rollout(
     if scenario.noise_bound > 0:
         noise = rng.uniform(-scenario.noise_bound, scenario.noise_bound, (rows, n))
 
-    rec_omega = np.empty((rows, n))
     rec_lam = np.empty((rows, inc.b_mat.shape[1]))
+    rec_omega = np.empty((rows, n))
     rec_u = np.empty((rows, n))
     rec_b = np.empty((rows, n))
-    rec_act = np.zeros((rows, n), dtype=bool)
-    rec_v = np.empty(rows)
-    rec_lf = np.empty(rows)
-    rec_lc = np.empty(rows)
+    rec_act = np.empty((rows, n), dtype=bool)
     step = steppers[integrator]
     loop = closed_loop(net, inc, controller, lam0, omega0, p_rows, scenario.dt, noise, step)
     for k, (lam, omega, dec) in enumerate(loop):
-        rec_omega[k] = omega
-        rec_lam[k] = lam
-        rec_u[k] = dec.u
-        rec_b[k] = dec.budgets
-        rec_act[k] = dec.active
-        rec_v[k] = energy(net, inc, eq, lam, omega)
-        dev = omega - eq.omega_sync
-        rec_lf[k] = gamma * float(dev @ dev)
-        rec_lc[k] = float(np.dot(dec.u, dec.u))
-
+        rec_lam[k], rec_omega[k], rec_u[k], rec_b[k], rec_act[k] = lam, omega, dec.u, dec.budgets, dec.active
+    dev = rec_omega - eq.omega_sync
     return Trajectory(
         t=np.arange(rows) * scenario.dt,
         omega=rec_omega,
         u=rec_u,
         budgets=rec_b,
-        v_energy=rec_v,
-        loss_freq=rec_lf,
-        loss_ctrl=rec_lc,
-        dt=scenario.dt,
-        gamma=gamma,
+        v_energy=energy(net, inc, eq, rec_lam, rec_omega),
+        loss_freq=gamma * (dev**2).sum(axis=1),
+        loss_ctrl=(rec_u**2).sum(axis=1),
         lam=rec_lam,
         active=rec_act,
+        dt=scenario.dt,
+        gamma=gamma,
         meta={"seed": seed, "integrator": integrator, "label": scenario.label},
     )

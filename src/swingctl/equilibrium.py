@@ -54,6 +54,13 @@ class Equilibrium:
     cond_value: float
     energy_cap: float
 
+    def region_cap(self, beta: float = 1.0) -> float:
+        """Energy bound cap/beta of the certified region. beta shrinks the
+        region, so ValueError unless it is finite and >= 1."""
+        if not (np.isfinite(beta) and beta >= 1.0):
+            raise ValueError(f"beta must be finite and >= 1, got {beta:g}")
+        return self.energy_cap / beta
+
 
 def edge_max_diff(inc: Incidence, y: np.ndarray) -> float:
     """max over edges of |y_i - y_j| (the edge-wise infinity norm)."""
@@ -142,12 +149,15 @@ def _boundary_energy_min(y_edge: np.ndarray, lam_eq: np.ndarray) -> float:
     return float(np.min(np.concatenate(vals)))
 
 
-def energy(net: PowerNetwork, inc: Incidence, eq: Equilibrium, lam: np.ndarray, omega: np.ndarray) -> float:
-    """Energy V at a state: kinetic in omega plus the edge potential."""
+def energy(net: PowerNetwork, inc: Incidence, eq: Equilibrium, lam: np.ndarray, omega: np.ndarray):
+    """Energy V at a state: kinetic in omega plus the edge potential.
+
+    States may carry a leading row axis; V then has one entry per row.
+    """
     dev = np.asarray(omega, dtype=float) - eq.omega_sync
-    kinetic = 0.5 * float(net.inertia @ dev**2)
-    potential = float(inc.y_edge @ edge_potential(eq.lam_eq, np.asarray(lam, dtype=float)))
-    return kinetic + potential
+    kinetic = 0.5 * (dev**2 @ net.inertia)
+    v = kinetic + edge_potential(eq.lam_eq, np.asarray(lam, dtype=float)) @ inc.y_edge
+    return float(v) if v.ndim == 0 else v
 
 
 def in_region(
@@ -158,8 +168,12 @@ def in_region(
     omega: np.ndarray,
     beta: float = 1.0,
 ) -> bool:
-    """Membership in the invariant set: angles in the closed box, V <= cap/beta."""
+    """Membership in the invariant set: angles in the closed box, V <= cap/beta.
+
+    Raises ValueError for a beta that `Equilibrium.region_cap` rejects.
+    """
+    cap = eq.region_cap(beta)
     lam = np.asarray(lam, dtype=float)
     if np.any(np.abs(lam) > np.pi / 2):
         return False
-    return energy(net, inc, eq, lam, omega) <= eq.energy_cap / beta
+    return energy(net, inc, eq, lam, omega) <= cap

@@ -4,6 +4,8 @@ All JSON artifacts carry format_version and kind; all CSV artifacts start
 with a single "# {json}" line echoing the effective configuration, then a
 fixed header row. Floats are written with repr (shortest round-trip), so
 load(save(x)) == x exactly and artifacts are byte-stable for a given seed.
+A trajectory CSV keeps every Trajectory column, edge angles and the 0/1
+dead-zone mask included, so it certifies exactly as the run that wrote it.
 Schema problems raise SchemaError naming the offending field (and the line
 for malformed JSON).
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -364,81 +367,104 @@ def load_checkpoint(path):
     return cls(raw=raw, m_hidden=m_hidden, **fixed), meta
 
 
-# ----------------------------------------------------------- CSV trajectory
+# ----------------------------------------------------------- CSV tables
 
 
-def _csv_header(n: int) -> str:
+def _write_table(path, echo: dict, header: str, rows) -> None:
+    """Echo line, header, then each of the row strings, streamed."""
+    with open(path, "w") as fh:
+        fh.write("# " + json.dumps(echo, sort_keys=True, separators=(", ", ": ")) + "\n" + header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def _read_table(path, schema: str, header_of) -> tuple[dict, list[str], np.ndarray]:
+    """Read an echo+header+rows CSV: (echo dict, header columns, float rows).
+
+    `header_of(columns)` is the header the schema expects given the columns
+    found. Any malformed part raises SchemaError naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise SchemaError(f"file not found: {path}")
+    with open(path) as fh:
+        first = fh.readline()
+        if not first.startswith("# "):
+            raise SchemaError(f"{path}:1: missing config echo line")
+        try:
+            echo = json.loads(first[2:])
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"{path}:1: bad echo json: {e.msg}") from e
+        if not isinstance(echo, dict):
+            raise SchemaError(f"{path}:1: the echo line must be a JSON object")
+        cols = fh.readline().rstrip("\n").split(",")
+        if ",".join(cols) != header_of(cols):
+            raise SchemaError(f"{path}:2: header does not match the {schema} schema")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as e:
+            raise SchemaError(f"{path}: non-numeric or ragged row: {e}") from e
+    if data.shape[0] == 0:
+        raise SchemaError(f"{path}: need echo, header, and at least one row")
+    if data.shape[1] != len(cols):
+        raise SchemaError(f"{path}: row width {data.shape[1]} != header width {len(cols)}")
+    return echo, cols, data
+
+
+def _csv_header(n: int, m: int) -> str:
     cols = ["t"]
     cols += [f"omega_{i + 1}" for i in range(n)]
     cols += [f"u_{i + 1}" for i in range(n)]
     cols += [f"b_{i + 1}" for i in range(n)]
     cols += ["V", "loss_freq", "loss_ctrl"]
+    cols += [f"lam_{k + 1}" for k in range(m)]
+    cols += [f"active_{i + 1}" for i in range(n)]
     return ",".join(cols)
 
 
-def _echo_line(echo: dict) -> str:
-    return "# " + json.dumps(echo, sort_keys=True, separators=(", ", ": "))
+def _trajectory_sizes(cols: list[str]) -> tuple[int, int]:
+    """(buses, edges) counted from a header; at least one bus."""
+    n = sum(c.startswith("omega_") for c in cols)
+    return max(n, 1), sum(c.startswith("lam_") for c in cols)
 
 
 def save_trajectory(path, traj: Trajectory, echo: dict | None = None) -> None:
-    """Fixed-schema CSV: config echo line, header, then one row per step."""
-    n = traj.n_bus
-    base = {"dt": traj.dt, "gamma": traj.gamma}
-    base.update(echo or {})
-    rows = [_echo_line(base), _csv_header(n)]
-    for k in range(traj.t.shape[0]):
-        vals = (
-            [traj.t[k]]
-            + list(traj.omega[k])
-            + list(traj.u[k])
-            + list(traj.budgets[k])
-            + [traj.v_energy[k], traj.loss_freq[k], traj.loss_ctrl[k]]
-        )
-        rows.append(",".join(repr(float(v)) for v in vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    """Fixed-schema CSV: config echo line, header, then one row per step.
+
+    Floats are written with repr and the dead-zone mask as 0/1.
+    """
+    base = {"dt": traj.dt, "gamma": traj.gamma, **(echo or {})}
+    floats = np.column_stack(
+        (traj.t, traj.omega, traj.u, traj.budgets, traj.v_energy, traj.loss_freq, traj.loss_ctrl, traj.lam)
+    )
+    rows = (
+        ",".join(map(repr, row.tolist())) + "," + ",".join(map(str, mask.tolist()))
+        for row, mask in zip(floats, traj.active.astype(int))
+    )
+    _write_table(path, base, _csv_header(traj.n_bus, traj.lam.shape[1]), rows)
 
 
 def load_trajectory(path) -> Trajectory:
-    """Rebuild a trajectory from its CSV. Angle and dead-zone columns are not
-    stored, so lam/active come back as None and the angle-dependent checks
-    fall back to their documented proxies."""
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 3:
-        raise SchemaError(f"{path}: need echo, header, and at least one row")
-    if not lines[0].startswith("# "):
-        raise SchemaError(f"{path}:1: missing config echo line")
-    try:
-        meta = json.loads(lines[0][2:])
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}:1: bad echo json: {e.msg}") from e
-    header = lines[1].split(",")
-    n = sum(1 for c in header if c.startswith("omega_"))
-    if n == 0 or header != _csv_header(n).split(","):
-        raise SchemaError(f"{path}:2: header does not match the trajectory schema")
-    try:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
-    except ValueError as e:
-        raise SchemaError(f"{path}: non-numeric row: {e}") from e
-    if data.shape[1] != len(header):
-        raise SchemaError(f"{path}: row width {data.shape[1]} != header width {len(header)}")
-    t = data[:, 0]
-    dt = float(meta.get("dt", t[1] - t[0] if t.shape[0] > 1 else 1.0))
-    gamma = float(meta.get("gamma", 40.0))
+    """Rebuild a trajectory from its CSV; every column loads back bitwise."""
+    meta, cols, data = _read_table(path, "trajectory", lambda cols: _csv_header(*_trajectory_sizes(cols)))
+    n, m = _trajectory_sizes(cols)
+    mask = data[:, 4 + 3 * n + m :]
+    if not np.isin(mask, (0.0, 1.0)).all():
+        raise SchemaError(f"{path}: active columns must hold 0 or 1")
     return Trajectory(
-        t=t,
+        t=data[:, 0],
         omega=data[:, 1 : 1 + n],
         u=data[:, 1 + n : 1 + 2 * n],
         budgets=data[:, 1 + 2 * n : 1 + 3 * n],
         v_energy=data[:, 1 + 3 * n],
         loss_freq=data[:, 2 + 3 * n],
         loss_ctrl=data[:, 3 + 3 * n],
-        dt=dt,
-        gamma=gamma,
+        lam=data[:, 4 + 3 * n : 4 + 3 * n + m],
+        active=mask == 1.0,
+        dt=float(_need(meta, "dt", (int, float), f"{path}:1")),
+        gamma=float(_need(meta, "gamma", (int, float), f"{path}:1")),
         meta=meta,
     )
 
@@ -447,22 +473,12 @@ CURVE_HEADER = "episode,loss,loss_freq,loss_ctrl,loss_lip"
 
 
 def save_curve(path, curve: np.ndarray, echo: dict | None = None) -> None:
-    rows = [_echo_line(echo or {}), CURVE_HEADER]
-    for row in np.atleast_2d(curve):
-        rows.append(repr(int(row[0])) + "," + ",".join(repr(float(v)) for v in row[1:]))
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+    rows = (repr(int(row[0])) + "," + ",".join(map(repr, row[1:].tolist())) for row in np.atleast_2d(curve))
+    _write_table(path, echo or {}, CURVE_HEADER, rows)
 
 
 def load_curve(path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"file not found: {path}")
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 2 or lines[1] != CURVE_HEADER:
-        raise SchemaError(f"{path}: not a learning-curve file")
-    return np.array([[float(v) for v in ln.split(",")] for ln in lines[2:]])
+    return _read_table(path, "learning-curve", lambda cols: CURVE_HEADER)[2]
 
 
 def save_report(path, report) -> None:
@@ -589,20 +605,18 @@ COMPARISON_HEADER = "method,stability,safety,cost,cost_train_window,settle_time_
 
 
 def save_comparison(path, summaries, echo: dict | None = None) -> None:
-    rows = [_echo_line(echo or {}), COMPARISON_HEADER]
-    for s in summaries:
-        rows.append(
-            ",".join(
-                [
-                    s.label,
-                    "pass" if s.stability_ok else "fail",
-                    "pass" if s.safety_ok else "fail",
-                    repr(float(s.cost)),
-                    repr(float(s.cost_train_window)),
-                    repr(float(s.settle_time)),
-                    repr(s.worst_nadir()),
-                ]
-            )
+    rows = (
+        ",".join(
+            [
+                s.label,
+                "pass" if s.stability_ok else "fail",
+                "pass" if s.safety_ok else "fail",
+                repr(float(s.cost)),
+                repr(float(s.cost_train_window)),
+                repr(float(s.settle_time)),
+                repr(s.worst_nadir()),
+            ]
         )
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+        for s in summaries
+    )
+    _write_table(path, echo or {}, COMPARISON_HEADER, rows)

@@ -4,9 +4,9 @@ Each check consumes a recorded trajectory plus the frozen constants it needs
 (safety band, equilibrium) and returns a verdict with a signed margin:
 positive = passed with that much slack, negative = worst violation size.
 Asymptotic claims are checked as finite-horizon proxies with explicit
-tolerances; the notes say so. Checks run off the stored columns alone, so a
-trajectory loaded back from CSV (which drops the angle and dead-zone columns)
-still verifies, with the documented fallbacks.
+tolerances; the notes say so. A trajectory loaded back from its CSV carries
+every column the checks read, so a report from a saved run equals the
+in-memory one.
 """
 
 from __future__ import annotations
@@ -112,9 +112,10 @@ def check_lyapunov(traj: Trajectory, eq: Equilibrium, beta: float = 1.0) -> Verd
     steps at the trajectory's own worst dissipation rate, floored at 1e-12.
     Only drops set the scale, so a genuine energy injection cannot loosen its
     own tolerance. Notes report whether the run stayed inside the invariant
-    region (energy below cap; angle clause included only when angles were
-    recorded, otherwise the energy sublevel is used as a proxy).
+    region: edge angles in the closed box and energy at most
+    `eq.region_cap(beta)`, which rejects beta < 1.
     """
+    cap = eq.region_cap(beta)
     v = traj.v_energy
     if v.shape[0] < 2:
         return Verdict("lyapunov_descent", True, 0.0, notes={"steps": 0})
@@ -122,14 +123,8 @@ def check_lyapunov(traj: Trajectory, eq: Equilibrium, beta: float = 1.0) -> Verd
     eps = max(10.0 * float(np.maximum(-dv, 0.0).max()), 1e-12)
     k = int(np.argmax(dv))
     margin = float(eps - dv.max())
-    cap = eq.energy_cap / beta
-    in_level = bool(np.all(v <= cap + 1e-12))
-    notes = {"eps_dt": eps, "energy_cap_over_beta": float(cap), "stayed_in_region": in_level}
-    if traj.lam is not None:
-        ang_ok = bool(np.all(np.abs(traj.lam) <= np.pi / 2 + 1e-12))
-        notes["stayed_in_region"] = in_level and ang_ok
-    else:
-        notes["region_proxy"] = "energy sublevel only (no angle columns)"
+    stayed = bool(np.all(v <= cap + 1e-12) and np.all(np.abs(traj.lam) <= np.pi / 2 + 1e-12))
+    notes = {"eps_dt": eps, "energy_cap_over_beta": float(cap), "stayed_in_region": stayed}
     return Verdict(
         "lyapunov_descent", margin >= 0.0, margin, worst_t=float(traj.t[k + 1]), notes=notes
     )
@@ -137,26 +132,16 @@ def check_lyapunov(traj: Trajectory, eq: Equilibrium, beta: float = 1.0) -> Verd
 
 def check_budgets(traj: Trajectory, conserve_tol: float = 1e-9, vanish_tol: float = 1e-12) -> Verdict:
     """Budgets must sum to zero at every step and vanish once all buses are
-    back inside their dead zones.
-
-    When the dead-zone column was recorded, activity is read from it; from a
-    CSV round-trip it is inferred as (u != 0) | (b != 0), which keeps the
-    conservation clause exact and makes the vanish clause an inferred proxy.
+    back inside their dead zones, as read from the recorded dead-zone mask.
     """
     b = traj.budgets
     sums = np.abs(b.sum(axis=1))
     k_sum = int(np.argmax(sums))
     conserve_margin = conserve_tol - float(sums.max())
 
-    inferred = traj.active is None
-    active = (traj.u != 0.0) | (b != 0.0) if inferred else traj.active
-    any_active = active.any(axis=1)
-    if any_active.any():
-        last_k = int(np.flatnonzero(any_active)[-1])
-        settle_t = float(traj.t[last_k])
-    else:
-        last_k = -1
-        settle_t = 0.0
+    active_rows = np.flatnonzero(traj.active.any(axis=1))
+    last_k = int(active_rows[-1]) if active_rows.size else -1
+    settle_t = float(traj.t[last_k]) if active_rows.size else 0.0
     tail = np.abs(b[last_k + 1 :])
     tail_max = float(tail.max()) if tail.size else 0.0
     vanish_margin = vanish_tol - tail_max
@@ -173,38 +158,24 @@ def check_budgets(traj: Trajectory, conserve_tol: float = 1e-9, vanish_tol: floa
         margin,
         worst_t=worst_t,
         worst_bus=worst_bus,
-        notes={
-            "last_active_t": settle_t,
-            "activity_inferred": inferred,
-            "max_abs_sum": float(sums.max()),
-        },
+        notes={"last_active_t": settle_t, "max_abs_sum": float(sums.max())},
     )
 
 
-def check_convergence(
-    traj: Trajectory, eq: Equilibrium, tol: float = 1e-3, tol_lam: float | None = None
-) -> Verdict:
+def check_convergence(traj: Trajectory, eq: Equilibrium, tol: float = 1e-3) -> Verdict:
     """Finite-horizon proxy for convergence to the synchronous equilibrium.
 
     Passes iff the final frequency is within tol of synchronous everywhere
-    and, when angles were recorded, the final angle differences are within
-    tol_lam of equilibrium. A CSV round-trip drops angles; the clause is then
-    skipped and noted.
+    and the final edge angles are within tol of equilibrium (an angle
+    violation reports bus -1).
     """
-    if tol_lam is None:
-        tol_lam = tol
     dev = np.abs(traj.omega[-1] - eq.omega_sync)
     bus = int(np.argmax(dev))
     margin = tol - float(dev.max())
+    lam_margin = tol - float(np.abs(traj.lam[-1] - eq.lam_eq).max())
+    if lam_margin < margin:
+        margin, bus = lam_margin, -1
     notes = {"proxy": f"final-state check at t={traj.t[-1]:g}", "tol": tol}
-    if traj.lam is not None:
-        lam_dev = float(np.abs(traj.lam[-1] - eq.lam_eq).max())
-        notes["tol_lam"] = tol_lam
-        if tol_lam - lam_dev < margin:
-            margin = tol_lam - lam_dev
-            bus = -1
-    else:
-        notes["angle_clause"] = "skipped (no angle columns)"
     return Verdict(
         "convergence", margin >= 0.0, float(margin), worst_t=float(traj.t[-1]), worst_bus=bus, notes=notes
     )
@@ -216,7 +187,6 @@ def run_checks(
     eq: Equilibrium,
     beta: float = 1.0,
     tol: float = 1e-3,
-    tol_lam: float | None = None,
 ) -> VerdictReport:
     """All registered checks on one trajectory."""
     return VerdictReport(
@@ -224,6 +194,6 @@ def run_checks(
             check_frequency_invariance(traj, spec),
             check_lyapunov(traj, eq, beta),
             check_budgets(traj),
-            check_convergence(traj, eq, tol, tol_lam),
+            check_convergence(traj, eq, tol),
         )
     )

@@ -258,7 +258,26 @@ def test_verify_writes_report_when_asked(files, capsys):
     rep = files["dir"] / "again.json"
     assert run(["verify", "--net", files["net"], "--traj", str(out), "--report", str(rep)]) == 0
     assert json.loads(rep.read_text())["all_pass"] is True
+    assert rep.read_text() == (files["dir"] / "v.json").read_text()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("beta", ["0", "-1", "0.5"])
+def test_beta_below_one_exits_one(files, capsys, beta):
+    out = files["dir"] / "traj.csv"
+    assert simulate(files, "quiet", out, files["dir"] / "v.json") == 0
+    capsys.readouterr()
+    common = ["--net", files["net"], "--beta", beta]
+    for argv in (
+        ["simulate", *common, "--scenario", files["quiet"], "--out", str(files["dir"] / "b.csv")],
+        ["verify", *common, "--traj", str(out)],
+        ["compare", *common, "--scenario", files["quiet"], "--controller", "zero",
+         "--out", str(files["dir"] / "t.csv")],
+    ):
+        assert run(argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "beta must be finite and >= 1" in err, argv[0]
+    assert not (files["dir"] / "b.csv").exists()
 
 
 def test_usage_errors_exit_two(files):
@@ -366,12 +385,24 @@ def _verify_2bus_csv(files):
     return ["verify", "--traj", str(out)]
 
 
+def _verify_triangle_csv(files):
+    # same bus count as net_3bus.json (a path of 2 edges), but 3 edges
+    tri = json.loads(bundled_path("net_3bus.json").read_text())
+    tri["edges"].append({"b": 1.0, "from": 1, "to": 3})
+    write_json(files["dir"] / "tri.json", tri)
+    out = files["dir"] / "tri.csv"
+    argv = ["simulate", "--net", str(files["dir"] / "tri.json"), "--scenario", files["quiet"], "--out", str(out)]
+    assert run([*argv, "--report", str(files["dir"] / "tri_report.json")]) == 0
+    return ["verify", "--traj", str(out)]
+
+
 @pytest.mark.parametrize(
     "build, net, message",
     [
         (_checkpoint_on_3bus, "net_3bus.json", "PolicyError: barrier_hi_wp has shape (2, 4), the network has 3 buses"),
         (_spec_with_3_entries, "net_2bus.json", "SchemaError: {dir}/spec.json: the band has 3 entries, the network has 2 buses"),
         (_verify_2bus_csv, "net_3bus.json", "SchemaError: {dir}/two.csv: the trajectory has 2 buses, the network has 3"),
+        (_verify_triangle_csv, "net_3bus.json", "SchemaError: {dir}/tri.csv: the trajectory has 3 edges, the network has 2"),
     ],
 )
 def test_bus_count_mismatch_names_both_sizes(files, capsys, build, net, message):

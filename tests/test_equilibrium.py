@@ -135,6 +135,30 @@ def test_energy_nonnegative_property(net3, inc3, eq3):
         assert energy(net3, inc3, eq3, lam, omega) >= 0.0
 
 
+def test_energy_rows_match_single_states(net3, inc3, eq3):
+    rng = np.random.default_rng(12)
+    lam = rng.uniform(-np.pi / 2, np.pi / 2, (50, 2))
+    omega = rng.uniform(-1.0, 1.0, (50, 3))
+    rows = energy(net3, inc3, eq3, lam, omega)
+    assert rows.shape == (50,)
+    single = [energy(net3, inc3, eq3, lam[k], omega[k]) for k in range(50)]
+    # the batched dot may sum in another order than the per-state one
+    np.testing.assert_allclose(rows, single, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, 0.5, float("nan"), float("inf")])
+def test_region_cap_rejects_beta_outside_one_to_infinity(net2, inc2, eq2, beta):
+    with pytest.raises(ValueError, match="beta must be finite and >= 1"):
+        eq2.region_cap(beta)
+    with pytest.raises(ValueError, match="beta"):
+        in_region(net2, inc2, eq2, eq2.lam_eq, np.zeros(2), beta=beta)
+
+
+def test_region_cap_values(eq2):
+    assert eq2.region_cap() == eq2.energy_cap
+    assert eq2.region_cap(4.0) == eq2.energy_cap / 4.0
+
+
 def test_in_region_cases(net2, inc2, eq2):
     assert in_region(net2, inc2, eq2, eq2.lam_eq, np.zeros(2), beta=1.0)
     assert in_region(net2, inc2, eq2, eq2.lam_eq, np.zeros(2), beta=100.0)

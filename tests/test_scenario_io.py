@@ -13,6 +13,7 @@ from swingctl.controller import (
     SafetySpec,
     init_monotone_params,
     init_policy_params,
+    make_analytic_safe_controller,
     make_policy_controller,
     make_zero_controller,
 )
@@ -359,7 +360,7 @@ def test_config_hash_is_order_invariant():
 # ------------------------------------------------------------ trajectories
 
 
-def desk_run(net2, inc2, eq2, steps=40, noise=0.0):
+def desk_run(net2, inc2, eq2, steps=40, noise=0.0, controller=None):
     sc = Scenario(
         horizon=steps * 0.01,
         dt=0.01,
@@ -367,18 +368,21 @@ def desk_run(net2, inc2, eq2, steps=40, noise=0.0):
         noise_bound=noise,
         label="desk",
     )
-    return rollout(net2, inc2, eq2, make_zero_controller(net2.n_bus), sc, seed=3)
+    controller = controller or make_zero_controller(net2.n_bus)
+    return rollout(net2, inc2, eq2, controller, sc, seed=3)
 
 
-def test_trajectory_round_trip_bitwise(tmp_path, net2, inc2, eq2):
-    traj = desk_run(net2, inc2, eq2, noise=0.002)
+def test_trajectory_round_trip_bitwise(tmp_path, net2, inc2, eq2, spec_band):
+    safe = make_analytic_safe_controller(spec_band, net2, inc2, eq2, threshold=0.06)
+    traj = desk_run(net2, inc2, eq2, noise=0.002, controller=safe)
     path = tmp_path / "run.csv"
     save_trajectory(path, traj, echo={"seed": 3, "label": "desk"})
     back = load_trajectory(path)
-    for field in ("t", "omega", "u", "budgets", "v_energy", "loss_freq", "loss_ctrl"):
-        assert np.array_equal(getattr(back, field), getattr(traj, field)), field
+    assert traj.active.any() and not traj.active.all()  # both mask values round-trip
+    for field in ("t", "omega", "u", "budgets", "v_energy", "loss_freq", "loss_ctrl", "lam", "active"):
+        a, b = getattr(back, field), getattr(traj, field)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field
     assert back.dt == traj.dt and back.gamma == traj.gamma
-    assert back.lam is None and back.active is None
     assert back.meta["seed"] == 3 and back.meta["label"] == "desk"
     save_trajectory(tmp_path / "again.csv", back, echo={"seed": 3, "label": "desk"})
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
@@ -389,7 +393,7 @@ def test_trajectory_header_is_pinned(tmp_path, net2, inc2, eq2):
     save_trajectory(path, desk_run(net2, inc2, eq2, steps=2))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# {")
-    assert lines[1] == "t,omega_1,omega_2,u_1,u_2,b_1,b_2,V,loss_freq,loss_ctrl"
+    assert lines[1] == "t,omega_1,omega_2,u_1,u_2,b_1,b_2,V,loss_freq,loss_ctrl,lam_1,active_1,active_2"
     assert len(lines) == 2 + 3  # echo + header + (steps + 1) rows
 
 
@@ -412,6 +416,38 @@ def test_trajectory_missing_echo_rejected(tmp_path, net2, inc2, eq2):
         load_trajectory(path)
 
 
+def _drop_columns(line, k):
+    return ",".join(line.split(",")[:-k])
+
+
+def _drop_echo_key(lines, key):
+    echo = json.loads(lines[0][2:])
+    del echo[key]
+    return ["# " + json.dumps(echo)] + lines[1:]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # the layout written before the angle and dead-zone columns
+        (lambda lines: [lines[0]] + [_drop_columns(ln, 3) for ln in lines[1:]], "header"),
+        (lambda lines: _drop_echo_key(lines, "dt"), "'dt'"),
+        (lambda lines: _drop_echo_key(lines, "gamma"), "'gamma'"),
+        (lambda lines: lines[:3] + [lines[3][:-1] + "2"], "0 or 1"),
+        (lambda lines: lines[:3] + [lines[3].replace(",", ",x", 1)], "non-numeric"),
+        (lambda lines: lines[:3] + [_drop_columns(lines[3], 1)], "ragged"),
+        (lambda lines: lines[:2], "at least one row"),
+    ],
+    ids=["old-layout", "no-dt", "no-gamma", "mask-not-0-or-1", "non-numeric", "ragged", "no-rows"],
+)
+def test_trajectory_malformed_file_rejected(tmp_path, net2, inc2, eq2, edit, message):
+    path = tmp_path / "run.csv"
+    save_trajectory(path, desk_run(net2, inc2, eq2, steps=2))
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(SchemaError, match=message):
+        load_trajectory(path)
+
+
 def test_curve_round_trip(tmp_path):
     curve = np.array([[0, 5.0, 4.0, 1.0, 0.0], [1, 3.5, 2.5, 1.0, 0.0]])
     path = tmp_path / "curve.csv"
@@ -422,6 +458,11 @@ def test_curve_round_trip(tmp_path):
     other.write_text("# {}\nepisode,loss\n0,1.0\n")
     with pytest.raises(SchemaError, match="learning-curve"):
         load_curve(other)
+    for name, row in (("word.csv", "1,abc,2.5,1.0,0.0"), ("ragged.csv", "1,3.5,2.5")):
+        bad = tmp_path / name
+        bad.write_text(f"# {{}}\n{CURVE_HEADER}\n0,5.0,4.0,1.0,0.0\n{row}\n")
+        with pytest.raises(SchemaError, match=name):
+            load_curve(bad)
 
 
 # ----------------------------------------------------------------- metrics
@@ -449,6 +490,8 @@ def test_summary_hand_cost():
         v_energy=np.zeros(2),
         loss_freq=np.array([0.5, 99.0]),
         loss_ctrl=np.array([0.3, 99.0]),
+        lam=np.zeros((2, 0)),
+        active=np.zeros((2, 1), dtype=bool),
         dt=0.5,
         gamma=40.0,
     )
