@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--net", required=True, help="network JSON")
         p.add_argument("--spec", default=None, help="safety-spec JSON (default: --band)")
         p.add_argument("--band", default="-0.2,0.2", help="fallback band 'lo,hi' in Hz")
-        p.add_argument("--beta", type=float, default=1.0, help="region shrink factor")
 
     p_sim = sub.add_parser("simulate", help="roll out one scenario and certify it")
     add_common(p_sim)
@@ -285,6 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--train-window", dest="train_window", type=float, default=None)
     p_cmp.add_argument("--out", default="comparison.csv")
     p_cmp.set_defaults(func=_cmd_compare)
+    for p in (p_sim, p_ver, p_cmp):  # the commands that certify against the region
+        p.add_argument("--beta", type=float, default=1.0, help="region shrink factor")
     return parser
 
 

@@ -51,14 +51,13 @@ from .netgraph import Incidence, PowerNetwork
 from .tape import (
     cumsum_last,
     diff_keepfirst,
-    expand_last,
     matvec,
     maximum,
     minimum,
     pad_zero_first,
     reduce_min,
     relu,
-    rowsum,
+    relu_dot,
     safe_div,
     sigmoid,
     sin,
@@ -240,9 +239,9 @@ def class_k_eval(wp, wm, bp, bm, s):
 
     Parameters are (n, m); s is (n,) or batched (..., n). Strictly increasing
     in s and exactly zero at s = 0 whenever the weight/bias constraints hold.
+    Each branch is one `relu_dot` node, which keeps no (..., n, m) temporary.
     """
-    se = expand_last(s)
-    return rowsum(wp * relu(se + bp)) + rowsum(wm * relu(bm - se))
+    return relu_dot(wp, s, bp, 1.0) + relu_dot(wm, s, bm, -1.0)
 
 
 def threshold_map(thr_lo_raw, thr_hi_raw, omega_sync, omega_min, omega_max):
@@ -280,10 +279,11 @@ def deadzone_weights(raw: dict, prefix: str = "dz"):
 
 
 def deadzone_eval(wp, wm, bp, bm, wlo, whi, omega):
-    """Trainable response, exactly zero for omega in [wlo, whi] when bp,bm <= 0."""
-    shi = expand_last(omega - whi)
-    slo = expand_last(omega - wlo)
-    return rowsum(wp * relu(shi + bp)) + rowsum(wm * relu(bm - slo))
+    """Trainable response, exactly zero for omega in [wlo, whi] when bp,bm <= 0:
+    wp.relu(omega - whi + bp) + wm.relu(bm - omega + wlo), by `relu_dot`."""
+    shi = omega - whi
+    slo = omega - wlo
+    return relu_dot(wp, shi, bp, 1.0) + relu_dot(wm, slo, bm, -1.0)
 
 
 # ------------------------------------------------------------ assembled policy

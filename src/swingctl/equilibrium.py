@@ -76,10 +76,13 @@ def solve_equilibrium(
 ) -> Equilibrium:
     """Solve for the synchronous equilibrium of injections p (default nominal).
 
-    Raises EquilibriumError when the existence condition fails (cond >= 1),
-    when Newton stalls or exceeds max_iter, or when the converged angles fall
-    outside the open box |lam_k| < pi/2.
+    Raises EquilibriumError when the network has no edges (no energy region
+    exists), when the existence condition fails (cond >= 1), when Newton
+    stalls or exceeds max_iter, or when the converged angles fall outside the
+    open box |lam_k| < pi/2.
     """
+    if inc.b_mat.shape[1] == 0:
+        raise EquilibriumError("the network has no edges, so no energy region exists")
     p = net.p_nom if p is None else np.asarray(p, dtype=float)
     omega_sync = float(p.sum() / net.damping.sum())
     p_tilde = p - omega_sync * net.damping

@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation on a flat tape of numpy ops.
 
 The op set is exactly what the rollout, controller and loss need, nothing
-more. Every recorded node stores its op kind, parent indices and the cached
+more; `relu_dot` is the fused ReLU-unit sum of the class-K and dead-zone
+maps. Every recorded node stores its op kind, parent indices and the cached
 locals its backward rule needs; values live in one buffer, adjoints in a
-parallel buffer filled by a single reverse sweep.
+parallel buffer filled by a single reverse sweep that keeps only leaf ones.
 
 Subgradient conventions (pinned by tests):
   * relu'(0) = 0 (the mask is x > 0, strictly)
@@ -100,7 +101,8 @@ class Tape:
         return Node(self, len(self.vals) - 1)
 
     def backward(self, root: Node, check_finite: bool = False) -> None:
-        """Fill the adjoint buffer by one reverse sweep from `root`.
+        """Fill the leaf adjoints by one reverse sweep from `root`; an interior
+        adjoint is dropped as soon as its rule has pushed it to the parents.
 
         With check_finite=True every visited adjoint is tested and the first
         non-finite one aborts the sweep; the checked mode exists to locate
@@ -125,9 +127,14 @@ class Tape:
             if kinds[i] == "leaf":
                 continue
             rules[kinds[i]](g, parents[i], aux[i], vals, adj)
+            adj[i] = None
         self.adj = adj
 
     def grad(self, node: Node) -> np.ndarray:
+        """Adjoint of a leaf after `backward` (zeros if the root ignores it);
+        ValueError naming the node for an interior one, which is dropped."""
+        if self.kinds[node.idx] != "leaf":
+            raise ValueError(f"node {node.idx} (op '{self.kinds[node.idx]}') is not a leaf")
         g = self.adj[node.idx]
         return np.zeros_like(self.vals[node.idx]) if g is None else g
 
@@ -335,15 +342,6 @@ def sum_all(a):
     return t._rec("sum_all", (_idx(a),), va.shape, np.asarray(va.sum()))
 
 
-def rowsum(a):
-    """Sum over the last axis."""
-    t = _tape_of(a)
-    va = _val(a)
-    if t is None:
-        return va.sum(axis=-1)
-    return t._rec("rowsum", (_idx(a),), va.shape, va.sum(axis=-1))
-
-
 def reduce_min(a):
     """Scalar minimum of an array; adjoint goes to the first attaining entry."""
     t = _tape_of(a)
@@ -355,13 +353,23 @@ def reduce_min(a):
     return t._rec("reduce_min", (_idx(a),), k, out)
 
 
-def expand_last(a):
-    """Append a trailing length-1 axis (x[..., None])."""
-    t = _tape_of(a)
-    va = _val(a)
+def relu_dot(w, s, b, sign: float):
+    """sum_j w[..., j] * relu(s + b[..., j]) for sign +1, relu(b - s) for -1.
+
+    w and b are (n, m), s is (n,) or batched (..., n); the result has s's
+    shape. The node stores no (..., n, m) temporary: its backward rule
+    recomputes the pre-activation and its mask from w, s and b.
+    """
+    t = _tape_of(w, s, b)
+    vw, vs, vb = _val(w), _val(s), _val(b)
+    out = (vw * np.maximum(_relu_dot_pre(vs, vb, sign), 0.0)).sum(axis=-1)
     if t is None:
-        return va[..., None]
-    return t._rec("expand_last", (_idx(a),), None, va[..., None])
+        return out
+    return t._rec("relu_dot", (_idx(w), _idx(s), _idx(b)), (vw, vs, vb, sign), out)
+
+
+def _relu_dot_pre(vs, vb, sign):
+    return vs[..., None] + vb if sign > 0 else vb - vs[..., None]
 
 
 def cumsum_last(a):
@@ -488,18 +496,23 @@ def _bk_sum_all(g, par, aux, vals, adj):
     _acc(adj, vals, par[0], np.broadcast_to(g, aux))
 
 
-def _bk_rowsum(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], np.broadcast_to(np.asarray(g)[..., None], aux))
-
-
 def _bk_reduce_min(g, par, aux, vals, adj):
     full = np.zeros_like(vals[par[0]])
     full.reshape(-1)[aux] = g
     _acc(adj, vals, par[0], full)
 
 
-def _bk_expand_last(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], np.asarray(g)[..., 0])
+def _bk_relu_dot(g, par, aux, vals, adj):
+    # The rules of the unfused chain rowsum(w * relu(pre)) with the same
+    # products and sums, so gradients match it bit for bit.
+    iw, i_s, ib = par
+    vw, vs, vb, sign = aux
+    pre = _relu_dot_pre(vs, vb, sign)
+    ge = np.asarray(g)[..., None]
+    _acc(adj, vals, iw, ge * np.maximum(pre, 0.0))
+    gz = ge * vw * (pre > 0)
+    _acc(adj, vals, ib, gz)
+    _acc(adj, vals, i_s, (gz if sign > 0 else -gz).sum(axis=-1))
 
 
 def _bk_cumsum_last(g, par, aux, vals, adj):
@@ -534,9 +547,8 @@ _BACKWARD = {
     "maximum": _bk_minmax,
     "matvec": _bk_matvec,
     "sum_all": _bk_sum_all,
-    "rowsum": _bk_rowsum,
     "reduce_min": _bk_reduce_min,
-    "expand_last": _bk_expand_last,
+    "relu_dot": _bk_relu_dot,
     "cumsum_last": _bk_cumsum_last,
     "diff_keepfirst": _bk_diff_keepfirst,
     "pad_zero_first": _bk_pad_zero_first,

@@ -280,6 +280,17 @@ def test_beta_below_one_exits_one(files, capsys, beta):
     assert not (files["dir"] / "b.csv").exists()
 
 
+def test_train_rejects_beta_as_usage_error(files, capsys):
+    with pytest.raises(SystemExit) as ex:
+        run(["train", "--net", files["net"], "--scenario", files["quiet"], "--beta", "-5"])
+    assert ex.value.code == 2
+    assert "unrecognized arguments: --beta" in capsys.readouterr().err
+    code = run(["simulate", "--net", files["net"], "--scenario", files["quiet"], "--beta", "-5",
+                "--out", str(files["dir"] / "b.csv")])
+    assert code == 1
+    assert "beta must be finite and >= 1" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_two(files):
     with pytest.raises(SystemExit) as ex:
         run(["simulate", "--net", files["net"]])  # missing --scenario
@@ -313,6 +324,25 @@ def test_horizon_off_the_dt_grid_exits_one(files, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "not an integer multiple of dt" in err
+
+
+def test_network_without_edges_exits_one(files, capsys):
+    lone = files["dir"] / "lone.json"
+    write_json(
+        lone,
+        {
+            "format_version": 1,
+            "kind": "network",
+            "buses": [{"id": 1, "M": 1.0, "D": 1.0, "p_nom": 0.0}],
+            "edges": [],
+        },
+    )
+    code = run(["simulate", "--net", str(lone), "--scenario", files["quiet"],
+                "--out", str(files["dir"] / "lone.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: EquilibriumError: the network has no edges, so no energy region exists\n"
+    assert not (files["dir"] / "lone.csv").exists()
 
 
 def test_infeasible_network_exits_one(files, capsys):

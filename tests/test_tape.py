@@ -1,6 +1,6 @@
 """Finite-difference checks of every tape op plus the pinned subgradient
-conventions: relu'(0) = 0, min/max route ties to the first argument,
-reduce_min routes to the first attaining index.
+conventions: relu'(0) = 0 (also inside the fused relu_dot), min/max route
+ties to the first argument, reduce_min routes to the first attaining index.
 """
 
 import numpy as np
@@ -46,7 +46,6 @@ UNARY = {
     "cumsum_last": (tp.cumsum_last, (-1.0, 1.0)),
     "diff_keepfirst": (tp.diff_keepfirst, (-1.0, 1.0)),
     "pad_zero_first": (tp.pad_zero_first, (-1.0, 1.0)),
-    "expand_last": (tp.expand_last, (-1.0, 1.0)),
 }
 
 
@@ -116,17 +115,80 @@ def test_matvec_value_and_grad():
     assert np.abs(g - ref).max() < 1e-6
 
 
-def test_rowsum_reduce_min_sum_all_grads():
+def test_reduce_min_sum_all_grads():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 4))
-    w = rng.normal(size=3)
-    g, _ = tape_grad(lambda leaf: tp.sum_all(tp.rowsum(leaf) * w), x.copy())
-    assert np.allclose(g, np.tile(w[:, None], (1, 4)))
+    w = rng.normal(size=(3, 4))
+    g, _ = tape_grad(lambda leaf: tp.sum_all(leaf * w), x.copy())
+    assert np.array_equal(g, w)
     g, lo = tape_grad(lambda leaf: tp.reduce_min(leaf), x.copy())
     assert lo == x.min()
     expect = np.zeros_like(x)
     expect.reshape(-1)[np.argmin(x)] = 1.0
     assert np.array_equal(g, expect)
+
+
+def relu_dot_args(s_shape, seed):
+    """(w, s, b) with both branches' pre-activations off the kink, for FD."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(3, 5))
+    s = rng.uniform(-1.0, 1.0, size=s_shape)
+    b = rng.uniform(-1.0, 1.0, size=(3, 5))
+    assert min(np.abs(s[..., None] + b).min(), np.abs(b - s[..., None]).min()) > 1e-4
+    return {"w": w, "s": s, "b": b}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("s_shape", [(4, 3), (3,)])
+def test_relu_dot_matches_fd(sign, s_shape):
+    args = relu_dot_args(s_shape, seed=int(sign > 0) + 2 * len(s_shape))
+    proj = np.random.default_rng(1).normal(size=s_shape)
+
+    def call(a):
+        return tp.relu_dot(a["w"], a["s"], a["b"], sign)
+
+    fd = {}
+    for name in args:  # one argument a tape leaf, the other two plain arrays
+
+        def only(x):
+            return call(dict(args, **{name: x}))
+
+        g, _ = tape_grad(lambda leaf: tp.sum_all(only(leaf) * proj), args[name].copy())
+        fd[name] = fd_grad(lambda x: float(np.sum(only(x) * proj)), args[name].copy())
+        assert np.abs(g - fd[name]).max() < 1e-6, name
+    t = Tape()  # all three tape leaves at once
+    leaves = {k: t.leaf(v) for k, v in args.items()}
+    t.backward(tp.sum_all(call(leaves) * proj))
+    for name in args:
+        assert np.abs(t.grad(leaves[name]) - fd[name]).max() < 1e-6, name
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_relu_dot_subgradient_zero_at_kink(sign):
+    # unit 0 is active (pre-activation 1), unit 1 sits exactly at 0
+    w = np.array([[2.0, 3.0]])
+    b = np.array([[0.0, -1.0]]) if sign > 0 else np.array([[2.0, 1.0]])
+    t = Tape()
+    lw, ls, lb = t.leaf(w), t.leaf(np.array([1.0])), t.leaf(b)
+    out = tp.relu_dot(lw, ls, lb, sign)
+    assert np.array_equal(value(out), [2.0])
+    t.backward(tp.sum_all(out))
+    assert np.array_equal(t.grad(lw), [[1.0, 0.0]])
+    assert np.array_equal(t.grad(lb), [[2.0, 0.0]])
+    assert np.array_equal(t.grad(ls), [2.0 * sign])
+
+
+@pytest.mark.parametrize("s_shape", [(4, 3), (3,)])
+def test_relu_dot_value_is_the_unfused_expression(s_shape):
+    a = relu_dot_args(s_shape, seed=7)
+    w, s, b = a["w"], a["s"], a["b"]
+    plus = (w * np.maximum(s[..., None] + b, 0.0)).sum(-1)
+    minus = (w * np.maximum(b - s[..., None], 0.0)).sum(-1)
+    assert np.array_equal(tp.relu_dot(w, s, b, 1.0), plus)
+    assert np.array_equal(tp.relu_dot(w, s, b, -1.0), minus)
+    t = Tape()
+    assert np.array_equal(value(tp.relu_dot(t.leaf(w), t.leaf(s), b, 1.0)), plus)
+    assert np.array_equal(value(tp.relu_dot(w, t.leaf(s), t.leaf(b), -1.0)), minus)
 
 
 def test_quadratic_toy():
@@ -200,6 +262,17 @@ def test_grad_of_unused_leaf_is_zero():
     b = t.leaf(np.array([3.0]))
     t.backward(tp.sum_all(tp.square(a)))
     assert np.array_equal(t.grad(b), [0.0])
+
+
+def test_grad_of_interior_node_raises():
+    t = Tape()
+    a = t.leaf(np.array([1.0, 2.0]))
+    mid = tp.square(a)
+    t.backward(tp.sum_all(mid))
+    with pytest.raises(ValueError, match=f"node {mid.idx} \\(op 'square'\\) is not a leaf"):
+        t.grad(mid)
+    assert np.array_equal(t.grad(a), [2.0, 4.0])
+    assert all(g is None for i, g in enumerate(t.adj) if i != a.idx)
 
 
 def test_backward_rejects_foreign_root():

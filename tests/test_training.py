@@ -13,6 +13,7 @@ from swingctl.controller import (
     init_policy_params,
 )
 from swingctl.dynamics import Disturbance, Scenario
+from swingctl.tape import Tape
 from swingctl.training import (
     AdamState,
     TrainConfig,
@@ -168,6 +169,31 @@ def test_gradient_matches_fd_single_draw(net2, inc2, eq2, spec_band):
     # this single draw opens the upper gate and the dead zone; the full
     # multi-draw coverage of every parameter family is an acceptance test
     assert checked >= 10 and len(live_keys) >= 5
+
+
+def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_band):
+    # B=4, K=20: every stored value is at most (B, n) or a (n, m) parameter;
+    # a (B, n, m) ReLU-unit temporary would have three dimensions
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
+    rng = np.random.default_rng(5)
+    omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
+    lam0 = np.tile(eq3.lam_eq, (4, 1))
+    noise = rng.uniform(-0.01, 0.01, size=(20, 4, 3))
+    tp = Tape()
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    loss, _ = episode_loss(
+        adapter, net3, inc3, eq3, leaves, lam0, omega0, np.tile(net3.p_nom, (20, 1)), noise,
+        40.0, 500.0, 5e-3,
+    )
+    assert max(np.ndim(v) for v in tp.vals) <= 2
+    assert "relu_dot" in tp.kinds
+    tp.backward(loss)
+    with pytest.raises(ValueError, match=f"node {loss.idx} "):
+        tp.grad(loss)
+    grads = {k: tp.grad(leaf) for k, leaf in leaves.items()}
+    assert all(grads[k].shape == adapter.raw[k].shape for k in grads)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    assert any(np.any(g != 0.0) for g in grads.values())
 
 
 def test_adam_first_step_hand_formula():
