@@ -34,9 +34,11 @@ shapes, and `bind` attaches it to a network as a `BoundPolicy`. The bound
 policy is the whole policy: `ConstrainedAdapter` keeps the network, the
 per-bus band and D_tilde, builds a `PolicyReady` from the raws once per
 rollout (the barriers and the dead-zone response as (wp, wm, bp, bm)
-tuples), and its `control` returns a `ControlDecision`. Everything here runs
-on plain numpy arrays or on autodiff tape nodes; see `tape` for the dispatch
-rules.
+tuples), and its `control` returns a `ControlDecision`. At a state where
+every bus sits inside its dead zone that decision is constant zeros, and
+the policy records nothing on the tape for that step. Everything here runs
+on plain numpy arrays or on autodiff tape nodes; see `tape` for the
+dispatch rules.
 """
 
 from __future__ import annotations
@@ -465,8 +467,12 @@ class ConstrainedAdapter(BoundPolicy):
         )
 
     def control(self, ready: PolicyReady, lam, omega, p) -> ControlDecision:
-        """Full policy at one measured state. Works on arrays or tape nodes."""
+        """Full policy at one measured state. Works on arrays or tape nodes;
+        with every bus inside its dead zone it is zeros and records nothing."""
         active = active_mask(ready, omega)
+        if not active.any():
+            zero = np.zeros(active.shape)
+            return ControlDecision(u=zero, budgets=zero, active=active, upper=zero, lower=zero)
         b = budget_vector(self.inc, active, ready.xi)
         q = feedforward_term(self.net, self.inc, lam, omega, p)
         cap = stability_cap(self.dtilde, self.eq.omega_sync, omega, b)
@@ -536,8 +542,9 @@ def make_policy_controller(
 ):
     """Bind a policy of either kind for simulation: (lam, omega, p) -> decision.
 
-    With projection on, u is clamped into the admissible interval; the
-    monotone policy has none, so projection leaves it unchanged.
+    With projection on, u is clamped into the admissible interval wherever
+    some bus is active; the monotone policy marks no bus active and has no
+    interval, so projection leaves it unchanged.
     """
     policy = params.bind(spec, net, inc, eq)
     ready = policy.precompute(params.raw)
@@ -545,11 +552,9 @@ def make_policy_controller(
 
     def control(lam, omega, p) -> ControlDecision:
         dec = policy.control(ready, lam, omega, p)
-        if projection and dec.upper is not None:
-            u = project_control(dec, ready, omega)
-        else:
-            u = np.asarray(dec.u, dtype=float)
-        return ControlDecision(u=u, budgets=np.asarray(dec.budgets, dtype=float), active=dec.active)
+        if projection and dec.active.any():
+            dec.u = project_control(dec, ready, omega)
+        return dec
 
     return control
 

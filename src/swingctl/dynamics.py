@@ -37,8 +37,9 @@ class Disturbance:
     t0: float
     t1: float
 
-    def active(self, t: float) -> bool:
-        return self.t0 < t <= self.t1
+    def active(self, t):
+        """Whether t lies in the window; elementwise for an array of times."""
+        return (self.t0 < t) & (t <= self.t1)
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,18 @@ def injection_at(net: PowerNetwork, scenario: Scenario, t: float) -> np.ndarray:
 
 
 def injection_schedule(net: PowerNetwork, scenario: Scenario, rows: int, dt: float) -> np.ndarray:
-    """Injections at t = k*dt for k < rows, shape (rows, n).
+    """Injections at t = k*dt for k < rows, shape (rows, n); row k equals
+    `injection_at(net, scenario, k * dt)` bitwise.
 
     Raises ValueError if a disturbance names a bus outside the network.
     """
-    n = net.n_bus
+    t = np.arange(rows) * dt
+    p = np.tile(net.p_nom, (rows, 1))
     for d in scenario.disturbances:
-        if d.bus >= n:
-            raise ValueError(f"disturbance bus index {d.bus} out of range for a {n}-bus network")
-    return np.array([injection_at(net, scenario, k * dt) for k in range(rows)]).reshape(rows, n)
+        if d.bus >= net.n_bus:
+            raise ValueError(f"disturbance bus index {d.bus} out of range for a {net.n_bus}-bus network")
+        p[d.active(t), d.bus] += d.dp
+    return p
 
 
 def swing_rhs(net: PowerNetwork, inc: Incidence, lam, omega, u, p):

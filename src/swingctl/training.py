@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import Tape, square, sum_all, value
+from .tape import Node, Tape, square, sum_all, value
 
 
 class TrainingError(RuntimeError):
@@ -131,24 +131,24 @@ def episode_loss(
 def loss_and_grad(policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt):
     """Episode loss plus exact gradients for every raw parameter array.
 
-    An empty horizon yields zero loss and zero gradients. A non-finite
-    gradient triggers a second, checked reverse sweep that names the first
-    offending tape node.
+    A loss that never reaches the tape (an empty horizon, or an episode
+    spent inside every dead zone) is constant and gets zero gradients. A
+    non-finite gradient triggers a second, checked reverse sweep that names
+    the first offending tape node.
     """
-    if p_steps.shape[0] == 0:
-        zero = {k: np.zeros_like(raw_values[k]) for k in policy.keys}
-        return 0.0, (0.0, 0.0, 0.0), zero
     tp = Tape()
     leaves = {k: tp.leaf(raw_values[k]) for k in policy.keys}
     loss, parts = episode_loss(
         policy, net, inc, eq, leaves, lam0, omega0, p_steps, noise, gamma, rho, dt
     )
+    part_vals = tuple(float(value(p)) for p in parts)
+    if not isinstance(loss, Node):
+        return float(loss), part_vals, {k: np.zeros_like(raw_values[k]) for k in policy.keys}
     tp.backward(loss)
     grads = {k: tp.grad(leaves[k]) for k in policy.keys}
     if any(not np.all(np.isfinite(g)) for g in grads.values()):
         tp.backward(loss, check_finite=True)  # raises TapeError at the source
         raise TrainingError("non-finite gradient with finite adjoints")
-    part_vals = tuple(float(value(p)) for p in parts)
     return float(value(loss)), part_vals, grads
 
 

@@ -133,6 +133,7 @@ def check_lyapunov(traj: Trajectory, eq: Equilibrium, beta: float = 1.0) -> Verd
 def check_budgets(traj: Trajectory, conserve_tol: float = 1e-9, vanish_tol: float = 1e-12) -> Verdict:
     """Budgets must sum to zero at every step and vanish once all buses are
     back inside their dead zones, as read from the recorded dead-zone mask.
+    Notes count the rows where some bus is active (`active_rows`).
     """
     b = traj.budgets
     sums = np.abs(b.sum(axis=1))
@@ -158,7 +159,11 @@ def check_budgets(traj: Trajectory, conserve_tol: float = 1e-9, vanish_tol: floa
         margin,
         worst_t=worst_t,
         worst_bus=worst_bus,
-        notes={"last_active_t": settle_t, "max_abs_sum": float(sums.max())},
+        notes={
+            "last_active_t": settle_t,
+            "max_abs_sum": float(sums.max()),
+            "active_rows": int(active_rows.size),
+        },
     )
 
 

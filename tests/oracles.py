@@ -9,7 +9,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from swingctl.tape import value
+from swingctl.controller import (
+    ControlDecision,
+    active_mask,
+    budget_vector,
+    class_k_eval,
+    deadzone_eval,
+    feedforward_term,
+    gated_control,
+    stability_cap,
+)
+from swingctl.tape import maximum, minimum, relu, safe_div, value
 from swingctl.training import episode_loss
 
 
@@ -76,3 +86,33 @@ def constraint_check(params, spec, net, inc, eq, lam, omega, p, u, tol: float = 
     )
     bad = np.nonzero(slack < -tol)[0]
     return ConstraintReport(ok=bad.size == 0, branch=branch, slack=slack, violations=bad.tolist())
+
+
+def unguarded_control(policy, ready, lam, omega, p) -> ControlDecision:
+    """The constrained policy's full formula at every state, with no
+    short-circuit for states where every bus sits inside its dead zone."""
+    active = active_mask(ready, omega)
+    b = budget_vector(policy.inc, active, ready.xi)
+    q = feedforward_term(policy.net, policy.inc, lam, omega, p)
+    cap = stability_cap(policy.dtilde, policy.eq.omega_sync, omega, b)
+    alpha_hi = class_k_eval(*ready.hi, policy.omega_max - omega)
+    alpha_lo = class_k_eval(*ready.lo, policy.omega_min - omega)
+    ub = minimum(cap, safe_div(alpha_hi, omega - ready.whi) + q)
+    lb = maximum(cap, safe_div(alpha_lo, ready.wlo - omega) + q)
+    f = deadzone_eval(*ready.dz, ready.wlo, ready.whi, omega)
+    u = gated_control(relu(omega - ready.whi), relu(ready.wlo - omega), f, ub, lb)
+    return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
+
+
+class UnguardedPolicy:
+    """A bound constrained policy whose control is `unguarded_control`."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.keys = policy.keys
+
+    def precompute(self, raw_like):
+        return self.policy.precompute(raw_like)
+
+    def control(self, ready, lam, omega, p) -> ControlDecision:
+        return unguarded_control(self.policy, ready, lam, omega, p)

@@ -5,7 +5,7 @@ structural invariants under random raw parameters, and the two baselines.
 import numpy as np
 import pytest
 
-from oracles import constraint_check
+from oracles import constraint_check, unguarded_control
 from swingctl import controller as C
 from swingctl import tape as tp
 from swingctl.dynamics import Scenario, rollout
@@ -282,6 +282,31 @@ def test_policy_dead_zone_and_slack(net2, inc2, eq2, spec_band):
     assert np.all(value(out.u) == 0.0)
     # upper-branch slack arithmetic from the worked numbers: bound 0.2, u 0.01
     assert abs((0.2 - 0.01) - 0.19) < 1e-15
+
+
+@pytest.mark.parametrize("batch", [None, 5])
+def test_all_inactive_decision_equals_full_formula_bitwise(net3, inc3, eq3, spec_band, batch):
+    # every bus inside its dead zone: the short-circuit's constant zeros
+    # equal the full formula's u and budgets bit for bit, raw and projected
+    rng = np.random.default_rng(3)
+    params = rand_params(3, rng, dz_amp=6.0)
+    policy = params.bind(spec_band, net3, inc3, eq3)
+    ready = policy.precompute(params.raw)
+    sims = [C.make_policy_controller(params, spec_band, net3, inc3, eq3, on) for on in (False, True)]
+    shape = (3,) if batch is None else (batch, 3)
+    for _ in range(20):
+        omega = rng.uniform(ready.wlo_val, ready.whi_val, shape)
+        lam = eq3.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq3.lam_eq.shape)
+        p = net3.p_nom * rng.uniform(0.8, 1.2, 3)
+        got = policy.control(ready, lam, omega, p)
+        full = unguarded_control(policy, ready, lam, omega, p)
+        assert not got.active.any() and np.array_equal(got.active, full.active)
+        for field in ("u", "budgets"):
+            assert np.shape(getattr(got, field)) == shape
+            assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(full, field)).tobytes()
+        proj = C.project_control(got, ready, omega)
+        assert proj.tobytes() == C.project_control(full, ready, omega).tobytes()
+        assert all(sim(lam, omega, p).u.tobytes() == proj.tobytes() for sim in sims)
 
 
 def test_constraint_check_cases(net2, inc2, eq2, spec_band):

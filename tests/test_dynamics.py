@@ -12,6 +12,7 @@ from swingctl.dynamics import (
     Scenario,
     euler_step,
     injection_at,
+    injection_schedule,
     rk4_step,
     rollout,
     sample_initial_state,
@@ -130,6 +131,25 @@ def test_injection_schedule(net39):
     assert injection_at(net39, scen, 2.0)[37] == 0.0  # right endpoint included
     empty = Scenario(horizon=1.0, dt=1e-3)
     assert np.array_equal(injection_at(net39, empty, 0.5), net39.p_nom)
+
+
+def test_injection_schedule_rows_equal_injection_at(net39):
+    # windows open and close on the grid (t == t0, t == t1 at k = 40, 400)
+    # and off it; two disturbances on one bus add in declaration order
+    dt = 5e-3
+    dists = (
+        Disturbance(bus=37, dp=-float(net39.p_nom[37]), t0=0.2, t1=2.0),
+        Disturbance(bus=37, dp=0.1, t0=1.0, t1=1.5),
+        Disturbance(bus=3, dp=0.25, t0=0.0, t1=0.3333),
+    )
+    scen = Scenario(horizon=3.0, dt=dt, disturbances=dists)
+    rows = scen.n_steps + 1
+    sched = injection_schedule(net39, scen, rows, dt)
+    expect = np.stack([injection_at(net39, scen, k * dt) for k in range(rows)])
+    assert sched.tobytes() == expect.tobytes()
+    assert sched[40, 37] == net39.p_nom[37] and sched[41, 37] == 0.0  # t0 = 40 * dt excluded
+    assert sched[400, 37] == 0.0 and sched[401, 37] == net39.p_nom[37]  # t1 = 400 * dt included
+    assert injection_schedule(net39, scen, 0, dt).shape == (0, 39)
 
 
 def test_rollout_constant_at_equilibrium(net2, inc2, eq2):

@@ -2,17 +2,19 @@
 training loop contract (determinism, divergence guard, empty runs).
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from oracles import forward_loss
+from oracles import UnguardedPolicy, forward_loss
 from swingctl.controller import (
     ConstrainedAdapter,
     ControlDecision,
     init_monotone_params,
     init_policy_params,
 )
-from swingctl.dynamics import Disturbance, Scenario
+from swingctl.dynamics import Disturbance, Scenario, closed_loop
 from swingctl.tape import Tape
 from swingctl.training import (
     AdamState,
@@ -128,6 +130,52 @@ def test_empty_horizon_zero_gradients(net2, inc2, eq2, spec_band):
     )
     assert loss == 0.0 and parts == (0.0, 0.0, 0.0)
     assert all(np.all(g == 0.0) for g in grads.values())
+
+
+def test_episode_inside_every_dead_zone_has_constant_loss(net2, inc2, eq2, spec_band):
+    # at equilibrium without noise no bus ever leaves its dead zone, so the
+    # loss never reaches the tape: finite loss, its parts, zero gradients
+    adapter = make_adapter(net2, inc2, eq2, spec_band)
+    args = (
+        net2, inc2, eq2, adapter.raw, eq2.lam_eq, np.zeros(2),
+        np.tile(net2.p_nom, (50, 1)), None, 40.0, 500.0, 1e-3,
+    )
+    loss, parts, grads = loss_and_grad(adapter, *args)
+    full_loss, full_parts, full_grads = loss_and_grad(UnguardedPolicy(adapter), *args)
+    assert np.isfinite(loss) and loss == full_loss and parts == full_parts
+    assert set(grads) == set(adapter.keys)
+    for k in adapter.keys:
+        assert grads[k].shape == adapter.raw[k].shape
+        assert np.all(grads[k] == 0.0) and np.all(full_grads[k] == 0.0)
+
+
+def test_dead_zone_short_circuit_keeps_gradient_bits(net3, inc3, eq3, spec_band):
+    # a batch that starts outside some dead zones and settles inside them:
+    # skipping the all-inactive steps leaves loss and gradient bytes as the
+    # full formula gives them, and records fewer tape nodes
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
+    full = UnguardedPolicy(adapter)
+    omega0 = np.array([[0.15, -0.02, -0.14], [0.03, 0.0, -0.03]])
+    lam0 = np.tile(eq3.lam_eq, (2, 1))
+    p_steps = np.tile(net3.p_nom, (300, 1))
+    noise = np.random.default_rng(8).uniform(-0.005, 0.005, (300, 2, 3))
+    ready = adapter.precompute(adapter.raw)
+    loop = closed_loop(net3, inc3, partial(adapter.control, ready), lam0, omega0, p_steps, 5e-3, noise)
+    act = [dec.active.any() for _, _, dec in loop]
+    assert 0 < sum(act) < len(act)
+    args = (net3, inc3, eq3, adapter.raw, lam0, omega0, p_steps, noise, 40.0, 500.0, 5e-3)
+    loss, parts, grads = loss_and_grad(adapter, *args)
+    full_loss, full_parts, full_grads = loss_and_grad(full, *args)
+    assert loss == full_loss and parts == full_parts
+    assert all(grads[k].tobytes() == full_grads[k].tobytes() for k in adapter.keys)
+    assert any(np.any(g != 0.0) for g in grads.values())
+    nodes = []
+    for policy in (adapter, full):
+        tp = Tape()
+        leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+        episode_loss(policy, *args[:3], leaves, *args[4:])
+        nodes.append(len(tp))
+    assert nodes[0] < nodes[1]
 
 
 def test_gradient_matches_fd_single_draw(net2, inc2, eq2, spec_band):

@@ -142,6 +142,7 @@ def test_budget_checks_on_synthetic_rows():
     v = check_budgets(traj)
     assert v.passed
     assert v.notes["last_active_t"] == 2.0
+    assert v.notes["active_rows"] == 3
 
     # conservation violation is caught even while buses are active
     b_bad = b.copy()
@@ -292,6 +293,8 @@ def test_saved_trajectory_report_equals_in_memory(
     save_trajectory(tmp_path / "run.csv", traj)
     from_file = run_checks(load_trajectory(tmp_path / "run.csv"), spec_band, eq, tol=tol).to_dict()
     assert from_file == in_memory
+    budgets = [c["notes"] for c in from_file["checks"] if c["name"] == "budget_conservation"]
+    assert budgets[0]["active_rows"] == int(traj.active.any(axis=1).sum())
     failed = {c["name"] for c in in_memory["checks"] if not c["passed"]}
     if expect_fail is not None:
         assert expect_fail in failed
