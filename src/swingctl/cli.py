@@ -179,6 +179,8 @@ def _cmd_compare(args) -> int:
         label, _, value = item.partition("=")
         if not value:
             label, value = item, item
+        if not label or any(ch in label for ch in ",\r\n"):
+            raise ValueError(f"--controller label {label!r} must be non-empty, without commas or line breaks")
         entries.append((label, _build_controller(value, net, inc, eq, spec, args.projection == "on")))
     summaries, _ = sio.compare(
         entries,

@@ -109,6 +109,8 @@ class SafetySpec:
         hi = np.atleast_1d(np.asarray(self.omega_max, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise PolicyError("omega_min and omega_max must be scalars or per-bus lists of one shape")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise PolicyError("omega_min and omega_max must be finite")
         if np.any(lo >= hi):
             raise PolicyError("omega_min must be strictly below omega_max")
         if np.any(lo >= 0.0) or np.any(hi <= 0.0):
@@ -254,7 +256,7 @@ def threshold_map(thr_lo_raw, thr_hi_raw, omega_sync, omega_min, omega_max):
 
 
 def budget_potentials(budget_raw, wlo, whi, omega_sync, dtilde, row_l1):
-    """Bounded budget potentials xi and the scalar cap applied to them.
+    """Bounded budget potentials xi = cap * tanh(budget_raw).
 
     The cap is min over buses of D_tilde_i * min((whi_i - sync)^2,
     (wlo_i - sync)^2) / ||row i of the unit Laplacian||_1, so any xi with
@@ -262,7 +264,7 @@ def budget_potentials(budget_raw, wlo, whi, omega_sync, dtilde, row_l1):
     """
     margin = minimum(square(whi - omega_sync), square(wlo - omega_sync))
     cap = reduce_min(dtilde * margin / row_l1)
-    return cap * tanh(budget_raw), cap
+    return cap * tanh(budget_raw)
 
 
 def deadzone_weights(raw: dict, prefix: str = "dz"):
@@ -310,7 +312,6 @@ class PolicyReady:
     wlo: object
     whi: object
     xi: object
-    xi_cap: object
     hi: tuple
     lo: tuple
     dz: tuple
@@ -451,14 +452,10 @@ class ConstrainedAdapter(BoundPolicy):
         wlo, whi = threshold_map(
             raw_like["thr_lo"], raw_like["thr_hi"], sync, self.omega_min, self.omega_max
         )
-        xi, xi_cap = budget_potentials(
-            raw_like["budget_raw"], wlo, whi, sync, self.dtilde, self.inc.row_l1
-        )
         return PolicyReady(
             wlo=wlo,
             whi=whi,
-            xi=xi,
-            xi_cap=xi_cap,
+            xi=budget_potentials(raw_like["budget_raw"], wlo, whi, sync, self.dtilde, self.inc.row_l1),
             hi=hi,
             lo=lo,
             dz=deadzone_weights(raw_like),

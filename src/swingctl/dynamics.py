@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibrium import Equilibrium, energy, in_region
+from .equilibrium import Equilibrium, energy, in_region, solve_equilibrium
 from .netgraph import Incidence, PowerNetwork
 from .tape import matvec, sin, value
 
@@ -62,6 +62,14 @@ class Scenario:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "disturbances", tuple(self.disturbances))
+        names = ("horizon", "dt", "noise_bound", "init_omega_range", "init_p_frac")
+        fields = {k: getattr(self, k) for k in names}
+        for i, d in enumerate(self.disturbances):
+            fields.update({f"disturbances[{i}].{k}": getattr(d, k) for k in ("dp", "t0", "t1")})
+        for name, v in fields.items():
+            if not np.isfinite(v):
+                raise ValueError(f"scenario {name} must be finite, got {v}")
         if self.horizon <= 0 or self.dt <= 0:
             raise ValueError("horizon and dt must be positive")
         steps = self.horizon / self.dt
@@ -71,7 +79,6 @@ class Scenario:
             )
         if self.noise_bound < 0:
             raise ValueError("noise_bound must be nonnegative")
-        object.__setattr__(self, "disturbances", tuple(self.disturbances))
         for d in self.disturbances:
             if d.bus < 0:
                 raise ValueError(f"disturbance bus index {d.bus} out of range")
@@ -143,8 +150,6 @@ def sample_initial_state(
     per-bus injection scale factors. Angles come from the equilibrium of the
     scaled injections, so lam0 always lies in the incidence row space.
     """
-    from .equilibrium import solve_equilibrium
-
     omega0 = rng.uniform(-scenario.init_omega_range, scenario.init_omega_range, net.n_bus)
     if scenario.init_p_frac > 0:
         factors = rng.uniform(1.0 - scenario.init_p_frac, 1.0 + scenario.init_p_frac, net.n_bus)

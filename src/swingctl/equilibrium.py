@@ -63,8 +63,8 @@ class Equilibrium:
 
 
 def edge_max_diff(inc: Incidence, y: np.ndarray) -> float:
-    """max over edges of |y_i - y_j| (the edge-wise infinity norm)."""
-    return float(np.abs(inc.b_mat.T @ y).max()) if inc.b_mat.shape[1] else 0.0
+    """max over edges of |y_i - y_j| (the edge-wise infinity norm); needs an edge."""
+    return float(np.abs(inc.b_mat.T @ y).max())
 
 
 def solve_equilibrium(

@@ -13,8 +13,10 @@ Subgradient conventions (pinned by tests):
   * reduce_min routes to the first attaining index in C order
 
 All functions below accept either `Node`s or plain numpy arrays / scalars and
-broadcast like numpy. With plain inputs they compute values only, so the same
-model code serves both simulation and training.
+broadcast like numpy. Each computes its value and backward cache once and
+hands them to `_node`, the one place that decides between returning the plain
+value (no argument is a Node) and recording it, so the same model code serves
+both simulation and training.
 """
 
 from __future__ import annotations
@@ -144,13 +146,6 @@ def value(x):
     return x.value if isinstance(x, Node) else x
 
 
-def _tape_of(*xs) -> Tape | None:
-    for x in xs:
-        if isinstance(x, Node):
-            return x.tape
-    return None
-
-
 def _val(x) -> np.ndarray:
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
 
@@ -182,40 +177,36 @@ def _acc(adj, vals, idx, g):
     cur += _unbroadcast(np.asarray(g), vals[idx].shape)
 
 
+def _node(kind: str, args: tuple, aux, out):
+    """The one recording path: `out` itself when no argument is a Node, else
+    `out` recorded as `kind` on the first Node's tape, with `aux` kept for
+    the backward rule."""
+    for x in args:
+        if isinstance(x, Node):
+            return x.tape._rec(kind, tuple(map(_idx, args)), aux, out)
+    return out
+
+
 # ---------------------------------------------------------------- primitives
 
 
 def add(a, b):
-    t = _tape_of(a, b)
-    va, vb = _val(a), _val(b)
-    if t is None:
-        return va + vb
-    return t._rec("add", (_idx(a), _idx(b)), None, va + vb)
+    return _node("add", (a, b), None, _val(a) + _val(b))
 
 
 def sub(a, b):
-    t = _tape_of(a, b)
-    va, vb = _val(a), _val(b)
-    if t is None:
-        return va - vb
-    return t._rec("sub", (_idx(a), _idx(b)), None, va - vb)
+    return _node("sub", (a, b), None, _val(a) - _val(b))
 
 
 def mul(a, b):
-    t = _tape_of(a, b)
     va, vb = _val(a), _val(b)
-    if t is None:
-        return va * vb
-    return t._rec("mul", (_idx(a), _idx(b)), (va, vb), va * vb)
+    return _node("mul", (a, b), (va, vb), va * vb)
 
 
 def div(a, b):
     """Plain division; denominators must stay away from zero."""
-    t = _tape_of(a, b)
     va, vb = _val(a), _val(b)
-    if t is None:
-        return va / vb
-    return t._rec("div", (_idx(a), _idx(b)), (va, vb), va / vb)
+    return _node("div", (a, b), (va, vb), va / vb)
 
 
 def safe_div(a, b, tiny: float = _TINY):
@@ -225,48 +216,29 @@ def safe_div(a, b, tiny: float = _TINY):
     zero anyway; the backward rule treats the floored region as constant in b,
     which is the a.e. derivative of the clamped function.
     """
-    t = _tape_of(a, b)
     va, vb = _val(a), _val(b)
     live = np.abs(vb) >= tiny
     bhat = np.where(live, vb, np.where(vb < 0, -tiny, tiny))
-    out = va / bhat
-    if t is None:
-        return out
-    return t._rec("safe_div", (_idx(a), _idx(b)), (va, bhat, live), out)
+    return _node("safe_div", (a, b), (va, bhat, live), va / bhat)
 
 
 def neg(a):
-    t = _tape_of(a)
-    va = _val(a)
-    if t is None:
-        return -va
-    return t._rec("neg", (_idx(a),), None, -va)
+    return _node("neg", (a,), None, -_val(a))
 
 
 def sin(a):
-    t = _tape_of(a)
     va = _val(a)
-    if t is None:
-        return np.sin(va)
-    return t._rec("sin", (_idx(a),), va, np.sin(va))
+    return _node("sin", (a,), va, np.sin(va))
 
 
 def relu(a):
-    t = _tape_of(a)
     va = _val(a)
-    out = np.maximum(va, 0.0)
-    if t is None:
-        return out
-    return t._rec("relu", (_idx(a),), va > 0, out)
+    return _node("relu", (a,), va, np.maximum(va, 0.0))
 
 
 def sigmoid(a):
-    t = _tape_of(a)
-    va = _val(a)
-    out = _sigmoid_val(va)
-    if t is None:
-        return out
-    return t._rec("sigmoid", (_idx(a),), out, out)
+    out = _sigmoid_val(_val(a))
+    return _node("sigmoid", (a,), out, out)
 
 
 def _sigmoid_val(x: np.ndarray) -> np.ndarray:
@@ -276,49 +248,30 @@ def _sigmoid_val(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(a):
-    t = _tape_of(a)
     va = _val(a)
-    out = np.maximum(va, 0.0) + np.log1p(np.exp(-np.abs(va)))
-    if t is None:
-        return out
-    return t._rec("softplus", (_idx(a),), va, out)
+    return _node("softplus", (a,), va, np.maximum(va, 0.0) + np.log1p(np.exp(-np.abs(va))))
 
 
 def tanh(a):
-    t = _tape_of(a)
-    va = _val(a)
-    out = np.tanh(va)
-    if t is None:
-        return out
-    return t._rec("tanh", (_idx(a),), out, out)
+    out = np.tanh(_val(a))
+    return _node("tanh", (a,), out, out)
 
 
 def square(a):
-    t = _tape_of(a)
     va = _val(a)
-    if t is None:
-        return va * va
-    return t._rec("square", (_idx(a),), va, va * va)
+    return _node("square", (a,), va, va * va)
 
 
 def minimum(a, b):
-    t = _tape_of(a, b)
     va, vb = _val(a), _val(b)
     take = va <= vb  # first argument wins ties
-    out = np.where(take, va, vb)
-    if t is None:
-        return out
-    return t._rec("minimum", (_idx(a), _idx(b)), (take, va.shape, vb.shape), out)
+    return _node("minimum", (a, b), take, np.where(take, va, vb))
 
 
 def maximum(a, b):
-    t = _tape_of(a, b)
     va, vb = _val(a), _val(b)
     take = va >= vb  # first argument wins ties
-    out = np.where(take, va, vb)
-    if t is None:
-        return out
-    return t._rec("maximum", (_idx(a), _idx(b)), (take, va.shape, vb.shape), out)
+    return _node("maximum", (a, b), take, np.where(take, va, vb))
 
 
 def matvec(mat: np.ndarray, x):
@@ -326,31 +279,19 @@ def matvec(mat: np.ndarray, x):
 
     Batches over leading axes of x: (..., k) -> (..., r) for mat (r, k).
     """
-    t = _tape_of(x)
-    vx = _val(x)
-    out = vx @ mat.T
-    if t is None:
-        return out
-    return t._rec("matvec", (_idx(x),), mat, out)
+    return _node("matvec", (x,), mat, _val(x) @ mat.T)
 
 
 def sum_all(a):
-    t = _tape_of(a)
     va = _val(a)
-    if t is None:
-        return va.sum()
-    return t._rec("sum_all", (_idx(a),), va.shape, np.asarray(va.sum()))
+    return _node("sum_all", (a,), va.shape, np.asarray(va.sum()))
 
 
 def reduce_min(a):
     """Scalar minimum of an array; adjoint goes to the first attaining entry."""
-    t = _tape_of(a)
     va = _val(a)
     k = int(np.argmin(va))
-    out = np.asarray(va.reshape(-1)[k])
-    if t is None:
-        return out
-    return t._rec("reduce_min", (_idx(a),), k, out)
+    return _node("reduce_min", (a,), k, np.asarray(va.reshape(-1)[k]))
 
 
 def relu_dot(w, s, b, sign: float):
@@ -360,12 +301,9 @@ def relu_dot(w, s, b, sign: float):
     shape. The node stores no (..., n, m) temporary: its backward rule
     recomputes the pre-activation and its mask from w, s and b.
     """
-    t = _tape_of(w, s, b)
     vw, vs, vb = _val(w), _val(s), _val(b)
     out = (vw * np.maximum(_relu_dot_pre(vs, vb, sign), 0.0)).sum(axis=-1)
-    if t is None:
-        return out
-    return t._rec("relu_dot", (_idx(w), _idx(s), _idx(b)), (vw, vs, vb, sign), out)
+    return _node("relu_dot", (w, s, b), (vw, vs, vb, sign), out)
 
 
 def _relu_dot_pre(vs, vb, sign):
@@ -373,53 +311,37 @@ def _relu_dot_pre(vs, vb, sign):
 
 
 def cumsum_last(a):
-    t = _tape_of(a)
-    va = _val(a)
-    out = np.cumsum(va, axis=-1)
-    if t is None:
-        return out
-    return t._rec("cumsum_last", (_idx(a),), None, out)
+    return _node("cumsum_last", (a,), None, np.cumsum(_val(a), axis=-1))
 
 
 def diff_keepfirst(a):
     """out[..., 0] = a[..., 0]; out[..., j] = a[..., j] - a[..., j-1]."""
-    t = _tape_of(a)
     va = _val(a)
     out = np.empty_like(va)
     out[..., 0] = va[..., 0]
     out[..., 1:] = va[..., 1:] - va[..., :-1]
-    if t is None:
-        return out
-    return t._rec("diff_keepfirst", (_idx(a),), None, out)
+    return _node("diff_keepfirst", (a,), None, out)
 
 
 def pad_zero_first(a):
     """Prepend a zero column along the last axis: (..., k) -> (..., k+1)."""
-    t = _tape_of(a)
     va = _val(a)
-    shape = va.shape[:-1] + (va.shape[-1] + 1,)
-    out = np.zeros(shape, dtype=float)
+    out = np.zeros(va.shape[:-1] + (va.shape[-1] + 1,), dtype=float)
     out[..., 1:] = va
-    if t is None:
-        return out
-    return t._rec("pad_zero_first", (_idx(a),), None, out)
+    return _node("pad_zero_first", (a,), None, out)
 
 
 # ------------------------------------------------------------ backward rules
 
 
 def _bk_add(g, par, aux, vals, adj):
-    ia, ib = par
-    if ia is not None:
-        _acc(adj, vals, ia, g)
-    if ib is not None:
-        _acc(adj, vals, ib, g)
+    _acc(adj, vals, par[0], g)
+    _acc(adj, vals, par[1], g)
 
 
 def _bk_sub(g, par, aux, vals, adj):
     ia, ib = par
-    if ia is not None:
-        _acc(adj, vals, ia, g)
+    _acc(adj, vals, ia, g)
     if ib is not None:
         _acc(adj, vals, ib, -g)
 
@@ -460,7 +382,7 @@ def _bk_sin(g, par, aux, vals, adj):
 
 
 def _bk_relu(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g * aux)
+    _acc(adj, vals, par[0], g * (aux > 0))
 
 
 def _bk_sigmoid(g, par, aux, vals, adj):
@@ -481,11 +403,10 @@ def _bk_square(g, par, aux, vals, adj):
 
 def _bk_minmax(g, par, aux, vals, adj):
     ia, ib = par
-    take = aux[0]
     if ia is not None:
-        _acc(adj, vals, ia, np.where(take, g, 0.0))
+        _acc(adj, vals, ia, np.where(aux, g, 0.0))
     if ib is not None:
-        _acc(adj, vals, ib, np.where(take, 0.0, g))
+        _acc(adj, vals, ib, np.where(aux, 0.0, g))
 
 
 def _bk_matvec(g, par, aux, vals, adj):

@@ -326,6 +326,35 @@ def test_horizon_off_the_dt_grid_exits_one(files, capsys):
     assert err.count("\n") == 1 and "not an integer multiple of dt" in err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        (["--band", "nan,nan"], "PolicyError: omega_min and omega_max must be finite"),
+        (["--dt", "inf"], "ValueError: scenario dt must be finite"),
+        (["--noise", "nan"], "ValueError: scenario noise_bound must be finite"),
+        (["--horizon", "inf"], "ValueError: scenario horizon must be finite"),
+    ],
+)
+def test_non_finite_flag_exits_one(files, capsys, flag, message):
+    out = files["dir"] / "traj.csv"
+    assert simulate(files, "step", out, files["dir"] / "r.json", flag) == 1
+    assert not out.exists()
+    assert one_error_line(capsys).startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("label", ["a,b", "", "a\nb"])
+def test_compare_rejects_labels_that_break_the_table(files, capsys, monkeypatch, label):
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("compare ran rollouts")
+
+    monkeypatch.setattr("swingctl.scenario_io.compare", no_rollouts)
+    out = files["dir"] / "cmp.csv"
+    argv = ["compare", "--net", files["net"], "--scenario", files["step"], "--controller", "zero"]
+    assert run([*argv, "--controller", f"{label}=zero", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert one_error_line(capsys).startswith("error: ValueError: --controller label")
+
+
 def test_network_without_edges_exits_one(files, capsys):
     lone = files["dir"] / "lone.json"
     write_json(

@@ -3,6 +3,8 @@ conventions: relu'(0) = 0 (also inside the fused relu_dot), min/max route
 ties to the first argument, reduce_min routes to the first attaining index.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -237,14 +239,39 @@ def test_safe_div_floor_and_gradient():
     assert np.abs(g + 1.0 / x**2).max() < 1e-9
 
 
-def test_plain_array_dispatch_matches_tape_values():
+def dispatch_cases():
+    """(kind, op, args, leaf positions): every op with a tape leaf in turn at
+    each listed argument and plain arrays elsewhere."""
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(2, 3))
-    for op in (tp.sin, tp.relu, tp.sigmoid, tp.softplus, tp.tanh, tp.square):
-        t = Tape()
-        node = op(t.leaf(x))
-        assert isinstance(node, Node)
-        assert np.array_equal(value(node), op(x))
+    x, y = rng.normal(size=(2, 3)), rng.normal(size=(3,))
+    y[1] = 1e-14  # below safe_div's floor
+    x[0, 2] = y[2]  # a minimum/maximum tie
+    mat = rng.normal(size=(4, 3))
+    w, b = rng.normal(size=(2, 5)), rng.normal(size=(2, 5))
+    s = rng.normal(size=(3, 2))
+    unary = [op for op, _ in UNARY.values()] + [tp.sum_all, tp.reduce_min]
+    cases = [(op.__name__, op, (x,), (0,)) for op in unary]
+    cases += [(name, op, (x, y), (0, 1)) for name, op in BINARY.items()]
+    cases += [("safe_div", tp.safe_div, (x, y), (0, 1)), ("matvec", partial(tp.matvec, mat), (x,), (0,))]
+    for sign in (1.0, -1.0):
+        cases.append(("relu_dot", lambda *a, sg=sign: tp.relu_dot(*a, sg), (w, s, b), (0, 1, 2)))
+    return cases
+
+
+def test_plain_array_dispatch_matches_tape_values():
+    covered = set()
+    for kind, op, args, positions in dispatch_cases():
+        plain = op(*args)
+        assert not isinstance(plain, Node), kind
+        for i in positions:
+            t = Tape()
+            node = op(*(t.leaf(a) if j == i else a for j, a in enumerate(args)))
+            assert isinstance(node, Node) and t.kinds[node.idx] == kind, (kind, i)
+            got = value(node)
+            assert (got.shape, got.dtype) == (plain.shape, plain.dtype), (kind, i)
+            assert got.tobytes() == plain.tobytes(), (kind, i)
+            covered.add(kind)
+    assert covered == set(tp._BACKWARD)
 
 
 def test_operator_overloads_and_mixed_args():
