@@ -31,6 +31,9 @@ from .training import TrainConfig, TrainingError, train
 from .verify import run_checks
 from . import scenario_io as sio
 
+# TrainConfig fields `train` overrides by flag, in --help order.
+TRAIN_FLAGS = ("gamma", "rho", "lr", "episodes", "batch", "steps", "dt", "m_hidden", "init_scale", "seed")
+
 DOMAIN_ERRORS = (
     sio.SchemaError,
     GraphError,
@@ -97,21 +100,15 @@ def _cmd_simulate(args) -> int:
         beta=args.beta,
         gamma=args.gamma,
     )
+    report = run_checks(traj, spec, eq, beta=args.beta, tol=args.tol)
     echo = {
         "command": "simulate",
         "net": args.net,
         "scenario": args.scenario,
-        "scenario_label": scenario.label,
         "controller": args.controller,
         "projection": args.projection,
-        "integrator": args.integrator,
-        "seed": args.seed,
-        "horizon": scenario.horizon,
-        "noise_bound": scenario.noise_bound,
-        "beta": args.beta,
     }
     sio.save_trajectory(args.out, traj, echo)
-    report = run_checks(traj, spec, eq, beta=args.beta, tol=args.tol)
     sio.save_report(args.report, report)
     print(f"wrote {args.out} and {args.report}")
     for v in report.verdicts:
@@ -122,11 +119,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     net, inc, eq, spec = _setup(args)
     cfg = sio.load_train_config(args.config) if args.config else TrainConfig()
-    overrides = {
-        name: getattr(args, name)
-        for name in ("gamma", "rho", "lr", "episodes", "batch", "steps", "dt", "m_hidden", "seed", "init_scale")
-        if getattr(args, name) is not None
-    }
+    overrides = {name: getattr(args, name) for name in TRAIN_FLAGS if getattr(args, name) is not None}
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
@@ -224,17 +217,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", default=None, help="safety-spec JSON (default: --band)")
         p.add_argument("--band", default="-0.2,0.2", help="fallback band 'lo,hi' in Hz")
 
+    def add_run(p):
+        """The flags of the commands that roll out a scenario."""
+        p.add_argument("--scenario", required=True)
+        p.add_argument("--projection", choices=("on", "off"), default="on")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--dt", type=float, default=None, help="override scenario dt")
+        p.add_argument("--noise", type=float, default=None, help="override measurement noise bound")
+        p.add_argument("--horizon", type=float, default=None, help="override scenario horizon")
+        p.add_argument("--gamma", type=float, default=40.0)
+
     p_sim = sub.add_parser("simulate", help="roll out one scenario and certify it")
     add_common(p_sim)
-    p_sim.add_argument("--scenario", required=True)
+    add_run(p_sim)
     p_sim.add_argument("--controller", default="zero", help="zero | safe | checkpoint path")
-    p_sim.add_argument("--projection", choices=("on", "off"), default="on")
     p_sim.add_argument("--integrator", choices=("euler", "rk4"), default="euler")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--dt", type=float, default=None, help="override scenario dt")
-    p_sim.add_argument("--noise", type=float, default=None, help="override measurement noise bound")
-    p_sim.add_argument("--horizon", type=float, default=None, help="override scenario horizon")
-    p_sim.add_argument("--gamma", type=float, default=40.0)
     p_sim.add_argument("--tol", type=float, default=1e-3, help="convergence check tolerance")
     p_sim.add_argument("--out", default="traj.csv")
     p_sim.add_argument("--report", default="verdicts.json")
@@ -245,16 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--scenario", required=True)
     p_tr.add_argument("--policy", choices=("constrained", "monotone"), default="constrained")
     p_tr.add_argument("--config", default=None, help="train-config JSON")
-    p_tr.add_argument("--gamma", type=float, default=None)
-    p_tr.add_argument("--rho", type=float, default=None)
-    p_tr.add_argument("--lr", type=float, default=None)
-    p_tr.add_argument("--episodes", type=int, default=None)
-    p_tr.add_argument("--batch", type=int, default=None)
-    p_tr.add_argument("--steps", type=int, default=None)
-    p_tr.add_argument("--dt", type=float, default=None)
-    p_tr.add_argument("--m-hidden", dest="m_hidden", type=int, default=None)
-    p_tr.add_argument("--init-scale", dest="init_scale", type=float, default=None)
-    p_tr.add_argument("--seed", type=int, default=None)
+    defaults = TrainConfig()
+    for name in TRAIN_FLAGS:  # each flag parses as the type of its field's default
+        flag = "--" + name.replace("_", "-")
+        p_tr.add_argument(flag, dest=name, type=type(getattr(defaults, name)), default=None)
     p_tr.add_argument("--noise", type=float, default=None, help="override measurement noise bound")
     p_tr.add_argument("--quiet", action="store_true")
     p_tr.add_argument("--out", default="ckpt.json")
@@ -270,19 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="run several controllers on one scenario")
     add_common(p_cmp)
-    p_cmp.add_argument("--scenario", required=True)
+    add_run(p_cmp)
     p_cmp.add_argument(
         "--controller",
         action="append",
         required=True,
         help="zero | safe | ckpt path, optionally label=value; repeatable",
     )
-    p_cmp.add_argument("--projection", choices=("on", "off"), default="on")
-    p_cmp.add_argument("--seed", type=int, default=0)
-    p_cmp.add_argument("--dt", type=float, default=None)
-    p_cmp.add_argument("--noise", type=float, default=None)
-    p_cmp.add_argument("--horizon", type=float, default=None)
-    p_cmp.add_argument("--gamma", type=float, default=40.0)
     p_cmp.add_argument("--train-window", dest="train_window", type=float, default=None)
     p_cmp.add_argument("--out", default="comparison.csv")
     p_cmp.set_defaults(func=_cmd_compare)

@@ -137,7 +137,8 @@ class PolicyParams:
     """Raw (unconstrained) trainables plus fixed structure choices.
 
     dtilde_frac fixes the damping share kept by the stability cap,
-    D_tilde = dtilde_frac * D, with 0 < frac < 1. It is not trained.
+    D_tilde = dtilde_frac * D. It is not trained. PolicyError unless every
+    entry lies in (0, 1): D_tilde >= D voids the dissipation condition.
     """
 
     raw: dict[str, np.ndarray]
@@ -147,6 +148,10 @@ class PolicyParams:
     kind = "constrained"
     keys = PARAM_KEYS
     fixed = ("dtilde_frac",)  # untrained per-bus fields a checkpoint stores
+
+    def __post_init__(self):
+        if not np.all((0.0 < self.dtilde_frac) & (self.dtilde_frac < 1.0)):
+            raise PolicyError("dtilde_frac must lie in (0, 1)")
 
     @staticmethod
     def shapes(n: int, m_hidden: int) -> dict[str, tuple]:
@@ -196,8 +201,6 @@ def init_policy_params(
     dtilde_frac: float = 0.5,
 ) -> PolicyParams:
     """Uniform +/-scale init, drawn in PARAM_KEYS order (reproducible)."""
-    if not 0.0 < dtilde_frac < 1.0:
-        raise PolicyError("dtilde_frac must lie in (0, 1)")
     shapes = PolicyParams.shapes(n, m_hidden)
     raw = {k: rng.uniform(-scale, scale, shapes[k]) for k in PARAM_KEYS}
     return PolicyParams(raw=raw, m_hidden=m_hidden, dtilde_frac=np.full(n, dtilde_frac))
@@ -267,19 +270,14 @@ def budget_potentials(budget_raw, wlo, whi, omega_sync, dtilde, row_l1):
     return cap * tanh(budget_raw)
 
 
-def deadzone_weights(raw: dict, prefix: str = "dz"):
+def deadzone_weights(raw: dict):
     """Dead-zone unit weights (free) and non-positive biases -(raw^2).
 
     The squared form keeps biases at most zero (zero itself reachable) while
     starting near zero for small raw values, so units engage as soon as the
     frequency leaves the dead zone instead of only far beyond it.
     """
-    return (
-        raw[f"{prefix}_wp"],
-        raw[f"{prefix}_wm"],
-        -square(raw[f"{prefix}_bp"]),
-        -square(raw[f"{prefix}_bm"]),
-    )
+    return raw["dz_wp"], raw["dz_wm"], -square(raw["dz_bp"]), -square(raw["dz_bm"])
 
 
 def deadzone_eval(wp, wm, bp, bm, wlo, whi, omega):

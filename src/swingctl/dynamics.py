@@ -168,7 +168,8 @@ class Trajectory:
     dead-zone mask `active`, including the final row), and its energy.
     Per-row loss columns store gamma*||omega - sync||^2 and ||u||^2; the run
     cost averages the first n_steps rows. The trajectory CSV stores every
-    column, so a loaded trajectory certifies exactly as the in-memory one.
+    column, so a loaded trajectory certifies exactly as the in-memory one,
+    and its echo line holds every key of `meta`.
     """
 
     t: np.ndarray
@@ -193,7 +194,13 @@ class Trajectory:
         return self.omega.shape[0] - 1
 
     def cost(self, window: float | None = None) -> float:
-        """Average running cost over the first `window` seconds (default all)."""
+        """Average running cost over the first `window` seconds (default all).
+
+        ValueError unless the window is finite and >= 0; a window shorter
+        than half a step averages no rows and costs 0.
+        """
+        if window is not None and not (np.isfinite(window) and window >= 0):
+            raise ValueError(f"cost window must be finite and >= 0, got {window:g}")
         k = self.n_steps if window is None else min(self.n_steps, int(round(window / self.dt)))
         if k <= 0:
             return 0.0
@@ -244,13 +251,17 @@ def rollout(
     initial state first (when not supplied), then the (rows, n) noise block.
 
     Warns if the initial state falls outside the invariant energy region for
-    the given beta (ValueError unless beta >= 1); raises IntegrationError
-    (with the step index) if the state goes non-finite. Energy and loss
-    columns are computed once over all recorded rows.
+    the given beta (ValueError unless beta >= 1); ValueError for a gamma that
+    is not finite and >= 0; raises IntegrationError (with the step index) if
+    the state goes non-finite. Energy and loss columns are computed once over
+    all recorded rows. `meta` records the run facts: seed, integrator, beta,
+    horizon, noise bound and scenario label.
     """
     steppers = {"euler": euler_step, "rk4": rk4_step}
     if integrator not in steppers:
         raise ValueError(f"unknown integrator {integrator!r}")
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma:g}")
     n, rows = net.n_bus, scenario.n_steps + 1
     p_rows = injection_schedule(net, scenario, rows, scenario.dt)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -286,5 +297,6 @@ def rollout(
         active=rec_act,
         dt=scenario.dt,
         gamma=gamma,
-        meta={"seed": seed, "integrator": integrator, "label": scenario.label},
+        meta={"seed": seed, "integrator": integrator, "beta": beta, "horizon": scenario.horizon,
+              "noise_bound": scenario.noise_bound, "scenario_label": scenario.label},
     )

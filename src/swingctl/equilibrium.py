@@ -27,6 +27,9 @@ import numpy as np
 
 from .netgraph import Incidence, PowerNetwork, pseudo_inverse_apply
 
+NEWTON_TOL = 1e-12  # max-norm of the angle-solve residual
+NEWTON_MAX_ITER = 100
+
 
 class EquilibriumError(RuntimeError):
     """No admissible equilibrium, or the angle solve failed."""
@@ -71,15 +74,13 @@ def solve_equilibrium(
     net: PowerNetwork,
     inc: Incidence,
     p: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 100,
 ) -> Equilibrium:
     """Solve for the synchronous equilibrium of injections p (default nominal).
 
     Raises EquilibriumError when the network has no edges (no energy region
     exists), when the existence condition fails (cond >= 1), when Newton
-    stalls or exceeds max_iter, or when the converged angles fall outside the
-    open box |lam_k| < pi/2.
+    stalls or exceeds NEWTON_MAX_ITER, or when the converged angles fall
+    outside the open box |lam_k| < pi/2.
     """
     if inc.b_mat.shape[1] == 0:
         raise EquilibriumError("the network has no edges, so no energy region exists")
@@ -102,8 +103,8 @@ def solve_equilibrium(
         return by @ np.sin(b_t @ th) - p_tilde
 
     g = residual(theta)
-    for _ in range(max_iter):
-        if np.abs(g).max() < tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if np.abs(g).max() < NEWTON_TOL:
             break
         jac = by * np.cos(b_t @ theta) @ b_t  # B Yb diag(cos lam) B^T
         delta = np.linalg.solve(jac + ones_shift, -g)
@@ -118,7 +119,9 @@ def solve_equilibrium(
         else:
             raise EquilibriumError("angle solve stalled: no descent along Newton direction")
     else:
-        raise EquilibriumError(f"angle solve did not reach tol={tol:g} in {max_iter} iterations")
+        raise EquilibriumError(
+            f"angle solve did not reach tol={NEWTON_TOL:g} in {NEWTON_MAX_ITER} iterations"
+        )
 
     theta = theta - theta.mean()
     lam_eq = b_t @ theta

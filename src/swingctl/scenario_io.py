@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .controller import MonotoneParams, PolicyParams, SafetySpec
+from .controller import MonotoneParams, PolicyError, PolicyParams, SafetySpec
 from .dynamics import Disturbance, Scenario, Trajectory, rollout
 from .netgraph import GraphError, PowerNetwork
 from .training import TrainConfig
@@ -162,13 +162,11 @@ def load_network(path) -> PowerNetwork:
         raise SchemaError(f"{where}: {e}") from e
 
 
-def save_network(path, net: PowerNetwork, name: str = "", notes: str = "") -> None:
+def save_network(path, net: PowerNetwork) -> None:
     ids = [int(b) for b in net.bus_ids]
     obj = {
         "format_version": FORMAT_VERSION,
         "kind": "network",
-        "name": name,
-        "notes": notes,
         "buses": [
             {"id": ids[i], "M": float(net.inertia[i]), "D": float(net.damping[i]), "p_nom": float(net.p_nom[i])}
             for i in range(net.n_bus)
@@ -184,12 +182,11 @@ def save_network(path, net: PowerNetwork, name: str = "", notes: str = "") -> No
 # ----------------------------------------------------------------- scenario
 
 
-def load_scenario(path, net: PowerNetwork | None = None) -> Scenario:
+def load_scenario(path, net: PowerNetwork) -> Scenario:
     """Scenario file: {T, dt, disturbances:[{bus, dp, t0, t1}], init, noise}.
 
-    Disturbance buses are written as network-file bus ids; with a network
-    given they are remapped through its id table (and range-checked),
-    otherwise the dense 1-based convention (id = index + 1) is assumed.
+    Disturbance buses are written as network-file bus ids and remapped
+    through the network's id table; an id not in it is a SchemaError.
     """
     obj = _read_json(path)
     where = str(path)
@@ -202,24 +199,18 @@ def load_scenario(path, net: PowerNetwork | None = None) -> Scenario:
     raw_dist = obj.get("disturbances", [])
     if not isinstance(raw_dist, list):
         raise SchemaError(f"{where}: field 'disturbances' must be a list")
-    index = None if net is None else {int(b): k for k, b in enumerate(net.bus_ids)}
+    index = {int(b): k for k, b in enumerate(net.bus_ids)}
     dist = []
     for k, d in enumerate(raw_dist):
         ctx = f"{where}: disturbances[{k}]"
         if not isinstance(d, dict):
             raise SchemaError(f"{ctx} must be an object")
         bid = _need(d, "bus", int, ctx)
-        if index is None:
-            bus = bid - 1
-            if bus < 0:
-                raise SchemaError(f"{ctx}: bus id {bid} must be >= 1")
-        elif bid in index:
-            bus = index[bid]
-        else:
+        if bid not in index:
             raise SchemaError(f"{ctx}: bus id {bid} not in the network")
         dist.append(
             Disturbance(
-                bus=bus,
+                bus=index[bid],
                 dp=float(_need(d, "dp", (int, float), ctx)),
                 t0=float(_need(d, "t0", (int, float), ctx)),
                 t1=float(_need(d, "t1", (int, float), ctx)),
@@ -239,8 +230,8 @@ def load_scenario(path, net: PowerNetwork | None = None) -> Scenario:
         raise SchemaError(f"{where}: {e}") from e
 
 
-def save_scenario(path, scenario: Scenario, net: PowerNetwork | None = None) -> None:
-    ids = None if net is None else [int(b) for b in net.bus_ids]
+def save_scenario(path, scenario: Scenario, net: PowerNetwork) -> None:
+    ids = [int(b) for b in net.bus_ids]
     obj = {
         "format_version": FORMAT_VERSION,
         "kind": "scenario",
@@ -248,7 +239,7 @@ def save_scenario(path, scenario: Scenario, net: PowerNetwork | None = None) -> 
         "dt": scenario.dt,
         "disturbances": [
             {
-                "bus": (d.bus + 1) if ids is None else ids[d.bus],
+                "bus": ids[d.bus],
                 "dp": d.dp,
                 "t0": d.t0,
                 "t1": d.t1,
@@ -364,7 +355,10 @@ def load_checkpoint(path):
         if arr.shape != (n,):
             raise SchemaError(f"{where}: {name} has shape {arr.shape}, expected ({n},) for {n} buses")
     meta = {k: obj.get(k) for k in ("config", "config_hash", "seed")}
-    return cls(raw=raw, m_hidden=m_hidden, **fixed), meta
+    try:
+        return cls(raw=raw, m_hidden=m_hidden, **fixed), meta
+    except PolicyError as e:
+        raise SchemaError(f"{where}: {e}") from None
 
 
 # ----------------------------------------------------------- CSV tables
@@ -433,9 +427,10 @@ def _trajectory_sizes(cols: list[str]) -> tuple[int, int]:
 def save_trajectory(path, traj: Trajectory, echo: dict | None = None) -> None:
     """Fixed-schema CSV: config echo line, header, then one row per step.
 
+    The echo line holds dt, gamma, the run facts in `traj.meta`, then `echo`.
     Floats are written with repr and the dead-zone mask as 0/1.
     """
-    base = {"dt": traj.dt, "gamma": traj.gamma, **(echo or {})}
+    base = {"dt": traj.dt, "gamma": traj.gamma, **traj.meta, **(echo or {})}
     floats = np.column_stack(
         (traj.t, traj.omega, traj.u, traj.budgets, traj.v_energy, traj.loss_freq, traj.loss_ctrl, traj.lam)
     )
@@ -488,6 +483,9 @@ def save_report(path, report) -> None:
 # ------------------------------------------------------------------ metrics
 
 
+SETTLE_TOL = 0.01  # Hz: settle time and the convergence proxy of a summary
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """Evaluation metrics for one controller on one scenario.
@@ -496,7 +494,7 @@ class RunSummary:
     cost_train_window restricts to the (shorter) training window, since the
     evaluation horizon choice changes the number. nadir is the signed extreme
     frequency deviation per bus; settle_time is the first time the deviation
-    inf-norm stays below settle_tol (nan if it never does).
+    inf-norm stays below SETTLE_TOL (nan if it never does).
     """
 
     label: str
@@ -506,7 +504,6 @@ class RunSummary:
     settle_time: float
     safety_ok: bool
     stability_ok: bool
-    settle_tol: float = 0.01
 
     def __post_init__(self):
         if self.cost < 0 or self.cost_train_window < 0:
@@ -516,9 +513,9 @@ class RunSummary:
         return float(self.nadir[np.argmax(np.abs(self.nadir))])
 
 
-def _settle_time(traj: Trajectory, omega_sync: float, tol: float) -> float:
+def _settle_time(traj: Trajectory, omega_sync: float) -> float:
     dev = np.abs(traj.omega - omega_sync).max(axis=1)
-    above = np.flatnonzero(dev >= tol)
+    above = np.flatnonzero(dev >= SETTLE_TOL)
     if above.size == 0:
         return 0.0
     k = above[-1] + 1
@@ -533,7 +530,6 @@ def summarize(
     eq,
     label: str = "",
     train_window: float | None = None,
-    settle_tol: float = 0.01,
     beta: float = 1.0,
 ) -> RunSummary:
     """Metrics over one trajectory or a batch sharing the scenario.
@@ -541,7 +537,7 @@ def summarize(
     Costs are batch means; nadir is the worst signed excursion per bus over
     the batch; settle_time is the batch worst case. The safety verdict is
     frequency invariance; the stability verdict is Lyapunov descent plus the
-    finite-horizon convergence proxy at settle_tol.
+    finite-horizon convergence proxy at SETTLE_TOL.
     """
     if isinstance(trajs, Trajectory):
         trajs = [trajs]
@@ -553,12 +549,12 @@ def summarize(
     for traj in trajs:
         costs.append(traj.cost())
         costs_w.append(traj.cost(train_window))
-        settles.append(_settle_time(traj, eq.omega_sync, settle_tol))
+        settles.append(_settle_time(traj, eq.omega_sync))
         dev = traj.omega - eq.omega_sync
         ext = dev[np.argmax(np.abs(dev), axis=0), np.arange(dev.shape[1])]
         pick = np.abs(ext) > np.abs(nadir)
         nadir[pick] = ext[pick]
-        report = run_checks(traj, spec, eq, beta=beta, tol=settle_tol)
+        report = run_checks(traj, spec, eq, beta=beta, tol=SETTLE_TOL)
         safety_ok &= report["frequency_invariance"].passed
         stability_ok &= report["lyapunov_descent"].passed and report["convergence"].passed
     settle = float("nan") if any(np.isnan(settles)) else max(settles)
@@ -570,7 +566,6 @@ def summarize(
         settle_time=settle,
         safety_ok=bool(safety_ok),
         stability_ok=bool(stability_ok),
-        settle_tol=settle_tol,
     )
 
 

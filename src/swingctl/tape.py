@@ -209,16 +209,16 @@ def div(a, b):
     return _node("div", (a, b), (va, vb), va / vb)
 
 
-def safe_div(a, b, tiny: float = _TINY):
-    """a / b with |denominator| floored at `tiny`.
+def safe_div(a, b):
+    """a / b with |denominator| floored at _TINY.
 
     The floor keeps forward values finite where a surrounding gate is exactly
     zero anyway; the backward rule treats the floored region as constant in b,
     which is the a.e. derivative of the clamped function.
     """
     va, vb = _val(a), _val(b)
-    live = np.abs(vb) >= tiny
-    bhat = np.where(live, vb, np.where(vb < 0, -tiny, tiny))
+    live = np.abs(vb) >= _TINY
+    bhat = np.where(live, vb, np.where(vb < 0, -_TINY, _TINY))
     return _node("safe_div", (a, b), (va, bhat, live), va / bhat)
 
 

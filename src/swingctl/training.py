@@ -34,7 +34,7 @@ from .dynamics import (
 )
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import Node, Tape, square, sum_all, value
+from .tape import Node, Tape, TapeError, square, sum_all, value
 
 
 class TrainingError(RuntimeError):
@@ -70,8 +70,16 @@ class TrainConfig:
         for name in ("batch", "steps", "m_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.episodes < 0:
+            raise ValueError(f"episodes must be at least 0, got {self.episodes}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("gamma", "rho"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        for name in ("lr", "init_scale"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -114,7 +122,7 @@ def episode_loss(
         dev = omega - eq.omega_sync
         freq_acc = freq_acc + sum_all(square(dev))
         ctrl_acc = ctrl_acc + sum_all(square(dec.u))
-        if u_prev is not None:
+        if rho > 0 and u_prev is not None:  # at rho = 0 the term never reaches the loss
             lip_acc = lip_acc + sum_all(square(dec.u - u_prev))
         u_prev = dec.u
 
@@ -188,7 +196,6 @@ def adam_step(raw: dict, grads: dict, state: AdamState, cfg: TrainConfig, keys) 
 class TrainResult:
     params: object
     curve: np.ndarray  # columns: episode, loss, loss_freq, loss_ctrl, loss_lip
-    config: TrainConfig
     final_loss: float = field(default=np.nan)
 
 
@@ -216,8 +223,8 @@ def train(
     batch initial states, then the per-step measurement noise block. The
     structural invariants of the parameterization are re-validated every
     episode; a loss above divergence_factor times the first episode's, a
-    non-finite one, or a state that leaves the representable range aborts
-    with a TrainingError carrying the partial curve.
+    non-finite one, a state that leaves the representable range, or a
+    non-finite gradient aborts with a TrainingError carrying the partial curve.
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     p_steps = injection_schedule(net, scenario, cfg.steps, cfg.dt)
@@ -237,7 +244,7 @@ def train(
             loss, parts, grads = loss_and_grad(
                 policy, net, inc, eq, raw, lam0, omega0, p_steps, noise, cfg.gamma, cfg.rho, cfg.dt
             )
-        except IntegrationError as e:
+        except (IntegrationError, TapeError) as e:
             raise TrainingError(f"episode {ep}: {e}", curve_rows) from e
         if not np.isfinite(loss):
             raise TrainingError(f"non-finite loss at episode {ep}", curve_rows)
@@ -256,4 +263,4 @@ def train(
 
     curve = np.asarray(curve_rows, dtype=float).reshape(-1, 5)
     final = curve[-1, 1] if curve_rows else np.nan
-    return TrainResult(params=policy.rebuild(raw), curve=curve, config=cfg, final_loss=final)
+    return TrainResult(params=policy.rebuild(raw), curve=curve, final_loss=final)

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 CHECK_NAMES = ("frequency_invariance", "lyapunov_descent", "budget_conservation", "convergence")
+CONSERVE_TOL = 1e-9  # |sum of budgets| allowed at any step
+VANISH_TOL = 1e-12  # |budget| allowed once every bus is back in its dead zone
 
 
 @dataclass(frozen=True)
@@ -130,22 +132,23 @@ def check_lyapunov(traj: Trajectory, eq: Equilibrium, beta: float = 1.0) -> Verd
     )
 
 
-def check_budgets(traj: Trajectory, conserve_tol: float = 1e-9, vanish_tol: float = 1e-12) -> Verdict:
+def check_budgets(traj: Trajectory) -> Verdict:
     """Budgets must sum to zero at every step and vanish once all buses are
-    back inside their dead zones, as read from the recorded dead-zone mask.
-    Notes count the rows where some bus is active (`active_rows`).
+    back inside their dead zones, as read from the recorded dead-zone mask,
+    up to CONSERVE_TOL and VANISH_TOL. Notes count the rows where some bus
+    is active (`active_rows`).
     """
     b = traj.budgets
     sums = np.abs(b.sum(axis=1))
     k_sum = int(np.argmax(sums))
-    conserve_margin = conserve_tol - float(sums.max())
+    conserve_margin = CONSERVE_TOL - float(sums.max())
 
     active_rows = np.flatnonzero(traj.active.any(axis=1))
     last_k = int(active_rows[-1]) if active_rows.size else -1
     settle_t = float(traj.t[last_k]) if active_rows.size else 0.0
     tail = np.abs(b[last_k + 1 :])
     tail_max = float(tail.max()) if tail.size else 0.0
-    vanish_margin = vanish_tol - tail_max
+    vanish_margin = VANISH_TOL - tail_max
 
     margin = min(conserve_margin, vanish_margin)
     if conserve_margin <= vanish_margin or tail.size == 0:
@@ -172,8 +175,10 @@ def check_convergence(traj: Trajectory, eq: Equilibrium, tol: float = 1e-3) -> V
 
     Passes iff the final frequency is within tol of synchronous everywhere
     and the final edge angles are within tol of equilibrium (an angle
-    violation reports bus -1).
+    violation reports bus -1). ValueError unless tol is finite and > 0.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"convergence tol must be finite and > 0, got {tol:g}")
     dev = np.abs(traj.omega[-1] - eq.omega_sync)
     bus = int(np.argmax(dev))
     margin = tol - float(dev.max())

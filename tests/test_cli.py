@@ -342,6 +342,33 @@ def test_non_finite_flag_exits_one(files, capsys, flag, message):
     assert one_error_line(capsys).startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("simulate", ["--gamma", "-5"], "gamma must be finite and >= 0"),
+        ("simulate", ["--gamma", "nan"], "gamma must be finite and >= 0"),
+        ("simulate", ["--tol", "nan"], "convergence tol must be finite and > 0"),
+        ("verify", ["--tol", "-1"], "convergence tol must be finite and > 0"),
+        ("compare", ["--gamma", "nan"], "gamma must be finite and >= 0"),
+        ("compare", ["--train-window", "-3"], "cost window must be finite and >= 0"),
+        ("compare", ["--train-window", "nan"], "cost window must be finite and >= 0"),
+    ],
+)
+def test_bad_numeric_run_flag_exits_one_before_writing(files, capsys, command, flag, message):
+    out, report = files["dir"] / "out.csv", files["dir"] / "r.json"
+    argv = {
+        "simulate": ["--scenario", files["step"], "--out", str(out), "--report", str(report)],
+        "verify": ["--traj", str(files["dir"] / "run.csv"), "--report", str(report)],
+        "compare": ["--scenario", files["step"], "--controller", "zero", "--out", str(out)],
+    }[command]
+    if command == "verify":
+        assert simulate(files, "step", files["dir"] / "run.csv", files["dir"] / "run.json") == 0
+        capsys.readouterr()
+    assert run([command, "--net", files["net"], *argv, *flag]) == 1
+    assert one_error_line(capsys).startswith(f"error: ValueError: {message}")
+    assert not out.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("label", ["a,b", "", "a\nb"])
 def test_compare_rejects_labels_that_break_the_table(files, capsys, monkeypatch, label):
     def no_rollouts(*args, **kwargs):
@@ -416,6 +443,7 @@ def one_error_line(capsys) -> str:
         ({"barrier_hi_wp": 0.5}, "raw['barrier_hi_wp'] has 0 dimensions, expected 2"),
         ({"dtilde_frac": [0.5, 0.5, 0.5]}, "dtilde_frac has shape (3,), expected (2,)"),
         ({"thr_hi": [[0.1], 0.2]}, "raw['thr_hi'] is not a numeric array"),
+        ({"dtilde_frac": [1.0, 1.0]}, "dtilde_frac must lie in (0, 1)"),
     ],
 )
 def test_malformed_checkpoint_exits_one(files, capsys, edits, message):
@@ -472,13 +500,21 @@ def test_bus_count_mismatch_names_both_sizes(files, capsys, build, net, message)
     assert one_error_line(capsys) == f"error: {message.format(dir=files['dir'])}\n"
 
 
-@pytest.mark.parametrize("flag", [["--batch", "0"], ["--steps", "0"], ["--m-hidden", "0"], ["--dt", "0"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--batch", "0"], ["--steps", "0"], ["--m-hidden", "0"], ["--dt", "0"],
+        ["--episodes", "-1"], ["--rho", "-5"], ["--rho", "nan"], ["--gamma", "-1"], ["--gamma", "nan"],
+        ["--lr", "-1"], ["--lr", "0"], ["--init-scale", "inf"],
+    ],
+)
 def test_train_rejects_unusable_sizes(files, capsys, flag):
     argv = ["train", "--net", files["net"], "--scenario", files["train"], "--episodes", "1", "--quiet"]
     code = run([*argv, *flag, "--out", str(files["dir"] / "ck.json"), "--curve", str(files["dir"] / "c.csv")])
     assert code == 1
     err = one_error_line(capsys)
     assert err.startswith("error: ValueError") and flag[0].lstrip("-").replace("-", "_") in err
+    assert not (files["dir"] / "ck.json").exists() and not (files["dir"] / "c.csv").exists()
 
 
 def test_console_script_help():

@@ -72,7 +72,7 @@ def network_obj(**overrides):
 
 def test_network_round_trip_two_bus(tmp_path, net2):
     path = tmp_path / "net.json"
-    save_network(path, net2, name="pair", notes="hand example")
+    save_network(path, net2)
     back = load_network(path)
     assert np.array_equal(back.inertia, net2.inertia)
     assert np.array_equal(back.damping, net2.damping)
@@ -167,7 +167,7 @@ def test_missing_file_named(tmp_path):
 # --------------------------------------------------------------- scenarios
 
 
-def test_scenario_round_trip(tmp_path):
+def test_scenario_round_trip(tmp_path, net2):
     sc = Scenario(
         horizon=5.0,
         dt=0.01,
@@ -178,12 +178,12 @@ def test_scenario_round_trip(tmp_path):
         label="step test",
     )
     path = tmp_path / "sc.json"
-    save_scenario(path, sc)
-    assert load_scenario(path) == sc
+    save_scenario(path, sc, net2)
+    assert load_scenario(path, net2) == sc
 
 
 def test_scenario_bus_ids_follow_network_table(tmp_path):
-    # with sparse file ids the network mapping and the dense default disagree
+    # sparse file ids: the file holds the network's id, not the array index
     net = PowerNetwork(
         inertia=[1.0, 1.0, 1.0],
         damping=[1.0, 1.0, 1.0],
@@ -197,13 +197,15 @@ def test_scenario_bus_ids_follow_network_table(tmp_path):
     save_scenario(path, sc, net=net)
     assert json.loads(path.read_text())["disturbances"][0]["bus"] == 30
     assert load_scenario(path, net=net).disturbances[0].bus == 2
-    with pytest.raises(SchemaError, match="not in the network"):
-        bad = tmp_path / "bad.json"
-        save_scenario(bad, sc)  # dense ids: bus 3
+    bad = tmp_path / "bad.json"
+    obj = json.loads(path.read_text())
+    obj["disturbances"][0]["bus"] = 3  # the 1-based index, not an id
+    write_json(bad, obj)
+    with pytest.raises(SchemaError, match="bus id 3 not in the network"):
         load_scenario(bad, net=net)
 
 
-def test_scenario_window_outside_horizon(tmp_path):
+def test_scenario_window_outside_horizon(tmp_path, net2):
     obj = {
         "format_version": 1,
         "kind": "scenario",
@@ -214,13 +216,13 @@ def test_scenario_window_outside_horizon(tmp_path):
     path = tmp_path / "sc.json"
     write_json(path, obj)
     with pytest.raises(SchemaError, match="must lie inside"):
-        load_scenario(path)
+        load_scenario(path, net2)
 
 
-def test_scenario_defaults_applied(tmp_path):
+def test_scenario_defaults_applied(tmp_path, net2):
     path = tmp_path / "sc.json"
     write_json(path, {"format_version": 1, "kind": "scenario", "T": 2.0, "dt": 0.5})
-    sc = load_scenario(path)
+    sc = load_scenario(path, net2)
     assert sc.disturbances == ()
     assert sc.init_omega_range == 0.1 and sc.init_p_frac == 0.1
     assert sc.noise_bound == 0.0 and sc.n_steps == 4
@@ -386,6 +388,16 @@ def test_trajectory_round_trip_bitwise(tmp_path, net2, inc2, eq2, spec_band):
     assert back.meta["seed"] == 3 and back.meta["label"] == "desk"
     save_trajectory(tmp_path / "again.csv", back, echo={"seed": 3, "label": "desk"})
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+def test_trajectory_csv_echo_keeps_the_run_facts(tmp_path, net2, inc2, eq2):
+    traj = desk_run(net2, inc2, eq2, noise=0.002)
+    assert {"seed", "integrator", "beta", "horizon", "noise_bound", "scenario_label"} <= set(traj.meta)
+    path = tmp_path / "run.csv"
+    save_trajectory(path, traj)
+    back = load_trajectory(path)
+    assert {k: back.meta[k] for k in traj.meta} == traj.meta
+    assert back.meta["scenario_label"] == "desk" and back.meta["noise_bound"] == 0.002
 
 
 def test_trajectory_header_is_pinned(tmp_path, net2, inc2, eq2):

@@ -15,7 +15,7 @@ from swingctl.controller import (
     init_policy_params,
 )
 from swingctl.dynamics import Disturbance, Scenario, closed_loop
-from swingctl.tape import Tape
+from swingctl.tape import Tape, value
 from swingctl.training import (
     AdamState,
     TrainConfig,
@@ -242,6 +242,54 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
     assert all(grads[k].shape == adapter.raw[k].shape for k in grads)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
     assert any(np.any(g != 0.0) for g in grads.values())
+
+
+def test_variation_term_stays_off_the_tape_at_rho_zero(net3, inc3, eq3, spec_band):
+    # at rho = 0 the variation sum never reaches the loss, so recording it
+    # would only leave sum_all nodes that no reverse sweep visits
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
+    omega0 = np.random.default_rng(5).uniform(-0.19, 0.19, size=(4, 3))
+    tp = Tape()
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    loss, parts = episode_loss(
+        adapter, net3, inc3, eq3, leaves, np.tile(eq3.lam_eq, (4, 1)), omega0,
+        np.tile(net3.p_nom, (20, 1)), None, 40.0, 0.0, 5e-3,
+    )
+    reached = np.zeros(len(tp), dtype=bool)
+    reached[loss.idx] = True
+    for i in range(loss.idx, -1, -1):  # parents precede children
+        if reached[i]:
+            reached[[j for j in tp.parents[i] if j is not None]] = True
+    sums = [i for i, kind in enumerate(tp.kinds) if kind == "sum_all"]
+    assert sums and reached[sums].all()
+    assert parts[2] == 0.0
+
+
+class NanGradientStub(StubAdapter):
+    """u = 0 * (1 / x) at x = 1e-200: zero control, a NaN adjoint for x."""
+
+    keys = ("x",)
+    raw = {"x": np.array([1e-200])}
+
+    def __init__(self):
+        super().__init__(None)
+
+    def precompute(self, raw_like):
+        return raw_like["x"]
+
+    def control(self, ready, lam, omega, p):
+        shape = np.shape(value(omega))
+        u = 0.0 * (1.0 / ready) + np.zeros(shape)
+        return ControlDecision(u=u, budgets=np.zeros(shape), active=np.zeros(shape, dtype=bool))
+
+
+def test_train_non_finite_gradient_is_a_training_error(net2, inc2, eq2):
+    scen = Scenario(horizon=0.025, dt=5e-3, init_omega_range=0.1, init_p_frac=0.0)
+    cfg = TrainConfig(episodes=2, steps=5, dt=5e-3, batch=1, m_hidden=4)
+    with pytest.raises(TrainingError, match="episode 0: non-finite adjoint") as err:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            train(NanGradientStub(), net2, inc2, eq2, scen, cfg)
+    assert err.value.curve == []
 
 
 def test_adam_first_step_hand_formula():
