@@ -24,7 +24,7 @@ from .controller import (
     make_policy_controller,
     make_zero_controller,
 )
-from .dynamics import IntegrationError, rollout
+from .dynamics import IntegrationError, check_cost_window, rollout
 from .equilibrium import EquilibriumError, solve_equilibrium
 from .netgraph import GraphError, build_incidence
 from .training import TrainConfig, TrainingError, train
@@ -165,6 +165,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.train_window is not None:
+        check_cost_window(args.train_window)
     net, inc, eq, spec = _setup(args)
     scenario = _scenario_with_overrides(args, net)
     entries = []

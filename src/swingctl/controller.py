@@ -33,12 +33,17 @@ one interface: a params class knows its kind tag, trainable keys and array
 shapes, and `bind` attaches it to a network as a `BoundPolicy`. The bound
 policy is the whole policy: `ConstrainedAdapter` keeps the network, the
 per-bus band and D_tilde, builds a `PolicyReady` from the raws once per
-rollout (the barriers and the dead-zone response as (wp, wm, bp, bm)
-tuples), and its `control` returns a `ControlDecision`. At a state where
+rollout, and its `control` returns a `ControlDecision`. At a state where
 every bus sits inside its dead zone that decision is constant zeros, and
-the policy records nothing on the tape for that step. Everything here runs
-on plain numpy arrays or on autodiff tape nodes; see `tape` for the
-dispatch rules.
+the policy records nothing on the tape for that step.
+
+Every ReLU-unit sum here (the barriers, the dead-zone response and the
+monotone baseline) has ordered biases, so at any input only a prefix of its
+units is active and the sum is one linear piece. The ready tensors hold each
+branch as a `unit_table` of prefix sums, built once per rollout (the
+dead-zone units sorted by bias first), and a step evaluates it with one
+gather per bus (`tape.piecewise`). Everything here runs on plain numpy
+arrays or on autodiff tape nodes; see `tape` for the dispatch rules.
 """
 
 from __future__ import annotations
@@ -57,9 +62,10 @@ from .tape import (
     maximum,
     minimum,
     pad_zero_first,
+    permute_last,
+    piecewise,
     reduce_min,
     relu,
-    relu_dot,
     safe_div,
     sigmoid,
     sin,
@@ -241,14 +247,35 @@ def class_k_biases(b_raw_pos, b_raw_neg):
     return bp, bm
 
 
-def class_k_eval(wp, wm, bp, bm, s):
+def unit_table(w, b) -> tuple:
+    """Prefix table (W, C, thr) of one branch sum_j w_j relu(x + b_j).
+
+    The biases must be non-increasing along the units, so the active units
+    form a prefix and the branch is x W[k] + C[k] with k active units (see
+    `tape.piecewise`): W and C are the zero-padded prefix sums of w and w b,
+    on the tape when w and b are, and thr = [-b, +inf] is plain.
+    """
+    vb = np.asarray(value(b), dtype=float)
+    thr = np.concatenate([-vb, np.full(vb.shape[:-1] + (1,), np.inf)], axis=-1)
+    return pad_zero_first(cumsum_last(w)), pad_zero_first(cumsum_last(w * b)), thr
+
+
+def class_k_tables(wp, wm, bp, bm) -> tuple:
+    """The (plus, minus) unit tables of a class-K network with (n, m) weights
+    and non-increasing biases."""
+    return unit_table(wp, bp), unit_table(wm, bm)
+
+
+def class_k_eval(tables, s):
     """Evaluate the class-K network at s: wp.relu(s + bp) + wm.relu(-s + bm).
 
-    Parameters are (n, m); s is (n,) or batched (..., n). Strictly increasing
-    in s and exactly zero at s = 0 whenever the weight/bias constraints hold.
-    Each branch is one `relu_dot` node, which keeps no (..., n, m) temporary.
+    `tables` is `class_k_tables(wp, wm, bp, bm)`, built once per rollout;
+    s is (n,) or batched (..., n). Strictly increasing in s and exactly zero
+    at s = 0 whenever the weight/bias constraints hold. Each branch is one
+    `piecewise` node, which keeps no (..., n, m) temporary.
     """
-    return relu_dot(wp, s, bp, 1.0) + relu_dot(wm, s, bm, -1.0)
+    plus, minus = tables
+    return piecewise(*plus, s, 1.0) + piecewise(*minus, s, -1.0)
 
 
 def threshold_map(thr_lo_raw, thr_hi_raw, omega_sync, omega_min, omega_max):
@@ -280,21 +307,36 @@ def deadzone_weights(raw: dict):
     return raw["dz_wp"], raw["dz_wm"], -square(raw["dz_bp"]), -square(raw["dz_bm"])
 
 
-def deadzone_eval(wp, wm, bp, bm, wlo, whi, omega):
+def deadzone_tables(wp, wm, bp, bm) -> tuple:
+    """The (plus, minus) unit tables of the dead-zone response.
+
+    Its biases come in no order, so each bus's units are first sorted by
+    bias, non-increasing, with a stable argsort; the permutation is constant
+    for the rollout and applied on the tape by `permute_last`.
+    """
+    tables = []
+    for w, b in ((wp, bp), (wm, bm)):
+        perm = np.argsort(-np.asarray(value(b)), axis=-1, kind="stable")
+        tables.append(unit_table(permute_last(w, perm), permute_last(b, perm)))
+    return tuple(tables)
+
+
+def deadzone_eval(tables, wlo, whi, omega):
     """Trainable response, exactly zero for omega in [wlo, whi] when bp,bm <= 0:
-    wp.relu(omega - whi + bp) + wm.relu(bm - omega + wlo), by `relu_dot`."""
-    shi = omega - whi
-    slo = omega - wlo
-    return relu_dot(wp, shi, bp, 1.0) + relu_dot(wm, slo, bm, -1.0)
+    wp.relu(omega - whi + bp) + wm.relu(bm - omega + wlo), from the
+    `deadzone_tables` built once per rollout."""
+    plus, minus = tables
+    return piecewise(*plus, omega - whi, 1.0) + piecewise(*minus, omega - wlo, -1.0)
 
 
 # ------------------------------------------------------------ assembled policy
 
 
 def class_k_params(raw: dict, prefix: str) -> tuple:
-    """(wp, wm, bp, bm) of the class-K network stored under `prefix` in raw."""
-    return class_k_weights(raw[f"{prefix}_wp"], raw[f"{prefix}_wm"]) + class_k_biases(
-        raw[f"{prefix}_bp"], raw[f"{prefix}_bm"]
+    """The unit tables of the class-K network stored under `prefix` in raw."""
+    return class_k_tables(
+        *class_k_weights(raw[f"{prefix}_wp"], raw[f"{prefix}_wm"]),
+        *class_k_biases(raw[f"{prefix}_bp"], raw[f"{prefix}_bm"]),
     )
 
 
@@ -302,9 +344,10 @@ def class_k_params(raw: dict, prefix: str) -> tuple:
 class PolicyReady:
     """State-independent tensors computed once per rollout from the raws.
 
-    hi, lo and dz are (wp, wm, bp, bm) tuples: the upper and lower barriers'
-    class-K networks and the dead-zone response. wlo_val/whi_val are the
-    thresholds as plain values, for the dead-zone mask.
+    hi, lo and dz are (plus, minus) pairs of `unit_table`s: the upper and
+    lower barriers' class-K networks and the dead-zone response, whose units
+    are sorted by bias. wlo_val/whi_val are the thresholds as plain values,
+    for the dead-zone mask.
     """
 
     wlo: object
@@ -375,19 +418,17 @@ def project_control(out: ControlDecision, ready: PolicyReady, omega) -> np.ndarr
     return proj
 
 
-def validate_class_k(params: tuple, tag: str) -> None:
-    """Assert the invariants that make a (wp, wm, bp, bm) class-K map
-    increasing: signed weight partial sums, biases non-increasing from zero."""
-    wp, wm, bp, bm = (np.asarray(value(x)) for x in params)
-    if not np.all(np.cumsum(wp, axis=-1) > 0):
-        raise PolicyError(f"{tag}: a positive-branch partial sum is not > 0")
-    if not np.all(np.cumsum(wm, axis=-1) < 0):
-        raise PolicyError(f"{tag}: a negative-branch partial sum is not < 0")
-    for bias, name in ((bp, f"{tag}_bp"), (bm, f"{tag}_bm")):
-        if not np.all(bias[..., 0] == 0.0):
-            raise PolicyError(f"{name}: first bias entry not pinned to zero")
-        if np.any(np.diff(bias, axis=-1) > 0):
-            raise PolicyError(f"{name}: biases increase along the units")
+def validate_class_k(tables: tuple, tag: str) -> None:
+    """Assert the invariants that make a class-K map increasing, read from its
+    (plus, minus) unit tables: signed weight partial sums, and thresholds
+    non-decreasing from zero (biases non-increasing from zero)."""
+    for (W, _, thr), sign, name in zip(tables, (1, -1), ("positive", "negative")):
+        if not np.all(sign * np.asarray(value(W))[..., 1:] > 0):
+            raise PolicyError(f"{tag}: a {name}-branch partial sum is not {'>' if sign > 0 else '<'} 0")
+        if not np.all(thr[..., 0] == 0.0):
+            raise PolicyError(f"{tag}: the {name} branch's first bias is not pinned to zero")
+        if not np.all(np.diff(thr, axis=-1) >= 0):
+            raise PolicyError(f"{tag}: the {name} branch's biases increase along the units")
 
 
 # ------------------------------------------------------------ bound policies
@@ -456,7 +497,7 @@ class ConstrainedAdapter(BoundPolicy):
             xi=budget_potentials(raw_like["budget_raw"], wlo, whi, sync, self.dtilde, self.inc.row_l1),
             hi=hi,
             lo=lo,
-            dz=deadzone_weights(raw_like),
+            dz=deadzone_tables(*deadzone_weights(raw_like)),
             wlo_val=np.asarray(value(wlo), dtype=float),
             whi_val=np.asarray(value(whi), dtype=float),
         )
@@ -471,11 +512,11 @@ class ConstrainedAdapter(BoundPolicy):
         b = budget_vector(self.inc, active, ready.xi)
         q = feedforward_term(self.net, self.inc, lam, omega, p)
         cap = stability_cap(self.dtilde, self.eq.omega_sync, omega, b)
-        alpha_hi = class_k_eval(*ready.hi, self.omega_max - omega)
-        alpha_lo = class_k_eval(*ready.lo, self.omega_min - omega)
+        alpha_hi = class_k_eval(ready.hi, self.omega_max - omega)
+        alpha_lo = class_k_eval(ready.lo, self.omega_min - omega)
         ub = minimum(cap, safe_div(alpha_hi, omega - ready.whi) + q)
         lb = maximum(cap, safe_div(alpha_lo, ready.wlo - omega) + q)
-        f = deadzone_eval(*ready.dz, ready.wlo, ready.whi, omega)
+        f = deadzone_eval(ready.dz, ready.wlo, ready.whi, omega)
         u = gated_control(relu(omega - ready.whi), relu(ready.wlo - omega), f, ub, lb)
         return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
@@ -483,8 +524,8 @@ class ConstrainedAdapter(BoundPolicy):
         """Assert the structural invariants of the constrained tensors (values)."""
         validate_class_k(ready.hi, "barrier_hi")
         validate_class_k(ready.lo, "barrier_lo")
-        for bias, tag in zip(ready.dz[2:], ("dz_bp", "dz_bm")):
-            if np.any(np.asarray(value(bias)) > 0):
+        for (_, _, thr), tag in zip(ready.dz, ("dz_bp", "dz_bm")):
+            if not np.all(thr >= 0):
                 raise PolicyError(f"{tag}: dead-zone bias above zero")
         sync = self.eq.omega_sync
         wlo, whi = ready.wlo_val, ready.whi_val
@@ -500,14 +541,14 @@ class ConstrainedAdapter(BoundPolicy):
 class MonotoneAdapter(BoundPolicy):
     """The decentralized monotone baseline u_i = -alpha_i(w_i): strictly
     decreasing and zero at zero, with no dead zone, budgets or admissible
-    interval. Its ready is the class-K tuple (wp, wm, bp, bm)."""
+    interval. Its ready is the class-K (plus, minus) pair of unit tables."""
 
     def precompute(self, raw_like: dict) -> tuple:
         return class_k_params(raw_like, "resp")
 
     def control(self, ready: tuple, lam, omega, p) -> ControlDecision:
         shape = np.shape(value(omega))
-        u = -class_k_eval(*ready, omega)
+        u = -class_k_eval(ready, omega)
         return ControlDecision(u=u, budgets=np.zeros(shape), active=np.zeros(shape, dtype=bool))
 
     def validate(self, ready: tuple) -> None:

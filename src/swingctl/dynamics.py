@@ -77,8 +77,9 @@ class Scenario:
             raise ValueError(
                 f"horizon {self.horizon:g} is not an integer multiple of dt {self.dt:g}"
             )
-        if self.noise_bound < 0:
-            raise ValueError("noise_bound must be nonnegative")
+        for name in ("noise_bound", "init_omega_range", "init_p_frac"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"scenario {name} must be nonnegative, got {getattr(self, name):g}")
         for d in self.disturbances:
             if d.bus < 0:
                 raise ValueError(f"disturbance bus index {d.bus} out of range")
@@ -199,12 +200,18 @@ class Trajectory:
         ValueError unless the window is finite and >= 0; a window shorter
         than half a step averages no rows and costs 0.
         """
-        if window is not None and not (np.isfinite(window) and window >= 0):
-            raise ValueError(f"cost window must be finite and >= 0, got {window:g}")
+        if window is not None:
+            check_cost_window(window)
         k = self.n_steps if window is None else min(self.n_steps, int(round(window / self.dt)))
         if k <= 0:
             return 0.0
         return float((self.loss_freq[:k] + self.loss_ctrl[:k]).sum() / k)
+
+
+def check_cost_window(window: float) -> None:
+    """ValueError unless a cost window (seconds) is finite and >= 0."""
+    if not (np.isfinite(window) and window >= 0):
+        raise ValueError(f"cost window must be finite and >= 0, got {window:g}")
 
 
 def closed_loop(net, inc, control, lam0, omega0, p_rows, dt: float, noise=None, step=euler_step):
@@ -252,9 +259,9 @@ def rollout(
 
     Warns if the initial state falls outside the invariant energy region for
     the given beta (ValueError unless beta >= 1); ValueError for a gamma that
-    is not finite and >= 0; raises IntegrationError (with the step index) if
-    the state goes non-finite. Energy and loss columns are computed once over
-    all recorded rows. `meta` records the run facts: seed, integrator, beta,
+    is not finite and >= 0 or a negative seed; raises IntegrationError (with
+    the step index) if the state goes non-finite. Energy and loss columns are
+    computed once over all recorded rows. `meta` records the run facts: seed, integrator, beta,
     horizon, noise bound and scenario label.
     """
     steppers = {"euler": euler_step, "rk4": rk4_step}
@@ -262,6 +269,8 @@ def rollout(
         raise ValueError(f"unknown integrator {integrator!r}")
     if not (np.isfinite(gamma) and gamma >= 0):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma:g}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     n, rows = net.n_bus, scenario.n_steps + 1
     p_rows = injection_schedule(net, scenario, rows, scenario.dt)
     rng = np.random.Generator(np.random.Philox(seed))

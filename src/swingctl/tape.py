@@ -1,13 +1,23 @@
 """Reverse-mode automatic differentiation on a flat tape of numpy ops.
 
 The op set is exactly what the rollout, controller and loss need, nothing
-more; `relu_dot` is the fused ReLU-unit sum of the class-K and dead-zone
-maps. Every recorded node stores its op kind, parent indices and the cached
-locals its backward rule needs; values live in one buffer, adjoints in a
-parallel buffer filled by a single reverse sweep that keeps only leaf ones.
+more: elementwise arithmetic and activations, min/max, a constant matvec,
+sum/min reductions, last-axis prefix sums, differences and zero padding,
+`permute_last` (a constant per-row reordering of the last axis) and
+`piecewise`, the ReLU-unit sum of the class-K and dead-zone maps evaluated
+as one linear piece from prefix tables. Every recorded node stores its op
+kind, parent indices, output shape and the cached locals its backward rule
+needs; a value stays alive only while a Node handle or such a cache holds it.
+Adjoints fill a parallel buffer in a single reverse sweep that keeps only
+leaf ones.
+
+A `piecewise` node stores no (..., n, m) temporary: it keeps references to
+the weight table and to s, plus the count k of active units per entry in the
+smallest unsigned type that holds m (one byte up to 255 units).
 
 Subgradient conventions (pinned by tests):
-  * relu'(0) = 0 (the mask is x > 0, strictly)
+  * relu'(0) = 0 (the mask is x > 0, strictly; a unit exactly at its
+    threshold is inactive in `piecewise` too)
   * minimum/maximum route the adjoint entirely to the attaining argument,
     first argument on ties
   * reduce_min routes to the first attaining index in C order
@@ -21,6 +31,9 @@ both simulation and training.
 
 from __future__ import annotations
 
+import functools
+import weakref
+
 import numpy as np
 
 _TINY = 1e-12  # safe_div denominator floor
@@ -31,22 +44,20 @@ class TapeError(RuntimeError):
 
 
 class Node:
-    """Handle to one tape entry. Supports +, -, *, / against Nodes or arrays."""
+    """Handle to one tape entry and its value. Supports +, -, *, / against
+    Nodes or arrays."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "idx", "value")
     __array_ufunc__ = None  # force numpy to defer to our reflected operators
 
-    def __init__(self, tape: "Tape", idx: int):
+    def __init__(self, tape: "Tape", idx: int, value: np.ndarray):
         self.tape = tape
         self.idx = idx
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.tape.vals[self.idx]
+        self.value = value
 
     @property
     def shape(self):
-        return self.tape.vals[self.idx].shape
+        return self.value.shape
 
     def __add__(self, other):
         return add(self, other)
@@ -80,27 +91,41 @@ class Node:
 
 
 class Tape:
-    """Append-only op record; parents always precede children."""
+    """Append-only op record; parents always precede children.
+
+    The tape keeps each node's shape, not its value: a value lives while a
+    Node handle or a backward cache (a child's aux) holds it, so a value no
+    backward rule reads is freed once the model code drops its handle.
+    """
 
     def __init__(self):
         self.kinds: list[str] = []
         self.parents: list[tuple] = []
         self.aux: list = []
-        self.vals: list[np.ndarray] = []
+        self.shapes: list[tuple] = []
+        self._refs: list[weakref.ref] = []
+        self._shape_ids: dict = {}  # one tuple object per distinct shape
         self.adj: list = []
 
     def __len__(self) -> int:
-        return len(self.vals)
+        return len(self.kinds)
+
+    @property
+    def vals(self) -> list:
+        """Each node's value while something still holds it, else None."""
+        return [ref() for ref in self._refs]
 
     def leaf(self, value) -> Node:
         return self._rec("leaf", (), None, np.asarray(value, dtype=float))
 
-    def _rec(self, kind: str, parents: tuple, aux, val: np.ndarray) -> Node:
+    def _rec(self, kind: str, parents: tuple, aux, val) -> Node:
+        val = np.asarray(val)  # a 0-d array, not a numpy scalar, takes a weakref
         self.kinds.append(kind)
         self.parents.append(parents)
         self.aux.append(aux)
-        self.vals.append(val)
-        return Node(self, len(self.vals) - 1)
+        self.shapes.append(self._shape_ids.setdefault(val.shape, val.shape))
+        self._refs.append(weakref.ref(val))
+        return Node(self, len(self.kinds) - 1, val)
 
     def backward(self, root: Node, check_finite: bool = False) -> None:
         """Fill the leaf adjoints by one reverse sweep from `root`; an interior
@@ -112,10 +137,9 @@ class Tape:
         """
         if root.tape is not self:
             raise ValueError("root node belongs to a different tape")
-        n = len(self.vals)
-        adj = [None] * n
-        adj[root.idx] = np.ones_like(self.vals[root.idx])
-        kinds, parents, aux, vals = self.kinds, self.parents, self.aux, self.vals
+        adj = [None] * len(self)
+        adj[root.idx] = np.ones(self.shapes[root.idx])
+        kinds, parents, aux, shapes = self.kinds, self.parents, self.aux, self.shapes
         rules = _BACKWARD
         for i in range(root.idx, -1, -1):
             g = adj[i]
@@ -128,7 +152,7 @@ class Tape:
                 )
             if kinds[i] == "leaf":
                 continue
-            rules[kinds[i]](g, parents[i], aux[i], vals, adj)
+            rules[kinds[i]](g, parents[i], aux[i], shapes, adj)
             adj[i] = None
         self.adj = adj
 
@@ -138,7 +162,7 @@ class Tape:
         if self.kinds[node.idx] != "leaf":
             raise ValueError(f"node {node.idx} (op '{self.kinds[node.idx]}') is not a leaf")
         g = self.adj[node.idx]
-        return np.zeros_like(self.vals[node.idx]) if g is None else g
+        return np.zeros(self.shapes[node.idx]) if g is None else g
 
 
 def value(x):
@@ -167,14 +191,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _acc(adj, vals, idx, g):
+def _acc(adj, shapes, idx, g):
     if idx is None:
         return
     cur = adj[idx]
     if cur is None:
-        adj[idx] = np.zeros_like(vals[idx])
+        adj[idx] = np.zeros(shapes[idx])
         cur = adj[idx]
-    cur += _unbroadcast(np.asarray(g), vals[idx].shape)
+    cur += _unbroadcast(np.asarray(g), shapes[idx])
 
 
 def _node(kind: str, args: tuple, aux, out):
@@ -294,20 +318,38 @@ def reduce_min(a):
     return _node("reduce_min", (a,), k, np.asarray(va.reshape(-1)[k]))
 
 
-def relu_dot(w, s, b, sign: float):
-    """sum_j w[..., j] * relu(s + b[..., j]) for sign +1, relu(b - s) for -1.
+def piecewise(W, C, thr, s, sign: float):
+    """sum_j w[n, j] * relu(x + b[n, j]) with x = sign * s, from prefix tables.
 
-    w and b are (n, m), s is (n,) or batched (..., n); the result has s's
-    shape. The node stores no (..., n, m) temporary: its backward rule
-    recomputes the pre-activation and its mask from w, s and b.
+    The biases of each row n must be non-increasing, so the units active at
+    x form a prefix; W and C are (n, m+1) with W[n, k] = sum_{j<k} w[n, j]
+    and C[n, k] = sum_{j<k} w[n, j] b[n, j], and thr is the plain (n, m+1)
+    array [-b, +inf]. The active count k is the first column with thr >= x
+    (the +inf column bounds it), so the active set is exactly x + b > 0 and
+    the value x W[k] + C[k] is exactly 0.0 where no unit is active. s is
+    (n,) or batched (..., n); the result has s's shape.
     """
-    vw, vs, vb = _val(w), _val(s), _val(b)
-    out = (vw * np.maximum(_relu_dot_pre(vs, vb, sign), 0.0)).sum(axis=-1)
-    return _node("relu_dot", (w, s, b), (vw, vs, vb, sign), out)
+    vW, vC, vs = _val(W), _val(C), _val(s)
+    x = vs if sign > 0 else -vs
+    k = (thr < x[..., None]).argmin(-1)
+    flat = k + _row_offsets(thr.shape)
+    out = x * vW.reshape(-1)[flat] + vC.reshape(-1)[flat]
+    k = k.astype(np.min_scalar_type(thr.shape[-1] - 1))
+    return _node("piecewise", (W, C, s), (vW, vs, k, sign), out)
 
 
-def _relu_dot_pre(vs, vb, sign):
-    return vs[..., None] + vb if sign > 0 else vb - vs[..., None]
+@functools.lru_cache(maxsize=None)
+def _row_offsets(shape: tuple) -> np.ndarray:
+    """Flat index of column 0 of each row of an (n, m+1) table (read-only)."""
+    off = np.arange(0, shape[0] * shape[1], shape[1])
+    off.flags.writeable = False
+    return off
+
+
+def permute_last(a, perm: np.ndarray):
+    """a reordered along its last axis by a constant index array `perm` of
+    a's shape, each row of it a permutation."""
+    return _node("permute_last", (a,), perm, np.take_along_axis(_val(a), perm, axis=-1))
 
 
 def cumsum_last(a):
@@ -334,121 +376,129 @@ def pad_zero_first(a):
 # ------------------------------------------------------------ backward rules
 
 
-def _bk_add(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g)
-    _acc(adj, vals, par[1], g)
+def _bk_add(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g)
+    _acc(adj, shapes, par[1], g)
 
 
-def _bk_sub(g, par, aux, vals, adj):
+def _bk_sub(g, par, aux, shapes, adj):
     ia, ib = par
-    _acc(adj, vals, ia, g)
+    _acc(adj, shapes, ia, g)
     if ib is not None:
-        _acc(adj, vals, ib, -g)
+        _acc(adj, shapes, ib, -g)
 
 
-def _bk_mul(g, par, aux, vals, adj):
-    ia, ib = par
-    va, vb = aux
-    if ia is not None:
-        _acc(adj, vals, ia, g * vb)
-    if ib is not None:
-        _acc(adj, vals, ib, g * va)
-
-
-def _bk_div(g, par, aux, vals, adj):
+def _bk_mul(g, par, aux, shapes, adj):
     ia, ib = par
     va, vb = aux
     if ia is not None:
-        _acc(adj, vals, ia, g / vb)
+        _acc(adj, shapes, ia, g * vb)
     if ib is not None:
-        _acc(adj, vals, ib, -g * va / (vb * vb))
+        _acc(adj, shapes, ib, g * va)
 
 
-def _bk_safe_div(g, par, aux, vals, adj):
+def _bk_div(g, par, aux, shapes, adj):
+    ia, ib = par
+    va, vb = aux
+    if ia is not None:
+        _acc(adj, shapes, ia, g / vb)
+    if ib is not None:
+        _acc(adj, shapes, ib, -g * va / (vb * vb))
+
+
+def _bk_safe_div(g, par, aux, shapes, adj):
     ia, ib = par
     va, bhat, live = aux
     if ia is not None:
-        _acc(adj, vals, ia, g / bhat)
+        _acc(adj, shapes, ia, g / bhat)
     if ib is not None:
-        _acc(adj, vals, ib, np.where(live, -g * va / (bhat * bhat), 0.0))
+        _acc(adj, shapes, ib, np.where(live, -g * va / (bhat * bhat), 0.0))
 
 
-def _bk_neg(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], -g)
+def _bk_neg(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], -g)
 
 
-def _bk_sin(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g * np.cos(aux))
+def _bk_sin(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g * np.cos(aux))
 
 
-def _bk_relu(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g * (aux > 0))
+def _bk_relu(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g * (aux > 0))
 
 
-def _bk_sigmoid(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g * aux * (1.0 - aux))
+def _bk_sigmoid(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g * aux * (1.0 - aux))
 
 
-def _bk_softplus(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g * _sigmoid_val(aux))
+def _bk_softplus(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g * _sigmoid_val(aux))
 
 
-def _bk_tanh(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g * (1.0 - aux * aux))
+def _bk_tanh(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g * (1.0 - aux * aux))
 
 
-def _bk_square(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g * 2.0 * aux)
+def _bk_square(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g * 2.0 * aux)
 
 
-def _bk_minmax(g, par, aux, vals, adj):
+def _bk_minmax(g, par, aux, shapes, adj):
     ia, ib = par
     if ia is not None:
-        _acc(adj, vals, ia, np.where(aux, g, 0.0))
+        _acc(adj, shapes, ia, np.where(aux, g, 0.0))
     if ib is not None:
-        _acc(adj, vals, ib, np.where(aux, 0.0, g))
+        _acc(adj, shapes, ib, np.where(aux, 0.0, g))
 
 
-def _bk_matvec(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], g @ aux)
+def _bk_matvec(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g @ aux)
 
 
-def _bk_sum_all(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], np.broadcast_to(g, aux))
+def _bk_sum_all(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], np.broadcast_to(g, aux))
 
 
-def _bk_reduce_min(g, par, aux, vals, adj):
-    full = np.zeros_like(vals[par[0]])
+def _bk_reduce_min(g, par, aux, shapes, adj):
+    full = np.zeros(shapes[par[0]])
     full.reshape(-1)[aux] = g
-    _acc(adj, vals, par[0], full)
+    _acc(adj, shapes, par[0], full)
 
 
-def _bk_relu_dot(g, par, aux, vals, adj):
-    # The rules of the unfused chain rowsum(w * relu(pre)) with the same
-    # products and sums, so gradients match it bit for bit.
-    iw, i_s, ib = par
-    vw, vs, vb, sign = aux
-    pre = _relu_dot_pre(vs, vb, sign)
-    ge = np.asarray(g)[..., None]
-    _acc(adj, vals, iw, ge * np.maximum(pre, 0.0))
-    gz = ge * vw * (pre > 0)
-    _acc(adj, vals, ib, gz)
-    _acc(adj, vals, i_s, (gz if sign > 0 else -gz).sum(axis=-1))
+def _bk_piecewise(g, par, aux, shapes, adj):
+    # g, s and the gather index all have the output's shape, so the table
+    # adjoints are plain bincounts over the flat index.
+    iW, iC, i_s = par
+    vW, vs, k, sign = aux
+    flat = (k + _row_offsets(vW.shape)).reshape(-1)
+    if i_s is not None:
+        _acc(adj, shapes, i_s, sign * g * vW.reshape(-1)[flat].reshape(g.shape))
+    if iW is not None:
+        gx = (g * vs).reshape(-1)
+        _acc(adj, shapes, iW, sign * np.bincount(flat, gx, vW.size).reshape(vW.shape))
+    if iC is not None:
+        _acc(adj, shapes, iC, np.bincount(flat, g.reshape(-1), vW.size).reshape(vW.shape))
 
 
-def _bk_cumsum_last(g, par, aux, vals, adj):
+def _bk_permute_last(g, par, aux, shapes, adj):
+    full = np.empty_like(g)
+    np.put_along_axis(full, aux, g, axis=-1)
+    _acc(adj, shapes, par[0], full)
+
+
+def _bk_cumsum_last(g, par, aux, shapes, adj):
     rev = np.flip(np.cumsum(np.flip(g, axis=-1), axis=-1), axis=-1)
-    _acc(adj, vals, par[0], rev)
+    _acc(adj, shapes, par[0], rev)
 
 
-def _bk_diff_keepfirst(g, par, aux, vals, adj):
+def _bk_diff_keepfirst(g, par, aux, shapes, adj):
     gx = np.array(g, dtype=float, copy=True)
     gx[..., :-1] -= g[..., 1:]
-    _acc(adj, vals, par[0], gx)
+    _acc(adj, shapes, par[0], gx)
 
 
-def _bk_pad_zero_first(g, par, aux, vals, adj):
-    _acc(adj, vals, par[0], np.asarray(g)[..., 1:])
+def _bk_pad_zero_first(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], np.asarray(g)[..., 1:])
 
 
 _BACKWARD = {
@@ -469,7 +519,8 @@ _BACKWARD = {
     "matvec": _bk_matvec,
     "sum_all": _bk_sum_all,
     "reduce_min": _bk_reduce_min,
-    "relu_dot": _bk_relu_dot,
+    "piecewise": _bk_piecewise,
+    "permute_last": _bk_permute_last,
     "cumsum_last": _bk_cumsum_last,
     "diff_keepfirst": _bk_diff_keepfirst,
     "pad_zero_first": _bk_pad_zero_first,

@@ -70,8 +70,9 @@ class TrainConfig:
         for name in ("batch", "steps", "m_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.episodes < 0:
-            raise ValueError(f"episodes must be at least 0, got {self.episodes}")
+        for name in ("episodes", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         for name in ("gamma", "rho"):

@@ -41,6 +41,18 @@ def subgraph_laplacian(inc, active: np.ndarray) -> np.ndarray:
     return cols @ cols.T
 
 
+def relu_units(w, s, b, sign: float) -> np.ndarray:
+    """Dense ReLU-unit sum: sum_j w[..., j] * relu(sign * s + b[..., j]) on
+    plain arrays, with w and b (n, m) and s (n,) or (..., n)."""
+    w, s, b = (np.asarray(value(a), dtype=float) for a in (w, s, b))
+    return (w * np.maximum(sign * s[..., None] + b, 0.0)).sum(axis=-1)
+
+
+def unit_sum(wp, wm, bp, bm, s) -> np.ndarray:
+    """Dense class-K map wp.relu(s + bp) + wm.relu(bm - s) on plain arrays."""
+    return relu_units(wp, s, bp, 1.0) + relu_units(wm, s, bm, -1.0)
+
+
 def dissipation_rate(net, eq, omega: np.ndarray, u: np.ndarray) -> float:
     """Time derivative of V along the flow: -sum D dev^2 + sum dev u."""
     dev = np.asarray(omega, dtype=float) - eq.omega_sync
@@ -95,11 +107,11 @@ def unguarded_control(policy, ready, lam, omega, p) -> ControlDecision:
     b = budget_vector(policy.inc, active, ready.xi)
     q = feedforward_term(policy.net, policy.inc, lam, omega, p)
     cap = stability_cap(policy.dtilde, policy.eq.omega_sync, omega, b)
-    alpha_hi = class_k_eval(*ready.hi, policy.omega_max - omega)
-    alpha_lo = class_k_eval(*ready.lo, policy.omega_min - omega)
+    alpha_hi = class_k_eval(ready.hi, policy.omega_max - omega)
+    alpha_lo = class_k_eval(ready.lo, policy.omega_min - omega)
     ub = minimum(cap, safe_div(alpha_hi, omega - ready.whi) + q)
     lb = maximum(cap, safe_div(alpha_lo, ready.wlo - omega) + q)
-    f = deadzone_eval(*ready.dz, ready.wlo, ready.whi, omega)
+    f = deadzone_eval(ready.dz, ready.wlo, ready.whi, omega)
     u = gated_control(relu(omega - ready.whi), relu(ready.wlo - omega), f, ub, lb)
     return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 

@@ -369,6 +369,49 @@ def test_bad_numeric_run_flag_exits_one_before_writing(files, capsys, command, f
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize(
+    "command, field, value, message",
+    [
+        ("simulate", "omega_range", -0.1, "SchemaError: {scenario}: scenario init_omega_range must be nonnegative"),
+        ("simulate", "p_frac", -0.1, "SchemaError: {scenario}: scenario init_p_frac must be nonnegative"),
+        ("simulate", "seed", -1, "ValueError: seed must be at least 0, got -1"),
+        ("compare", "seed", -1, "ValueError: seed must be at least 0, got -1"),
+        ("train", "seed", -1, "ValueError: seed must be at least 0, got -1"),
+    ],
+)
+def test_negative_sampling_range_or_seed_exits_one_before_writing(files, capsys, command, field, value, message):
+    scenario = files["dir"] / "scenario.json"
+    obj = json.loads(Path(files["train"]).read_text())
+    flag = []
+    if field == "seed":
+        flag = ["--seed", str(value)]
+    else:
+        obj["init"][field] = value
+    write_json(scenario, obj)
+    out, report = files["dir"] / "out.csv", files["dir"] / "r.json"
+    argv = {
+        "simulate": ["--out", str(out), "--report", str(report)],
+        "compare": ["--controller", "zero", "--out", str(out)],
+        "train": ["--episodes", "1", "--batch", "1", "--steps", "10", "--out", str(out), "--curve", str(report)],
+    }[command]
+    assert run([command, "--net", files["net"], "--scenario", str(scenario), *argv, *flag]) == 1
+    assert one_error_line(capsys).startswith(f"error: {message.format(scenario=scenario)}")
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize("window", ["-3", "nan", "inf"])
+def test_compare_checks_the_train_window_before_the_rollouts(files, capsys, monkeypatch, window):
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError("compare ran rollouts")
+
+    monkeypatch.setattr("swingctl.scenario_io.compare", no_rollouts)
+    out = files["dir"] / "cmp.csv"
+    argv = ["compare", "--net", files["net"], "--scenario", files["step"], "--controller", "zero"]
+    assert run([*argv, "--train-window", window, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert one_error_line(capsys).startswith("error: ValueError: cost window must be finite and >= 0")
+
+
 @pytest.mark.parametrize("label", ["a,b", "", "a\nb"])
 def test_compare_rejects_labels_that_break_the_table(files, capsys, monkeypatch, label):
     def no_rollouts(*args, **kwargs):

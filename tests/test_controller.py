@@ -5,7 +5,7 @@ structural invariants under random raw parameters, and the two baselines.
 import numpy as np
 import pytest
 
-from oracles import constraint_check, unguarded_control
+from oracles import constraint_check, relu_units, unguarded_control, unit_sum
 from swingctl import controller as C
 from swingctl import tape as tp
 from swingctl.dynamics import Scenario, rollout
@@ -30,9 +30,10 @@ def test_class_k_hand_case():
     wm = np.array([[-1.0, -0.5]])
     bp = np.array([[0.0, -1.0]])
     bm = np.array([[0.0, -1.0]])
-    assert value(C.class_k_eval(wp, wm, bp, bm, np.array([2.0])))[0] == 3.0
-    assert value(C.class_k_eval(wp, wm, bp, bm, np.array([-2.0])))[0] == -2.5
-    assert value(C.class_k_eval(wp, wm, bp, bm, np.array([0.0])))[0] == 0.0
+    tables = C.class_k_tables(wp, wm, bp, bm)
+    assert value(C.class_k_eval(tables, np.array([2.0])))[0] == 3.0
+    assert value(C.class_k_eval(tables, np.array([-2.0])))[0] == -2.5
+    assert value(C.class_k_eval(tables, np.array([0.0])))[0] == 0.0
 
 
 def test_class_k_reparam_at_zero():
@@ -70,8 +71,9 @@ def test_class_k_strictly_increasing_property():
         wp, wm = C.class_k_weights(w_raw, rng.normal(0, 1.5, size=(1, 4)))
         bp, bm = C.class_k_biases(b_raw, rng.normal(0, 1.5, size=(1, 3)))
         s = np.sort(rng.uniform(-2, 2, size=2))
-        lo = value(C.class_k_eval(wp, wm, bp, bm, np.array([s[0]])))[0]
-        hi = value(C.class_k_eval(wp, wm, bp, bm, np.array([s[1]])))[0]
+        tables = C.class_k_tables(wp, wm, bp, bm)
+        lo = value(C.class_k_eval(tables, np.array([s[0]])))[0]
+        hi = value(C.class_k_eval(tables, np.array([s[1]])))[0]
         if s[1] > s[0]:
             assert hi > lo
 
@@ -89,13 +91,13 @@ def test_class_k_gradient_matches_fd():
     def scalar(vals):
         wp, wm = C.class_k_weights(vals["wp"], vals["wm"])
         bp, bm = C.class_k_biases(vals["bp"], vals["bm"])
-        return float(value(C.class_k_eval(wp, wm, bp, bm, s))[0])
+        return float(value(C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), s))[0])
 
     t = Tape()
     leaves = {k: t.leaf(v) for k, v in raws.items()}
     wp, wm = C.class_k_weights(leaves["wp"], leaves["wm"])
     bp, bm = C.class_k_biases(leaves["bp"], leaves["bm"])
-    t.backward(tp.sum_all(C.class_k_eval(wp, wm, bp, bm, s)))
+    t.backward(tp.sum_all(C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), s)))
     h = 1e-5
     for k, x in raws.items():
         g = t.grad(leaves[k])
@@ -133,7 +135,7 @@ def test_class_k_fits_tanh_shaped_target():
         leaves = {k: t.leaf(v) for k, v in raw.items()}
         wp, wm = C.class_k_weights(leaves["wp"], leaves["wm"])
         bp, bm = C.class_k_biases(leaves["bp"], leaves["bm"])
-        pred = C.class_k_eval(wp, wm, bp, bm, grid.reshape(-1, 1))
+        pred = C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), grid.reshape(-1, 1))
         t.backward(tp.sum_all(tp.square(pred - target.reshape(-1, 1))))
         for k in raw:
             g = t.grad(leaves[k])
@@ -143,7 +145,7 @@ def test_class_k_fits_tanh_shaped_target():
     wp, wm = C.class_k_weights(raw["wp"], raw["wm"])
     bp, bm = C.class_k_biases(raw["bp"], raw["bm"])
     dense = np.linspace(-1.0, 1.0, 2001)
-    pred = value(C.class_k_eval(wp, wm, bp, bm, dense.reshape(-1, 1))).ravel()
+    pred = value(C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), dense.reshape(-1, 1))).ravel()
     assert np.abs(pred - np.tanh(2.0 * dense)).max() < 0.05
 
 
@@ -180,14 +182,83 @@ def test_threshold_strictly_inside_property():
 def test_deadzone_hand_cases():
     wlo, whi = np.array([-0.1]), np.array([0.1])
     zeros = np.array([[0.0]])
-    assert (
-        value(C.deadzone_eval(np.array([[2.0]]), zeros, zeros, zeros, wlo, whi, np.array([0.05])))[0]
-        == 0.0
-    )
-    f = C.deadzone_eval(np.array([[2.0]]), zeros, zeros, zeros, wlo, whi, np.array([0.2]))
+    upper = C.deadzone_tables(np.array([[2.0]]), zeros, zeros, zeros)
+    assert value(C.deadzone_eval(upper, wlo, whi, np.array([0.05])))[0] == 0.0
+    f = C.deadzone_eval(upper, wlo, whi, np.array([0.2]))
     assert abs(value(f)[0] - 0.2) < 1e-15
-    f = C.deadzone_eval(zeros, np.array([[1.0]]), zeros, zeros, wlo, whi, np.array([-0.3]))
+    f = C.deadzone_eval(C.deadzone_tables(zeros, np.array([[1.0]]), zeros, zeros), wlo, whi, np.array([-0.3]))
     assert abs(value(f)[0] - 0.2) < 1e-15
+
+
+def test_unit_tables_match_dense_sums(net3, inc3, eq3, spec_band):
+    # the per-rollout tables (dead-zone units sorted by bias) give the dense
+    # ReLU-unit sums of the unsorted parameters, batched and unbatched
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        params = rand_params(3, rng, m=6, scale=1.5, dz_amp=5.0)
+        raw = params.raw
+        ready = params.bind(spec_band, net3, inc3, eq3).precompute(raw)
+        dz_b = (-raw["dz_bp"] ** 2, -raw["dz_bm"] ** 2)
+        assert np.any(np.diff(dz_b[0], axis=-1) > 0)  # the raw order is unsorted
+        for shape in ((3,), (7, 3)):
+            omega = rng.uniform(-0.3, 0.3, shape)
+            hi = C.class_k_weights(raw["barrier_hi_wp"], raw["barrier_hi_wm"])
+            hi += C.class_k_biases(raw["barrier_hi_bp"], raw["barrier_hi_bm"])
+            s = 0.2 - omega
+            got, dense = value(C.class_k_eval(ready.hi, s)), unit_sum(*(value(x) for x in hi), s)
+            assert np.all(np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense)))
+            got = value(C.deadzone_eval(ready.dz, ready.wlo, ready.whi, omega))
+            dense = relu_units(raw["dz_wp"], omega - ready.whi_val, dz_b[0], 1.0)
+            dense += relu_units(raw["dz_wm"], omega - ready.wlo_val, dz_b[1], -1.0)
+            scale = relu_units(np.abs(raw["dz_wp"]), omega - ready.whi_val, dz_b[0], 1.0)
+            scale += relu_units(np.abs(raw["dz_wm"]), omega - ready.wlo_val, dz_b[1], -1.0)
+            assert np.all(np.abs(got - dense) <= 1e-13 * (1.0 + scale))
+
+
+def test_unit_sums_are_bitwise_zero_at_zero_and_in_the_dead_zone(net3, inc3, eq3, spec_band):
+    rng = np.random.default_rng(21)
+    zero = np.zeros((4, 3)).tobytes()
+    for _ in range(50):
+        params = rand_params(3, rng, scale=1.5, dz_amp=5.0)
+        ready = params.bind(spec_band, net3, inc3, eq3).precompute(params.raw)
+        for tables in (ready.hi, ready.lo):
+            for s in (np.zeros((4, 3)), np.full((4, 3), -0.0)):
+                assert np.asarray(value(C.class_k_eval(tables, s))).tobytes() == zero
+        omega = rng.uniform(ready.wlo_val, ready.whi_val, (4, 3))
+        omega[0] = ready.wlo_val  # on the thresholds themselves
+        omega[1] = ready.whi_val
+        f = value(C.deadzone_eval(ready.dz, ready.wlo, ready.whi, omega))
+        assert np.asarray(f).tobytes() == zero
+
+
+def test_deadzone_gradient_matches_fd():
+    # through the sort: raws whose bias order differs between the branches
+    rng = np.random.default_rng(4)
+    raws = {k: rng.normal(0, 0.7, (2, 4)) for k in ("dz_wp", "dz_wm", "dz_bp", "dz_bm")}
+    wlo, whi = np.array([-0.1, -0.05]), np.array([0.08, 0.1])
+    omega = np.array([[0.6, -0.7], [-0.5, 0.9]])
+
+    def scalar(vals):
+        tables = C.deadzone_tables(*C.deadzone_weights(vals))
+        return float(np.sum(value(C.deadzone_eval(tables, wlo, whi, omega))))
+
+    t = Tape()
+    leaves = {k: t.leaf(v) for k, v in raws.items()}
+    tables = C.deadzone_tables(*C.deadzone_weights(leaves))
+    t.backward(tp.sum_all(C.deadzone_eval(tables, wlo, whi, omega)))
+    h = 1e-6
+    for k, x in raws.items():
+        g = t.grad(leaves[k])
+        assert np.any(g != 0.0), k
+        for i in range(x.size):
+            keep = x.reshape(-1)[i]
+            x.reshape(-1)[i] = keep + h
+            up = scalar(raws)
+            x.reshape(-1)[i] = keep - h
+            dn = scalar(raws)
+            x.reshape(-1)[i] = keep
+            fd = (up - dn) / (2 * h)
+            assert abs(g.reshape(-1)[i] - fd) <= 1e-6 * max(1.0, abs(fd)), (k, i)
 
 
 def test_deadzone_exactness_property(net3, inc3, eq3, spec_band):
@@ -431,8 +502,8 @@ def test_projected_control_meets_cap_and_barrier_where_they_bind(net3, inc3, eq3
         lo = C.class_k_weights(raw["barrier_lo_wp"], raw["barrier_lo_wm"])
         lo += C.class_k_biases(raw["barrier_lo_bp"], raw["barrier_lo_bm"])
         q = net3.damping * omega + np.sin(lam) @ inc3.by_mat.T - p
-        bar_hi = value(C.class_k_eval(*hi, band - omega)) / (omega - whi) + q
-        bar_lo = value(C.class_k_eval(*lo, -band - omega)) / (wlo - omega) + q
+        bar_hi = unit_sum(*hi, band - omega) / (omega - whi) + q
+        bar_lo = unit_sum(*lo, -band - omega) / (wlo - omega) + q
         slack_bar = np.where(above, bar_hi - u, u - bar_lo)
         tol = 1e-9 * (1.0 + np.abs(np.where(above, bar_hi, bar_lo)))
         assert np.all(slack_bar >= -tol), f"barrier exceeded by {-(slack_bar + tol).min():.3e}"
@@ -495,14 +566,27 @@ def test_validate_policy_flags_violations(net2, inc2, eq2, spec_band):
     ready = policy.precompute(params.raw)
     policy.validate(ready)  # reparameterized tensors always pass
     broken = policy.precompute(params.raw)
-    wp, wm, _, bm = broken.dz
-    broken.dz = (wp, wm, np.abs(np.asarray(value(ready.dz[2]))) + 0.1, bm)
+    (w_p, c_p, thr_p), minus = broken.dz
+    broken.dz = ((w_p, c_p, thr_p - 0.1), minus)  # a dead-zone bias above zero
     with pytest.raises(C.PolicyError, match="dz_bp"):
         policy.validate(broken)
     shifted = policy.precompute(params.raw)
     shifted.wlo_val = np.array([-0.3, -0.3])  # escaped the band
     with pytest.raises(C.PolicyError, match="lower threshold"):
         policy.validate(shifted)
+    # the class-K rules, read from the barrier tables
+    W, c, thr = ready.hi[1]
+    unordered = thr.copy()
+    unordered[:, 1] = thr[:, 2] + 0.1
+    for minus, message in (
+        ((np.abs(np.asarray(value(W))), c, thr), "negative-branch partial sum"),
+        ((W, c, thr + 0.1), "first bias is not pinned"),
+        ((W, c, unordered), "biases increase along the units"),
+    ):
+        broken = policy.precompute(params.raw)
+        broken.hi = (broken.hi[0], minus)
+        with pytest.raises(C.PolicyError, match=f"barrier_hi: .*{message}"):
+            policy.validate(broken)
 
 
 def test_safety_spec_validation():

@@ -1,6 +1,7 @@
 """Finite-difference checks of every tape op plus the pinned subgradient
-conventions: relu'(0) = 0 (also inside the fused relu_dot), min/max route
-ties to the first argument, reduce_min routes to the first attaining index.
+conventions: relu'(0) = 0 (also for a unit exactly at its threshold inside
+`piecewise`), min/max route ties to the first argument, reduce_min routes to
+the first attaining index.
 """
 
 from functools import partial
@@ -8,6 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from oracles import relu_units
 from swingctl import tape as tp
 from swingctl.tape import Node, Tape, TapeError, value
 
@@ -130,24 +132,34 @@ def test_reduce_min_sum_all_grads():
     assert np.array_equal(g, expect)
 
 
-def relu_dot_args(s_shape, seed):
-    """(w, s, b) with both branches' pre-activations off the kink, for FD."""
+def unit_tables(w, b):
+    """(W, C, thr) of sum_j w_j relu(x + b_j) for non-increasing b, with W and
+    C built by tape ops (so w and b may be leaves)."""
+    vb = np.asarray(value(b))
+    thr = np.concatenate([-vb, np.full(vb.shape[:-1] + (1,), np.inf)], axis=-1)
+    return tp.pad_zero_first(tp.cumsum_last(w)), tp.pad_zero_first(tp.cumsum_last(w * b)), thr
+
+
+def piecewise_args(s_shape, seed):
+    """(W, C, thr, s) for 3 rows of 5 units, biases non-increasing, with
+    every x + b_j off the kink at both signs, for FD."""
     rng = np.random.default_rng(seed)
     w = rng.normal(size=(3, 5))
+    b = -np.sort(rng.uniform(-1.0, 1.0, size=(3, 5)), axis=-1)
     s = rng.uniform(-1.0, 1.0, size=s_shape)
-    b = rng.uniform(-1.0, 1.0, size=(3, 5))
     assert min(np.abs(s[..., None] + b).min(), np.abs(b - s[..., None]).min()) > 1e-4
-    return {"w": w, "s": s, "b": b}
+    W, C, thr = unit_tables(w, b)
+    return {"W": W, "C": C, "s": s}, thr, (w, b)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("s_shape", [(4, 3), (3,)])
-def test_relu_dot_matches_fd(sign, s_shape):
-    args = relu_dot_args(s_shape, seed=int(sign > 0) + 2 * len(s_shape))
+def test_piecewise_matches_fd(sign, s_shape):
+    args, thr, _ = piecewise_args(s_shape, seed=int(sign > 0) + 2 * len(s_shape))
     proj = np.random.default_rng(1).normal(size=s_shape)
 
     def call(a):
-        return tp.relu_dot(a["w"], a["s"], a["b"], sign)
+        return tp.piecewise(a["W"], a["C"], thr, a["s"], sign)
 
     fd = {}
     for name in args:  # one argument a tape leaf, the other two plain arrays
@@ -166,13 +178,13 @@ def test_relu_dot_matches_fd(sign, s_shape):
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_relu_dot_subgradient_zero_at_kink(sign):
-    # unit 0 is active (pre-activation 1), unit 1 sits exactly at 0
+def test_piecewise_subgradient_zero_at_threshold(sign):
+    # unit 0 is active (x + b = 1), unit 1 sits exactly at its threshold
     w = np.array([[2.0, 3.0]])
     b = np.array([[0.0, -1.0]]) if sign > 0 else np.array([[2.0, 1.0]])
     t = Tape()
     lw, ls, lb = t.leaf(w), t.leaf(np.array([1.0])), t.leaf(b)
-    out = tp.relu_dot(lw, ls, lb, sign)
+    out = tp.piecewise(*unit_tables(lw, lb), ls, sign)
     assert np.array_equal(value(out), [2.0])
     t.backward(tp.sum_all(out))
     assert np.array_equal(t.grad(lw), [[1.0, 0.0]])
@@ -181,16 +193,44 @@ def test_relu_dot_subgradient_zero_at_kink(sign):
 
 
 @pytest.mark.parametrize("s_shape", [(4, 3), (3,)])
-def test_relu_dot_value_is_the_unfused_expression(s_shape):
-    a = relu_dot_args(s_shape, seed=7)
-    w, s, b = a["w"], a["s"], a["b"]
-    plus = (w * np.maximum(s[..., None] + b, 0.0)).sum(-1)
-    minus = (w * np.maximum(b - s[..., None], 0.0)).sum(-1)
-    assert np.array_equal(tp.relu_dot(w, s, b, 1.0), plus)
-    assert np.array_equal(tp.relu_dot(w, s, b, -1.0), minus)
-    t = Tape()
-    assert np.array_equal(value(tp.relu_dot(t.leaf(w), t.leaf(s), b, 1.0)), plus)
-    assert np.array_equal(value(tp.relu_dot(w, t.leaf(s), t.leaf(b), -1.0)), minus)
+def test_piecewise_value_matches_dense_sum(s_shape):
+    args, _, (w, b) = piecewise_args(s_shape, seed=7)
+    b[0, 1:3] = b[0, 3]  # tied biases
+    W, C, thr = unit_tables(w, b)
+    s = args["s"].copy()
+    s[..., 0] = -b[0, 3]  # on a threshold at sign +1
+    s[..., 1] = b[1, 2]  # on a threshold at sign -1
+    for sign in (1.0, -1.0):
+        dense = relu_units(w, s, b, sign)
+        scale = relu_units(np.abs(w), s, b, sign) + np.abs(s) * np.abs(w).sum(-1)
+        got = tp.piecewise(W, C, thr, s, sign)
+        assert np.all(np.abs(got - dense) <= 1e-13 * scale), sign
+        t = Tape()
+        assert value(tp.piecewise(t.leaf(W), C, thr, t.leaf(s), sign)).tobytes() == got.tobytes()
+
+
+def test_piecewise_is_exactly_zero_with_no_unit_active():
+    w = np.array([[0.7, -1.3, 2.0], [1.0, 1.0, 1.0]])
+    b = np.array([[0.0, -0.5, -0.5], [-0.1, -0.2, -0.3]])
+    W, C, thr = unit_tables(w, b)
+    s = np.array([[0.0, 0.1], [-0.0, -2.0], [-0.5, 0.05]])  # x <= -b_0 on every row
+    out = tp.piecewise(W, C, thr, s, 1.0)
+    assert out.tobytes() == np.zeros_like(out).tobytes()
+    out = tp.piecewise(W, C, thr, -s, -1.0)
+    assert out.tobytes() == np.zeros_like(out).tobytes()
+
+
+@pytest.mark.parametrize("a_shape", [(2, 4), (3, 2, 4)])
+def test_permute_last_matches_fd_and_reorders(a_shape):
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=a_shape)
+    perm = np.argsort(rng.normal(size=a_shape), axis=-1)
+    out = tp.permute_last(a, perm)
+    assert np.array_equal(out, np.take_along_axis(a, perm, axis=-1))
+    proj = rng.normal(size=a_shape)
+    g, _ = tape_grad(lambda leaf: tp.sum_all(tp.permute_last(leaf, perm) * proj), a.copy())
+    ref = fd_grad(lambda x: float(np.sum(np.take_along_axis(x, perm, axis=-1) * proj)), a.copy())
+    assert np.abs(g - ref).max() < 1e-6
 
 
 def test_quadratic_toy():
@@ -253,8 +293,13 @@ def dispatch_cases():
     cases = [(op.__name__, op, (x,), (0,)) for op in unary]
     cases += [(name, op, (x, y), (0, 1)) for name, op in BINARY.items()]
     cases += [("safe_div", tp.safe_div, (x, y), (0, 1)), ("matvec", partial(tp.matvec, mat), (x,), (0,))]
+    W, C, thr = unit_tables(w, -np.sort(b, axis=-1))
+    s[0, 0] = -thr[0, 1]  # an input exactly on a threshold
     for sign in (1.0, -1.0):
-        cases.append(("relu_dot", lambda *a, sg=sign: tp.relu_dot(*a, sg), (w, s, b), (0, 1, 2)))
+        op = lambda W_, C_, s_, sg=sign: tp.piecewise(W_, C_, thr, s_, sg)  # noqa: E731
+        cases.append(("piecewise", op, (W, C, s), (0, 1, 2)))
+    perm = np.argsort(b, axis=-1)
+    cases.append(("permute_last", lambda a: tp.permute_last(a, perm), (b,), (0,)))
     return cases
 
 
@@ -300,6 +345,23 @@ def test_grad_of_interior_node_raises():
         t.grad(mid)
     assert np.array_equal(t.grad(a), [2.0, 4.0])
     assert all(g is None for i, g in enumerate(t.adj) if i != a.idx)
+
+
+def test_tape_keeps_a_value_only_while_a_handle_or_rule_holds_it():
+    t = Tape()
+    a = t.leaf(np.array([1.0, -2.0]))
+    b = tp.add(a, 1.0)  # square's rule reads b's value
+    c = tp.square(b)
+    d = tp.add(c, 3.0)  # no rule reads c's or d's value
+    ids = b.idx, c.idx, d.idx
+    root = tp.sum_all(d)
+    del b, c, d
+    vals = t.vals
+    assert np.array_equal(vals[ids[0]], [2.0, -1.0])
+    assert vals[ids[1]] is None and vals[ids[2]] is None
+    assert t.shapes[ids[2]] == (2,)
+    t.backward(root)
+    assert np.array_equal(t.grad(a), [4.0, -2.0])
 
 
 def test_backward_rejects_foreign_root():

@@ -220,8 +220,9 @@ def test_gradient_matches_fd_single_draw(net2, inc2, eq2, spec_band):
 
 
 def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_band):
-    # B=4, K=20: every stored value is at most (B, n) or a (n, m) parameter;
-    # a (B, n, m) ReLU-unit temporary would have three dimensions
+    # B=4, K=20: every node value and backward cache is at most (B, n) or
+    # a (n, m+1) table; a (B, n, m) ReLU-unit temporary would have three
+    # dimensions. A piecewise node's active-unit counts take one byte each.
     adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
     rng = np.random.default_rng(5)
     omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
@@ -233,8 +234,11 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
         adapter, net3, inc3, eq3, leaves, lam0, omega0, np.tile(net3.p_nom, (20, 1)), noise,
         40.0, 500.0, 5e-3,
     )
-    assert max(np.ndim(v) for v in tp.vals) <= 2
-    assert "relu_dot" in tp.kinds
+    assert max(len(shape) for shape in tp.shapes) <= 2
+    stored = [a for aux in tp.aux for a in (aux if isinstance(aux, tuple) else (aux,))]
+    assert max(np.ndim(a) for a in stored) <= 2
+    counts = [aux[2] for kind, aux in zip(tp.kinds, tp.aux) if kind == "piecewise"]
+    assert counts and all(k.shape == (4, 3) and k.itemsize == 1 for k in counts)
     tp.backward(loss)
     with pytest.raises(ValueError, match=f"node {loss.idx} "):
         tp.grad(loss)
