@@ -16,17 +16,25 @@ The learned controller composes, per bus:
     dead zone. |xi| is capped so that the per-bus budget never exceeds the
     damping margin at the thresholds.
 
-The assembled control is
+The assembled control is, with dhi = w - whi and dlo = wlo - w,
 
-  u_i = relu(w_i - whi_i) * (f_i - relu(f_i - ub_i))
-      + relu(wlo_i - w_i) * (f_i + relu(lb_i - f_i))
+  u_i = relu(dhi_i) * (f_i - relu(f_i - ub_i))
+      + relu(dlo_i) * (f_i + relu(lb_i - f_i))
 
-with ub = min(stability cap, upper safety barrier) and lb the mirrored max.
-This form is differentiable almost everywhere and exactly zero inside the
-dead zone, but because the ReLU gates scale rather than select, the raw
-output can exceed [lb, ub] for states far from a threshold or when a cap goes
-negative; `project_control` clamps it, which is how certified evaluation
-runs are produced.
+with ub = min(stability cap, alpha_hi / dhi + q) (the upper safety barrier)
+and lb the mirrored max, q the local feedforward. This form is
+differentiable almost everywhere and exactly zero inside the dead zone, but
+because the ReLU gates scale rather than select, the raw output can exceed
+[lb, ub] for states far from a threshold or when a cap goes negative;
+`project_control` clamps it, which is how certified evaluation runs are
+produced.
+
+At an active state `control` computes dhi and dlo once each and feeds them
+to the dead-zone response, both bounds and the gate. The feedforward q, the
+stability cap, each bound and the gate are one fused tape kernel each
+(`tape.feedforward`, `tape.stability_cap`, `tape.barrier_bound`,
+`tape.gate`), and the budgets use the edge differences B^T xi that
+`precompute` builds once per rollout.
 
 Both policy kinds (this one and the decentralized monotone baseline) share
 one interface: a params class knows its kind tag, trainable keys and array
@@ -56,21 +64,21 @@ import numpy as np
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
 from .tape import (
+    barrier_bound,
     cumsum_last,
     diff_keepfirst,
+    feedforward,
+    gate,
     matvec,
-    maximum,
     minimum,
     pad_zero_first,
     permute_last,
     piecewise,
     reduce_min,
-    relu,
-    safe_div,
     sigmoid,
-    sin,
     softplus,
     square,
+    stability_cap,
     tanh,
     value,
 )
@@ -321,12 +329,12 @@ def deadzone_tables(wp, wm, bp, bm) -> tuple:
     return tuple(tables)
 
 
-def deadzone_eval(tables, wlo, whi, omega):
+def deadzone_eval(tables, dhi, dlo):
     """Trainable response, exactly zero for omega in [wlo, whi] when bp,bm <= 0:
-    wp.relu(omega - whi + bp) + wm.relu(bm - omega + wlo), from the
-    `deadzone_tables` built once per rollout."""
+    wp.relu(dhi + bp) + wm.relu(dlo + bm) with dhi = omega - whi and
+    dlo = wlo - omega, from the `deadzone_tables` built once per rollout."""
     plus, minus = tables
-    return piecewise(*plus, omega - whi, 1.0) + piecewise(*minus, omega - wlo, -1.0)
+    return piecewise(*plus, dhi, 1.0) + piecewise(*minus, dlo, 1.0)
 
 
 # ------------------------------------------------------------ assembled policy
@@ -346,13 +354,15 @@ class PolicyReady:
 
     hi, lo and dz are (plus, minus) pairs of `unit_table`s: the upper and
     lower barriers' class-K networks and the dead-zone response, whose units
-    are sorted by bias. wlo_val/whi_val are the thresholds as plain values,
+    are sorted by bias. edge_xi = B^T xi holds the edge differences of the
+    budget potentials. wlo_val/whi_val are the thresholds as plain values,
     for the dead-zone mask.
     """
 
     wlo: object
     whi: object
     xi: object
+    edge_xi: object
     hi: tuple
     lo: tuple
     dz: tuple
@@ -366,30 +376,20 @@ def active_mask(ready: PolicyReady, omega) -> np.ndarray:
     return (w < ready.wlo_val) | (w > ready.whi_val)
 
 
-def budget_vector(inc: Incidence, active: np.ndarray, xi):
-    """b = L_sub @ xi without forming L_sub: gate edge differences of xi.
+def budget_vector(inc: Incidence, active: np.ndarray, edge_xi):
+    """b = L_sub @ xi without forming L_sub: gate the edge differences
+    edge_xi = B^T xi (`PolicyReady.edge_xi`) by the edges whose two ends are
+    active.
 
     `active` may be batched (..., n); the result matches its leading shape.
     """
     on = active[..., inc.edge_ends[:, 0]] & active[..., inc.edge_ends[:, 1]]
-    edge_diff = matvec(inc.b_mat.T, xi)
-    return matvec(inc.b_mat, on.astype(float) * edge_diff)
+    return matvec(inc.b_mat, on.astype(float) * edge_xi)
 
 
 def feedforward_term(net: PowerNetwork, inc: Incidence, lam, omega, p):
     """Local injection mismatch q = D w + (B Yb sin lam) - p from measurements."""
-    return net.damping * omega + matvec(inc.by_mat, sin(lam)) - p
-
-
-def stability_cap(dtilde, omega_sync, omega, b):
-    """Damping-budget cap D_tilde dev + b / dev, dev = omega - sync."""
-    dev = omega - omega_sync
-    return dtilde * dev + safe_div(b, dev)
-
-
-def gated_control(gate_hi, gate_lo, f, ub, lb):
-    """The assembled control described in the module docstring."""
-    return gate_hi * (f - relu(f - ub)) + gate_lo * (f + relu(lb - f))
+    return feedforward(lam, omega, p, net.damping, inc.by_mat)
 
 
 @dataclass
@@ -491,10 +491,12 @@ class ConstrainedAdapter(BoundPolicy):
         wlo, whi = threshold_map(
             raw_like["thr_lo"], raw_like["thr_hi"], sync, self.omega_min, self.omega_max
         )
+        xi = budget_potentials(raw_like["budget_raw"], wlo, whi, sync, self.dtilde, self.inc.row_l1)
         return PolicyReady(
             wlo=wlo,
             whi=whi,
-            xi=budget_potentials(raw_like["budget_raw"], wlo, whi, sync, self.dtilde, self.inc.row_l1),
+            xi=xi,
+            edge_xi=matvec(self.inc.b_mat.T, xi),
             hi=hi,
             lo=lo,
             dz=deadzone_tables(*deadzone_weights(raw_like)),
@@ -509,15 +511,13 @@ class ConstrainedAdapter(BoundPolicy):
         if not active.any():
             zero = np.zeros(active.shape)
             return ControlDecision(u=zero, budgets=zero, active=active, upper=zero, lower=zero)
-        b = budget_vector(self.inc, active, ready.xi)
+        dhi, dlo = omega - ready.whi, ready.wlo - omega
+        b = budget_vector(self.inc, active, ready.edge_xi)
         q = feedforward_term(self.net, self.inc, lam, omega, p)
         cap = stability_cap(self.dtilde, self.eq.omega_sync, omega, b)
-        alpha_hi = class_k_eval(ready.hi, self.omega_max - omega)
-        alpha_lo = class_k_eval(ready.lo, self.omega_min - omega)
-        ub = minimum(cap, safe_div(alpha_hi, omega - ready.whi) + q)
-        lb = maximum(cap, safe_div(alpha_lo, ready.wlo - omega) + q)
-        f = deadzone_eval(ready.dz, ready.wlo, ready.whi, omega)
-        u = gated_control(relu(omega - ready.whi), relu(ready.wlo - omega), f, ub, lb)
+        ub = barrier_bound(cap, class_k_eval(ready.hi, self.omega_max - omega), dhi, q, upper=True)
+        lb = barrier_bound(cap, class_k_eval(ready.lo, self.omega_min - omega), dlo, q, upper=False)
+        u = gate(dhi, dlo, deadzone_eval(ready.dz, dhi, dlo), ub, lb)
         return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
     def validate(self, ready: PolicyReady) -> None:

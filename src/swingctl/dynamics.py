@@ -21,7 +21,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium, energy, in_region, solve_equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import matvec, sin, value
+from .tape import euler_angles, euler_freqs, matvec, sin, value
 
 
 class IntegrationError(RuntimeError):
@@ -124,8 +124,12 @@ def swing_rhs(net: PowerNetwork, inc: Incidence, lam, omega, u, p):
 
 
 def euler_step(net: PowerNetwork, inc: Incidence, lam, omega, u, p, dt: float):
-    dlam, domega = swing_rhs(net, inc, lam, omega, u, p)
-    return lam + dt * dlam, omega + dt * domega
+    """(lam + dt * dlam, omega + dt * domega) with (dlam, domega) = swing_rhs,
+    bitwise; each update is one fused tape kernel."""
+    return (
+        euler_angles(lam, omega, inc.b_mat, dt),
+        euler_freqs(lam, omega, u, p, net.damping, net.inertia, inc.by_mat, dt),
+    )
 
 
 def rk4_step(net: PowerNetwork, inc: Incidence, lam, omega, u, p, dt: float):

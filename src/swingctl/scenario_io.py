@@ -381,6 +381,10 @@ def _read_table(path, schema: str, header_of) -> tuple[dict, list[str], np.ndarr
     path = Path(path)
     if not path.exists():
         raise SchemaError(f"file not found: {path}")
+    # An upper bound on the rows lets loadtxt allocate the array once instead
+    # of growing it by reallocation, which can copy it on a fragmented heap.
+    with open(path, "rb") as raw:
+        lines = sum(block.count(b"\n") for block in iter(lambda: raw.read(1 << 20), b""))
     with open(path) as fh:
         first = fh.readline()
         if not first.startswith("# "):
@@ -397,7 +401,7 @@ def _read_table(path, schema: str, header_of) -> tuple[dict, list[str], np.ndarr
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=lines - 1)
         except ValueError as e:
             raise SchemaError(f"{path}: non-numeric or ragged row: {e}") from e
     if data.shape[0] == 0:

@@ -1,15 +1,27 @@
 """Reverse-mode automatic differentiation on a flat tape of numpy ops.
 
 The op set is exactly what the rollout, controller and loss need, nothing
-more: elementwise arithmetic and activations, min/max, a constant matvec,
-sum/min reductions, last-axis prefix sums, differences and zero padding,
-`permute_last` (a constant per-row reordering of the last axis) and
-`piecewise`, the ReLU-unit sum of the class-K and dead-zone maps evaluated
-as one linear piece from prefix tables. Every recorded node stores its op
-kind, parent indices, output shape and the cached locals its backward rule
-needs; a value stays alive only while a Node handle or such a cache holds it.
-Adjoints fill a parallel buffer in a single reverse sweep that keeps only
-leaf ones.
+more. General ops: elementwise arithmetic and activations, `minimum`, a
+constant matvec, a min reduction, last-axis prefix sums, differences and zero
+padding, and `permute_last` (a constant per-row reordering of the last axis).
+Fused kernels, one node each with a hand-written backward rule, for the
+per-step hot path of a training episode:
+
+  * `piecewise`: the ReLU-unit sum of the class-K and dead-zone maps,
+    evaluated as one linear piece from prefix tables;
+  * `euler_angles`, `euler_freqs`: the two explicit Euler updates of the
+    swing state;
+  * `feedforward`, `stability_cap`, `barrier_bound`, `gate`: the terms of
+    the constrained control law;
+  * `sq_dist`, `sum_seq`: a loss term's sum of squares and the left-to-right
+    sum of the per-step terms.
+
+Each fused kernel evaluates the numpy expression of the composed ops it
+stands for, in the same order, so its value is bitwise the composed one.
+Every recorded node stores its op kind, parent indices, output shape and the
+cached locals its backward rule needs; a value stays alive only while a Node
+handle or such a cache holds it. Adjoints fill a parallel buffer in a single
+reverse sweep that keeps only leaf ones.
 
 A `piecewise` node stores no (..., n, m) temporary: it keeps references to
 the weight table and to s, plus the count k of active units per entry in the
@@ -17,10 +29,12 @@ smallest unsigned type that holds m (one byte up to 255 units).
 
 Subgradient conventions (pinned by tests):
   * relu'(0) = 0 (the mask is x > 0, strictly; a unit exactly at its
-    threshold is inactive in `piecewise` too)
-  * minimum/maximum route the adjoint entirely to the attaining argument,
-    first argument on ties
+    threshold is inactive in `piecewise`, and `gate` treats its ReLUs so)
+  * minimum, and the min/max of `barrier_bound`, route the adjoint entirely
+    to the attaining argument, first argument on ties
   * reduce_min routes to the first attaining index in C order
+  * a denominator floored at +/-_TINY (`stability_cap`, `barrier_bound`)
+    gets no adjoint
 
 All functions below accept either `Node`s or plain numpy arrays / scalars and
 broadcast like numpy. Each computes its value and backward cache once and
@@ -36,7 +50,7 @@ import weakref
 
 import numpy as np
 
-_TINY = 1e-12  # safe_div denominator floor
+_TINY = 1e-12  # floor of |denominator| in stability_cap and barrier_bound
 
 
 class TapeError(RuntimeError):
@@ -128,8 +142,9 @@ class Tape:
         return Node(self, len(self.kinds) - 1, val)
 
     def backward(self, root: Node, check_finite: bool = False) -> None:
-        """Fill the leaf adjoints by one reverse sweep from `root`; an interior
-        adjoint is dropped as soon as its rule has pushed it to the parents.
+        """Fill the leaf adjoints of the sum of `root`'s entries by one reverse
+        sweep; an interior adjoint is dropped as soon as its rule has pushed
+        it to the parents.
 
         With check_finite=True every visited adjoint is tested and the first
         non-finite one aborts the sweep; the checked mode exists to locate
@@ -192,13 +207,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _acc(adj, shapes, idx, g):
+    """Add g to node idx's adjoint; the first contribution is copied in, since
+    a rule may hand one array to several parents."""
     if idx is None:
         return
-    cur = adj[idx]
-    if cur is None:
-        adj[idx] = np.zeros(shapes[idx])
-        cur = adj[idx]
-    cur += _unbroadcast(np.asarray(g), shapes[idx])
+    g = _unbroadcast(np.asarray(g), shapes[idx])
+    if adj[idx] is None:
+        adj[idx] = g.copy()
+    else:
+        adj[idx] += g
 
 
 def _node(kind: str, args: tuple, aux, out):
@@ -233,19 +250,6 @@ def div(a, b):
     return _node("div", (a, b), (va, vb), va / vb)
 
 
-def safe_div(a, b):
-    """a / b with |denominator| floored at _TINY.
-
-    The floor keeps forward values finite where a surrounding gate is exactly
-    zero anyway; the backward rule treats the floored region as constant in b,
-    which is the a.e. derivative of the clamped function.
-    """
-    va, vb = _val(a), _val(b)
-    live = np.abs(vb) >= _TINY
-    bhat = np.where(live, vb, np.where(vb < 0, -_TINY, _TINY))
-    return _node("safe_div", (a, b), (va, bhat, live), va / bhat)
-
-
 def neg(a):
     return _node("neg", (a,), None, -_val(a))
 
@@ -253,11 +257,6 @@ def neg(a):
 def sin(a):
     va = _val(a)
     return _node("sin", (a,), va, np.sin(va))
-
-
-def relu(a):
-    va = _val(a)
-    return _node("relu", (a,), va, np.maximum(va, 0.0))
 
 
 def sigmoid(a):
@@ -292,12 +291,6 @@ def minimum(a, b):
     return _node("minimum", (a, b), take, np.where(take, va, vb))
 
 
-def maximum(a, b):
-    va, vb = _val(a), _val(b)
-    take = va >= vb  # first argument wins ties
-    return _node("maximum", (a, b), take, np.where(take, va, vb))
-
-
 def matvec(mat: np.ndarray, x):
     """x @ mat.T for a constant matrix (equals mat @ x on 1-d input).
 
@@ -306,16 +299,41 @@ def matvec(mat: np.ndarray, x):
     return _node("matvec", (x,), mat, _val(x) @ mat.T)
 
 
-def sum_all(a):
-    va = _val(a)
-    return _node("sum_all", (a,), va.shape, np.asarray(va.sum()))
-
-
 def reduce_min(a):
     """Scalar minimum of an array; adjoint goes to the first attaining entry."""
     va = _val(a)
     k = int(np.argmin(va))
     return _node("reduce_min", (a,), k, np.asarray(va.reshape(-1)[k]))
+
+
+def permute_last(a, perm: np.ndarray):
+    """a reordered along its last axis by a constant index array `perm` of
+    a's shape, each row of it a permutation."""
+    return _node("permute_last", (a,), perm, np.take_along_axis(_val(a), perm, axis=-1))
+
+
+def cumsum_last(a):
+    return _node("cumsum_last", (a,), None, np.cumsum(_val(a), axis=-1))
+
+
+def diff_keepfirst(a):
+    """out[..., 0] = a[..., 0]; out[..., j] = a[..., j] - a[..., j-1]."""
+    va = _val(a)
+    out = np.empty_like(va)
+    out[..., 0] = va[..., 0]
+    out[..., 1:] = va[..., 1:] - va[..., :-1]
+    return _node("diff_keepfirst", (a,), None, out)
+
+
+def pad_zero_first(a):
+    """Prepend a zero column along the last axis: (..., k) -> (..., k+1)."""
+    va = _val(a)
+    out = np.zeros(va.shape[:-1] + (va.shape[-1] + 1,), dtype=float)
+    out[..., 1:] = va
+    return _node("pad_zero_first", (a,), None, out)
+
+
+# ------------------------------------------------ fused per-step kernels
 
 
 def piecewise(W, C, thr, s, sign: float):
@@ -346,31 +364,75 @@ def _row_offsets(shape: tuple) -> np.ndarray:
     return off
 
 
-def permute_last(a, perm: np.ndarray):
-    """a reordered along its last axis by a constant index array `perm` of
-    a's shape, each row of it a permutation."""
-    return _node("permute_last", (a,), perm, np.take_along_axis(_val(a), perm, axis=-1))
+def _floored(vd):
+    """(live, dhat): where |d| >= _TINY, and d with its magnitude floored
+    there (d itself when no entry needs the floor)."""
+    live = np.abs(vd) >= _TINY
+    if np.count_nonzero(live) == live.size:
+        return live, vd
+    return live, np.where(live, vd, np.where(vd < 0, -_TINY, _TINY))
 
 
-def cumsum_last(a):
-    return _node("cumsum_last", (a,), None, np.cumsum(_val(a), axis=-1))
+def euler_angles(lam, omega, b_mat: np.ndarray, dt: float):
+    """Explicit Euler update of the edge angles, lam + dt * (omega @ b_mat),
+    for the constant (n, m) incidence matrix b_mat."""
+    out = _val(lam) + dt * (_val(omega) @ b_mat)
+    return _node("euler_angles", (lam, omega), (b_mat, dt), out)
 
 
-def diff_keepfirst(a):
-    """out[..., 0] = a[..., 0]; out[..., j] = a[..., j] - a[..., j-1]."""
-    va = _val(a)
-    out = np.empty_like(va)
-    out[..., 0] = va[..., 0]
-    out[..., 1:] = va[..., 1:] - va[..., :-1]
-    return _node("diff_keepfirst", (a,), None, out)
+def euler_freqs(lam, omega, u, p, damping, inertia, by_mat: np.ndarray, dt: float):
+    """Explicit Euler update of the bus frequencies,
+    omega + dt * (u + p - D omega - sin(lam) @ by_mat.T) / M, for constant
+    per-bus damping D and inertia M and the (n, m) matrix by_mat."""
+    vlam, vomega = _val(lam), _val(omega)
+    rate = (_val(u) + _val(p) - damping * vomega - np.sin(vlam) @ by_mat.T) / inertia
+    return _node("euler_freqs", (lam, omega, u, p), (vlam, damping, inertia, by_mat, dt), vomega + dt * rate)
 
 
-def pad_zero_first(a):
-    """Prepend a zero column along the last axis: (..., k) -> (..., k+1)."""
-    va = _val(a)
-    out = np.zeros(va.shape[:-1] + (va.shape[-1] + 1,), dtype=float)
-    out[..., 1:] = va
-    return _node("pad_zero_first", (a,), None, out)
+def feedforward(lam, omega, p, damping, by_mat: np.ndarray):
+    """Local injection mismatch q = D omega + sin(lam) @ by_mat.T - p."""
+    vlam = _val(lam)
+    out = damping * _val(omega) + np.sin(vlam) @ by_mat.T - _val(p)
+    return _node("feedforward", (lam, omega, p), (vlam, damping, by_mat), out)
+
+
+def stability_cap(dtilde, omega_sync, omega, b):
+    """Damping-budget cap D_tilde dev + b / dev with dev = omega - omega_sync,
+    |dev| floored at _TINY; D_tilde and omega_sync are constants."""
+    dev = _val(omega) - omega_sync
+    vb = _val(b)
+    return _node("stability_cap", (omega, b), (dtilde, vb, dev), dtilde * dev + vb / _floored(dev)[1])
+
+
+def barrier_bound(cap, alpha, d, q, upper: bool):
+    """min(cap, alpha / d + q) when `upper`, else max(cap, alpha / d + q);
+    |d| floored at _TINY, and cap taken on ties."""
+    vc, va, vd = _val(cap), _val(alpha), _val(d)
+    t = va / _floored(vd)[1] + _val(q)
+    take = vc <= t if upper else vc >= t
+    return _node("barrier_bound", (cap, alpha, d, q), (take, va, vd), np.where(take, vc, t))
+
+
+def gate(dhi, dlo, f, ub, lb):
+    """The gated control relu(dhi) (f - relu(f - ub)) + relu(dlo) (f + relu(lb - f))."""
+    vhi, vlo, vf = _val(dhi), _val(dlo), _val(f)
+    cut_hi, cut_lo = np.maximum(vf - _val(ub), 0.0), np.maximum(_val(lb) - vf, 0.0)
+    out = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
+    return _node("gate", (dhi, dlo, f, ub, lb), (vhi, vlo, vf, cut_hi, cut_lo), out)
+
+
+def sq_dist(a, b=None):
+    """Scalar sum((a - b)^2), or sum(a^2) without b."""
+    d = _val(a) if b is None else _val(a) - _val(b)
+    return _node("sq_dist", (a, b), d, np.asarray((d * d).sum()))
+
+
+def sum_seq(terms):
+    """Left-to-right sum 0.0 + t0 + t1 + ... of a sequence, as one node."""
+    total = 0.0
+    for t in terms:
+        total = total + _val(t)
+    return _node("sum_seq", tuple(terms), None, np.asarray(total))
 
 
 # ------------------------------------------------------------ backward rules
@@ -406,25 +468,12 @@ def _bk_div(g, par, aux, shapes, adj):
         _acc(adj, shapes, ib, -g * va / (vb * vb))
 
 
-def _bk_safe_div(g, par, aux, shapes, adj):
-    ia, ib = par
-    va, bhat, live = aux
-    if ia is not None:
-        _acc(adj, shapes, ia, g / bhat)
-    if ib is not None:
-        _acc(adj, shapes, ib, np.where(live, -g * va / (bhat * bhat), 0.0))
-
-
 def _bk_neg(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], -g)
 
 
 def _bk_sin(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], g * np.cos(aux))
-
-
-def _bk_relu(g, par, aux, shapes, adj):
-    _acc(adj, shapes, par[0], g * (aux > 0))
 
 
 def _bk_sigmoid(g, par, aux, shapes, adj):
@@ -443,7 +492,7 @@ def _bk_square(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], g * 2.0 * aux)
 
 
-def _bk_minmax(g, par, aux, shapes, adj):
+def _bk_minimum(g, par, aux, shapes, adj):
     ia, ib = par
     if ia is not None:
         _acc(adj, shapes, ia, np.where(aux, g, 0.0))
@@ -453,10 +502,6 @@ def _bk_minmax(g, par, aux, shapes, adj):
 
 def _bk_matvec(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], g @ aux)
-
-
-def _bk_sum_all(g, par, aux, shapes, adj):
-    _acc(adj, shapes, par[0], np.broadcast_to(g, aux))
 
 
 def _bk_reduce_min(g, par, aux, shapes, adj):
@@ -478,6 +523,90 @@ def _bk_piecewise(g, par, aux, shapes, adj):
         _acc(adj, shapes, iW, sign * np.bincount(flat, gx, vW.size).reshape(vW.shape))
     if iC is not None:
         _acc(adj, shapes, iC, np.bincount(flat, g.reshape(-1), vW.size).reshape(vW.shape))
+
+
+def _bk_euler_angles(g, par, aux, shapes, adj):
+    b_mat, dt = aux
+    _acc(adj, shapes, par[0], g)
+    if par[1] is not None:
+        _acc(adj, shapes, par[1], (g * dt) @ b_mat.T)
+
+
+def _bk_euler_freqs(g, par, aux, shapes, adj):
+    il, iw, iu, ip = par
+    vlam, damping, inertia, by_mat, dt = aux
+    gr = g * dt / inertia  # adjoint of u + p - D omega - sin(lam) @ by_mat.T
+    if il is not None:
+        _acc(adj, shapes, il, ((-gr) @ by_mat) * np.cos(vlam))
+    if iw is not None:
+        _acc(adj, shapes, iw, g + (-gr) * damping)
+    _acc(adj, shapes, iu, gr)
+    _acc(adj, shapes, ip, gr)
+
+
+def _bk_feedforward(g, par, aux, shapes, adj):
+    il, iw, ip = par
+    vlam, damping, by_mat = aux
+    if il is not None:
+        _acc(adj, shapes, il, (g @ by_mat) * np.cos(vlam))
+    if iw is not None:
+        _acc(adj, shapes, iw, g * damping)
+    if ip is not None:
+        _acc(adj, shapes, ip, -g)
+
+
+def _bk_stability_cap(g, par, aux, shapes, adj):
+    iw, ib = par
+    dtilde, vb, dev = aux
+    live, dhat = _floored(dev)
+    if iw is not None:
+        _acc(adj, shapes, iw, np.where(live, -g * vb / (dhat * dhat), 0.0) + g * dtilde)
+    if ib is not None:
+        _acc(adj, shapes, ib, g / dhat)
+
+
+def _bk_barrier_bound(g, par, aux, shapes, adj):
+    ic, ia, i_d, iq = par
+    take, va, vd = aux
+    live, dhat = _floored(vd)
+    if ic is not None:
+        _acc(adj, shapes, ic, np.where(take, g, 0.0))
+    gt = np.where(take, 0.0, g)  # adjoint of alpha / d + q
+    if ia is not None:
+        _acc(adj, shapes, ia, gt / dhat)
+    if i_d is not None:
+        _acc(adj, shapes, i_d, np.where(live, -gt * va / (dhat * dhat), 0.0))
+    _acc(adj, shapes, iq, gt)
+
+
+def _bk_gate(g, par, aux, shapes, adj):
+    ihi, ilo, i_f, iub, ilb = par
+    vhi, vlo, vf, cut_hi, cut_lo = aux
+    ghi, glo = np.maximum(vhi, 0.0), np.maximum(vlo, 0.0)
+    hi, lo = vf - cut_hi, vf + cut_lo
+    g_hi, g_lo = g * ghi, g * glo  # adjoints of the two gated branches
+    to_ub, to_lb = g_hi * (cut_hi > 0), g_lo * (cut_lo > 0)
+    if ihi is not None:
+        _acc(adj, shapes, ihi, (g * hi) * (ghi > 0))
+    if ilo is not None:
+        _acc(adj, shapes, ilo, (g * lo) * (glo > 0))
+    if i_f is not None:
+        _acc(adj, shapes, i_f, g_lo - to_lb + g_hi - to_ub)
+    _acc(adj, shapes, iub, to_ub)
+    _acc(adj, shapes, ilb, to_lb)
+
+
+def _bk_sq_dist(g, par, aux, shapes, adj):
+    ia, ib = par
+    gd = g * 2.0 * aux
+    _acc(adj, shapes, ia, gd)
+    if ib is not None:
+        _acc(adj, shapes, ib, -gd)
+
+
+def _bk_sum_seq(g, par, aux, shapes, adj):
+    for i in par:
+        _acc(adj, shapes, i, g)
 
 
 def _bk_permute_last(g, par, aux, shapes, adj):
@@ -506,22 +635,26 @@ _BACKWARD = {
     "sub": _bk_sub,
     "mul": _bk_mul,
     "div": _bk_div,
-    "safe_div": _bk_safe_div,
     "neg": _bk_neg,
     "sin": _bk_sin,
-    "relu": _bk_relu,
     "sigmoid": _bk_sigmoid,
     "softplus": _bk_softplus,
     "tanh": _bk_tanh,
     "square": _bk_square,
-    "minimum": _bk_minmax,
-    "maximum": _bk_minmax,
+    "minimum": _bk_minimum,
     "matvec": _bk_matvec,
-    "sum_all": _bk_sum_all,
     "reduce_min": _bk_reduce_min,
-    "piecewise": _bk_piecewise,
     "permute_last": _bk_permute_last,
     "cumsum_last": _bk_cumsum_last,
     "diff_keepfirst": _bk_diff_keepfirst,
     "pad_zero_first": _bk_pad_zero_first,
+    "piecewise": _bk_piecewise,
+    "euler_angles": _bk_euler_angles,
+    "euler_freqs": _bk_euler_freqs,
+    "feedforward": _bk_feedforward,
+    "stability_cap": _bk_stability_cap,
+    "barrier_bound": _bk_barrier_bound,
+    "gate": _bk_gate,
+    "sq_dist": _bk_sq_dist,
+    "sum_seq": _bk_sum_seq,
 }

@@ -25,6 +25,7 @@ from functools import partial
 
 import numpy as np
 
+from .controller import PolicyError
 from .dynamics import (
     IntegrationError,
     Scenario,
@@ -34,7 +35,7 @@ from .dynamics import (
 )
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import Node, Tape, TapeError, square, sum_all, value
+from .tape import Node, Tape, TapeError, sq_dist, sum_seq, value
 
 
 class TrainingError(RuntimeError):
@@ -115,22 +116,19 @@ def episode_loss(
         return 0.0, (0.0, 0.0, 0.0)
 
     control = partial(policy.control, policy.precompute(raw_like))
-    freq_acc = 0.0
-    ctrl_acc = 0.0
-    lip_acc = 0.0
+    freq, ctrl, lip = [], [], []  # one sum-of-squares term per step
     u_prev = None
     for _, omega, dec in closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise):
-        dev = omega - eq.omega_sync
-        freq_acc = freq_acc + sum_all(square(dev))
-        ctrl_acc = ctrl_acc + sum_all(square(dec.u))
+        freq.append(sq_dist(omega, eq.omega_sync))
+        ctrl.append(sq_dist(dec.u))
         if rho > 0 and u_prev is not None:  # at rho = 0 the term never reaches the loss
-            lip_acc = lip_acc + sum_all(square(dec.u - u_prev))
+            lip.append(sq_dist(dec.u, u_prev))
         u_prev = dec.u
 
-    freq_term = gamma * freq_acc * (1.0 / (k_steps * n_batch))
-    ctrl_term = ctrl_acc * (1.0 / (k_steps * n_batch))
+    freq_term = gamma * sum_seq(freq) * (1.0 / (k_steps * n_batch))
+    ctrl_term = sum_seq(ctrl) * (1.0 / (k_steps * n_batch))
     if rho > 0 and k_steps > 1:
-        lip_term = rho * lip_acc * (1.0 / ((k_steps - 1) * n_batch))
+        lip_term = rho * sum_seq(lip) * (1.0 / ((k_steps - 1) * n_batch))
     else:
         lip_term = 0.0
     loss = freq_term + ctrl_term + lip_term
@@ -222,14 +220,20 @@ def train(
 
     Per episode (all randomness from one counter-based stream, in this order):
     batch initial states, then the per-step measurement noise block. The
-    structural invariants of the parameterization are re-validated every
-    episode; a loss above divergence_factor times the first episode's, a
-    non-finite one, a state that leaves the representable range, or a
-    non-finite gradient aborts with a TrainingError carrying the partial curve.
+    structural invariants of the parameterization are validated before the
+    first episode and after every update; a policy that breaks them, a loss
+    above divergence_factor times the first episode's, a non-finite one, a
+    state that leaves the representable range, or a non-finite gradient
+    aborts with a TrainingError that names the episode and carries the
+    partial curve (the rows of the episodes whose loss was computed).
     """
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     p_steps = injection_schedule(net, scenario, cfg.steps, cfg.dt)
     raw = {k: np.array(v, dtype=float) for k, v in policy.raw.items()}
+    try:
+        policy.validate(policy.precompute(raw))
+    except PolicyError as e:
+        raise TrainingError(f"initial policy: {e}") from e
     state = AdamState.fresh(raw)
     curve_rows = []
     first_loss = None
@@ -257,8 +261,11 @@ def train(
                 curve_rows,
             )
         raw = adam_step(raw, grads, state, cfg, policy.keys)
-        policy.validate(policy.precompute(raw))
         curve_rows.append((float(ep), loss, parts[0], parts[1], parts[2]))
+        try:
+            policy.validate(policy.precompute(raw))
+        except PolicyError as e:
+            raise TrainingError(f"episode {ep}: the update broke the policy: {e}", curve_rows) from e
         if progress is not None:
             progress(ep, loss, parts)
 

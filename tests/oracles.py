@@ -16,10 +16,8 @@ from swingctl.controller import (
     class_k_eval,
     deadzone_eval,
     feedforward_term,
-    gated_control,
-    stability_cap,
 )
-from swingctl.tape import maximum, minimum, relu, safe_div, value
+from swingctl.tape import barrier_bound, gate, stability_cap, value
 from swingctl.training import episode_loss
 
 
@@ -104,15 +102,13 @@ def unguarded_control(policy, ready, lam, omega, p) -> ControlDecision:
     """The constrained policy's full formula at every state, with no
     short-circuit for states where every bus sits inside its dead zone."""
     active = active_mask(ready, omega)
-    b = budget_vector(policy.inc, active, ready.xi)
+    dhi, dlo = omega - ready.whi, ready.wlo - omega
+    b = budget_vector(policy.inc, active, ready.edge_xi)
     q = feedforward_term(policy.net, policy.inc, lam, omega, p)
     cap = stability_cap(policy.dtilde, policy.eq.omega_sync, omega, b)
-    alpha_hi = class_k_eval(ready.hi, policy.omega_max - omega)
-    alpha_lo = class_k_eval(ready.lo, policy.omega_min - omega)
-    ub = minimum(cap, safe_div(alpha_hi, omega - ready.whi) + q)
-    lb = maximum(cap, safe_div(alpha_lo, ready.wlo - omega) + q)
-    f = deadzone_eval(ready.dz, ready.wlo, ready.whi, omega)
-    u = gated_control(relu(omega - ready.whi), relu(ready.wlo - omega), f, ub, lb)
+    ub = barrier_bound(cap, class_k_eval(ready.hi, policy.omega_max - omega), dhi, q, upper=True)
+    lb = barrier_bound(cap, class_k_eval(ready.lo, policy.omega_min - omega), dlo, q, upper=False)
+    u = gate(dhi, dlo, deadzone_eval(ready.dz, dhi, dlo), ub, lb)
     return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
 

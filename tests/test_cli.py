@@ -560,6 +560,20 @@ def test_train_rejects_unusable_sizes(files, capsys, flag):
     assert not (files["dir"] / "ck.json").exists() and not (files["dir"] / "c.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, where",
+    [(["--init-scale", "1e3"], "initial policy"), (["--lr", "1e30"], "episode 0: the update broke the policy")],
+)
+def test_train_names_where_the_policy_broke(files, capsys, flag, where):
+    argv = ["train", "--net", str(bundled_path("net_3bus.json")), "--scenario", files["train"], "--episodes", "3", "--steps", "20",
+            "--batch", "2", "--quiet", *flag]
+    code = run([*argv, "--out", str(files["dir"] / "ck.json"), "--curve", str(files["dir"] / "c.csv")])
+    assert code == 1
+    err = one_error_line(capsys)
+    assert err.startswith(f"error: TrainingError: {where}: ") and "threshold escaped" in err
+    assert not (files["dir"] / "ck.json").exists()
+
+
 def test_console_script_help():
     # the module entry point works from a plain checkout; the installed
     # console script is checked too whenever one is on PATH

@@ -97,7 +97,7 @@ def test_class_k_gradient_matches_fd():
     leaves = {k: t.leaf(v) for k, v in raws.items()}
     wp, wm = C.class_k_weights(leaves["wp"], leaves["wm"])
     bp, bm = C.class_k_biases(leaves["bp"], leaves["bm"])
-    t.backward(tp.sum_all(C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), s)))
+    t.backward(C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), s))
     h = 1e-5
     for k, x in raws.items():
         g = t.grad(leaves[k])
@@ -136,7 +136,7 @@ def test_class_k_fits_tanh_shaped_target():
         wp, wm = C.class_k_weights(leaves["wp"], leaves["wm"])
         bp, bm = C.class_k_biases(leaves["bp"], leaves["bm"])
         pred = C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), grid.reshape(-1, 1))
-        t.backward(tp.sum_all(tp.square(pred - target.reshape(-1, 1))))
+        t.backward(tp.sq_dist(pred, target.reshape(-1, 1)))
         for k in raw:
             g = t.grad(leaves[k])
             ms[k] = b1 * ms[k] + (1 - b1) * g
@@ -183,10 +183,10 @@ def test_deadzone_hand_cases():
     wlo, whi = np.array([-0.1]), np.array([0.1])
     zeros = np.array([[0.0]])
     upper = C.deadzone_tables(np.array([[2.0]]), zeros, zeros, zeros)
-    assert value(C.deadzone_eval(upper, wlo, whi, np.array([0.05])))[0] == 0.0
-    f = C.deadzone_eval(upper, wlo, whi, np.array([0.2]))
+    assert value(C.deadzone_eval(upper, 0.05 - whi, wlo - 0.05))[0] == 0.0
+    f = C.deadzone_eval(upper, 0.2 - whi, wlo - 0.2)
     assert abs(value(f)[0] - 0.2) < 1e-15
-    f = C.deadzone_eval(C.deadzone_tables(zeros, np.array([[1.0]]), zeros, zeros), wlo, whi, np.array([-0.3]))
+    f = C.deadzone_eval(C.deadzone_tables(zeros, np.array([[1.0]]), zeros, zeros), -0.3 - whi, wlo + 0.3)
     assert abs(value(f)[0] - 0.2) < 1e-15
 
 
@@ -207,7 +207,7 @@ def test_unit_tables_match_dense_sums(net3, inc3, eq3, spec_band):
             s = 0.2 - omega
             got, dense = value(C.class_k_eval(ready.hi, s)), unit_sum(*(value(x) for x in hi), s)
             assert np.all(np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense)))
-            got = value(C.deadzone_eval(ready.dz, ready.wlo, ready.whi, omega))
+            got = value(C.deadzone_eval(ready.dz, omega - ready.whi, ready.wlo - omega))
             dense = relu_units(raw["dz_wp"], omega - ready.whi_val, dz_b[0], 1.0)
             dense += relu_units(raw["dz_wm"], omega - ready.wlo_val, dz_b[1], -1.0)
             scale = relu_units(np.abs(raw["dz_wp"]), omega - ready.whi_val, dz_b[0], 1.0)
@@ -227,7 +227,7 @@ def test_unit_sums_are_bitwise_zero_at_zero_and_in_the_dead_zone(net3, inc3, eq3
         omega = rng.uniform(ready.wlo_val, ready.whi_val, (4, 3))
         omega[0] = ready.wlo_val  # on the thresholds themselves
         omega[1] = ready.whi_val
-        f = value(C.deadzone_eval(ready.dz, ready.wlo, ready.whi, omega))
+        f = value(C.deadzone_eval(ready.dz, omega - ready.whi, ready.wlo - omega))
         assert np.asarray(f).tobytes() == zero
 
 
@@ -240,12 +240,12 @@ def test_deadzone_gradient_matches_fd():
 
     def scalar(vals):
         tables = C.deadzone_tables(*C.deadzone_weights(vals))
-        return float(np.sum(value(C.deadzone_eval(tables, wlo, whi, omega))))
+        return float(np.sum(value(C.deadzone_eval(tables, omega - whi, wlo - omega))))
 
     t = Tape()
     leaves = {k: t.leaf(v) for k, v in raws.items()}
     tables = C.deadzone_tables(*C.deadzone_weights(leaves))
-    t.backward(tp.sum_all(C.deadzone_eval(tables, wlo, whi, omega)))
+    t.backward(C.deadzone_eval(tables, omega - whi, wlo - omega))
     h = 1e-6
     for k, x in raws.items():
         g = t.grad(leaves[k])
@@ -281,12 +281,12 @@ def test_deadzone_exactness_property(net3, inc3, eq3, spec_band):
 
 def test_budget_hand_cases(inc3):
     xi = np.array([1.0, 0.0, -1.0])
-    b = value(C.budget_vector(inc3, np.array([True, True, True]), xi))
+    b = value(C.budget_vector(inc3, np.array([True, True, True]), xi @ inc3.b_mat))
     assert np.array_equal(b, [1.0, 0.0, -1.0])
-    b = value(C.budget_vector(inc3, np.array([True, True, False]), xi))
+    b = value(C.budget_vector(inc3, np.array([True, True, False]), xi @ inc3.b_mat))
     assert np.array_equal(b, [1.0, -1.0, 0.0])
     assert b[2] == 0.0
-    b = value(C.budget_vector(inc3, np.zeros(3, dtype=bool), xi))
+    b = value(C.budget_vector(inc3, np.zeros(3, dtype=bool), xi @ inc3.b_mat))
     assert np.array_equal(b, np.zeros(3))
 
 
@@ -295,7 +295,7 @@ def test_budget_conservation_and_locality_property(inc3):
     for _ in range(500):
         active = rng.random(3) < 0.5
         xi = rng.normal(size=3)
-        b = value(C.budget_vector(inc3, active, xi))
+        b = value(C.budget_vector(inc3, active, xi @ inc3.b_mat))
         assert abs(b.sum()) < 1e-9
         assert np.all(b[~active] == 0.0)
 
@@ -338,7 +338,7 @@ def test_feedforward_hand_cases(net2, inc2, eq2):
 
 
 def test_gated_control_hand_case():
-    u = C.gated_control(
+    u = tp.gate(
         np.array([0.05]), np.array([0.0]), np.array([0.5]), np.array([0.2]), np.array([-1.0])
     )
     assert abs(value(u)[0] - 0.01) < 1e-15

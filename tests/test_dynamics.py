@@ -20,6 +20,7 @@ from swingctl.dynamics import (
 )
 from swingctl.equilibrium import energy, solve_equilibrium
 from swingctl.netgraph import PowerNetwork, build_incidence
+from swingctl.tape import Tape, sq_dist, sum_seq, value
 
 
 def test_rhs_hand_case(net2, inc2):
@@ -51,6 +52,35 @@ def test_euler_hand_step(net2, inc2):
     )
     assert np.allclose(lam, [0.002], atol=1e-18)
     assert np.allclose(omega, [0.099, -0.099], atol=1e-18)
+
+
+def test_euler_step_is_the_swing_rhs_update_bitwise(net3, inc3):
+    # the fused Euler kernels and the composed vector field must not drift
+    # apart: lam + dt dlam, omega + dt domega from swing_rhs, on arrays and
+    # on tape values, batched and unbatched
+    rng = np.random.default_rng(3)
+    p, dt = rng.normal(size=3), 5e-3
+
+    def composed(lam, omega, u):
+        dlam, domega = swing_rhs(net3, inc3, lam, omega, u, p)
+        return lam + dt * dlam, omega + dt * domega
+
+    for batch in ((), (4,)):
+        args = rng.normal(size=batch + (2,)), rng.normal(size=batch + (3,)), rng.normal(size=batch + (3,))
+        for fused, ref in zip(euler_step(net3, inc3, *args, p, dt), composed(*args)):
+            assert fused.tobytes() == ref.tobytes()
+        grads = []
+        for step in (lambda *a: euler_step(net3, inc3, *a, p, dt), composed):
+            t = Tape()
+            leaves = [t.leaf(a) for a in args]
+            lam1, omega1 = step(*leaves)
+            assert value(lam1).tobytes() == value(euler_step(net3, inc3, *args, p, dt)[0]).tobytes()
+            assert value(omega1).tobytes() == value(euler_step(net3, inc3, *args, p, dt)[1]).tobytes()
+            t.backward(sum_seq([sq_dist(lam1), sq_dist(omega1)]))
+            grads.append([t.grad(leaf) for leaf in leaves])
+        assert [t.kinds[i] for i in (lam1.idx, omega1.idx)] == ["add", "add"]
+        for g_fused, g_ref in zip(*grads):
+            assert np.allclose(g_fused, g_ref, rtol=1e-14, atol=0.0)
 
 
 def test_euler_fixed_point(net2, inc2, eq2):

@@ -178,6 +178,62 @@ def test_dead_zone_short_circuit_keeps_gradient_bits(net3, inc3, eq3, spec_band)
     assert nodes[0] < nodes[1]
 
 
+class NodeCounter:
+    """Forwards to a bound policy and notes, at each control call, the tape
+    length and (after the call) whether some bus is active."""
+
+    def __init__(self, policy, tape):
+        self.policy, self.tape, self.keys = policy, tape, policy.keys
+        self.marks, self.active = [], []
+
+    def precompute(self, raw_like):
+        return self.policy.precompute(raw_like)
+
+    def control(self, ready, lam, omega, p):
+        self.marks.append(len(self.tape))
+        dec = self.policy.control(ready, lam, omega, p)
+        self.active.append(bool(dec.active.any()))
+        return dec
+
+
+def test_fused_hot_path_node_budget(net3, inc3, eq3, spec_band):
+    # 3 buses, B=4, with the variation term on: a step (control, loss terms
+    # and Euler update) records at most 5 tape nodes when every bus is
+    # settled and at most 40 when some bus is active
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
+    omega0 = np.array([[0.15, -0.02, -0.14], [0.03, 0.0, -0.03], [0.01, 0.02, 0.0], [-0.1, 0.05, 0.12]])
+    noise = np.random.default_rng(8).uniform(-0.005, 0.005, (300, 4, 3))
+    tp = Tape()
+    counter = NodeCounter(adapter, tp)
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    episode_loss(counter, net3, inc3, eq3, leaves, np.tile(eq3.lam_eq, (4, 1)), omega0,
+                 np.tile(net3.p_nom, (300, 1)), noise, 40.0, 500.0, 5e-3)
+    per_step = np.diff(counter.marks)
+    active = np.array(counter.active[:-1])
+    assert active[1:].any() and not active.all()
+    assert per_step[~active].max() <= 5
+    assert per_step[active].max() <= 40
+
+
+def test_train_rejects_an_invalid_initial_policy_before_episode_zero(net2, inc2, eq2, spec_band):
+    params = init_policy_params(2, 4, np.random.default_rng(0), scale=1e3)
+    scen = Scenario(horizon=0.1, dt=5e-3, init_omega_range=0.1, init_p_frac=0.0)
+    seen = []
+    with pytest.raises(TrainingError, match="^initial policy: .*threshold escaped") as err:
+        train(params.bind(spec_band, net2, inc2, eq2), net2, inc2, eq2, scen,
+              TrainConfig(episodes=2, steps=20, batch=2), progress=lambda *a: seen.append(a))
+    assert err.value.curve == [] and seen == []
+
+
+def test_train_update_that_breaks_the_policy_names_the_episode(net3, inc3, eq3, spec_band):
+    # an absurd step saturates the threshold sigmoids onto the band edges
+    scen = Scenario(horizon=0.1, dt=5e-3, init_omega_range=0.15, init_p_frac=0.0)
+    cfg = TrainConfig(episodes=3, steps=20, batch=2, lr=1e30)
+    with pytest.raises(TrainingError, match="^episode 0: .*threshold escaped") as err:
+        train(make_adapter(net3, inc3, eq3, spec_band), net3, inc3, eq3, scen, cfg)
+    assert [row[0] for row in err.value.curve] == [0.0]
+
+
 def test_gradient_matches_fd_single_draw(net2, inc2, eq2, spec_band):
     # one strong draw; the exhaustive coverage sweep lives in the acceptance
     # suite. Gates open on both sides: omega0 near both band edges.
@@ -250,7 +306,7 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
 
 def test_variation_term_stays_off_the_tape_at_rho_zero(net3, inc3, eq3, spec_band):
     # at rho = 0 the variation sum never reaches the loss, so recording it
-    # would only leave sum_all nodes that no reverse sweep visits
+    # would only leave sq_dist nodes that no reverse sweep visits
     adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
     omega0 = np.random.default_rng(5).uniform(-0.19, 0.19, size=(4, 3))
     tp = Tape()
@@ -264,7 +320,7 @@ def test_variation_term_stays_off_the_tape_at_rho_zero(net3, inc3, eq3, spec_ban
     for i in range(loss.idx, -1, -1):  # parents precede children
         if reached[i]:
             reached[[j for j in tp.parents[i] if j is not None]] = True
-    sums = [i for i, kind in enumerate(tp.kinds) if kind == "sum_all"]
+    sums = [i for i, kind in enumerate(tp.kinds) if kind == "sq_dist"]
     assert sums and reached[sums].all()
     assert parts[2] == 0.0
 

@@ -193,7 +193,7 @@ def test_budget_conservation_under_mask_flips(net3, inc3, eq3):
 
     def flipper(lam, omega, p):
         active = rng.random(3) < 0.5
-        b = np.asarray(budget_vector(inc3, active, rng.normal(size=3)))
+        b = np.asarray(budget_vector(inc3, active, rng.normal(size=3) @ inc3.b_mat))
         return ControlDecision(u=np.zeros(3), budgets=b, active=active)
 
     scen = Scenario(horizon=0.5, dt=1e-3, init_omega_range=0.0, init_p_frac=0.0)
