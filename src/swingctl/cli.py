@@ -75,9 +75,8 @@ def _build_controller(value: str, net, inc, eq, spec, projection: bool):
     return make_policy_controller(params, spec, net, inc, eq, projection=projection)
 
 
-def _scenario_with_overrides(args, net, **patch):
-    """The scenario file with flag overrides, then `patch`, applied at once."""
-    scenario = sio.load_scenario(args.scenario, net)
+def _scenario_with_overrides(args, scenario, **patch):
+    """`scenario` with flag overrides, then `patch`, applied at once."""
     flags = {"dt": "dt", "noise": "noise_bound", "horizon": "horizon"}
     for flag, name in flags.items():
         if getattr(args, flag, None) is not None:
@@ -87,7 +86,7 @@ def _scenario_with_overrides(args, net, **patch):
 
 def _cmd_simulate(args) -> int:
     net, inc, eq, spec = _setup(args)
-    scenario = _scenario_with_overrides(args, net)
+    scenario = _scenario_with_overrides(args, sio.load_scenario(args.scenario, net))
     controller = _build_controller(args.controller, net, inc, eq, spec, args.projection == "on")
     traj = rollout(
         net,
@@ -122,12 +121,17 @@ def _cmd_train(args) -> int:
     overrides = {name: getattr(args, name) for name in TRAIN_FLAGS if getattr(args, name) is not None}
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
+    scenario = sio.load_scenario(args.scenario, net)
+    if args.dt is None and cfg.dt != scenario.dt:
+        raise ValueError(
+            f"the training dt {cfg.dt!r} differs from the dt {scenario.dt!r} of {args.scenario}; pass --dt to retime"
+        )
+    scenario = _scenario_with_overrides(args, scenario, horizon=cfg.steps * cfg.dt)
     rng = np.random.default_rng(np.random.Philox(cfg.seed))
     if args.policy == "constrained":
         params = init_policy_params(net.n_bus, cfg.m_hidden, rng, cfg.init_scale, cfg.dtilde_frac)
     else:
         params = init_monotone_params(net.n_bus, cfg.m_hidden, rng, cfg.init_scale)
-    scenario = _scenario_with_overrides(args, net, dt=cfg.dt, horizon=cfg.steps * cfg.dt)
 
     def progress(ep, loss, parts):
         if args.quiet:
@@ -168,7 +172,7 @@ def _cmd_compare(args) -> int:
     if args.train_window is not None:
         check_cost_window(args.train_window)
     net, inc, eq, spec = _setup(args)
-    scenario = _scenario_with_overrides(args, net)
+    scenario = _scenario_with_overrides(args, sio.load_scenario(args.scenario, net))
     entries = []
     for item in args.controller:
         label, _, value = item.partition("=")

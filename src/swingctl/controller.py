@@ -387,11 +387,6 @@ def budget_vector(inc: Incidence, active: np.ndarray, edge_xi):
     return matvec(inc.b_mat, on.astype(float) * edge_xi)
 
 
-def feedforward_term(net: PowerNetwork, inc: Incidence, lam, omega, p):
-    """Local injection mismatch q = D w + (B Yb sin lam) - p from measurements."""
-    return feedforward(lam, omega, p, net.damping, inc.by_mat)
-
-
 @dataclass
 class ControlDecision:
     """One control evaluation: the control u, the budgets b, the per-bus
@@ -513,7 +508,7 @@ class ConstrainedAdapter(BoundPolicy):
             return ControlDecision(u=zero, budgets=zero, active=active, upper=zero, lower=zero)
         dhi, dlo = omega - ready.whi, ready.wlo - omega
         b = budget_vector(self.inc, active, ready.edge_xi)
-        q = feedforward_term(self.net, self.inc, lam, omega, p)
+        q = feedforward(lam, omega, p, self.net.damping, self.inc.by_mat)
         cap = stability_cap(self.dtilde, self.eq.omega_sync, omega, b)
         ub = barrier_bound(cap, class_k_eval(ready.hi, self.omega_max - omega), dhi, q, upper=True)
         lb = barrier_bound(cap, class_k_eval(ready.lo, self.omega_min - omega), dlo, q, upper=False)
@@ -615,7 +610,7 @@ def make_analytic_safe_controller(
 
     def control(lam, omega, p) -> ControlDecision:
         w = np.asarray(omega, dtype=float)
-        q = feedforward_term(net, inc, np.asarray(lam, dtype=float), w, p)
+        q = feedforward(np.asarray(lam, dtype=float), w, p, net.damping, inc.by_mat)
         above = w > threshold
         below = w < -threshold
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -65,11 +65,6 @@ class Equilibrium:
         return self.energy_cap / beta
 
 
-def edge_max_diff(inc: Incidence, y: np.ndarray) -> float:
-    """max over edges of |y_i - y_j| (the edge-wise infinity norm); needs an edge."""
-    return float(np.abs(inc.b_mat.T @ y).max())
-
-
 def solve_equilibrium(
     net: PowerNetwork,
     inc: Incidence,
@@ -89,7 +84,7 @@ def solve_equilibrium(
     p_tilde = p - omega_sync * net.damping
 
     dc = pseudo_inverse_apply(inc.laplacian, p_tilde)
-    cond = edge_max_diff(inc, dc)
+    cond = float(np.abs(inc.b_mat.T @ dc).max())  # edge-wise infinity norm
     if cond >= 1.0:
         raise EquilibriumError(
             f"no equilibrium inside the angle box: existence condition {cond:.6g} >= 1"
@@ -128,7 +123,7 @@ def solve_equilibrium(
     if np.any(np.abs(lam_eq) >= np.pi / 2):
         raise EquilibriumError("converged equilibrium has edge angles outside the open box")
 
-    cap = _boundary_energy_min(inc.y_edge, lam_eq)
+    cap = _boundary_energy_min(net.susceptance, lam_eq)
     return Equilibrium(
         omega_sync=omega_sync,
         p_tilde=p_tilde,
@@ -162,7 +157,7 @@ def energy(net: PowerNetwork, inc: Incidence, eq: Equilibrium, lam: np.ndarray, 
     """
     dev = np.asarray(omega, dtype=float) - eq.omega_sync
     kinetic = 0.5 * (dev**2 @ net.inertia)
-    v = kinetic + edge_potential(eq.lam_eq, np.asarray(lam, dtype=float)) @ inc.y_edge
+    v = kinetic + edge_potential(eq.lam_eq, np.asarray(lam, dtype=float)) @ net.susceptance
     return float(v) if v.ndim == 0 else v
 
 

@@ -124,7 +124,6 @@ class Incidence:
     """
 
     b_mat: np.ndarray
-    y_edge: np.ndarray
     laplacian: np.ndarray
     row_l1: np.ndarray
     edge_ends: np.ndarray  # (m, 2) int, lower index first
@@ -139,12 +138,10 @@ def build_incidence(net: PowerNetwork) -> Incidence:
         b_mat[i, k] = 1.0
         b_mat[j, k] = -1.0
         ends[k] = (i, j)
-    y = net.susceptance
-    by = b_mat * y  # column scaling
+    by = b_mat * net.susceptance  # column scaling
     lap = by @ b_mat.T
     return Incidence(
         b_mat=b_mat,
-        y_edge=y.copy(),
         laplacian=lap,
         row_l1=2.0 * np.abs(b_mat).sum(axis=1),
         edge_ends=ends,

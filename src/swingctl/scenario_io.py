@@ -27,31 +27,6 @@ from .netgraph import GraphError, PowerNetwork
 from .training import TrainConfig
 from .verify import run_checks
 
-__all__ = [
-    "SchemaError",
-    "RunSummary",
-    "load_network",
-    "save_network",
-    "load_scenario",
-    "save_scenario",
-    "load_safety_spec",
-    "save_safety_spec",
-    "load_train_config",
-    "save_train_config",
-    "load_checkpoint",
-    "save_checkpoint",
-    "load_trajectory",
-    "save_trajectory",
-    "save_curve",
-    "load_curve",
-    "summarize",
-    "compare",
-    "save_comparison",
-    "save_report",
-    "config_hash",
-    "bundled_path",
-]
-
 FORMAT_VERSION = 1
 
 
@@ -162,23 +137,6 @@ def load_network(path) -> PowerNetwork:
         raise SchemaError(f"{where}: {e}") from e
 
 
-def save_network(path, net: PowerNetwork) -> None:
-    ids = [int(b) for b in net.bus_ids]
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "kind": "network",
-        "buses": [
-            {"id": ids[i], "M": float(net.inertia[i]), "D": float(net.damping[i]), "p_nom": float(net.p_nom[i])}
-            for i in range(net.n_bus)
-        ],
-        "edges": [
-            {"from": ids[a], "to": ids[b], "b": float(y)}
-            for (a, b), y in zip(net.edges, net.susceptance)
-        ],
-    }
-    _write_json(path, obj)
-
-
 # ----------------------------------------------------------------- scenario
 
 
@@ -230,29 +188,6 @@ def load_scenario(path, net: PowerNetwork) -> Scenario:
         raise SchemaError(f"{where}: {e}") from e
 
 
-def save_scenario(path, scenario: Scenario, net: PowerNetwork) -> None:
-    ids = [int(b) for b in net.bus_ids]
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "kind": "scenario",
-        "T": scenario.horizon,
-        "dt": scenario.dt,
-        "disturbances": [
-            {
-                "bus": ids[d.bus],
-                "dp": d.dp,
-                "t0": d.t0,
-                "t1": d.t1,
-            }
-            for d in scenario.disturbances
-        ],
-        "init": {"omega_range": scenario.init_omega_range, "p_frac": scenario.init_p_frac},
-        "noise": scenario.noise_bound,
-        "label": scenario.label,
-    }
-    _write_json(path, obj)
-
-
 def load_safety_spec(path) -> SafetySpec:
     obj = _read_json(path)
     where = str(path)
@@ -260,16 +195,6 @@ def load_safety_spec(path) -> SafetySpec:
     lo = _need(obj, "omega_min", (int, float, list), where)
     hi = _need(obj, "omega_max", (int, float, list), where)
     return SafetySpec(np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float)))
-
-
-def save_safety_spec(path, spec: SafetySpec) -> None:
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "kind": "safety_spec",
-        "omega_min": spec.omega_min.tolist(),
-        "omega_max": spec.omega_max.tolist(),
-    }
-    _write_json(path, obj)
 
 
 # ------------------------------------------------------------- train config
@@ -290,11 +215,6 @@ def load_train_config(path) -> TrainConfig:
         raise SchemaError(f"{where}: {e}") from e
 
 
-def save_train_config(path, cfg: TrainConfig) -> None:
-    obj = {"format_version": FORMAT_VERSION, "kind": "train_config", **cfg.to_dict()}
-    _write_json(path, obj)
-
-
 # --------------------------------------------------------------- checkpoint
 
 
@@ -302,7 +222,7 @@ def save_train_config(path, cfg: TrainConfig) -> None:
 POLICY_CLASSES = {cls.kind: cls for cls in (PolicyParams, MonotoneParams)}
 
 
-def save_checkpoint(path, params, cfg: TrainConfig, seed: int | None = None) -> None:
+def save_checkpoint(path, params, cfg: TrainConfig) -> None:
     """Serialize trained parameters plus the config that produced them."""
     cfg_dict = cfg.to_dict()
     obj = {
@@ -313,7 +233,7 @@ def save_checkpoint(path, params, cfg: TrainConfig, seed: int | None = None) -> 
         "raw": {k: np.asarray(v).tolist() for k, v in params.raw.items()},
         "config": cfg_dict,
         "config_hash": config_hash(cfg_dict),
-        "seed": cfg.seed if seed is None else seed,
+        "seed": cfg.seed,
     }
     for name in params.fixed:
         obj[name] = np.asarray(getattr(params, name)).tolist()
@@ -400,12 +320,12 @@ def _read_table(path, schema: str, header_of) -> tuple[dict, list[str], np.ndarr
             raise SchemaError(f"{path}:2: header does not match the {schema} schema")
         try:
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+                warnings.simplefilter("ignore", UserWarning)  # an empty body is zero rows
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=lines - 1)
         except ValueError as e:
             raise SchemaError(f"{path}: non-numeric or ragged row: {e}") from e
     if data.shape[0] == 0:
-        raise SchemaError(f"{path}: need echo, header, and at least one row")
+        data = data.reshape(0, len(cols))
     if data.shape[1] != len(cols):
         raise SchemaError(f"{path}: row width {data.shape[1]} != header width {len(cols)}")
     return echo, cols, data
@@ -448,6 +368,8 @@ def save_trajectory(path, traj: Trajectory, echo: dict | None = None) -> None:
 def load_trajectory(path) -> Trajectory:
     """Rebuild a trajectory from its CSV; every column loads back bitwise."""
     meta, cols, data = _read_table(path, "trajectory", lambda cols: _csv_header(*_trajectory_sizes(cols)))
+    if data.shape[0] == 0:
+        raise SchemaError(f"{path}: need echo, header, and at least one row")
     n, m = _trajectory_sizes(cols)
     mask = data[:, 4 + 3 * n + m :]
     if not np.isin(mask, (0.0, 1.0)).all():
@@ -477,6 +399,7 @@ def save_curve(path, curve: np.ndarray, echo: dict | None = None) -> None:
 
 
 def load_curve(path) -> np.ndarray:
+    """The curve rows; shape (0, 5) for the curve of a zero-episode run."""
     return _read_table(path, "learning-curve", lambda cols: CURVE_HEADER)[2]
 
 

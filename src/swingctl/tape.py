@@ -4,6 +4,9 @@ The op set is exactly what the rollout, controller and loss need, nothing
 more. General ops: elementwise arithmetic and activations, `minimum`, a
 constant matvec, a min reduction, last-axis prefix sums, differences and zero
 padding, and `permute_last` (a constant per-row reordering of the last axis).
+`sin` serves `dynamics.swing_rhs`, the composed vector field that the
+values-only RK4 step evaluates and that, recorded on a tape, is the
+reference the fused Euler kernels' gradients are checked against.
 Fused kernels, one node each with a hand-written backward rule, for the
 per-step hot path of a training episode:
 

@@ -18,16 +18,6 @@ import numpy as np
 from .dynamics import Trajectory
 from .equilibrium import Equilibrium
 
-__all__ = [
-    "Verdict",
-    "VerdictReport",
-    "check_frequency_invariance",
-    "check_lyapunov",
-    "check_budgets",
-    "check_convergence",
-    "run_checks",
-]
-
 CHECK_NAMES = ("frequency_invariance", "lyapunov_descent", "budget_conservation", "convergence")
 CONSERVE_TOL = 1e-9  # |sum of budgets| allowed at any step
 VANISH_TOL = 1e-12  # |budget| allowed once every bus is back in its dead zone

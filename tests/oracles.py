@@ -15,9 +15,8 @@ from swingctl.controller import (
     budget_vector,
     class_k_eval,
     deadzone_eval,
-    feedforward_term,
 )
-from swingctl.tape import barrier_bound, gate, stability_cap, value
+from swingctl.tape import barrier_bound, feedforward, gate, stability_cap, value
 from swingctl.training import episode_loss
 
 
@@ -104,7 +103,7 @@ def unguarded_control(policy, ready, lam, omega, p) -> ControlDecision:
     active = active_mask(ready, omega)
     dhi, dlo = omega - ready.whi, ready.wlo - omega
     b = budget_vector(policy.inc, active, ready.edge_xi)
-    q = feedforward_term(policy.net, policy.inc, lam, omega, p)
+    q = feedforward(lam, omega, p, policy.net.damping, policy.inc.by_mat)
     cap = stability_cap(policy.dtilde, policy.eq.omega_sync, omega, b)
     ub = barrier_bound(cap, class_k_eval(ready.hi, policy.omega_max - omega), dhi, q, upper=True)
     lb = barrier_bound(cap, class_k_eval(ready.lo, policy.omega_min - omega), dlo, q, upper=False)

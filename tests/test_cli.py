@@ -574,6 +574,21 @@ def test_train_names_where_the_policy_broke(files, capsys, flag, where):
     assert not (files["dir"] / "ck.json").exists()
 
 
+def test_train_takes_dt_from_the_scenario_unless_dt_retimes_it(files, capsys):
+    # the step scenario runs at 0.01 s; the training config defaults to 0.005 s
+    ckpt, curve = files["dir"] / "ck.json", files["dir"] / "c.csv"
+    argv = ["train", "--net", files["net"], "--scenario", files["step"], "--episodes", "0", "--steps", "200",
+            "--quiet", "--out", str(ckpt), "--curve", str(curve)]
+    assert run(argv) == 1
+    assert one_error_line(capsys) == (
+        f"error: ValueError: the training dt 0.005 differs from the dt 0.01 of {files['step']}; pass --dt to retime\n"
+    )
+    assert not ckpt.exists() and not curve.exists()
+    assert run([*argv, "--dt", "0.01"]) == 0
+    assert load_checkpoint(ckpt)[1]["config"]["dt"] == 0.01
+    assert load_curve(curve).shape == (0, 5)
+
+
 def test_console_script_help():
     # the module entry point works from a plain checkout; the installed
     # console script is checked too whenever one is on PATH

@@ -324,13 +324,14 @@ def test_stability_cap_hand_cases():
 
 
 def test_feedforward_hand_cases(net2, inc2, eq2):
-    q = value(C.feedforward_term(net2, inc2, np.array([0.0]), np.array([0.1, -0.1]), np.zeros(2)))
+    def q_at(lam, omega, p):
+        return value(tp.feedforward(lam, omega, p, net2.damping, inc2.by_mat))
+
+    q = q_at(np.array([0.0]), np.array([0.1, -0.1]), np.zeros(2))
     assert np.allclose(q, [0.1, -0.1], atol=1e-15)
-    q = value(
-        C.feedforward_term(net2, inc2, eq2.lam_eq, np.full(2, eq2.omega_sync), net2.p_nom)
-    )
+    q = q_at(eq2.lam_eq, np.full(2, eq2.omega_sync), net2.p_nom)
     assert np.abs(q).max() < 1e-9
-    q = value(C.feedforward_term(net2, inc2, np.zeros(1), np.zeros(2), np.zeros(2)))
+    q = q_at(np.zeros(1), np.zeros(2), np.zeros(2))
     assert np.array_equal(q, np.zeros(2))
 
 

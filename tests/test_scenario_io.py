@@ -37,11 +37,7 @@ from swingctl.scenario_io import (
     save_checkpoint,
     save_comparison,
     save_curve,
-    save_network,
     save_report,
-    save_safety_spec,
-    save_scenario,
-    save_train_config,
     save_trajectory,
     summarize,
 )
@@ -67,31 +63,31 @@ def network_obj(**overrides):
     return obj
 
 
+def config_obj(**fields):
+    return {"format_version": 1, "kind": "train_config", **fields}
+
+
 # ---------------------------------------------------------------- networks
 
 
 def test_network_round_trip_two_bus(tmp_path, net2):
     path = tmp_path / "net.json"
-    save_network(path, net2)
+    write_json(path, network_obj())
     back = load_network(path)
-    assert np.array_equal(back.inertia, net2.inertia)
-    assert np.array_equal(back.damping, net2.damping)
-    assert np.array_equal(back.p_nom, net2.p_nom)
-    assert np.array_equal(back.susceptance, net2.susceptance)
+    for name in ("inertia", "damping", "p_nom", "susceptance", "bus_ids"):
+        assert np.array_equal(getattr(back, name), getattr(net2, name)), name
     assert back.edges == net2.edges
-    assert np.array_equal(back.bus_ids, net2.bus_ids)
 
 
-def test_network_round_trip_39_bus(tmp_path, net39):
-    path = tmp_path / "net39.json"
-    save_network(path, net39)
-    back = load_network(path)
-    assert np.array_equal(back.inertia, net39.inertia)
-    assert np.array_equal(back.damping, net39.damping)
-    assert np.array_equal(back.p_nom, net39.p_nom)
-    assert np.array_equal(back.susceptance, net39.susceptance)
-    assert back.edges == net39.edges
-    assert np.array_equal(back.bus_ids, net39.bus_ids)
+def test_network_round_trip_39_bus(net39):
+    # the loaded network holds exactly the file's values, ids remapped in file order
+    obj = json.loads(bundled_path("ieee39_net.json").read_text())
+    index = {b["id"]: k for k, b in enumerate(obj["buses"])}
+    for name, key in (("inertia", "M"), ("damping", "D"), ("p_nom", "p_nom")):
+        assert getattr(net39, name).tolist() == [float(b[key]) for b in obj["buses"]], name
+    assert net39.susceptance.tolist() == [float(e["b"]) for e in obj["edges"]]
+    assert net39.edges == [tuple(sorted((index[e["from"]], index[e["to"]]))) for e in obj["edges"]]
+    assert net39.bus_ids.tolist() == list(index)
 
 
 def test_network_malformed_json_names_line(tmp_path):
@@ -168,7 +164,21 @@ def test_missing_file_named(tmp_path):
 
 
 def test_scenario_round_trip(tmp_path, net2):
-    sc = Scenario(
+    path = tmp_path / "sc.json"
+    write_json(
+        path,
+        {
+            "format_version": 1,
+            "kind": "scenario",
+            "T": 5.0,
+            "dt": 0.01,
+            "disturbances": [{"bus": 2, "dp": -0.3, "t0": 0.5, "t1": 2.0}],
+            "init": {"omega_range": 0.05, "p_frac": 0.2},
+            "noise": 0.001,
+            "label": "step test",
+        },
+    )
+    assert load_scenario(path, net2) == Scenario(
         horizon=5.0,
         dt=0.01,
         disturbances=(Disturbance(bus=1, dp=-0.3, t0=0.5, t1=2.0),),
@@ -177,9 +187,6 @@ def test_scenario_round_trip(tmp_path, net2):
         noise_bound=0.001,
         label="step test",
     )
-    path = tmp_path / "sc.json"
-    save_scenario(path, sc, net2)
-    assert load_scenario(path, net2) == sc
 
 
 def test_scenario_bus_ids_follow_network_table(tmp_path):
@@ -192,17 +199,20 @@ def test_scenario_bus_ids_follow_network_table(tmp_path):
         susceptance=[1.0, 1.0],
         bus_ids=(10, 20, 30),
     )
-    sc = Scenario(horizon=1.0, dt=0.1, disturbances=(Disturbance(2, -0.1, 0.0, 1.0),))
+    obj = {
+        "format_version": 1,
+        "kind": "scenario",
+        "T": 1.0,
+        "dt": 0.1,
+        "disturbances": [{"bus": 30, "dp": -0.1, "t0": 0.0, "t1": 1.0}],
+    }
     path = tmp_path / "sc.json"
-    save_scenario(path, sc, net=net)
-    assert json.loads(path.read_text())["disturbances"][0]["bus"] == 30
-    assert load_scenario(path, net=net).disturbances[0].bus == 2
-    bad = tmp_path / "bad.json"
-    obj = json.loads(path.read_text())
+    write_json(path, obj)
+    assert load_scenario(path, net=net).disturbances == (Disturbance(2, -0.1, 0.0, 1.0),)
     obj["disturbances"][0]["bus"] = 3  # the 1-based index, not an id
-    write_json(bad, obj)
+    write_json(path, obj)
     with pytest.raises(SchemaError, match="bus id 3 not in the network"):
-        load_scenario(bad, net=net)
+        load_scenario(path, net=net)
 
 
 def test_scenario_window_outside_horizon(tmp_path, net2):
@@ -238,9 +248,13 @@ def test_bundled_scenarios_load(net39):
 # ------------------------------------------------- safety spec and config
 
 
+def spec_obj(lo, hi):
+    return {"format_version": 1, "kind": "safety_spec", "omega_min": lo, "omega_max": hi}
+
+
 def test_safety_spec_round_trip(tmp_path, spec_band):
     path = tmp_path / "spec.json"
-    save_safety_spec(path, spec_band)
+    write_json(path, spec_obj(-0.2, 0.2))
     back = load_safety_spec(path)
     assert np.array_equal(back.omega_min, spec_band.omega_min)
     assert np.array_equal(back.omega_max, spec_band.omega_max)
@@ -249,25 +263,22 @@ def test_safety_spec_round_trip(tmp_path, spec_band):
 def test_safety_spec_per_bus_round_trip(tmp_path):
     spec = SafetySpec(np.array([-0.2, -0.3]), np.array([0.25, 0.2]))
     path = tmp_path / "spec.json"
-    save_safety_spec(path, spec)
+    write_json(path, spec_obj([-0.2, -0.3], [0.25, 0.2]))
     back = load_safety_spec(path)
     assert np.array_equal(back.omega_min, spec.omega_min)
     assert np.array_equal(back.omega_max, spec.omega_max)
 
 
 def test_train_config_round_trip(tmp_path):
-    cfg = TrainConfig(episodes=7, batch=3, steps=111, rho=500.0, seed=9, lr=0.02)
+    fields = {"episodes": 7, "batch": 3, "steps": 111, "rho": 500.0, "seed": 9, "lr": 0.02}
     path = tmp_path / "cfg.json"
-    save_train_config(path, cfg)
-    assert load_train_config(path).to_dict() == cfg.to_dict()
+    write_json(path, config_obj(**fields))
+    assert load_train_config(path).to_dict() == TrainConfig(**fields).to_dict()
 
 
 def test_train_config_unknown_field_rejected(tmp_path):
     path = tmp_path / "cfg.json"
-    save_train_config(path, TrainConfig())
-    obj = json.loads(path.read_text())
-    obj["budget"] = 3
-    write_json(path, obj)
+    write_json(path, config_obj(budget=3))
     with pytest.raises(SchemaError, match="unknown field 'budget'"):
         load_train_config(path)
 
@@ -277,10 +288,7 @@ def test_train_config_unusable_size_rejected(tmp_path, field, bad):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: bad})
     path = tmp_path / "cfg.json"
-    save_train_config(path, TrainConfig())
-    obj = json.loads(path.read_text())
-    obj[field] = bad
-    write_json(path, obj)
+    write_json(path, config_obj(**{field: bad}))
     with pytest.raises(SchemaError, match=f"{field} must be"):
         load_train_config(path)
 
@@ -309,7 +317,7 @@ def test_checkpoint_round_trip_monotone(tmp_path):
     rng = np.random.Generator(np.random.Philox(6))
     params = init_monotone_params(2, 10, rng)
     path = tmp_path / "ck.json"
-    save_checkpoint(path, params, TrainConfig(), seed=77)
+    save_checkpoint(path, params, TrainConfig(seed=77))
     back, meta = load_checkpoint(path)
     assert back.kind == "monotone" and back.m_hidden == 10
     for key, val in params.raw.items():
@@ -466,6 +474,8 @@ def test_curve_round_trip(tmp_path):
     save_curve(path, curve, echo={"rho": 0.0})
     assert np.array_equal(load_curve(path), curve)
     assert path.read_text().splitlines()[1] == CURVE_HEADER
+    save_curve(path, np.empty((0, 5)))  # the curve of a zero-episode run
+    assert load_curve(path).shape == (0, 5)
     other = tmp_path / "notacurve.csv"
     other.write_text("# {}\nepisode,loss\n0,1.0\n")
     with pytest.raises(SchemaError, match="learning-curve"):

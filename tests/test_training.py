@@ -14,8 +14,8 @@ from swingctl.controller import (
     init_monotone_params,
     init_policy_params,
 )
-from swingctl.dynamics import Disturbance, Scenario, closed_loop
-from swingctl.tape import Tape, value
+from swingctl.dynamics import Disturbance, Scenario, closed_loop, swing_rhs
+from swingctl.tape import _BACKWARD, Tape, value
 from swingctl.training import (
     AdamState,
     TrainConfig,
@@ -372,6 +372,30 @@ def test_adam_zero_grad_keeps_params():
     out = adam_step(raw, {"x": np.zeros(2)}, state, cfg, ("x",))
     assert out["x"][1] == -2.0  # fresh moments, zero grad: exactly unchanged
     assert abs(state.m["x"][0] - 0.36) < 1e-15  # moments decay by beta1
+
+
+def test_recordings_use_every_tape_op(net3, inc3, eq3, spec_band):
+    # a constrained episode with rho > 0 and active buses, a monotone episode
+    # and the composed vector field together record every op the tape has
+    kinds = set()
+    policies = (
+        (make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0), 500.0),
+        (init_monotone_params(3, 4, np.random.default_rng(0)).bind(spec_band, net3, inc3, eq3), 0.0),
+    )
+    omega0 = np.array([[0.19, -0.15, 0.0], [0.05, -0.02, 0.01]])
+    for policy, rho in policies:
+        tp = Tape()
+        leaves = {k: tp.leaf(v) for k, v in policy.raw.items()}
+        episode_loss(
+            policy, net3, inc3, eq3, leaves, np.tile(eq3.lam_eq, (2, 1)), omega0,
+            np.tile(net3.p_nom, (10, 1)), None, 40.0, rho, 5e-3,
+        )
+        kinds |= set(tp.kinds)
+    tp = Tape()
+    swing_rhs(net3, inc3, tp.leaf(eq3.lam_eq), tp.leaf(omega0[0]), tp.leaf(np.zeros(3)), net3.p_nom)
+    kinds |= set(tp.kinds)
+    assert "gate" in kinds  # some bus left its dead zone
+    assert kinds - {"leaf"} == set(_BACKWARD)
 
 
 def test_train_zero_episodes(net2, inc2, eq2, spec_band):
