@@ -181,18 +181,11 @@ def _cmd_compare(args) -> int:
         if not label or any(ch in label for ch in ",\r\n"):
             raise ValueError(f"--controller label {label!r} must be non-empty, without commas or line breaks")
         entries.append((label, _build_controller(value, net, inc, eq, spec, args.projection == "on")))
-    summaries, _ = sio.compare(
-        entries,
-        net,
-        inc,
-        eq,
-        spec,
-        scenario,
-        seed=args.seed,
-        gamma=args.gamma,
-        beta=args.beta,
-        train_window=args.train_window,
-    )
+    # Every controller is built before the first rollout; each runs the same scenario and seed.
+    summaries = []
+    for label, ctrl in entries:
+        traj = rollout(net, inc, eq, ctrl, scenario, seed=args.seed, beta=args.beta, gamma=args.gamma)
+        summaries.append(sio.summarize(traj, spec, eq, label=label, train_window=args.train_window, beta=args.beta))
     echo = {
         "command": "compare",
         "net": args.net,

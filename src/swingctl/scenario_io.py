@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .controller import MonotoneParams, PolicyError, PolicyParams, SafetySpec
-from .dynamics import Disturbance, Scenario, Trajectory, rollout
+from .dynamics import Disturbance, Scenario, Trajectory
 from .netgraph import GraphError, PowerNetwork
 from .training import TrainConfig
 from .verify import run_checks
@@ -63,12 +63,18 @@ def _write_json(path, obj) -> None:
 
 
 def _need(obj: dict, field: str, kinds, where: str):
+    """obj[field], checked against `kinds`; JSON true/false is never a number."""
     if field not in obj:
         raise SchemaError(f"{where}: missing field {field!r}")
     val = obj[field]
-    if kinds is not None and not isinstance(val, kinds):
+    if isinstance(val, bool) or not isinstance(val, kinds):
         raise SchemaError(f"{where}: field {field!r} has wrong type {type(val).__name__}")
     return val
+
+
+def _opt(obj: dict, field: str, kinds, where: str, default):
+    """Like _need, but an absent field reads as `default`."""
+    return _need(obj, field, kinds, where) if field in obj else default
 
 
 def _check_kind(obj: dict, kind: str, where: str) -> None:
@@ -151,12 +157,12 @@ def load_scenario(path, net: PowerNetwork) -> Scenario:
     _check_kind(obj, "scenario", where)
     horizon = _need(obj, "T", (int, float), where)
     dt = _need(obj, "dt", (int, float), where)
-    init = obj.get("init", {})
-    if not isinstance(init, dict):
-        raise SchemaError(f"{where}: field 'init' must be an object")
-    raw_dist = obj.get("disturbances", [])
-    if not isinstance(raw_dist, list):
-        raise SchemaError(f"{where}: field 'disturbances' must be a list")
+    init = _opt(obj, "init", dict, where, {})
+    omega_range = _opt(init, "omega_range", (int, float), f"{where}: init", 0.1)
+    p_frac = _opt(init, "p_frac", (int, float), f"{where}: init", 0.1)
+    noise = _opt(obj, "noise", (int, float), where, 0.0)
+    label = _opt(obj, "label", str, where, "")
+    raw_dist = _opt(obj, "disturbances", list, where, [])
     index = {int(b): k for k, b in enumerate(net.bus_ids)}
     dist = []
     for k, d in enumerate(raw_dist):
@@ -179,10 +185,10 @@ def load_scenario(path, net: PowerNetwork) -> Scenario:
             horizon=float(horizon),
             dt=float(dt),
             disturbances=tuple(dist),
-            init_omega_range=float(init.get("omega_range", 0.1)),
-            init_p_frac=float(init.get("p_frac", 0.1)),
-            noise_bound=float(obj.get("noise", 0.0)),
-            label=str(obj.get("label", "")),
+            init_omega_range=float(omega_range),
+            init_p_frac=float(p_frac),
+            noise_bound=float(noise),
+            label=label,
         )
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from e
@@ -192,9 +198,17 @@ def load_safety_spec(path) -> SafetySpec:
     obj = _read_json(path)
     where = str(path)
     _check_kind(obj, "safety_spec", where)
-    lo = _need(obj, "omega_min", (int, float, list), where)
-    hi = _need(obj, "omega_max", (int, float, list), where)
-    return SafetySpec(np.atleast_1d(np.asarray(lo, dtype=float)), np.atleast_1d(np.asarray(hi, dtype=float)))
+    bounds = []
+    for name in ("omega_min", "omega_max"):
+        val = _need(obj, name, (int, float, list), where)
+        items = val if isinstance(val, list) else [val]
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in items):
+            raise SchemaError(f"{where}: field {name!r} must be a number or a list of numbers")
+        bounds.append(np.asarray(items, dtype=float))
+    try:
+        return SafetySpec(*bounds)
+    except PolicyError as e:
+        raise SchemaError(f"{where}: {e}") from None
 
 
 # ------------------------------------------------------------- train config
@@ -205,13 +219,15 @@ def load_train_config(path) -> TrainConfig:
     where = str(path)
     _check_kind(obj, "train_config", where)
     fields = {k: v for k, v in obj.items() if k not in ("format_version", "kind")}
-    known = set(TrainConfig().to_dict())
-    unknown = sorted(set(fields) - known)
+    defaults = TrainConfig().to_dict()
+    unknown = sorted(set(fields) - set(defaults))
     if unknown:
         raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
+    for name in fields:  # an int field takes a JSON integer, a float field any JSON number
+        _need(fields, name, int if isinstance(defaults[name], int) else (int, float), where)
     try:
         return TrainConfig(**fields)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise SchemaError(f"{where}: {e}") from e
 
 
@@ -494,33 +510,6 @@ def summarize(
         safety_ok=bool(safety_ok),
         stability_ok=bool(stability_ok),
     )
-
-
-def compare(
-    entries,
-    net,
-    inc,
-    eq,
-    spec,
-    scenario: Scenario,
-    seed: int = 0,
-    gamma: float = 40.0,
-    beta: float = 1.0,
-    train_window: float | None = None,
-):
-    """Run the identical scenario and seed for each (label, controller) pair.
-
-    Returns (summaries, trajectories) in entry order; rows for identical
-    controllers are identical because every run reuses the same seed.
-    """
-    summaries, trajs = [], []
-    for label, controller in entries:
-        traj = rollout(net, inc, eq, controller, scenario, seed=seed, beta=beta, gamma=gamma)
-        summaries.append(
-            summarize(traj, spec, eq, label=label, train_window=train_window, beta=beta)
-        )
-        trajs.append(traj)
-    return summaries, trajs
 
 
 COMPARISON_HEADER = "method,stability,safety,cost,cost_train_window,settle_time_s,worst_nadir_hz"

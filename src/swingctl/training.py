@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
 from functools import partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,10 +63,11 @@ class TrainConfig:
     seed: int = 0
     init_scale: float = 0.1
     dtilde_frac: float = 0.5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    divergence_factor: float = 1e3
+    # Constants, not settings: no run uses another value, so no file sets them.
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
+    divergence_factor: ClassVar[float] = 1e3
 
     def __post_init__(self):
         for name in ("batch", "steps", "m_hidden"):
@@ -198,15 +200,6 @@ class TrainResult:
     final_loss: float = field(default=np.nan)
 
 
-def _sample_batch(net, inc, scenario: Scenario, batch: int, rng: np.random.Generator):
-    """Batch initial states; per rollout: omega vector, then injection factors."""
-    lam0 = np.empty((batch, inc.b_mat.shape[1]))
-    omega0 = np.empty((batch, net.n_bus))
-    for b in range(batch):
-        lam0[b], omega0[b] = sample_initial_state(net, inc, scenario, rng)
-    return lam0, omega0
-
-
 def train(
     policy,
     net: PowerNetwork,
@@ -239,7 +232,8 @@ def train(
     first_loss = None
 
     for ep in range(cfg.episodes):
-        lam0, omega0 = _sample_batch(net, inc, scenario, cfg.batch, rng)
+        states = [sample_initial_state(net, inc, scenario, rng) for _ in range(cfg.batch)]
+        lam0, omega0 = (np.stack(part) for part in zip(*states))
         noise = None
         if scenario.noise_bound > 0:
             noise = rng.uniform(

@@ -31,9 +31,9 @@ from swingctl.netgraph import PowerNetwork, build_incidence
 from swingctl.equilibrium import solve_equilibrium
 from swingctl.scenario_io import (
     bundled_path,
-    compare,
     load_scenario,
     save_checkpoint,
+    summarize,
 )
 from swingctl.tape import value
 from swingctl.training import TrainConfig, loss_and_grad, train
@@ -342,10 +342,10 @@ def test_criterion_6_cost_ordering(
         trained_monotone[0].params, spec39, net39, inc39, eq39, projection=True
     )
     ctrl_safe = make_analytic_safe_controller(spec39, net39, inc39, eq39)
-    summaries, _ = compare(
-        [("constrained", ctrl_con), ("monotone", ctrl_mono), ("analytic-safe", ctrl_safe)],
-        net39, inc39, eq39, spec39, eval_scenario, seed=0, train_window=10.0,
-    )
+    summaries = []
+    for label, ctrl in (("constrained", ctrl_con), ("monotone", ctrl_mono), ("analytic-safe", ctrl_safe)):
+        traj = rollout(net39, inc39, eq39, ctrl, eval_scenario, seed=0)
+        summaries.append(summarize(traj, spec39, eq39, label=label, train_window=10.0))
     con, mono, safe = summaries
     ratio = con.cost / safe.cost
     print(

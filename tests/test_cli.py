@@ -399,12 +399,71 @@ def test_negative_sampling_range_or_seed_exits_one_before_writing(files, capsys,
     assert not out.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "train"])
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"noise": [0.1]}, "field 'noise'"),
+        ({"noise": "0.05"}, "field 'noise'"),
+        ({"noise": True}, "field 'noise'"),
+        ({"label": [1]}, "field 'label'"),
+        ({"init": {"omega_range": [0.1]}}, "init: field 'omega_range'"),
+        ({"init": {"p_frac": True}}, "init: field 'p_frac'"),
+    ],
+)
+def test_scenario_value_of_wrong_type_exits_one_before_writing(files, capsys, command, edit, field):
+    scenario = files["dir"] / "scenario.json"
+    write_json(scenario, {**json.loads(Path(files["train"]).read_text()), **edit})
+    out, report = files["dir"] / "out.csv", files["dir"] / "r.json"
+    argv = {
+        "simulate": ["--out", str(out), "--report", str(report)],
+        "train": ["--episodes", "1", "--batch", "1", "--steps", "10", "--out", str(out), "--curve", str(report)],
+    }[command]
+    assert run([command, "--net", files["net"], "--scenario", str(scenario), *argv]) == 1
+    assert one_error_line(capsys).startswith(f"error: SchemaError: {scenario}: {field} has wrong type")
+    assert not out.exists() and not report.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("episodes", 1.5), ("batch", 2.0), ("seed", 1.5), ("steps", True), ("gamma", True), ("lr", "0.05"), ("rho", None)],
+)
+def test_train_config_value_of_wrong_type_exits_one_before_writing(files, capsys, field, value):
+    config = files["dir"] / "cfg.json"
+    write_json(config, {"format_version": 1, "kind": "train_config", "steps": 10, "batch": 1, field: value})
+    out, curve = files["dir"] / "ckpt.json", files["dir"] / "curve.csv"
+    argv = ["train", "--net", files["net"], "--scenario", files["train"], "--config", str(config)]
+    assert run([*argv, "--out", str(out), "--curve", str(curve), "--quiet"]) == 1
+    assert one_error_line(capsys).startswith(f"error: SchemaError: {config}: field '{field}' has wrong type")
+    assert not out.exists() and not curve.exists()
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (["a"], "field 'omega_min' must be a number or a list of numbers"),
+        ([[-0.2, -0.2]], "field 'omega_min' must be a number or a list of numbers"),
+        (True, "field 'omega_min' has wrong type bool"),
+        ([-0.2, False], "field 'omega_min' must be a number or a list of numbers"),
+        (0.1, "the band must contain the nominal frequency strictly"),
+    ],
+)
+def test_bad_safety_spec_exits_one_naming_the_file(files, capsys, bad, message):
+    spec = files["dir"] / "spec.json"
+    write_json(spec, {"format_version": 1, "kind": "safety_spec", "omega_min": bad, "omega_max": 0.2})
+    out = files["dir"] / "out.csv"
+    argv = ["--spec", str(spec), "--dt", "0.01", "--horizon", "0.1"]
+    assert simulate(files, "train", out, files["dir"] / "r.json", argv) == 1
+    assert one_error_line(capsys).startswith(f"error: SchemaError: {spec}: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("window", ["-3", "nan", "inf"])
 def test_compare_checks_the_train_window_before_the_rollouts(files, capsys, monkeypatch, window):
     def no_rollouts(*args, **kwargs):
         raise AssertionError("compare ran rollouts")
 
-    monkeypatch.setattr("swingctl.scenario_io.compare", no_rollouts)
+    monkeypatch.setattr("swingctl.cli.rollout", no_rollouts)
     out = files["dir"] / "cmp.csv"
     argv = ["compare", "--net", files["net"], "--scenario", files["step"], "--controller", "zero"]
     assert run([*argv, "--train-window", window, "--out", str(out)]) == 1
@@ -417,7 +476,7 @@ def test_compare_rejects_labels_that_break_the_table(files, capsys, monkeypatch,
     def no_rollouts(*args, **kwargs):
         raise AssertionError("compare ran rollouts")
 
-    monkeypatch.setattr("swingctl.scenario_io.compare", no_rollouts)
+    monkeypatch.setattr("swingctl.cli.rollout", no_rollouts)
     out = files["dir"] / "cmp.csv"
     argv = ["compare", "--net", files["net"], "--scenario", files["step"], "--controller", "zero"]
     assert run([*argv, "--controller", f"{label}=zero", "--out", str(out)]) == 1

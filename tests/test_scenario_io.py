@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import forward_loss
+from swingctl import cli
 from swingctl.controller import (
     PARAM_KEYS,
     ConstrainedAdapter,
@@ -25,7 +26,6 @@ from swingctl.scenario_io import (
     RunSummary,
     SchemaError,
     bundled_path,
-    compare,
     config_hash,
     load_checkpoint,
     load_curve,
@@ -35,7 +35,6 @@ from swingctl.scenario_io import (
     load_train_config,
     load_trajectory,
     save_checkpoint,
-    save_comparison,
     save_curve,
     save_report,
     save_trajectory,
@@ -270,7 +269,7 @@ def test_safety_spec_per_bus_round_trip(tmp_path):
 
 
 def test_train_config_round_trip(tmp_path):
-    fields = {"episodes": 7, "batch": 3, "steps": 111, "rho": 500.0, "seed": 9, "lr": 0.02}
+    fields = {"episodes": 7, "batch": 3, "steps": 111, "rho": 500.0, "seed": 9, "lr": 0.02, "gamma": 30}
     path = tmp_path / "cfg.json"
     write_json(path, config_obj(**fields))
     assert load_train_config(path).to_dict() == TrainConfig(**fields).to_dict()
@@ -280,6 +279,14 @@ def test_train_config_unknown_field_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     write_json(path, config_obj(budget=3))
     with pytest.raises(SchemaError, match="unknown field 'budget'"):
+        load_train_config(path)
+
+
+@pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2", "adam_eps", "divergence_factor"])
+def test_train_config_constants_are_not_fields(tmp_path, field):
+    path = tmp_path / "cfg.json"
+    write_json(path, config_obj(**{field: 0.5}))
+    with pytest.raises(SchemaError, match=f"unknown field '{field}'"):
         load_train_config(path)
 
 
@@ -565,20 +572,23 @@ def test_summary_nadir_is_signed_extreme(net2, inc2, eq2, spec_band):
     assert abs(abs(s.worst_nadir()) - np.abs(dev).max()) < 1e-15
 
 
-def test_compare_identical_controllers_identical_rows(tmp_path, net2, inc2, eq2, spec_band):
-    sc = Scenario(
-        horizon=1.0, dt=0.01, disturbances=(Disturbance(0, -0.2, 0.2, 0.6),),
-        noise_bound=0.001, label="pair",
-    )
-    entries = [("one", make_zero_controller(2)), ("two", make_zero_controller(2))]
-    summaries, trajs = compare(entries, net2, inc2, eq2, spec_band, sc, seed=11)
-    assert np.array_equal(trajs[0].omega, trajs[1].omega)
-    assert summaries[0].cost == summaries[1].cost
-    assert summaries[0].settle_time == summaries[1].settle_time or (
-        np.isnan(summaries[0].settle_time) and np.isnan(summaries[1].settle_time)
-    )
-    path = tmp_path / "cmp.csv"
-    save_comparison(path, summaries, echo={"seed": 11})
+def test_compare_identical_controllers_identical_rows(tmp_path, monkeypatch):
+    net, sc, path = tmp_path / "net.json", tmp_path / "sc.json", tmp_path / "cmp.csv"
+    write_json(net, network_obj())
+    write_json(sc, {
+        "format_version": 1, "kind": "scenario", "T": 1.0, "dt": 0.01, "noise": 0.001, "label": "pair",
+        "disturbances": [{"bus": 1, "dp": -0.2, "t0": 0.2, "t1": 0.6}],
+    })
+    trajs = []
+
+    def recording_rollout(*args, **kwargs):
+        trajs.append(rollout(*args, **kwargs))
+        return trajs[-1]
+
+    monkeypatch.setattr("swingctl.cli.rollout", recording_rollout)
+    argv = ["compare", "--net", str(net), "--scenario", str(sc), "--seed", "11", "--out", str(path)]
+    assert cli.run([*argv, "--controller", "one=zero", "--controller", "two=zero"]) == 0
+    assert len(trajs) == 2 and np.array_equal(trajs[0].omega, trajs[1].omega)
     lines = path.read_text().splitlines()
     assert lines[1] == COMPARISON_HEADER
     assert lines[2].split(",")[1:] == lines[3].split(",")[1:]
