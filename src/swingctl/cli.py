@@ -31,9 +31,6 @@ from .training import TrainConfig, TrainingError, train
 from .verify import run_checks
 from . import scenario_io as sio
 
-# TrainConfig fields `train` overrides by flag, in --help order.
-TRAIN_FLAGS = ("gamma", "rho", "lr", "episodes", "batch", "steps", "dt", "m_hidden", "init_scale", "seed")
-
 DOMAIN_ERRORS = (
     sio.SchemaError,
     GraphError,
@@ -117,10 +114,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     net, inc, eq, spec = _setup(args)
-    cfg = sio.load_train_config(args.config) if args.config else TrainConfig()
-    overrides = {name: getattr(args, name) for name in TRAIN_FLAGS if getattr(args, name) is not None}
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
+    given = {name: getattr(args, name) for name in TrainConfig().to_dict()}
+    cfg = TrainConfig(**{name: v for name, v in given.items() if v is not None})
     scenario = sio.load_scenario(args.scenario, net)
     if args.dt is None and cfg.dt != scenario.dt:
         raise ValueError(
@@ -240,11 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_tr)
     p_tr.add_argument("--scenario", required=True)
     p_tr.add_argument("--policy", choices=("constrained", "monotone"), default="constrained")
-    p_tr.add_argument("--config", default=None, help="train-config JSON")
-    defaults = TrainConfig()
-    for name in TRAIN_FLAGS:  # each flag parses as the type of its field's default
-        flag = "--" + name.replace("_", "-")
-        p_tr.add_argument(flag, dest=name, type=type(getattr(defaults, name)), default=None)
+    for name, default in TrainConfig().to_dict().items():  # one flag per field, of its default's type
+        p_tr.add_argument("--" + name.replace("_", "-"), dest=name, type=type(default), default=None)
     p_tr.add_argument("--noise", type=float, default=None, help="override measurement noise bound")
     p_tr.add_argument("--quiet", action="store_true")
     p_tr.add_argument("--out", default="ckpt.json")

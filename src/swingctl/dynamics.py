@@ -303,7 +303,7 @@ def rollout(
         omega=rec_omega,
         u=rec_u,
         budgets=rec_b,
-        v_energy=energy(net, inc, eq, rec_lam, rec_omega),
+        v_energy=energy(net, eq, rec_lam, rec_omega),
         loss_freq=gamma * (dev**2).sum(axis=1),
         loss_ctrl=(rec_u**2).sum(axis=1),
         lam=rec_lam,

@@ -42,8 +42,7 @@ class Equilibrium:
     Attributes:
         omega_sync: common frequency deviation at equilibrium (Hz).
         p_tilde: injections with the synchronous drift removed, shape (n,).
-        theta_eq: mean-zero bus angles, shape (n,).
-        lam_eq: edge angle differences B^T theta_eq, shape (m,).
+        lam_eq: edge angles B^T theta of the mean-zero bus angles, shape (m,).
         cond_value: edge-wise infinity norm of pinv(L) p_tilde; < 1 certifies
             existence inside the open box |lam_k| < pi/2.
         energy_cap: minimum of the energy over the boundary of the closed box
@@ -52,7 +51,6 @@ class Equilibrium:
 
     omega_sync: float
     p_tilde: np.ndarray
-    theta_eq: np.ndarray
     lam_eq: np.ndarray
     cond_value: float
     energy_cap: float
@@ -127,7 +125,6 @@ def solve_equilibrium(
     return Equilibrium(
         omega_sync=omega_sync,
         p_tilde=p_tilde,
-        theta_eq=theta,
         lam_eq=lam_eq,
         cond_value=cond,
         energy_cap=cap,
@@ -150,7 +147,7 @@ def _boundary_energy_min(y_edge: np.ndarray, lam_eq: np.ndarray) -> float:
     return float(np.min(np.concatenate(vals)))
 
 
-def energy(net: PowerNetwork, inc: Incidence, eq: Equilibrium, lam: np.ndarray, omega: np.ndarray):
+def energy(net: PowerNetwork, eq: Equilibrium, lam: np.ndarray, omega: np.ndarray):
     """Energy V at a state: kinetic in omega plus the edge potential.
 
     States may carry a leading row axis; V then has one entry per row.
@@ -177,4 +174,4 @@ def in_region(
     lam = np.asarray(lam, dtype=float)
     if np.any(np.abs(lam) > np.pi / 2):
         return False
-    return energy(net, inc, eq, lam, omega) <= cap
+    return energy(net, eq, lam, omega) <= cap

@@ -77,6 +77,13 @@ def _opt(obj: dict, field: str, kinds, where: str, default):
     return _need(obj, field, kinds, where) if field in obj else default
 
 
+def _reject_unknown(obj: dict, known: tuple, where: str) -> None:
+    """SchemaError naming a key not in `known`; a misspelt one would read as absent."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
+
+
 def _check_kind(obj: dict, kind: str, where: str) -> None:
     got = _need(obj, "kind", str, where)
     if got != kind:
@@ -150,14 +157,17 @@ def load_scenario(path, net: PowerNetwork) -> Scenario:
     """Scenario file: {T, dt, disturbances:[{bus, dp, t0, t1}], init, noise}.
 
     Disturbance buses are written as network-file bus ids and remapped
-    through the network's id table; an id not in it is a SchemaError.
+    through the network's id table; an id not in it is a SchemaError, and
+    so is a key not listed here, at the top level or in init.
     """
     obj = _read_json(path)
     where = str(path)
     _check_kind(obj, "scenario", where)
+    _reject_unknown(obj, ("format_version", "kind", "T", "dt", "disturbances", "init", "noise", "label"), where)
     horizon = _need(obj, "T", (int, float), where)
     dt = _need(obj, "dt", (int, float), where)
     init = _opt(obj, "init", dict, where, {})
+    _reject_unknown(init, ("omega_range", "p_frac"), f"{where}: init")
     omega_range = _opt(init, "omega_range", (int, float), f"{where}: init", 0.1)
     p_frac = _opt(init, "p_frac", (int, float), f"{where}: init", 0.1)
     noise = _opt(obj, "noise", (int, float), where, 0.0)
@@ -211,26 +221,6 @@ def load_safety_spec(path) -> SafetySpec:
         raise SchemaError(f"{where}: {e}") from None
 
 
-# ------------------------------------------------------------- train config
-
-
-def load_train_config(path) -> TrainConfig:
-    obj = _read_json(path)
-    where = str(path)
-    _check_kind(obj, "train_config", where)
-    fields = {k: v for k, v in obj.items() if k not in ("format_version", "kind")}
-    defaults = TrainConfig().to_dict()
-    unknown = sorted(set(fields) - set(defaults))
-    if unknown:
-        raise SchemaError(f"{where}: unknown field {unknown[0]!r}")
-    for name in fields:  # an int field takes a JSON integer, a float field any JSON number
-        _need(fields, name, int if isinstance(defaults[name], int) else (int, float), where)
-    try:
-        return TrainConfig(**fields)
-    except ValueError as e:
-        raise SchemaError(f"{where}: {e}") from e
-
-
 # --------------------------------------------------------------- checkpoint
 
 
@@ -249,7 +239,6 @@ def save_checkpoint(path, params, cfg: TrainConfig) -> None:
         "raw": {k: np.asarray(v).tolist() for k, v in params.raw.items()},
         "config": cfg_dict,
         "config_hash": config_hash(cfg_dict),
-        "seed": cfg.seed,
     }
     for name in params.fixed:
         obj[name] = np.asarray(getattr(params, name)).tolist()
@@ -290,7 +279,7 @@ def load_checkpoint(path):
     for name, arr in fixed.items():
         if arr.shape != (n,):
             raise SchemaError(f"{where}: {name} has shape {arr.shape}, expected ({n},) for {n} buses")
-    meta = {k: obj.get(k) for k in ("config", "config_hash", "seed")}
+    meta = {k: obj.get(k) for k in ("config", "config_hash")}
     try:
         return cls(raw=raw, m_hidden=m_hidden, **fixed), meta
     except PolicyError as e:

@@ -21,10 +21,10 @@ per-step hot path of a training episode:
 
 Each fused kernel evaluates the numpy expression of the composed ops it
 stands for, in the same order, so its value is bitwise the composed one.
-Every recorded node stores its op kind, parent indices, output shape and the
-cached locals its backward rule needs; a value stays alive only while a Node
-handle or such a cache holds it. Adjoints fill a parallel buffer in a single
-reverse sweep that keeps only leaf ones.
+Every recorded node stores its backward rule (whose name gives the op),
+parent indices, output shape and the cached locals the rule needs; a value
+stays alive only while a Node handle or such a cache holds it. Adjoints fill
+a parallel buffer in a single reverse sweep that keeps only leaf ones.
 
 A `piecewise` node stores no (..., n, m) temporary: it keeps references to
 the weight table and to s, plus the count k of active units per entry in the
@@ -116,7 +116,7 @@ class Tape:
     """
 
     def __init__(self):
-        self.kinds: list[str] = []
+        self.rules: list = []  # each node's backward rule; None for a leaf
         self.parents: list[tuple] = []
         self.aux: list = []
         self.shapes: list[tuple] = []
@@ -125,7 +125,7 @@ class Tape:
         self.adj: list = []
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return len(self.rules)
 
     @property
     def vals(self) -> list:
@@ -133,16 +133,16 @@ class Tape:
         return [ref() for ref in self._refs]
 
     def leaf(self, value) -> Node:
-        return self._rec("leaf", (), None, np.asarray(value, dtype=float))
+        return self._rec(None, (), None, np.asarray(value, dtype=float))
 
-    def _rec(self, kind: str, parents: tuple, aux, val) -> Node:
+    def _rec(self, rule, parents: tuple, aux, val) -> Node:
         val = np.asarray(val)  # a 0-d array, not a numpy scalar, takes a weakref
-        self.kinds.append(kind)
+        self.rules.append(rule)
         self.parents.append(parents)
         self.aux.append(aux)
         self.shapes.append(self._shape_ids.setdefault(val.shape, val.shape))
         self._refs.append(weakref.ref(val))
-        return Node(self, len(self.kinds) - 1, val)
+        return Node(self, len(self.rules) - 1, val)
 
     def backward(self, root: Node, check_finite: bool = False) -> None:
         """Fill the leaf adjoints of the sum of `root`'s entries by one reverse
@@ -157,30 +157,34 @@ class Tape:
             raise ValueError("root node belongs to a different tape")
         adj = [None] * len(self)
         adj[root.idx] = np.ones(self.shapes[root.idx])
-        kinds, parents, aux, shapes = self.kinds, self.parents, self.aux, self.shapes
-        rules = _BACKWARD
+        rules, parents, aux, shapes = self.rules, self.parents, self.aux, self.shapes
         for i in range(root.idx, -1, -1):
             g = adj[i]
             if g is None:
                 continue
             if check_finite and not np.all(np.isfinite(g)):
                 raise TapeError(
-                    f"non-finite adjoint at node {i} (op '{kinds[i]}') "
+                    f"non-finite adjoint at node {i} (op '{_op_name(rules[i])}') "
                     f"in reverse sweep from node {root.idx}"
                 )
-            if kinds[i] == "leaf":
+            if rules[i] is None:
                 continue
-            rules[kinds[i]](g, parents[i], aux[i], shapes, adj)
+            rules[i](g, parents[i], aux[i], shapes, adj)
             adj[i] = None
         self.adj = adj
 
     def grad(self, node: Node) -> np.ndarray:
         """Adjoint of a leaf after `backward` (zeros if the root ignores it);
         ValueError naming the node for an interior one, which is dropped."""
-        if self.kinds[node.idx] != "leaf":
-            raise ValueError(f"node {node.idx} (op '{self.kinds[node.idx]}') is not a leaf")
+        if self.rules[node.idx] is not None:
+            raise ValueError(f"node {node.idx} (op '{_op_name(self.rules[node.idx])}') is not a leaf")
         g = self.adj[node.idx]
         return np.zeros(self.shapes[node.idx]) if g is None else g
+
+
+def _op_name(rule) -> str:
+    """A tape entry's op: its rule's name without `_bk_`, or 'leaf'."""
+    return "leaf" if rule is None else rule.__name__.removeprefix("_bk_")
 
 
 def value(x):
@@ -221,13 +225,13 @@ def _acc(adj, shapes, idx, g):
         adj[idx] += g
 
 
-def _node(kind: str, args: tuple, aux, out):
+def _node(rule, args: tuple, aux, out):
     """The one recording path: `out` itself when no argument is a Node, else
-    `out` recorded as `kind` on the first Node's tape, with `aux` kept for
-    the backward rule."""
+    `out` recorded on the first Node's tape with its backward `rule` and
+    the `aux` that rule reads."""
     for x in args:
         if isinstance(x, Node):
-            return x.tape._rec(kind, tuple(map(_idx, args)), aux, out)
+            return x.tape._rec(rule, tuple(map(_idx, args)), aux, out)
     return out
 
 
@@ -235,36 +239,36 @@ def _node(kind: str, args: tuple, aux, out):
 
 
 def add(a, b):
-    return _node("add", (a, b), None, _val(a) + _val(b))
+    return _node(_bk_add, (a, b), None, _val(a) + _val(b))
 
 
 def sub(a, b):
-    return _node("sub", (a, b), None, _val(a) - _val(b))
+    return _node(_bk_sub, (a, b), None, _val(a) - _val(b))
 
 
 def mul(a, b):
     va, vb = _val(a), _val(b)
-    return _node("mul", (a, b), (va, vb), va * vb)
+    return _node(_bk_mul, (a, b), (va, vb), va * vb)
 
 
 def div(a, b):
     """Plain division; denominators must stay away from zero."""
     va, vb = _val(a), _val(b)
-    return _node("div", (a, b), (va, vb), va / vb)
+    return _node(_bk_div, (a, b), (va, vb), va / vb)
 
 
 def neg(a):
-    return _node("neg", (a,), None, -_val(a))
+    return _node(_bk_neg, (a,), None, -_val(a))
 
 
 def sin(a):
     va = _val(a)
-    return _node("sin", (a,), va, np.sin(va))
+    return _node(_bk_sin, (a,), va, np.sin(va))
 
 
 def sigmoid(a):
     out = _sigmoid_val(_val(a))
-    return _node("sigmoid", (a,), out, out)
+    return _node(_bk_sigmoid, (a,), out, out)
 
 
 def _sigmoid_val(x: np.ndarray) -> np.ndarray:
@@ -275,23 +279,23 @@ def _sigmoid_val(x: np.ndarray) -> np.ndarray:
 
 def softplus(a):
     va = _val(a)
-    return _node("softplus", (a,), va, np.maximum(va, 0.0) + np.log1p(np.exp(-np.abs(va))))
+    return _node(_bk_softplus, (a,), va, np.maximum(va, 0.0) + np.log1p(np.exp(-np.abs(va))))
 
 
 def tanh(a):
     out = np.tanh(_val(a))
-    return _node("tanh", (a,), out, out)
+    return _node(_bk_tanh, (a,), out, out)
 
 
 def square(a):
     va = _val(a)
-    return _node("square", (a,), va, va * va)
+    return _node(_bk_square, (a,), va, va * va)
 
 
 def minimum(a, b):
     va, vb = _val(a), _val(b)
     take = va <= vb  # first argument wins ties
-    return _node("minimum", (a, b), take, np.where(take, va, vb))
+    return _node(_bk_minimum, (a, b), take, np.where(take, va, vb))
 
 
 def matvec(mat: np.ndarray, x):
@@ -299,24 +303,24 @@ def matvec(mat: np.ndarray, x):
 
     Batches over leading axes of x: (..., k) -> (..., r) for mat (r, k).
     """
-    return _node("matvec", (x,), mat, _val(x) @ mat.T)
+    return _node(_bk_matvec, (x,), mat, _val(x) @ mat.T)
 
 
 def reduce_min(a):
     """Scalar minimum of an array; adjoint goes to the first attaining entry."""
     va = _val(a)
     k = int(np.argmin(va))
-    return _node("reduce_min", (a,), k, np.asarray(va.reshape(-1)[k]))
+    return _node(_bk_reduce_min, (a,), k, np.asarray(va.reshape(-1)[k]))
 
 
 def permute_last(a, perm: np.ndarray):
     """a reordered along its last axis by a constant index array `perm` of
     a's shape, each row of it a permutation."""
-    return _node("permute_last", (a,), perm, np.take_along_axis(_val(a), perm, axis=-1))
+    return _node(_bk_permute_last, (a,), perm, np.take_along_axis(_val(a), perm, axis=-1))
 
 
 def cumsum_last(a):
-    return _node("cumsum_last", (a,), None, np.cumsum(_val(a), axis=-1))
+    return _node(_bk_cumsum_last, (a,), None, np.cumsum(_val(a), axis=-1))
 
 
 def diff_keepfirst(a):
@@ -325,7 +329,7 @@ def diff_keepfirst(a):
     out = np.empty_like(va)
     out[..., 0] = va[..., 0]
     out[..., 1:] = va[..., 1:] - va[..., :-1]
-    return _node("diff_keepfirst", (a,), None, out)
+    return _node(_bk_diff_keepfirst, (a,), None, out)
 
 
 def pad_zero_first(a):
@@ -333,7 +337,7 @@ def pad_zero_first(a):
     va = _val(a)
     out = np.zeros(va.shape[:-1] + (va.shape[-1] + 1,), dtype=float)
     out[..., 1:] = va
-    return _node("pad_zero_first", (a,), None, out)
+    return _node(_bk_pad_zero_first, (a,), None, out)
 
 
 # ------------------------------------------------ fused per-step kernels
@@ -356,7 +360,7 @@ def piecewise(W, C, thr, s, sign: float):
     flat = k + _row_offsets(thr.shape)
     out = x * vW.reshape(-1)[flat] + vC.reshape(-1)[flat]
     k = k.astype(np.min_scalar_type(thr.shape[-1] - 1))
-    return _node("piecewise", (W, C, s), (vW, vs, k, sign), out)
+    return _node(_bk_piecewise, (W, C, s), (vW, vs, k, sign), out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -380,7 +384,7 @@ def euler_angles(lam, omega, b_mat: np.ndarray, dt: float):
     """Explicit Euler update of the edge angles, lam + dt * (omega @ b_mat),
     for the constant (n, m) incidence matrix b_mat."""
     out = _val(lam) + dt * (_val(omega) @ b_mat)
-    return _node("euler_angles", (lam, omega), (b_mat, dt), out)
+    return _node(_bk_euler_angles, (lam, omega), (b_mat, dt), out)
 
 
 def euler_freqs(lam, omega, u, p, damping, inertia, by_mat: np.ndarray, dt: float):
@@ -389,14 +393,14 @@ def euler_freqs(lam, omega, u, p, damping, inertia, by_mat: np.ndarray, dt: floa
     per-bus damping D and inertia M and the (n, m) matrix by_mat."""
     vlam, vomega = _val(lam), _val(omega)
     rate = (_val(u) + _val(p) - damping * vomega - np.sin(vlam) @ by_mat.T) / inertia
-    return _node("euler_freqs", (lam, omega, u, p), (vlam, damping, inertia, by_mat, dt), vomega + dt * rate)
+    return _node(_bk_euler_freqs, (lam, omega, u, p), (vlam, damping, inertia, by_mat, dt), vomega + dt * rate)
 
 
 def feedforward(lam, omega, p, damping, by_mat: np.ndarray):
     """Local injection mismatch q = D omega + sin(lam) @ by_mat.T - p."""
     vlam = _val(lam)
     out = damping * _val(omega) + np.sin(vlam) @ by_mat.T - _val(p)
-    return _node("feedforward", (lam, omega, p), (vlam, damping, by_mat), out)
+    return _node(_bk_feedforward, (lam, omega, p), (vlam, damping, by_mat), out)
 
 
 def stability_cap(dtilde, omega_sync, omega, b):
@@ -404,7 +408,7 @@ def stability_cap(dtilde, omega_sync, omega, b):
     |dev| floored at _TINY; D_tilde and omega_sync are constants."""
     dev = _val(omega) - omega_sync
     vb = _val(b)
-    return _node("stability_cap", (omega, b), (dtilde, vb, dev), dtilde * dev + vb / _floored(dev)[1])
+    return _node(_bk_stability_cap, (omega, b), (dtilde, vb, dev), dtilde * dev + vb / _floored(dev)[1])
 
 
 def barrier_bound(cap, alpha, d, q, upper: bool):
@@ -413,7 +417,7 @@ def barrier_bound(cap, alpha, d, q, upper: bool):
     vc, va, vd = _val(cap), _val(alpha), _val(d)
     t = va / _floored(vd)[1] + _val(q)
     take = vc <= t if upper else vc >= t
-    return _node("barrier_bound", (cap, alpha, d, q), (take, va, vd), np.where(take, vc, t))
+    return _node(_bk_barrier_bound, (cap, alpha, d, q), (take, va, vd), np.where(take, vc, t))
 
 
 def gate(dhi, dlo, f, ub, lb):
@@ -421,13 +425,13 @@ def gate(dhi, dlo, f, ub, lb):
     vhi, vlo, vf = _val(dhi), _val(dlo), _val(f)
     cut_hi, cut_lo = np.maximum(vf - _val(ub), 0.0), np.maximum(_val(lb) - vf, 0.0)
     out = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
-    return _node("gate", (dhi, dlo, f, ub, lb), (vhi, vlo, vf, cut_hi, cut_lo), out)
+    return _node(_bk_gate, (dhi, dlo, f, ub, lb), (vhi, vlo, vf, cut_hi, cut_lo), out)
 
 
 def sq_dist(a, b=None):
     """Scalar sum((a - b)^2), or sum(a^2) without b."""
     d = _val(a) if b is None else _val(a) - _val(b)
-    return _node("sq_dist", (a, b), d, np.asarray((d * d).sum()))
+    return _node(_bk_sq_dist, (a, b), d, np.asarray((d * d).sum()))
 
 
 def sum_seq(terms):
@@ -435,7 +439,7 @@ def sum_seq(terms):
     total = 0.0
     for t in terms:
         total = total + _val(t)
-    return _node("sum_seq", tuple(terms), None, np.asarray(total))
+    return _node(_bk_sum_seq, tuple(terms), None, np.asarray(total))
 
 
 # ------------------------------------------------------------ backward rules
@@ -632,32 +636,3 @@ def _bk_diff_keepfirst(g, par, aux, shapes, adj):
 def _bk_pad_zero_first(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], np.asarray(g)[..., 1:])
 
-
-_BACKWARD = {
-    "add": _bk_add,
-    "sub": _bk_sub,
-    "mul": _bk_mul,
-    "div": _bk_div,
-    "neg": _bk_neg,
-    "sin": _bk_sin,
-    "sigmoid": _bk_sigmoid,
-    "softplus": _bk_softplus,
-    "tanh": _bk_tanh,
-    "square": _bk_square,
-    "minimum": _bk_minimum,
-    "matvec": _bk_matvec,
-    "reduce_min": _bk_reduce_min,
-    "permute_last": _bk_permute_last,
-    "cumsum_last": _bk_cumsum_last,
-    "diff_keepfirst": _bk_diff_keepfirst,
-    "pad_zero_first": _bk_pad_zero_first,
-    "piecewise": _bk_piecewise,
-    "euler_angles": _bk_euler_angles,
-    "euler_freqs": _bk_euler_freqs,
-    "feedforward": _bk_feedforward,
-    "stability_cap": _bk_stability_cap,
-    "barrier_bound": _bk_barrier_bound,
-    "gate": _bk_gate,
-    "sq_dist": _bk_sq_dist,
-    "sum_seq": _bk_sum_seq,
-}

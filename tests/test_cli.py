@@ -425,17 +425,30 @@ def test_scenario_value_of_wrong_type_exits_one_before_writing(files, capsys, co
 
 
 @pytest.mark.parametrize(
-    "field, value",
-    [("episodes", 1.5), ("batch", 2.0), ("seed", 1.5), ("steps", True), ("gamma", True), ("lr", "0.05"), ("rho", None)],
+    "edit, message",
+    [({"nosie": 0.05}, "unknown field 'nosie'"), ({"init": {"omega_rnage": 0.0}}, "init: unknown field 'omega_rnage'")],
 )
-def test_train_config_value_of_wrong_type_exits_one_before_writing(files, capsys, field, value):
-    config = files["dir"] / "cfg.json"
-    write_json(config, {"format_version": 1, "kind": "train_config", "steps": 10, "batch": 1, field: value})
+def test_scenario_unknown_key_exits_one_before_writing(files, capsys, edit, message):
+    # a misspelt optional key used to load as its default
+    scenario = files["dir"] / "scenario.json"
+    write_json(scenario, {**json.loads(Path(files["step"]).read_text()), **edit})
+    out, report = files["dir"] / "out.csv", files["dir"] / "r.json"
+    assert run(["simulate", "--net", files["net"], "--scenario", str(scenario), "--out", str(out),
+                "--report", str(report)]) == 1
+    assert one_error_line(capsys) == f"error: SchemaError: {scenario}: {message}\n"
+    assert not out.exists() and not report.exists()
+
+
+def test_train_dtilde_frac_flag(files, capsys):
     out, curve = files["dir"] / "ckpt.json", files["dir"] / "curve.csv"
-    argv = ["train", "--net", files["net"], "--scenario", files["train"], "--config", str(config)]
-    assert run([*argv, "--out", str(out), "--curve", str(curve), "--quiet"]) == 1
-    assert one_error_line(capsys).startswith(f"error: SchemaError: {config}: field '{field}' has wrong type")
+    argv = ["train", "--net", files["net"], "--scenario", files["train"], "--episodes", "1", "--batch", "1",
+            "--steps", "40", "--quiet", "--out", str(out), "--curve", str(curve)]
+    assert run([*argv, "--dtilde-frac", "1.0"]) == 1
+    assert one_error_line(capsys) == "error: PolicyError: dtilde_frac must lie in (0, 1)\n"
     assert not out.exists() and not curve.exists()
+    assert run([*argv, "--dtilde-frac", "0.3"]) == 0
+    params, meta = load_checkpoint(out)
+    assert params.dtilde_frac.tolist() == [0.3, 0.3] and meta["config"]["dtilde_frac"] == 0.3
 
 
 @pytest.mark.parametrize(

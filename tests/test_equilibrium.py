@@ -119,10 +119,10 @@ def test_energy_cap_matches_grid_oracle(net2, eq2, net3, eq3):
 
 
 def test_energy_hand_values(net2, inc2, eq2):
-    assert energy(net2, inc2, eq2, eq2.lam_eq, np.zeros(2)) == 0.0
-    kinetic = energy(net2, inc2, eq2, eq2.lam_eq, np.array([0.1, -0.1]))
+    assert energy(net2, eq2, eq2.lam_eq, np.zeros(2)) == 0.0
+    kinetic = energy(net2, eq2, eq2.lam_eq, np.array([0.1, -0.1]))
     assert abs(kinetic - 0.01) < 1e-15
-    at_box = energy(net2, inc2, eq2, np.array([np.pi / 2]), np.zeros(2))
+    at_box = energy(net2, eq2, np.array([np.pi / 2]), np.zeros(2))
     assert abs(at_box - 0.34243) < 1e-5
     assert abs(at_box - eq2.energy_cap) < 1e-12  # the 2-bus min sits on this face
 
@@ -132,16 +132,16 @@ def test_energy_nonnegative_property(net3, inc3, eq3):
     for _ in range(500):
         lam = rng.uniform(-np.pi / 2, np.pi / 2, 2)
         omega = rng.uniform(-1.0, 1.0, 3)
-        assert energy(net3, inc3, eq3, lam, omega) >= 0.0
+        assert energy(net3, eq3, lam, omega) >= 0.0
 
 
 def test_energy_rows_match_single_states(net3, inc3, eq3):
     rng = np.random.default_rng(12)
     lam = rng.uniform(-np.pi / 2, np.pi / 2, (50, 2))
     omega = rng.uniform(-1.0, 1.0, (50, 3))
-    rows = energy(net3, inc3, eq3, lam, omega)
+    rows = energy(net3, eq3, lam, omega)
     assert rows.shape == (50,)
-    single = [energy(net3, inc3, eq3, lam[k], omega[k]) for k in range(50)]
+    single = [energy(net3, eq3, lam[k], omega[k]) for k in range(50)]
     # the batched dot may sum in another order than the per-state one
     np.testing.assert_allclose(rows, single, rtol=1e-15, atol=0)
 

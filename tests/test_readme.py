@@ -1,5 +1,5 @@
-"""README's Python examples run as written, and its file formats list the
-settings the code reads."""
+"""README's Python examples run as written, and its `train` flag list names
+the settings the code reads."""
 
 import re
 from pathlib import Path
@@ -19,6 +19,7 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
 
 
 def test_readme_lists_every_train_config_field():
-    listed = re.search(r"- Train config: .*?\swith any of the fields\s(.*?);", README.read_text(), re.S)
-    assert listed, "README's train-config format line is missing"
-    assert set(re.findall(r"`(\w+)`", listed.group(1))) == set(TrainConfig().to_dict())
+    listed = re.search(r"one flag per `TrainConfig`\s+field:\s(.*?);", README.read_text(), re.S)
+    assert listed, "README's train flag list is missing"
+    flags = re.findall(r"`--([\w-]+)`", listed.group(1))
+    assert flags == [name.replace("_", "-") for name in TrainConfig().to_dict()]

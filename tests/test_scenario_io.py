@@ -32,7 +32,6 @@ from swingctl.scenario_io import (
     load_network,
     load_safety_spec,
     load_scenario,
-    load_train_config,
     load_trajectory,
     save_checkpoint,
     save_curve,
@@ -60,10 +59,6 @@ def network_obj(**overrides):
     }
     obj.update(overrides)
     return obj
-
-
-def config_obj(**fields):
-    return {"format_version": 1, "kind": "train_config", **fields}
 
 
 # ---------------------------------------------------------------- networks
@@ -269,35 +264,34 @@ def test_safety_spec_per_bus_round_trip(tmp_path):
 
 
 def test_train_config_round_trip(tmp_path):
-    fields = {"episodes": 7, "batch": 3, "steps": 111, "rho": 500.0, "seed": 9, "lr": 0.02, "gamma": 30}
-    path = tmp_path / "cfg.json"
-    write_json(path, config_obj(**fields))
-    assert load_train_config(path).to_dict() == TrainConfig(**fields).to_dict()
-
-
-def test_train_config_unknown_field_rejected(tmp_path):
-    path = tmp_path / "cfg.json"
-    write_json(path, config_obj(budget=3))
-    with pytest.raises(SchemaError, match="unknown field 'budget'"):
-        load_train_config(path)
+    # each field's `train` flag parses to the field's type, so an integer
+    # written for a float field stores (and hashes) as the float
+    fields = {"gamma": 30.0, "rho": 500.0, "lr": 0.02, "episodes": 0, "batch": 3, "steps": 20, "dt": 0.01,
+              "m_hidden": 4, "seed": 9, "init_scale": 0.2, "dtilde_frac": 0.3}
+    scenario, ckpt = tmp_path / "sc.json", tmp_path / "ck.json"
+    write_json(scenario, {"format_version": 1, "kind": "scenario", "T": 1.0, "dt": 0.01})
+    flags = [arg for k, v in fields.items() for arg in ("--" + k.replace("_", "-"), str(v).removesuffix(".0"))]
+    argv = ["train", "--net", str(bundled_path("net_2bus.json")), "--scenario", str(scenario), "--quiet"]
+    assert cli.run([*argv, *flags, "--out", str(ckpt), "--curve", str(tmp_path / "cv.csv")]) == 0
+    meta = load_checkpoint(ckpt)[1]
+    assert meta["config"] == TrainConfig(**fields).to_dict() == fields
+    assert meta["config_hash"] == config_hash(fields)
 
 
 @pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2", "adam_eps", "divergence_factor"])
 def test_train_config_constants_are_not_fields(tmp_path, field):
-    path = tmp_path / "cfg.json"
-    write_json(path, config_obj(**{field: 0.5}))
-    with pytest.raises(SchemaError, match=f"unknown field '{field}'"):
-        load_train_config(path)
+    # no `train` flag and no checkpoint config entry sets a constant
+    with pytest.raises(TypeError, match=field):
+        TrainConfig(**{field: 0.5})
+    path = tmp_path / "ck.json"
+    save_checkpoint(path, init_policy_params(2, 4, np.random.default_rng(0)), TrainConfig())
+    assert field not in load_checkpoint(path)[1]["config"]
 
 
 @pytest.mark.parametrize("field, bad", [("batch", 0), ("steps", 0), ("m_hidden", 0), ("dt", 0.0), ("dt", -1e-3)])
-def test_train_config_unusable_size_rejected(tmp_path, field, bad):
-    with pytest.raises(ValueError, match=field):
+def test_train_config_unusable_size_rejected(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be"):
         TrainConfig(**{field: bad})
-    path = tmp_path / "cfg.json"
-    write_json(path, config_obj(**{field: bad}))
-    with pytest.raises(SchemaError, match=f"{field} must be"):
-        load_train_config(path)
 
 
 # -------------------------------------------------------------- checkpoints
@@ -317,7 +311,7 @@ def test_checkpoint_round_trip_constrained(tmp_path):
     assert np.array_equal(back.dtilde_frac, params.dtilde_frac)
     assert meta["config"] == cfg.to_dict()
     assert meta["config_hash"] == config_hash(cfg.to_dict())
-    assert meta["seed"] == 5
+    assert "seed" not in json.loads(path.read_text()) and set(meta) == {"config", "config_hash"}
 
 
 def test_checkpoint_round_trip_monotone(tmp_path):
@@ -329,7 +323,12 @@ def test_checkpoint_round_trip_monotone(tmp_path):
     assert back.kind == "monotone" and back.m_hidden == 10
     for key, val in params.raw.items():
         assert np.array_equal(back.raw[key], val), key
-    assert meta["seed"] == 77
+    assert meta["config"]["seed"] == 77
+    # a checkpoint written with the old top-level copy of the seed still loads
+    write_json(path, {**json.loads(path.read_text()), "seed": 77})
+    again, meta = load_checkpoint(path)
+    assert all(np.array_equal(again.raw[k], v) for k, v in params.raw.items())
+    assert meta["config"]["seed"] == 77 and "seed" not in meta
 
 
 def test_checkpoint_wrong_shape_named(tmp_path):

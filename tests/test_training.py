@@ -15,7 +15,8 @@ from swingctl.controller import (
     init_policy_params,
 )
 from swingctl.dynamics import Disturbance, Scenario, closed_loop, swing_rhs
-from swingctl.tape import _BACKWARD, Tape, value
+from swingctl import tape as tp_mod
+from swingctl.tape import Tape, value
 from swingctl.training import (
     AdamState,
     TrainConfig,
@@ -293,7 +294,7 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
     assert max(len(shape) for shape in tp.shapes) <= 2
     stored = [a for aux in tp.aux for a in (aux if isinstance(aux, tuple) else (aux,))]
     assert max(np.ndim(a) for a in stored) <= 2
-    counts = [aux[2] for kind, aux in zip(tp.kinds, tp.aux) if kind == "piecewise"]
+    counts = [aux[2] for rule, aux in zip(tp.rules, tp.aux) if rule is tp_mod._bk_piecewise]
     assert counts and all(k.shape == (4, 3) and k.itemsize == 1 for k in counts)
     tp.backward(loss)
     with pytest.raises(ValueError, match=f"node {loss.idx} "):
@@ -320,7 +321,7 @@ def test_variation_term_stays_off_the_tape_at_rho_zero(net3, inc3, eq3, spec_ban
     for i in range(loss.idx, -1, -1):  # parents precede children
         if reached[i]:
             reached[[j for j in tp.parents[i] if j is not None]] = True
-    sums = [i for i, kind in enumerate(tp.kinds) if kind == "sq_dist"]
+    sums = [i for i, rule in enumerate(tp.rules) if rule is tp_mod._bk_sq_dist]
     assert sums and reached[sums].all()
     assert parts[2] == 0.0
 
@@ -377,7 +378,7 @@ def test_adam_zero_grad_keeps_params():
 def test_recordings_use_every_tape_op(net3, inc3, eq3, spec_band):
     # a constrained episode with rho > 0 and active buses, a monotone episode
     # and the composed vector field together record every op the tape has
-    kinds = set()
+    rules = set()
     policies = (
         (make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0), 500.0),
         (init_monotone_params(3, 4, np.random.default_rng(0)).bind(spec_band, net3, inc3, eq3), 0.0),
@@ -390,12 +391,12 @@ def test_recordings_use_every_tape_op(net3, inc3, eq3, spec_band):
             policy, net3, inc3, eq3, leaves, np.tile(eq3.lam_eq, (2, 1)), omega0,
             np.tile(net3.p_nom, (10, 1)), None, 40.0, rho, 5e-3,
         )
-        kinds |= set(tp.kinds)
+        rules |= set(tp.rules)
     tp = Tape()
     swing_rhs(net3, inc3, tp.leaf(eq3.lam_eq), tp.leaf(omega0[0]), tp.leaf(np.zeros(3)), net3.p_nom)
-    kinds |= set(tp.kinds)
-    assert "gate" in kinds  # some bus left its dead zone
-    assert kinds - {"leaf"} == set(_BACKWARD)
+    rules |= set(tp.rules)
+    assert tp_mod._bk_gate in rules  # some bus left its dead zone
+    assert rules - {None} == {f for name, f in vars(tp_mod).items() if name.startswith("_bk_")}
 
 
 def test_train_zero_episodes(net2, inc2, eq2, spec_band):
