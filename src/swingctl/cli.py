@@ -85,25 +85,11 @@ def _cmd_simulate(args) -> int:
     net, inc, eq, spec = _setup(args)
     scenario = _scenario_with_overrides(args, sio.load_scenario(args.scenario, net))
     controller = _build_controller(args.controller, net, inc, eq, spec, args.projection == "on")
-    traj = rollout(
-        net,
-        inc,
-        eq,
-        controller,
-        scenario,
-        seed=args.seed,
-        integrator=args.integrator,
-        beta=args.beta,
-        gamma=args.gamma,
-    )
+    traj = rollout(net, inc, eq, controller, scenario, seed=args.seed, integrator=args.integrator, beta=args.beta,
+                   gamma=args.gamma)
     report = run_checks(traj, spec, eq, beta=args.beta, tol=args.tol)
-    echo = {
-        "command": "simulate",
-        "net": args.net,
-        "scenario": args.scenario,
-        "controller": args.controller,
-        "projection": args.projection,
-    }
+    echo = {"command": "simulate", "net": args.net, "scenario": args.scenario, "controller": args.controller,
+            "projection": args.projection}
     sio.save_trajectory(args.out, traj, echo)
     sio.save_report(args.report, report)
     print(f"wrote {args.out} and {args.report}")
@@ -113,6 +99,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.policy == "monotone" and args.dtilde_frac is not None:
+        raise ValueError("--dtilde-frac does not apply: the monotone policy has no stability cap")
     net, inc, eq, spec = _setup(args)
     given = {name: getattr(args, name) for name in TrainConfig().to_dict()}
     cfg = TrainConfig(**{name: v for name, v in given.items() if v is not None})
@@ -135,14 +123,8 @@ def _cmd_train(args) -> int:
 
     result = train(params.bind(spec, net, inc, eq), net, inc, eq, scenario, cfg, progress=progress)
     sio.save_checkpoint(args.out, result.params, cfg)
-    echo = {
-        "command": "train",
-        "net": args.net,
-        "scenario": args.scenario,
-        "policy": args.policy,
-        "config_hash": sio.config_hash(cfg.to_dict()),
-        **cfg.to_dict(),
-    }
+    echo = {"command": "train", "net": args.net, "scenario": args.scenario, "policy": args.policy,
+            "config_hash": sio.config_hash(cfg.to_dict()), **cfg.to_dict()}
     sio.save_curve(args.curve, result.curve, echo)
     print(f"wrote {args.out} and {args.curve} (final loss {result.final_loss:.6g})")
     return 0

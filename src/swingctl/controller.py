@@ -30,11 +30,11 @@ because the ReLU gates scale rather than select, the raw output can exceed
 produced.
 
 At an active state `control` computes dhi and dlo once each and feeds them
-to the dead-zone response, both bounds and the gate. The feedforward q, the
-stability cap, each bound and the gate are one fused tape kernel each
-(`tape.feedforward`, `tape.stability_cap`, `tape.barrier_bound`,
-`tape.gate`), and the budgets use the edge differences B^T xi that
-`precompute` builds once per rollout.
+to the dead-zone response, both bounds and the gate. The budgets, the
+feedforward q, the stability cap, each barrier's class-K map, each bound,
+the dead-zone response and the gate are one fused tape kernel each; the
+budgets gate the edge differences B^T xi that `precompute` builds once per
+rollout.
 
 Both policy kinds (this one and the decentralized monotone baseline) share
 one interface: a params class knows its kind tag, trainable keys and array
@@ -49,9 +49,13 @@ Every ReLU-unit sum here (the barriers, the dead-zone response and the
 monotone baseline) has ordered biases, so at any input only a prefix of its
 units is active and the sum is one linear piece. The ready tensors hold each
 branch as a `unit_table` of prefix sums, built once per rollout (the
-dead-zone units sorted by bias first), and a step evaluates it with one
-gather per bus (`tape.piecewise`). Everything here runs on plain numpy
-arrays or on autodiff tape nodes; see `tape` for the dispatch rules.
+dead-zone units sorted by bias first). A step evaluates a map's two
+branches with one gather per bus each, in one `tape.unit_sums` node that
+forms the barrier inputs omega_max - omega and omega_min - omega itself and
+skips a branch with no active unit: inside the band, the upper barrier's
+minus branch and the lower barrier's plus branch. Everything here runs on
+plain numpy arrays or on autodiff tape nodes; see `tape` for the dispatch
+rules.
 """
 
 from __future__ import annotations
@@ -69,17 +73,18 @@ from .tape import (
     diff_keepfirst,
     feedforward,
     gate,
+    masked_matvec,
     matvec,
     minimum,
     pad_zero_first,
     permute_last,
-    piecewise,
     reduce_min,
     sigmoid,
     softplus,
     square,
     stability_cap,
     tanh,
+    unit_sums,
     value,
 )
 
@@ -260,7 +265,7 @@ def unit_table(w, b) -> tuple:
 
     The biases must be non-increasing along the units, so the active units
     form a prefix and the branch is x W[k] + C[k] with k active units (see
-    `tape.piecewise`): W and C are the zero-padded prefix sums of w and w b,
+    `tape.unit_sums`): W and C are the zero-padded prefix sums of w and w b,
     on the tape when w and b are, and thr = [-b, +inf] is plain.
     """
     vb = np.asarray(value(b), dtype=float)
@@ -274,16 +279,18 @@ def class_k_tables(wp, wm, bp, bm) -> tuple:
     return unit_table(wp, bp), unit_table(wm, bm)
 
 
-def class_k_eval(tables, s):
-    """Evaluate the class-K network at s: wp.relu(s + bp) + wm.relu(-s + bm).
+def class_k_eval(tables, s, bound=None):
+    """Evaluate the class-K network alpha(x) = wp.relu(x + bp) + wm.relu(-x + bm)
+    at x = s, or at x = bound - s for a plain `bound`.
 
     `tables` is `class_k_tables(wp, wm, bp, bm)`, built once per rollout;
-    s is (n,) or batched (..., n). Strictly increasing in s and exactly zero
-    at s = 0 whenever the weight/bias constraints hold. Each branch is one
-    `piecewise` node, which keeps no (..., n, m) temporary.
+    s is (n,) or batched (..., n). Strictly increasing in x and exactly zero
+    at x = 0 whenever the weight/bias constraints hold. The map is one
+    `unit_sums` node, which forms bound - s itself and keeps no (..., n, m)
+    temporary.
     """
     plus, minus = tables
-    return piecewise(*plus, s, 1.0) + piecewise(*minus, s, -1.0)
+    return unit_sums(((plus, s, 1.0), (minus, s, -1.0)), bound)
 
 
 def threshold_map(thr_lo_raw, thr_hi_raw, omega_sync, omega_min, omega_max):
@@ -334,7 +341,7 @@ def deadzone_eval(tables, dhi, dlo):
     wp.relu(dhi + bp) + wm.relu(dlo + bm) with dhi = omega - whi and
     dlo = wlo - omega, from the `deadzone_tables` built once per rollout."""
     plus, minus = tables
-    return piecewise(*plus, dhi, 1.0) + piecewise(*minus, dlo, 1.0)
+    return unit_sums(((plus, dhi, 1.0), (minus, dlo, 1.0)))
 
 
 # ------------------------------------------------------------ assembled policy
@@ -384,7 +391,7 @@ def budget_vector(inc: Incidence, active: np.ndarray, edge_xi):
     `active` may be batched (..., n); the result matches its leading shape.
     """
     on = active[..., inc.edge_ends[:, 0]] & active[..., inc.edge_ends[:, 1]]
-    return matvec(inc.b_mat, on.astype(float) * edge_xi)
+    return masked_matvec(inc.b_mat, on.astype(float), edge_xi)
 
 
 @dataclass
@@ -510,8 +517,8 @@ class ConstrainedAdapter(BoundPolicy):
         b = budget_vector(self.inc, active, ready.edge_xi)
         q = feedforward(lam, omega, p, self.net.damping, self.inc.by_mat)
         cap = stability_cap(self.dtilde, self.eq.omega_sync, omega, b)
-        ub = barrier_bound(cap, class_k_eval(ready.hi, self.omega_max - omega), dhi, q, upper=True)
-        lb = barrier_bound(cap, class_k_eval(ready.lo, self.omega_min - omega), dlo, q, upper=False)
+        ub = barrier_bound(cap, class_k_eval(ready.hi, omega, self.omega_max), dhi, q, upper=True)
+        lb = barrier_bound(cap, class_k_eval(ready.lo, omega, self.omega_min), dlo, q, upper=False)
         u = gate(dhi, dlo, deadzone_eval(ready.dz, dhi, dlo), ub, lb)
         return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 

@@ -237,7 +237,7 @@ def closed_loop(net, inc, control, lam0, omega0, p_rows, dt: float, noise=None, 
         if k == last:
             return
         lam, omega = step(net, inc, lam, omega, dec.u, p, dt)
-        if not (np.all(np.isfinite(value(lam))) and np.all(np.isfinite(value(omega)))):
+        if not (np.isfinite(value(lam)).all() and np.isfinite(value(omega)).all()):
             raise IntegrationError(f"non-finite state after step {k + 1} (t={k * dt + dt:g})")
 
 

@@ -138,14 +138,8 @@ def load_network(path) -> PowerNetwork:
         edges.append((index[a], index[b]))
         susceptance.append(float(_need(e, "b", (int, float), ctx)))
     try:
-        return PowerNetwork(
-            inertia=inertia,
-            damping=damping,
-            p_nom=p_nom,
-            edges=edges,
-            susceptance=susceptance,
-            bus_ids=tuple(ids),
-        )
+        return PowerNetwork(inertia=inertia, damping=damping, p_nom=p_nom, edges=edges, susceptance=susceptance,
+                            bus_ids=tuple(ids))
     except GraphError as e:
         raise SchemaError(f"{where}: {e}") from e
 
@@ -158,7 +152,8 @@ def load_scenario(path, net: PowerNetwork) -> Scenario:
 
     Disturbance buses are written as network-file bus ids and remapped
     through the network's id table; an id not in it is a SchemaError, and
-    so is a key not listed here, at the top level or in init.
+    so is a key not listed here, at the top level, in init or in a
+    disturbance.
     """
     obj = _read_json(path)
     where = str(path)
@@ -179,27 +174,16 @@ def load_scenario(path, net: PowerNetwork) -> Scenario:
         ctx = f"{where}: disturbances[{k}]"
         if not isinstance(d, dict):
             raise SchemaError(f"{ctx} must be an object")
+        _reject_unknown(d, ("bus", "dp", "t0", "t1"), ctx)
         bid = _need(d, "bus", int, ctx)
         if bid not in index:
             raise SchemaError(f"{ctx}: bus id {bid} not in the network")
-        dist.append(
-            Disturbance(
-                bus=index[bid],
-                dp=float(_need(d, "dp", (int, float), ctx)),
-                t0=float(_need(d, "t0", (int, float), ctx)),
-                t1=float(_need(d, "t1", (int, float), ctx)),
-            )
-        )
+        dp, t0, t1 = (float(_need(d, name, (int, float), ctx)) for name in ("dp", "t0", "t1"))
+        dist.append(Disturbance(bus=index[bid], dp=dp, t0=t0, t1=t1))
     try:
-        return Scenario(
-            horizon=float(horizon),
-            dt=float(dt),
-            disturbances=tuple(dist),
-            init_omega_range=float(omega_range),
-            init_p_frac=float(p_frac),
-            noise_bound=float(noise),
-            label=label,
-        )
+        return Scenario(horizon=float(horizon), dt=float(dt), disturbances=tuple(dist),
+                        init_omega_range=float(omega_range), init_p_frac=float(p_frac), noise_bound=float(noise),
+                        label=label)
     except ValueError as e:
         raise SchemaError(f"{where}: {e}") from e
 
@@ -506,17 +490,8 @@ COMPARISON_HEADER = "method,stability,safety,cost,cost_train_window,settle_time_
 
 def save_comparison(path, summaries, echo: dict | None = None) -> None:
     rows = (
-        ",".join(
-            [
-                s.label,
-                "pass" if s.stability_ok else "fail",
-                "pass" if s.safety_ok else "fail",
-                repr(float(s.cost)),
-                repr(float(s.cost_train_window)),
-                repr(float(s.settle_time)),
-                repr(s.worst_nadir()),
-            ]
-        )
+        ",".join([s.label, "pass" if s.stability_ok else "fail", "pass" if s.safety_ok else "fail",
+                  *(repr(float(x)) for x in (s.cost, s.cost_train_window, s.settle_time)), repr(s.worst_nadir())])
         for s in summaries
     )
     _write_table(path, echo or {}, COMPARISON_HEADER, rows)

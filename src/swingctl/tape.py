@@ -10,12 +10,12 @@ reference the fused Euler kernels' gradients are checked against.
 Fused kernels, one node each with a hand-written backward rule, for the
 per-step hot path of a training episode:
 
-  * `piecewise`: the ReLU-unit sum of the class-K and dead-zone maps,
-    evaluated as one linear piece from prefix tables;
+  * `unit_sums`: the class-K and dead-zone maps, each a sum of ReLU-unit
+    branches evaluated as one linear piece per branch from prefix tables;
   * `euler_angles`, `euler_freqs`: the two explicit Euler updates of the
     swing state;
-  * `feedforward`, `stability_cap`, `barrier_bound`, `gate`: the terms of
-    the constrained control law;
+  * `masked_matvec`, `feedforward`, `stability_cap`, `barrier_bound`,
+    `gate`: the budgets and the other terms of the constrained control law;
   * `sq_dist`, `sum_seq`: a loss term's sum of squares and the left-to-right
     sum of the per-step terms.
 
@@ -26,13 +26,14 @@ parent indices, output shape and the cached locals the rule needs; a value
 stays alive only while a Node handle or such a cache holds it. Adjoints fill
 a parallel buffer in a single reverse sweep that keeps only leaf ones.
 
-A `piecewise` node stores no (..., n, m) temporary: it keeps references to
-the weight table and to s, plus the count k of active units per entry in the
-smallest unsigned type that holds m (one byte up to 255 units).
+A `unit_sums` node stores no (..., n, m) temporary: per branch it keeps the
+weight table, the input and the count k of active units per entry in the
+smallest unsigned type that holds m (one byte up to 255 units), and nothing
+for a branch with no active unit, which it skips.
 
 Subgradient conventions (pinned by tests):
   * relu'(0) = 0 (the mask is x > 0, strictly; a unit exactly at its
-    threshold is inactive in `piecewise`, and `gate` treats its ReLUs so)
+    threshold is inactive in `unit_sums`, and `gate` treats its ReLUs so)
   * minimum, and the min/max of `barrier_bound`, route the adjoint entirely
     to the attaining argument, first argument on ties
   * reduce_min routes to the first attaining index in C order
@@ -175,7 +176,8 @@ class Tape:
 
     def grad(self, node: Node) -> np.ndarray:
         """Adjoint of a leaf after `backward` (zeros if the root ignores it);
-        ValueError naming the node for an interior one, which is dropped."""
+        ValueError naming the node for an interior one, which is dropped.
+        The array may be another leaf's too: copy it before writing to it."""
         if self.rules[node.idx] is not None:
             raise ValueError(f"node {node.idx} (op '{_op_name(self.rules[node.idx])}') is not a leaf")
         g = self.adj[node.idx]
@@ -196,14 +198,8 @@ def _val(x) -> np.ndarray:
     return x.value if isinstance(x, Node) else np.asarray(x, dtype=float)
 
 
-def _idx(x):
-    return x.idx if isinstance(x, Node) else None
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a broadcast gradient back to `shape` by summing expanded axes."""
-    if g.shape == shape:
-        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -214,15 +210,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _acc(adj, shapes, idx, g):
-    """Add g to node idx's adjoint; the first contribution is copied in, since
-    a rule may hand one array to several parents."""
+    """Add g to node idx's adjoint. The sum is out of place, so a rule may
+    hand one array to several parents."""
     if idx is None:
         return
-    g = _unbroadcast(np.asarray(g), shapes[idx])
-    if adj[idx] is None:
-        adj[idx] = g.copy()
-    else:
-        adj[idx] += g
+    if g.shape != shapes[idx]:
+        g = _unbroadcast(g, shapes[idx])
+    prev = adj[idx]
+    adj[idx] = g if prev is None else prev + g
 
 
 def _node(rule, args: tuple, aux, out):
@@ -231,7 +226,7 @@ def _node(rule, args: tuple, aux, out):
     the `aux` that rule reads."""
     for x in args:
         if isinstance(x, Node):
-            return x.tape._rec(rule, tuple(map(_idx, args)), aux, out)
+            return x.tape._rec(rule, tuple([a.idx if isinstance(a, Node) else None for a in args]), aux, out)
     return out
 
 
@@ -343,24 +338,39 @@ def pad_zero_first(a):
 # ------------------------------------------------ fused per-step kernels
 
 
-def piecewise(W, C, thr, s, sign: float):
-    """sum_j w[n, j] * relu(x + b[n, j]) with x = sign * s, from prefix tables.
+def unit_sums(branches, bound=None):
+    """Left-to-right sum over branches ((W, C, thr), s, sign) of
+    sum_j w[n, j] * relu(x + b[n, j]), x = sign * r, with r = s or, for a
+    plain `bound`, r = bound - s. Each s is (n,) or (..., n), as the result.
 
     The biases of each row n must be non-increasing, so the units active at
-    x form a prefix; W and C are (n, m+1) with W[n, k] = sum_{j<k} w[n, j]
-    and C[n, k] = sum_{j<k} w[n, j] b[n, j], and thr is the plain (n, m+1)
-    array [-b, +inf]. The active count k is the first column with thr >= x
-    (the +inf column bounds it), so the active set is exactly x + b > 0 and
-    the value x W[k] + C[k] is exactly 0.0 where no unit is active. s is
-    (n,) or batched (..., n); the result has s's shape.
+    x form a prefix: W and C are (n, m+1) with W[n, k] = sum_{j<k} w[n, j]
+    and C[n, k] = sum_{j<k} w[n, j] b[n, j], thr is the plain (n, m+1) array
+    [-b, +inf], and a branch is x W[k] + C[k] at the first column k with
+    thr >= x: exactly 0.0 with no unit active. A branch with every entry at
+    or below its first threshold is skipped forward and backward; the sum
+    then ends in + 0.0, as adding its zeros would.
     """
-    vW, vC, vs = _val(W), _val(C), _val(s)
-    x = vs if sign > 0 else -vs
-    k = (thr < x[..., None]).argmin(-1)
-    flat = k + _row_offsets(thr.shape)
-    out = x * vW.reshape(-1)[flat] + vC.reshape(-1)[flat]
-    k = k.astype(np.min_scalar_type(thr.shape[-1] - 1))
-    return _node(_bk_piecewise, (W, C, s), (vW, vs, k, sign), out)
+    total, args, aux, last_s = None, [], [], None
+    for (W, C, thr), s, sign in branches:
+        args += (W, C, s)
+        if s is not last_s:
+            last_s, r = s, _val(s) if bound is None else bound - _val(s)
+        x = r if sign > 0 else -r
+        if np.count_nonzero(x <= thr[..., 0]) == x.size:
+            aux.append(None)
+            continue
+        k = (thr < x[..., None]).argmin(-1)
+        flat = k + _row_offsets(thr.shape)
+        vW = _val(W)
+        out = x * vW.reshape(-1)[flat] + _val(C).reshape(-1)[flat]
+        total = out if total is None else total + out
+        aux.append((vW, r, k.astype(np.min_scalar_type(thr.shape[-1] - 1)), sign))
+    if total is None:
+        total = np.zeros(r.shape)
+    elif None in aux:
+        total = total + 0.0
+    return _node(_bk_unit_sums, tuple(args), (aux, bound is not None), total)
 
 
 @functools.lru_cache(maxsize=None)
@@ -373,10 +383,10 @@ def _row_offsets(shape: tuple) -> np.ndarray:
 
 def _floored(vd):
     """(live, dhat): where |d| >= _TINY, and d with its magnitude floored
-    there (d itself when no entry needs the floor)."""
+    there; (None, d) when no entry needs the floor."""
     live = np.abs(vd) >= _TINY
     if np.count_nonzero(live) == live.size:
-        return live, vd
+        return None, vd
     return live, np.where(live, vd, np.where(vd < 0, -_TINY, _TINY))
 
 
@@ -396,6 +406,11 @@ def euler_freqs(lam, omega, u, p, damping, inertia, by_mat: np.ndarray, dt: floa
     return _node(_bk_euler_freqs, (lam, omega, u, p), (vlam, damping, inertia, by_mat, dt), vomega + dt * rate)
 
 
+def masked_matvec(mat: np.ndarray, mask: np.ndarray, x):
+    """(mask * x) @ mat.T for a constant matrix and a plain float mask."""
+    return _node(_bk_masked_matvec, (x,), (mat, mask), (mask * _val(x)) @ mat.T)
+
+
 def feedforward(lam, omega, p, damping, by_mat: np.ndarray):
     """Local injection mismatch q = D omega + sin(lam) @ by_mat.T - p."""
     vlam = _val(lam)
@@ -408,16 +423,18 @@ def stability_cap(dtilde, omega_sync, omega, b):
     |dev| floored at _TINY; D_tilde and omega_sync are constants."""
     dev = _val(omega) - omega_sync
     vb = _val(b)
-    return _node(_bk_stability_cap, (omega, b), (dtilde, vb, dev), dtilde * dev + vb / _floored(dev)[1])
+    live, dhat = _floored(dev)
+    return _node(_bk_stability_cap, (omega, b), (dtilde, vb, live, dhat), dtilde * dev + vb / dhat)
 
 
 def barrier_bound(cap, alpha, d, q, upper: bool):
     """min(cap, alpha / d + q) when `upper`, else max(cap, alpha / d + q);
     |d| floored at _TINY, and cap taken on ties."""
-    vc, va, vd = _val(cap), _val(alpha), _val(d)
-    t = va / _floored(vd)[1] + _val(q)
+    vc, va = _val(cap), _val(alpha)
+    live, dhat = _floored(_val(d))
+    t = va / dhat + _val(q)
     take = vc <= t if upper else vc >= t
-    return _node(_bk_barrier_bound, (cap, alpha, d, q), (take, va, vd), np.where(take, vc, t))
+    return _node(_bk_barrier_bound, (cap, alpha, d, q), (take, va, live, dhat), np.where(take, vc, t))
 
 
 def gate(dhi, dlo, f, ub, lb):
@@ -517,19 +534,30 @@ def _bk_reduce_min(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], full)
 
 
-def _bk_piecewise(g, par, aux, shapes, adj):
-    # g, s and the gather index all have the output's shape, so the table
-    # adjoints are plain bincounts over the flat index.
-    iW, iC, i_s = par
-    vW, vs, k, sign = aux
-    flat = (k + _row_offsets(vW.shape)).reshape(-1)
-    if i_s is not None:
-        _acc(adj, shapes, i_s, sign * g * vW.reshape(-1)[flat].reshape(g.shape))
-    if iW is not None:
-        gx = (g * vs).reshape(-1)
-        _acc(adj, shapes, iW, sign * np.bincount(flat, gx, vW.size).reshape(vW.shape))
-    if iC is not None:
-        _acc(adj, shapes, iC, np.bincount(flat, g.reshape(-1), vW.size).reshape(vW.shape))
+def _bk_unit_sums(g, par, aux, shapes, adj):
+    # Branches in reverse, as the composed sum would sweep them; g, r and the
+    # gather index have the output's shape, so the table adjoints are plain
+    # bincounts over the flat index. With a bound, the branches of one s sum
+    # the adjoint of bound - s and push it to s once, at the end, so the
+    # gradient is bitwise that of the map evaluated at a bound - s node.
+    branches, shifted = aux
+    through = {}
+    for b in range(len(branches) - 1, -1, -1):
+        if branches[b] is None:
+            continue
+        (iW, iC, i_s), (vW, r, k, sign) = par[3 * b : 3 * b + 3], branches[b]
+        flat = (k + _row_offsets(vW.shape)).reshape(-1)
+        gs = sign * g * vW.reshape(-1)[flat].reshape(g.shape)
+        if not shifted:
+            _acc(adj, shapes, i_s, gs)
+        else:
+            through[i_s] = through[i_s] + gs if i_s in through else gs
+        if iW is not None:
+            _acc(adj, shapes, iW, sign * np.bincount(flat, (g * r).reshape(-1), vW.size).reshape(vW.shape))
+        if iC is not None:
+            _acc(adj, shapes, iC, np.bincount(flat, g.reshape(-1), vW.size).reshape(vW.shape))
+    for i_s, gs in through.items():
+        _acc(adj, shapes, i_s, -gs)
 
 
 def _bk_euler_angles(g, par, aux, shapes, adj):
@@ -551,6 +579,11 @@ def _bk_euler_freqs(g, par, aux, shapes, adj):
     _acc(adj, shapes, ip, gr)
 
 
+def _bk_masked_matvec(g, par, aux, shapes, adj):
+    mat, mask = aux
+    _acc(adj, shapes, par[0], (g @ mat) * mask)
+
+
 def _bk_feedforward(g, par, aux, shapes, adj):
     il, iw, ip = par
     vlam, damping, by_mat = aux
@@ -564,25 +597,25 @@ def _bk_feedforward(g, par, aux, shapes, adj):
 
 def _bk_stability_cap(g, par, aux, shapes, adj):
     iw, ib = par
-    dtilde, vb, dev = aux
-    live, dhat = _floored(dev)
+    dtilde, vb, live, dhat = aux
     if iw is not None:
-        _acc(adj, shapes, iw, np.where(live, -g * vb / (dhat * dhat), 0.0) + g * dtilde)
+        gw = -g * vb / (dhat * dhat)
+        _acc(adj, shapes, iw, (gw if live is None else np.where(live, gw, 0.0)) + g * dtilde)
     if ib is not None:
         _acc(adj, shapes, ib, g / dhat)
 
 
 def _bk_barrier_bound(g, par, aux, shapes, adj):
     ic, ia, i_d, iq = par
-    take, va, vd = aux
-    live, dhat = _floored(vd)
+    take, va, live, dhat = aux
     if ic is not None:
         _acc(adj, shapes, ic, np.where(take, g, 0.0))
     gt = np.where(take, 0.0, g)  # adjoint of alpha / d + q
     if ia is not None:
         _acc(adj, shapes, ia, gt / dhat)
     if i_d is not None:
-        _acc(adj, shapes, i_d, np.where(live, -gt * va / (dhat * dhat), 0.0))
+        gd = -gt * va / (dhat * dhat)
+        _acc(adj, shapes, i_d, gd if live is None else np.where(live, gd, 0.0))
     _acc(adj, shapes, iq, gt)
 
 

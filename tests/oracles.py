@@ -45,6 +45,17 @@ def relu_units(w, s, b, sign: float) -> np.ndarray:
     return (w * np.maximum(sign * s[..., None] + b, 0.0)).sum(axis=-1)
 
 
+def piecewise(W, C, thr, s, sign: float) -> np.ndarray:
+    """One ReLU-unit branch from its prefix tables (W, C, thr) at x = sign * s,
+    on plain arrays, by the formula of the per-branch kernel that
+    `tape.unit_sums` replaced: x W[k] + C[k] at the first column k with
+    thr >= x. The tests compare the fused sum to a sum of these bit for bit."""
+    W, C, s = (np.asarray(value(a), dtype=float) for a in (W, C, s))
+    x = s if sign > 0 else -s
+    flat = (thr < x[..., None]).argmin(-1) + np.arange(0, thr.size, thr.shape[-1])
+    return x * W.reshape(-1)[flat] + C.reshape(-1)[flat]
+
+
 def unit_sum(wp, wm, bp, bm, s) -> np.ndarray:
     """Dense class-K map wp.relu(s + bp) + wm.relu(bm - s) on plain arrays."""
     return relu_units(wp, s, bp, 1.0) + relu_units(wm, s, bm, -1.0)
@@ -105,8 +116,8 @@ def unguarded_control(policy, ready, lam, omega, p) -> ControlDecision:
     b = budget_vector(policy.inc, active, ready.edge_xi)
     q = feedforward(lam, omega, p, policy.net.damping, policy.inc.by_mat)
     cap = stability_cap(policy.dtilde, policy.eq.omega_sync, omega, b)
-    ub = barrier_bound(cap, class_k_eval(ready.hi, policy.omega_max - omega), dhi, q, upper=True)
-    lb = barrier_bound(cap, class_k_eval(ready.lo, policy.omega_min - omega), dlo, q, upper=False)
+    ub = barrier_bound(cap, class_k_eval(ready.hi, omega, policy.omega_max), dhi, q, upper=True)
+    lb = barrier_bound(cap, class_k_eval(ready.lo, omega, policy.omega_min), dlo, q, upper=False)
     u = gate(dhi, dlo, deadzone_eval(ready.dz, dhi, dlo), ub, lb)
     return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 

@@ -451,6 +451,21 @@ def test_train_dtilde_frac_flag(files, capsys):
     assert params.dtilde_frac.tolist() == [0.3, 0.3] and meta["config"]["dtilde_frac"] == 0.3
 
 
+def test_train_monotone_rejects_dtilde_frac(files, capsys):
+    # The monotone policy has no stability cap, so the flag would only be
+    # recorded in the checkpoint's config, unused.
+    out, curve = files["dir"] / "ckpt.json", files["dir"] / "curve.csv"
+    argv = ["train", "--net", files["net"], "--scenario", files["train"], "--policy", "monotone",
+            "--episodes", "1", "--batch", "1", "--steps", "40", "--quiet", "--out", str(out), "--curve", str(curve)]
+    assert run([*argv, "--dtilde-frac", "0.3"]) == 1
+    assert one_error_line(capsys) == (
+        "error: ValueError: --dtilde-frac does not apply: the monotone policy has no stability cap\n"
+    )
+    assert not out.exists() and not curve.exists()
+    assert run(argv) == 0
+    assert load_checkpoint(out)[0].kind == "monotone"
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

@@ -207,6 +207,7 @@ def test_unit_tables_match_dense_sums(net3, inc3, eq3, spec_band):
             s = 0.2 - omega
             got, dense = value(C.class_k_eval(ready.hi, s)), unit_sum(*(value(x) for x in hi), s)
             assert np.all(np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense)))
+            assert value(C.class_k_eval(ready.hi, omega, np.full(3, 0.2))).tobytes() == got.tobytes()
             got = value(C.deadzone_eval(ready.dz, omega - ready.whi, ready.wlo - omega))
             dense = relu_units(raw["dz_wp"], omega - ready.whi_val, dz_b[0], 1.0)
             dense += relu_units(raw["dz_wm"], omega - ready.wlo_val, dz_b[1], -1.0)

@@ -1,9 +1,10 @@
-"""README's Python examples run as written, and its `train` flag list names
-the settings the code reads."""
+"""README's Python examples run as written, its `train` flag list names the
+settings the code reads, and its fused-kernel list names the tape's."""
 
 import re
 from pathlib import Path
 
+from swingctl import tape
 from swingctl.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,3 +24,14 @@ def test_readme_lists_every_train_config_field():
     assert listed, "README's train flag list is missing"
     flags = re.findall(r"`--([\w-]+)`", listed.group(1))
     assert flags == [name.replace("_", "-") for name in TrainConfig().to_dict()]
+
+
+def test_readme_lists_every_fused_kernel():
+    # the tape's fused kernels are the public functions of its fused-kernel section
+    source = Path(tape.__file__).read_text()
+    section = re.search(r"# -+ fused per-step kernels\n(.*?)# -+ backward rules", source, re.S)
+    kernels = re.findall(r"^def ([a-z]\w*)\(", section.group(1), re.M)
+    pattern = r"Each fused kernel is one tape node with a\s+hand-written backward rule:(.*?)\.\s"
+    listed = re.search(pattern, README.read_text(), re.S)
+    assert listed, "README's fused-kernel list is missing"
+    assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(kernels)

@@ -223,6 +223,24 @@ def test_scenario_window_outside_horizon(tmp_path, net2):
         load_scenario(path, net2)
 
 
+def test_scenario_disturbance_unknown_key_rejected(tmp_path, net2):
+    # an extra key, here a second window end, used to load silently
+    obj = {
+        "format_version": 1,
+        "kind": "scenario",
+        "T": 1.0,
+        "dt": 0.1,
+        "disturbances": [{"bus": 1, "dp": -0.1, "t0": 0.0, "t1": 0.5, "t2": 0.9}],
+    }
+    path = tmp_path / "sc.json"
+    write_json(path, obj)
+    with pytest.raises(SchemaError, match=r"sc\.json: disturbances\[0\]: unknown field 't2'$"):
+        load_scenario(path, net2)
+    del obj["disturbances"][0]["t2"]
+    write_json(path, obj)
+    assert load_scenario(path, net2).disturbances == (Disturbance(0, -0.1, 0.0, 0.5),)
+
+
 def test_scenario_defaults_applied(tmp_path, net2):
     path = tmp_path / "sc.json"
     write_json(path, {"format_version": 1, "kind": "scenario", "T": 2.0, "dt": 0.5})

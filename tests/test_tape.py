@@ -1,6 +1,6 @@
 """Finite-difference checks of every tape op and fused kernel plus the pinned
 subgradient conventions: relu'(0) = 0 (for a unit exactly at its threshold
-inside `piecewise` and at the kinks of `gate`), minimum and the min/max of
+inside `unit_sums` and at the kinks of `gate`), minimum and the min/max of
 `barrier_bound` route ties to the first argument, reduce_min routes to the
 first attaining index, and a floored denominator gets no adjoint.
 """
@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import relu_units
+from oracles import piecewise, relu_units
 from swingctl import tape as tp
 from swingctl.tape import Node, Tape, TapeError, value
 
@@ -152,29 +152,106 @@ def piecewise_args(s_shape, seed):
     return {"W": W, "C": C, "s": s}, thr, (w, b)
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-@pytest.mark.parametrize("s_shape", [(4, 3), (3,)])
-def test_piecewise_matches_fd(sign, s_shape):
-    args, thr, _ = piecewise_args(s_shape, seed=int(sign > 0) + 2 * len(s_shape))
-    proj = np.random.default_rng(1).normal(size=s_shape)
+def one_branch(W, C, thr, s, sign, bound=None):
+    """`unit_sums` of the single branch sum_j w_j relu(sign * r + b_j)."""
+    return tp.unit_sums((((W, C, thr), s, sign),), bound)
 
-    def call(a):
-        return tp.piecewise(a["W"], a["C"], thr, a["s"], sign)
 
+def check_fd(call, args, proj):
+    """call's tape gradients against finite differences, with each argument
+    a tape leaf alone and then all of them at once."""
     fd = {}
-    for name in args:  # one argument a tape leaf, the other two plain arrays
+    for name in args:  # one argument a tape leaf, the others plain arrays
 
         def only(x):
             return call(dict(args, **{name: x}))
 
         g, _ = tape_grad(lambda leaf: only(leaf) * proj, args[name].copy())
-        fd[name] = fd_grad(lambda x: float(np.sum(only(x) * proj)), args[name].copy())
+        fd[name] = fd_grad(lambda x: float(np.sum(value(only(x)) * proj)), args[name].copy())
         assert np.abs(g - fd[name]).max() < 1e-6, name
-    t = Tape()  # all three tape leaves at once
+    t = Tape()
     leaves = {k: t.leaf(v) for k, v in args.items()}
     t.backward(call(leaves) * proj)
     for name in args:
         assert np.abs(t.grad(leaves[name]) - fd[name]).max() < 1e-6, name
+    return fd
+
+
+# The unit-sum kernel evaluates each branch as one linear piece; these tests
+# pin one branch at a time, then shifted, paired and skipped branches.
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("s_shape", [(4, 3), (3,)])
+def test_piecewise_matches_fd(sign, s_shape):
+    args, thr, _ = piecewise_args(s_shape, seed=int(sign > 0) + 2 * len(s_shape))
+    proj = np.random.default_rng(1).normal(size=s_shape)
+    check_fd(lambda a: one_branch(a["W"], a["C"], thr, a["s"], sign), args, proj)
+
+
+def two_branch_args(seed, shift):
+    """Two 3-row, 5-unit branches on s of shape (4, 3): tables W0, C0, W1, C1
+    and thresholds thr0, thr1, every input off the kinks at both signs."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(2, 3, 5))
+    b = -np.sort(rng.uniform(-1.0, 1.0, size=(2, 3, 5)), axis=-1)
+    s = rng.uniform(-1.0, 1.0, size=(4, 3))
+    r = s if shift is None else shift - s
+    assert min(np.abs(r[..., None] + b[:, None]).min(), np.abs(b[:, None] - r[..., None]).min()) > 1e-4
+    (W0, C0, thr0), (W1, C1, thr1) = unit_tables(w[0], b[0]), unit_tables(w[1], b[1])
+    return {"W0": W0, "C0": C0, "W1": W1, "C1": C1, "s": s}, (thr0, thr1)
+
+
+@pytest.mark.parametrize("shift", [None, 0.3])
+def test_unit_sums_two_branches_match_fd(shift):
+    # a class-K pair alpha(r) = plus(r) + minus(-r) on one input, r = s or
+    # r = shift - s formed inside the kernel
+    args, (thr0, thr1) = two_branch_args(seed=11, shift=shift)
+    bound = None if shift is None else np.full(3, shift)
+
+    def call(a):
+        return tp.unit_sums((((a["W0"], a["C0"], thr0), a["s"], 1.0),
+                             ((a["W1"], a["C1"], thr1), a["s"], -1.0)), bound)
+
+    check_fd(call, args, np.random.default_rng(2).normal(size=(4, 3)))
+
+
+def test_unit_sums_two_inputs_match_fd():
+    # the dead-zone pair: each branch on its own input, both at sign +1
+    args, (thr0, thr1) = two_branch_args(seed=12, shift=None)
+    args["t"] = np.random.default_rng(13).uniform(-1.0, 1.0, size=(4, 3))
+    assert np.abs(args["t"][..., None] - thr1[:, :-1]).min() > 1e-4
+
+    def call(a):
+        return tp.unit_sums((((a["W0"], a["C0"], thr0), a["s"], 1.0),
+                             ((a["W1"], a["C1"], thr1), a["t"], 1.0)))
+
+    check_fd(call, args, np.random.default_rng(3).normal(size=(4, 3)))
+
+
+@pytest.mark.parametrize("bound, skipped", [(1.2, 1), (-1.2, 0)])
+def test_unit_sums_skipped_branch_matches_fd(bound, skipped):
+    # a class-K pair with first biases pinned at zero: where r = bound - s
+    # keeps one sign, as inside a band, one branch has no active unit. It is
+    # skipped forward and backward, so its weights get no adjoint at all.
+    rng = np.random.default_rng(14)
+    b = -np.sort(rng.uniform(0.0, 1.0, size=(2, 3, 5)), axis=-1)
+    b[..., 0] = 0.0
+    args = {"w0": rng.normal(size=(3, 5)), "w1": rng.normal(size=(3, 5)), "s": rng.uniform(-1.0, 1.0, size=(4, 3))}
+    assert np.abs(np.abs(bound - args["s"])[..., None] + b[:, None]).min() > 1e-4
+
+    def call(a):
+        return tp.unit_sums(((unit_tables(a["w0"], b[0]), a["s"], 1.0),
+                             (unit_tables(a["w1"], b[1]), a["s"], -1.0)), np.full(3, bound))
+
+    fd = check_fd(call, args, np.random.default_rng(4).normal(size=(4, 3)))
+    assert not fd[f"w{skipped}"].any() and fd[f"w{1 - skipped}"].any()
+    t = Tape()
+    leaves = {k: t.leaf(v) for k, v in args.items()}
+    out = call(leaves)
+    assert [br is None for br in t.aux[out.idx][0]] == [skipped == 0, skipped == 1]
+    t.backward(out)
+    assert t.adj[leaves[f"w{skipped}"].idx] is None
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -184,12 +261,24 @@ def test_piecewise_subgradient_zero_at_threshold(sign):
     b = np.array([[0.0, -1.0]]) if sign > 0 else np.array([[2.0, 1.0]])
     t = Tape()
     lw, ls, lb = t.leaf(w), t.leaf(np.array([1.0])), t.leaf(b)
-    out = tp.piecewise(*unit_tables(lw, lb), ls, sign)
+    out = one_branch(*unit_tables(lw, lb), ls, sign)
     assert np.array_equal(value(out), [2.0])
     t.backward(out)
     assert np.array_equal(t.grad(lw), [[1.0, 0.0]])
     assert np.array_equal(t.grad(lb), [[2.0, 0.0]])
     assert np.array_equal(t.grad(ls), [2.0 * sign])
+
+
+def test_unit_sums_unit_at_threshold_is_inactive_with_a_bound():
+    # r = bound - s = 1 puts unit 1 (bias -1) exactly on its threshold: inactive
+    w, b = np.array([[2.0, 3.0]]), np.array([[0.0, -1.0]])
+    t = Tape()
+    lw, ls = t.leaf(w), t.leaf(np.array([0.5]))
+    out = one_branch(*unit_tables(lw, b), ls, 1.0, bound=np.array([1.5]))
+    assert np.array_equal(value(out), [2.0])
+    t.backward(out)
+    assert np.array_equal(t.grad(lw), [[1.0, 0.0]])
+    assert np.array_equal(t.grad(ls), [-2.0])
 
 
 @pytest.mark.parametrize("s_shape", [(4, 3), (3,)])
@@ -203,10 +292,31 @@ def test_piecewise_value_matches_dense_sum(s_shape):
     for sign in (1.0, -1.0):
         dense = relu_units(w, s, b, sign)
         scale = relu_units(np.abs(w), s, b, sign) + np.abs(s) * np.abs(w).sum(-1)
-        got = tp.piecewise(W, C, thr, s, sign)
+        got = one_branch(W, C, thr, s, sign)
         assert np.all(np.abs(got - dense) <= 1e-13 * scale), sign
         t = Tape()
-        assert value(tp.piecewise(t.leaf(W), C, thr, t.leaf(s), sign)).tobytes() == got.tobytes()
+        assert value(one_branch(t.leaf(W), C, thr, t.leaf(s), sign)).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("bound", [None, 0.25])
+def test_unit_sums_value_is_the_composed_branch_sum_bitwise(bound):
+    # the fused sum equals piecewise(plus, r) + piecewise(minus, r) with
+    # r = bound - s formed outside, bit for bit, skipped branch or not
+    rng = np.random.default_rng(15)
+    w = rng.normal(size=(2, 3, 5))
+    b = -np.sort(rng.uniform(0.0, 0.2, size=(2, 3, 5)), axis=-1)
+    b[:, :, 0] = 0.0
+    (W0, C0, thr0), (W1, C1, thr1) = unit_tables(w[0], b[0]), unit_tables(w[1], b[1])
+    for s in (rng.uniform(-0.3, 0.3, size=(4, 3)), rng.uniform(-0.3, -0.01, size=(4, 3)),
+              rng.uniform(0.01, 0.3, size=(4, 3)), np.zeros((4, 3)), np.full(3, bound or 0.0)):
+        r = s if bound is None else np.full(3, bound) - s
+        expect = piecewise(W0, C0, thr0, r, 1.0) + piecewise(W1, C1, thr1, r, -1.0)
+        brs = (((W0, C0, thr0), s, 1.0), ((W1, C1, thr1), s, -1.0))
+        bnd = None if bound is None else np.full(3, bound)
+        assert tp.unit_sums(brs, bnd).tobytes() == expect.tobytes()
+        t = Tape()
+        node = tp.unit_sums((((t.leaf(W0), C0, thr0), t.leaf(s), 1.0), ((W1, t.leaf(C1), thr1), s, -1.0)), bnd)
+        assert value(node).tobytes() == expect.tobytes()
 
 
 def test_piecewise_is_exactly_zero_with_no_unit_active():
@@ -214,10 +324,15 @@ def test_piecewise_is_exactly_zero_with_no_unit_active():
     b = np.array([[0.0, -0.5, -0.5], [-0.1, -0.2, -0.3]])
     W, C, thr = unit_tables(w, b)
     s = np.array([[0.0, 0.1], [-0.0, -2.0], [-0.5, 0.05]])  # x <= -b_0 on every row
-    out = tp.piecewise(W, C, thr, s, 1.0)
-    assert out.tobytes() == np.zeros_like(out).tobytes()
-    out = tp.piecewise(W, C, thr, -s, -1.0)
-    assert out.tobytes() == np.zeros_like(out).tobytes()
+    for out in (one_branch(W, C, thr, s, 1.0), one_branch(W, C, thr, -s, -1.0),
+                tp.unit_sums((((W, C, thr), s, 1.0), ((W, C, thr), s, 1.0)))):
+        assert out.tobytes() == np.zeros_like(out).tobytes()
+    t = Tape()
+    lW, ls = t.leaf(W), t.leaf(s)
+    out = one_branch(lW, C, thr, ls, 1.0)
+    assert out.value.tobytes() == np.zeros((3, 2)).tobytes() and t.aux[out.idx][0] == [None]
+    t.backward(out * 2.0)
+    assert not t.grad(lW).any() and not t.grad(ls).any()
 
 
 @pytest.mark.parametrize("a_shape", [(2, 4), (3, 2, 4)])
@@ -285,6 +400,9 @@ def kernel_case(name, batch, rng):
     if name == "euler_freqs":
         op = lambda lam, w, u, p: tp.euler_freqs(lam, w, u, p, DAMPING, INERTIA, BY_MAT, 0.1)  # noqa: E731
         return op, [rng.normal(size=edge)] + [rng.normal(size=bus) for _ in range(3)]
+    if name == "masked_matvec":  # a mask per batch row over edge values shared by the rows
+        mask = rng.integers(0, 2, edge).astype(float)
+        return (lambda x: tp.masked_matvec(B_MAT, mask, x)), [rng.normal(size=(2,))]
     if name == "feedforward":
         op = lambda lam, w, p: tp.feedforward(lam, w, p, DAMPING, BY_MAT)  # noqa: E731
         return op, [rng.normal(size=edge), rng.normal(size=bus), rng.normal(size=bus)]
@@ -310,6 +428,7 @@ def kernel_case(name, batch, rng):
 KERNELS = {  # case name -> tape kind
     "euler_angles": "euler_angles",
     "euler_freqs": "euler_freqs",
+    "masked_matvec": "masked_matvec",
     "feedforward": "feedforward",
     "stability_cap": "stability_cap",
     "barrier_bound_upper": "barrier_bound",
@@ -399,8 +518,14 @@ def dispatch_cases():
     W, C, thr = unit_tables(w, -np.sort(b, axis=-1))
     s[0, 0] = -thr[0, 1]  # an input exactly on a threshold
     for sign in (1.0, -1.0):
-        op = lambda W_, C_, s_, sg=sign: tp.piecewise(W_, C_, thr, s_, sg)  # noqa: E731
-        cases.append(("piecewise", op, (W, C, s), (0, 1, 2)))
+        op = lambda W_, C_, s_, sg=sign: one_branch(W_, C_, thr, s_, sg)  # noqa: E731
+        cases.append(("unit_sums", op, (W, C, s), (0, 1, 2)))
+    # at bound 2 the second branch reads s - 2, below its first threshold: skipped
+    W1, C1, thr1 = unit_tables(-w, -np.sort(-b, axis=-1) - 1.0)
+    for bound in (None, np.full(2, 2.0)):
+        op = lambda W_, C_, s_, W1_, bd=bound: tp.unit_sums(  # noqa: E731
+            (((W_, C_, thr), s_, 1.0), ((W1_, C1, thr1), s_, -1.0)), bd)
+        cases.append(("unit_sums", op, (W, C, s, W1), (0, 1, 2, 3)))
     perm = np.argsort(b, axis=-1)
     cases.append(("permute_last", lambda a: tp.permute_last(a, perm), (b,), (0,)))
     for name, kind in KERNELS.items():

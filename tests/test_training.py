@@ -11,6 +11,7 @@ from oracles import UnguardedPolicy, forward_loss
 from swingctl.controller import (
     ConstrainedAdapter,
     ControlDecision,
+    SafetySpec,
     init_monotone_params,
     init_policy_params,
 )
@@ -198,9 +199,9 @@ class NodeCounter:
 
 
 def test_fused_hot_path_node_budget(net3, inc3, eq3, spec_band):
-    # 3 buses, B=4, with the variation term on: a step (control, loss terms
-    # and Euler update) records at most 5 tape nodes when every bus is
-    # settled and at most 40 when some bus is active
+    # 3 buses, B=4, with the variation term on: a step (noise, control, loss
+    # terms and Euler update) records at most 5 tape nodes when every bus is
+    # settled and at most 17 when some bus is active
     adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
     omega0 = np.array([[0.15, -0.02, -0.14], [0.03, 0.0, -0.03], [0.01, 0.02, 0.0], [-0.1, 0.05, 0.12]])
     noise = np.random.default_rng(8).uniform(-0.005, 0.005, (300, 4, 3))
@@ -213,7 +214,28 @@ def test_fused_hot_path_node_budget(net3, inc3, eq3, spec_band):
     active = np.array(counter.active[:-1])
     assert active[1:].any() and not active.all()
     assert per_step[~active].max() <= 5
-    assert per_step[active].max() <= 40
+    assert per_step[active].max() <= 17
+
+
+def test_fully_active_39_bus_step_node_budget(net39, inc39, eq39):
+    # thresholds at the synchronous frequency, so every bus is active at
+    # every step: the noise add, 11 control nodes (dhi, dlo, the budgets,
+    # feedforward, cap, 2 class-K maps, 2 bounds, the dead-zone response,
+    # the gate), 2 loss terms and 2 Euler updates: 16
+    params = init_policy_params(39, 20, np.random.default_rng(3))
+    params.raw["thr_lo"] += 5.0
+    params.raw["thr_hi"] += 5.0
+    adapter = params.bind(SafetySpec.band(-0.2, 0.2, 39), net39, inc39, eq39)
+    rng = np.random.default_rng(6)
+    omega0 = rng.uniform(-0.1, 0.1, (2, 39))
+    noise = rng.uniform(-0.05, 0.05, (6, 2, 39))
+    tp = Tape()
+    counter = NodeCounter(adapter, tp)
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    episode_loss(counter, net39, inc39, eq39, leaves, np.tile(eq39.lam_eq, (2, 1)), omega0,
+                 np.tile(net39.p_nom, (6, 1)), noise, 40.0, 0.0, 5e-3)
+    assert all(counter.active)
+    assert np.diff(counter.marks).max() <= 16
 
 
 def test_train_rejects_an_invalid_initial_policy_before_episode_zero(net2, inc2, eq2, spec_band):
@@ -279,7 +301,7 @@ def test_gradient_matches_fd_single_draw(net2, inc2, eq2, spec_band):
 def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_band):
     # B=4, K=20: every node value and backward cache is at most (B, n) or
     # a (n, m+1) table; a (B, n, m) ReLU-unit temporary would have three
-    # dimensions. A piecewise node's active-unit counts take one byte each.
+    # dimensions. A unit_sums branch's active-unit counts take one byte each.
     adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
     rng = np.random.default_rng(5)
     omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
@@ -292,9 +314,11 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
         40.0, 500.0, 5e-3,
     )
     assert max(len(shape) for shape in tp.shapes) <= 2
-    stored = [a for aux in tp.aux for a in (aux if isinstance(aux, tuple) else (aux,))]
+    branches = [br for rule, aux in zip(tp.rules, tp.aux) if rule is tp_mod._bk_unit_sums for br in aux[0]]
+    others = [aux for rule, aux in zip(tp.rules, tp.aux) if rule is not tp_mod._bk_unit_sums]
+    stored = [a for aux in others + branches for a in (aux if isinstance(aux, tuple) else (aux,))]
     assert max(np.ndim(a) for a in stored) <= 2
-    counts = [aux[2] for rule, aux in zip(tp.rules, tp.aux) if rule is tp_mod._bk_piecewise]
+    counts = [br[2] for br in branches if br is not None]
     assert counts and all(k.shape == (4, 3) and k.itemsize == 1 for k in counts)
     tp.backward(loss)
     with pytest.raises(ValueError, match=f"node {loss.idx} "):
