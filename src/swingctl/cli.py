@@ -123,8 +123,9 @@ def _cmd_train(args) -> int:
 
     result = train(params.bind(spec, net, inc, eq), net, inc, eq, scenario, cfg, progress=progress)
     sio.save_checkpoint(args.out, result.params, cfg)
+    settings = cfg.to_dict(args.policy)
     echo = {"command": "train", "net": args.net, "scenario": args.scenario, "policy": args.policy,
-            "config_hash": sio.config_hash(cfg.to_dict()), **cfg.to_dict()}
+            "config_hash": sio.config_hash(settings), **settings}
     sio.save_curve(args.curve, result.curve, echo)
     print(f"wrote {args.out} and {args.curve} (final loss {result.final_loss:.6g})")
     return 0

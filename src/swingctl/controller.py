@@ -29,12 +29,13 @@ because the ReLU gates scale rather than select, the raw output can exceed
 `project_control` clamps it, which is how certified evaluation runs are
 produced.
 
-At an active state `control` computes dhi and dlo once each and feeds them
-to the dead-zone response, both bounds and the gate. The budgets, the
-feedforward q, the stability cap, each barrier's class-K map, each bound,
-the dead-zone response and the gate are one fused tape kernel each; the
-budgets gate the edge differences B^T xi that `precompute` builds once per
-rollout.
+At an active state `control` computes dhi and dlo once each, evaluates
+the two barriers' class-K maps and the dead-zone response (one `unit_sums`
+node each), and hands them to `tape.control_law`, one node for the rest:
+the budgets (the edge differences B^T xi that `precompute` builds once per
+rollout, gated by the edges with both ends active), the feedforward q, the
+stability cap, both bounds and the gate. Only u is a tape node; b, ub and
+lb are plain values.
 
 Both policy kinds (this one and the decentralized monotone baseline) share
 one interface: a params class knows its kind tag, trainable keys and array
@@ -68,12 +69,9 @@ import numpy as np
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
 from .tape import (
-    barrier_bound,
+    control_law,
     cumsum_last,
     diff_keepfirst,
-    feedforward,
-    gate,
-    masked_matvec,
     matvec,
     minimum,
     pad_zero_first,
@@ -82,7 +80,6 @@ from .tape import (
     sigmoid,
     softplus,
     square,
-    stability_cap,
     tanh,
     unit_sums,
     value,
@@ -383,23 +380,12 @@ def active_mask(ready: PolicyReady, omega) -> np.ndarray:
     return (w < ready.wlo_val) | (w > ready.whi_val)
 
 
-def budget_vector(inc: Incidence, active: np.ndarray, edge_xi):
-    """b = L_sub @ xi without forming L_sub: gate the edge differences
-    edge_xi = B^T xi (`PolicyReady.edge_xi`) by the edges whose two ends are
-    active.
-
-    `active` may be batched (..., n); the result matches its leading shape.
-    """
-    on = active[..., inc.edge_ends[:, 0]] & active[..., inc.edge_ends[:, 1]]
-    return masked_matvec(inc.b_mat, on.astype(float), edge_xi)
-
-
 @dataclass
 class ControlDecision:
     """One control evaluation: the control u, the budgets b, the per-bus
     dead-zone mask, and the admissible interval [lower, upper] where the
-    policy has one (None otherwise). u, budgets and the bounds are arrays,
-    or tape nodes when the policy runs on tape leaves."""
+    policy has one (None otherwise). u is an array, or a tape node when the
+    policy runs on tape leaves; budgets and the bounds are always arrays."""
 
     u: object
     budgets: object
@@ -514,12 +500,14 @@ class ConstrainedAdapter(BoundPolicy):
             zero = np.zeros(active.shape)
             return ControlDecision(u=zero, budgets=zero, active=active, upper=zero, lower=zero)
         dhi, dlo = omega - ready.whi, ready.wlo - omega
-        b = budget_vector(self.inc, active, ready.edge_xi)
-        q = feedforward(lam, omega, p, self.net.damping, self.inc.by_mat)
-        cap = stability_cap(self.dtilde, self.eq.omega_sync, omega, b)
-        ub = barrier_bound(cap, class_k_eval(ready.hi, omega, self.omega_max), dhi, q, upper=True)
-        lb = barrier_bound(cap, class_k_eval(ready.lo, omega, self.omega_min), dlo, q, upper=False)
-        u = gate(dhi, dlo, deadzone_eval(ready.dz, dhi, dlo), ub, lb)
+        ends = self.inc.edge_ends
+        on = active[..., ends[:, 0]] & active[..., ends[:, 1]]  # the edges of L_sub
+        u, b, ub, lb = control_law(
+            lam, omega, p, ready.edge_xi, on.astype(float),
+            class_k_eval(ready.hi, omega, self.omega_max), class_k_eval(ready.lo, omega, self.omega_min),
+            dhi, dlo, deadzone_eval(ready.dz, dhi, dlo),
+            self.inc.b_mat, self.inc.by_mat, self.net.damping, self.dtilde, self.eq.omega_sync,
+        )
         return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
     def validate(self, ready: PolicyReady) -> None:
@@ -617,7 +605,7 @@ def make_analytic_safe_controller(
 
     def control(lam, omega, p) -> ControlDecision:
         w = np.asarray(omega, dtype=float)
-        q = feedforward(np.asarray(lam, dtype=float), w, p, net.damping, inc.by_mat)
+        q = net.damping * w + np.sin(lam) @ inc.by_mat.T - p  # local injection mismatch
         above = w > threshold
         below = w < -threshold
         with np.errstate(divide="ignore", invalid="ignore"):

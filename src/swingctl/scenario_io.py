@@ -214,7 +214,7 @@ POLICY_CLASSES = {cls.kind: cls for cls in (PolicyParams, MonotoneParams)}
 
 def save_checkpoint(path, params, cfg: TrainConfig) -> None:
     """Serialize trained parameters plus the config that produced them."""
-    cfg_dict = cfg.to_dict()
+    cfg_dict = cfg.to_dict(params.kind)
     obj = {
         "format_version": FORMAT_VERSION,
         "kind": "checkpoint",

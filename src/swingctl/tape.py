@@ -14,8 +14,9 @@ per-step hot path of a training episode:
     branches evaluated as one linear piece per branch from prefix tables;
   * `euler_angles`, `euler_freqs`: the two explicit Euler updates of the
     swing state;
-  * `masked_matvec`, `feedforward`, `stability_cap`, `barrier_bound`,
-    `gate`: the budgets and the other terms of the constrained control law;
+  * `control_law`: the constrained control law (budgets, feedforward,
+    stability cap, both barrier bounds and the gate) at one state, whose
+    only node output is u;
   * `sq_dist`, `sum_seq`: a loss term's sum of squares and the left-to-right
     sum of the per-step terms.
 
@@ -33,12 +34,13 @@ for a branch with no active unit, which it skips.
 
 Subgradient conventions (pinned by tests):
   * relu'(0) = 0 (the mask is x > 0, strictly; a unit exactly at its
-    threshold is inactive in `unit_sums`, and `gate` treats its ReLUs so)
-  * minimum, and the min/max of `barrier_bound`, route the adjoint entirely
-    to the attaining argument, first argument on ties
+    threshold is inactive in `unit_sums`, and `control_law`'s gate treats
+    its ReLUs so)
+  * minimum, and the min/max of `control_law`'s barrier bounds, route the
+    adjoint entirely to the attaining argument: minimum's first argument,
+    and the bounds' cap, on ties
   * reduce_min routes to the first attaining index in C order
-  * a denominator floored at +/-_TINY (`stability_cap`, `barrier_bound`)
-    gets no adjoint
+  * a denominator of `control_law` floored at +/-_TINY gets no adjoint
 
 All functions below accept either `Node`s or plain numpy arrays / scalars and
 broadcast like numpy. Each computes its value and backward cache once and
@@ -54,7 +56,7 @@ import weakref
 
 import numpy as np
 
-_TINY = 1e-12  # floor of |denominator| in stability_cap and barrier_bound
+_TINY = 1e-12  # floor of |denominator| in control_law
 
 
 class TapeError(RuntimeError):
@@ -406,43 +408,44 @@ def euler_freqs(lam, omega, u, p, damping, inertia, by_mat: np.ndarray, dt: floa
     return _node(_bk_euler_freqs, (lam, omega, u, p), (vlam, damping, inertia, by_mat, dt), vomega + dt * rate)
 
 
-def masked_matvec(mat: np.ndarray, mask: np.ndarray, x):
-    """(mask * x) @ mat.T for a constant matrix and a plain float mask."""
-    return _node(_bk_masked_matvec, (x,), (mat, mask), (mask * _val(x)) @ mat.T)
+def control_law(lam, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
+                b_mat, by_mat, damping, dtilde, omega_sync):
+    """The constrained control law at one measured state, as one node:
 
+      b   = (mask * edge_xi) @ b_mat.T             budgets B (on * B^T xi)
+      q   = D omega + sin(lam) @ by_mat.T - p      local feedforward
+      cap = D_tilde dev + b / dev                  stability cap, dev = omega - omega_sync
+      ub  = min(cap, alpha_hi / dhi + q)           upper barrier bound
+      lb  = max(cap, alpha_lo / dlo + q)           lower barrier bound
+      u   = relu(dhi) (f - relu(f - ub)) + relu(dlo) (f + relu(lb - f))
 
-def feedforward(lam, omega, p, damping, by_mat: np.ndarray):
-    """Local injection mismatch q = D omega + sin(lam) @ by_mat.T - p."""
-    vlam = _val(lam)
-    out = damping * _val(omega) + np.sin(vlam) @ by_mat.T - _val(p)
-    return _node(_bk_feedforward, (lam, omega, p), (vlam, damping, by_mat), out)
-
-
-def stability_cap(dtilde, omega_sync, omega, b):
-    """Damping-budget cap D_tilde dev + b / dev with dev = omega - omega_sync,
-    |dev| floored at _TINY; D_tilde and omega_sync are constants."""
-    dev = _val(omega) - omega_sync
-    vb = _val(b)
-    live, dhat = _floored(dev)
-    return _node(_bk_stability_cap, (omega, b), (dtilde, vb, live, dhat), dtilde * dev + vb / dhat)
-
-
-def barrier_bound(cap, alpha, d, q, upper: bool):
-    """min(cap, alpha / d + q) when `upper`, else max(cap, alpha / d + q);
-    |d| floored at _TINY, and cap taken on ties."""
-    vc, va = _val(cap), _val(alpha)
-    live, dhat = _floored(_val(d))
-    t = va / dhat + _val(q)
-    take = vc <= t if upper else vc >= t
-    return _node(_bk_barrier_bound, (cap, alpha, d, q), (take, va, live, dhat), np.where(take, vc, t))
-
-
-def gate(dhi, dlo, f, ub, lb):
-    """The gated control relu(dhi) (f - relu(f - ub)) + relu(dlo) (f + relu(lb - f))."""
-    vhi, vlo, vf = _val(dhi), _val(dlo), _val(f)
-    cut_hi, cut_lo = np.maximum(vf - _val(ub), 0.0), np.maximum(_val(lb) - vf, 0.0)
-    out = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
-    return _node(_bk_gate, (dhi, dlo, f, ub, lb), (vhi, vlo, vf, cut_hi, cut_lo), out)
+    with |dev|, |dhi| and |dlo| floored at _TINY and the cap taken on ties.
+    mask is a plain float edge mask; b_mat (n, m), by_mat (n, m), D, D_tilde
+    and omega_sync are constants. Returns (u, b, ub, lb): u is a node when
+    any argument is one, and b, ub and lb are plain arrays, since nothing
+    backpropagates through them.
+    """
+    vlam, vw, vhi, vlo, vf = _val(lam), _val(omega), _val(dhi), _val(dlo), _val(f)
+    va_hi, va_lo = _val(alpha_hi), _val(alpha_lo)
+    b = (mask * _val(edge_xi)) @ b_mat.T
+    q = damping * vw + np.sin(vlam) @ by_mat.T - _val(p)
+    dev = vw - omega_sync
+    live_w, dev_hat = _floored(dev)
+    cap = dtilde * dev + b / dev_hat
+    live_hi, dhi_hat = _floored(vhi)
+    t = va_hi / dhi_hat + q
+    take_hi = cap <= t
+    ub = np.where(take_hi, cap, t)
+    live_lo, dlo_hat = _floored(vlo)
+    t = va_lo / dlo_hat + q
+    take_lo = cap >= t
+    lb = np.where(take_lo, cap, t)
+    cut_hi, cut_lo = np.maximum(vf - ub, 0.0), np.maximum(lb - vf, 0.0)
+    u = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
+    aux = (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
+           dtilde, b, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat)
+    args = (lam, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
+    return _node(_bk_control_law, args, aux, u), b, ub, lb
 
 
 def sq_dist(a, b=None):
@@ -579,61 +582,43 @@ def _bk_euler_freqs(g, par, aux, shapes, adj):
     _acc(adj, shapes, ip, gr)
 
 
-def _bk_masked_matvec(g, par, aux, shapes, adj):
-    mat, mask = aux
-    _acc(adj, shapes, par[0], (g @ mat) * mask)
-
-
-def _bk_feedforward(g, par, aux, shapes, adj):
-    il, iw, ip = par
-    vlam, damping, by_mat = aux
-    if il is not None:
-        _acc(adj, shapes, il, (g @ by_mat) * np.cos(vlam))
-    if iw is not None:
-        _acc(adj, shapes, iw, g * damping)
-    if ip is not None:
-        _acc(adj, shapes, ip, -g)
-
-
-def _bk_stability_cap(g, par, aux, shapes, adj):
-    iw, ib = par
-    dtilde, vb, live, dhat = aux
-    if iw is not None:
-        gw = -g * vb / (dhat * dhat)
-        _acc(adj, shapes, iw, (gw if live is None else np.where(live, gw, 0.0)) + g * dtilde)
-    if ib is not None:
-        _acc(adj, shapes, ib, g / dhat)
-
-
-def _bk_barrier_bound(g, par, aux, shapes, adj):
-    ic, ia, i_d, iq = par
-    take, va, live, dhat = aux
-    if ic is not None:
-        _acc(adj, shapes, ic, np.where(take, g, 0.0))
-    gt = np.where(take, 0.0, g)  # adjoint of alpha / d + q
-    if ia is not None:
-        _acc(adj, shapes, ia, gt / dhat)
-    if i_d is not None:
-        gd = -gt * va / (dhat * dhat)
-        _acc(adj, shapes, i_d, gd if live is None else np.where(live, gd, 0.0))
-    _acc(adj, shapes, iq, gt)
-
-
-def _bk_gate(g, par, aux, shapes, adj):
-    ihi, ilo, i_f, iub, ilb = par
-    vhi, vlo, vf, cut_hi, cut_lo = aux
+def _bk_control_law(g, par, aux, shapes, adj):
+    # The composed law's rules in its reverse order: gate, lower bound, upper
+    # bound, cap, feedforward, budgets; the cap and q sum their adjoints from
+    # the lower bound first, as the composed sweep did.
+    il, iw, ip, ix, iah, ial, ihi, ilo, i_f = par
+    (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
+     dtilde, vb, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat) = aux
     ghi, glo = np.maximum(vhi, 0.0), np.maximum(vlo, 0.0)
-    hi, lo = vf - cut_hi, vf + cut_lo
     g_hi, g_lo = g * ghi, g * glo  # adjoints of the two gated branches
     to_ub, to_lb = g_hi * (cut_hi > 0), g_lo * (cut_lo > 0)
-    if ihi is not None:
-        _acc(adj, shapes, ihi, (g * hi) * (ghi > 0))
-    if ilo is not None:
-        _acc(adj, shapes, ilo, (g * lo) * (glo > 0))
     if i_f is not None:
         _acc(adj, shapes, i_f, g_lo - to_lb + g_hi - to_ub)
-    _acc(adj, shapes, iub, to_ub)
-    _acc(adj, shapes, ilb, to_lb)
+    gt_lo, gt_hi = np.where(take_lo, 0.0, to_lb), np.where(take_hi, 0.0, to_ub)  # of alpha / d + q
+    if ial is not None:
+        _acc(adj, shapes, ial, gt_lo / dlo_hat)
+    if iah is not None:
+        _acc(adj, shapes, iah, gt_hi / dhi_hat)
+    if ilo is not None:
+        gd = -gt_lo * va_lo / (dlo_hat * dlo_hat)
+        gd = gd if live_lo is None else np.where(live_lo, gd, 0.0)
+        _acc(adj, shapes, ilo, (g * (vf + cut_lo)) * (glo > 0) + gd)
+    if ihi is not None:
+        gd = -gt_hi * va_hi / (dhi_hat * dhi_hat)
+        gd = gd if live_hi is None else np.where(live_hi, gd, 0.0)
+        _acc(adj, shapes, ihi, (g * (vf - cut_hi)) * (ghi > 0) + gd)
+    g_cap = np.where(take_lo, to_lb, 0.0) + np.where(take_hi, to_ub, 0.0)
+    g_q = gt_lo + gt_hi
+    if iw is not None:
+        gw = -g_cap * vb / (dev_hat * dev_hat)
+        gw = gw if live_w is None else np.where(live_w, gw, 0.0)
+        _acc(adj, shapes, iw, gw + g_cap * dtilde + g_q * damping)
+    if ix is not None:
+        _acc(adj, shapes, ix, ((g_cap / dev_hat) @ b_mat) * mask)
+    if il is not None:
+        _acc(adj, shapes, il, (g_q @ by_mat) * np.cos(vlam))
+    if ip is not None:
+        _acc(adj, shapes, ip, -g_q)
 
 
 def _bk_sq_dist(g, par, aux, shapes, adj):

@@ -85,8 +85,13 @@ class TrainConfig:
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self, kind: str = "constrained") -> dict:
+        """The settings a run of policy `kind` reads: every field, less
+        dtilde_frac for the monotone policy, which has no stability cap."""
+        settings = asdict(self)
+        if kind == "monotone":
+            del settings["dtilde_frac"]
+        return settings
 
 
 def episode_loss(

@@ -20,6 +20,7 @@ from swingctl.cli import run
 from swingctl.controller import init_policy_params
 from swingctl.scenario_io import (
     bundled_path,
+    config_hash,
     load_checkpoint,
     load_curve,
     load_trajectory,
@@ -464,6 +465,25 @@ def test_train_monotone_rejects_dtilde_frac(files, capsys):
     assert not out.exists() and not curve.exists()
     assert run(argv) == 0
     assert load_checkpoint(out)[0].kind == "monotone"
+
+
+def test_train_records_dtilde_frac_for_the_constrained_policy_only(files, capsys):
+    # The stability cap's damping share is a constrained-policy setting: a
+    # monotone run leaves it out of its checkpoint config, config hash and
+    # curve echo, and a constrained run records it.
+    for policy in ("monotone", "constrained"):
+        out, curve = files["dir"] / f"{policy}.json", files["dir"] / f"{policy}.csv"
+        argv = ["train", "--net", files["net"], "--scenario", files["train"], "--policy", policy,
+                "--episodes", "0", "--steps", "40", "--quiet", "--out", str(out), "--curve", str(curve)]
+        assert run(argv) == 0
+        settings = TrainConfig(episodes=0, steps=40).to_dict()
+        if policy == "monotone":
+            del settings["dtilde_frac"]
+        _, meta = load_checkpoint(out)
+        echo = json.loads(curve.read_text().splitlines()[0].removeprefix("# "))
+        assert meta["config"] == settings and meta["config_hash"] == config_hash(settings)
+        assert echo["config_hash"] == meta["config_hash"]
+        assert ("dtilde_frac" in echo) == (policy == "constrained")
 
 
 @pytest.mark.parametrize(

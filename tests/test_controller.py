@@ -5,7 +5,19 @@ structural invariants under random raw parameters, and the two baselines.
 import numpy as np
 import pytest
 
-from oracles import constraint_check, relu_units, unguarded_control, unit_sum
+from oracles import (
+    barrier_bound,
+    budget_vector,
+    composed_law,
+    constraint_check,
+    feedforward,
+    gate,
+    law_args,
+    relu_units,
+    stability_cap,
+    unguarded_control,
+    unit_sum,
+)
 from swingctl import controller as C
 from swingctl import tape as tp
 from swingctl.dynamics import Scenario, rollout
@@ -282,12 +294,12 @@ def test_deadzone_exactness_property(net3, inc3, eq3, spec_band):
 
 def test_budget_hand_cases(inc3):
     xi = np.array([1.0, 0.0, -1.0])
-    b = value(C.budget_vector(inc3, np.array([True, True, True]), xi @ inc3.b_mat))
+    b = budget_vector(inc3, np.array([True, True, True]), xi @ inc3.b_mat)
     assert np.array_equal(b, [1.0, 0.0, -1.0])
-    b = value(C.budget_vector(inc3, np.array([True, True, False]), xi @ inc3.b_mat))
+    b = budget_vector(inc3, np.array([True, True, False]), xi @ inc3.b_mat)
     assert np.array_equal(b, [1.0, -1.0, 0.0])
     assert b[2] == 0.0
-    b = value(C.budget_vector(inc3, np.zeros(3, dtype=bool), xi @ inc3.b_mat))
+    b = budget_vector(inc3, np.zeros(3, dtype=bool), xi @ inc3.b_mat)
     assert np.array_equal(b, np.zeros(3))
 
 
@@ -296,7 +308,7 @@ def test_budget_conservation_and_locality_property(inc3):
     for _ in range(500):
         active = rng.random(3) < 0.5
         xi = rng.normal(size=3)
-        b = value(C.budget_vector(inc3, active, xi @ inc3.b_mat))
+        b = budget_vector(inc3, active, xi @ inc3.b_mat)
         assert abs(b.sum()) < 1e-9
         assert np.all(b[~active] == 0.0)
 
@@ -320,13 +332,13 @@ def test_xi_bound_property(net3, inc3, eq3, spec_band):
 
 def test_stability_cap_hand_cases():
     dtilde = np.array([0.5])
-    assert abs(value(C.stability_cap(dtilde, 0.0, np.array([0.2]), np.array([0.0])))[0] - 0.1) < 1e-15
-    assert abs(value(C.stability_cap(dtilde, 0.0, np.array([0.2]), np.array([0.02])))[0] - 0.2) < 1e-15
+    assert abs(stability_cap(dtilde, 0.0, np.array([0.2]), np.array([0.0]))[0] - 0.1) < 1e-15
+    assert abs(stability_cap(dtilde, 0.0, np.array([0.2]), np.array([0.02]))[0] - 0.2) < 1e-15
 
 
 def test_feedforward_hand_cases(net2, inc2, eq2):
     def q_at(lam, omega, p):
-        return value(tp.feedforward(lam, omega, p, net2.damping, inc2.by_mat))
+        return feedforward(lam, omega, p, net2.damping, inc2.by_mat)
 
     q = q_at(np.array([0.0]), np.array([0.1, -0.1]), np.zeros(2))
     assert np.allclose(q, [0.1, -0.1], atol=1e-15)
@@ -340,10 +352,41 @@ def test_feedforward_hand_cases(net2, inc2, eq2):
 
 
 def test_gated_control_hand_case():
-    u = tp.gate(
-        np.array([0.05]), np.array([0.0]), np.array([0.5]), np.array([0.2]), np.array([-1.0])
-    )
-    assert abs(value(u)[0] - 0.01) < 1e-15
+    u = gate(np.array([0.05]), np.array([0.0]), np.array([0.5]), np.array([0.2]), np.array([-1.0]))
+    assert abs(u[0] - 0.01) < 1e-15
+    ub = barrier_bound(np.array([0.2]), np.array([1.0]), np.array([0.05]), np.array([-30.0]), upper=True)
+    assert ub[0] == -10.0  # alpha / d + q = 20 - 30 binds below the cap 0.2
+
+
+@pytest.mark.parametrize("size", [3, 39])
+@pytest.mark.parametrize("batch", [None, 5])
+def test_control_law_matches_composed_oracle_bitwise(request, spec_band, size, batch):
+    # the fused kernel against its six-part composition, on plain values and
+    # on tape leaves, at states on both sides of each threshold with clipped
+    # and unclipped gates; the first draw puts bus 0 exactly at its upper
+    # threshold (dhi = 0) and bus 1 at the synchronous frequency (dev = 0)
+    net, inc, eq = (request.getfixturevalue(f"{name}{size}") for name in ("net", "inc", "eq"))
+    rng = np.random.default_rng(size)
+    params = rand_params(size, rng, dz_amp=30.0)
+    policy = params.bind(spec_band, net, inc, eq)
+    ready = policy.precompute(params.raw)
+    t = Tape()
+    ready_t = policy.precompute({k: t.leaf(v) for k, v in params.raw.items()})
+    shape = (size,) if batch is None else (batch, size)
+    for i in range(10):
+        omega = rng.uniform(-0.19, 0.19, shape)
+        if i == 0:
+            omega[..., 0], omega[..., 1] = ready.whi_val[0], eq.omega_sync
+        lam = eq.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq.lam_eq.shape)
+        p = net.p_nom * rng.uniform(0.8, 1.2, size)
+        ref = composed_law(*law_args(policy, ready, lam, omega, p))
+        got = tp.control_law(*law_args(policy, ready, lam, omega, p))
+        taped = tp.control_law(*law_args(policy, ready_t, lam, omega, p))
+        assert isinstance(taped[0], tp.Node) and not isinstance(taped[1], tp.Node)
+        for want, plain, on_tape in zip(ref, got, taped):
+            assert want.shape == shape
+            assert plain.tobytes() == want.tobytes() == value(on_tape).tobytes()
+        assert policy.control(ready, lam, omega, p).u.tobytes() == ref[0].tobytes()
 
 
 def test_policy_dead_zone_and_slack(net2, inc2, eq2, spec_band):

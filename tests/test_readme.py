@@ -1,11 +1,13 @@
 """README's Python examples run as written, its `train` flag list names the
-settings the code reads, and its fused-kernel list names the tape's."""
+settings the code reads, its fused-kernel list names the tape's, and its
+node count of an active step is the one the tests pin."""
 
 import re
 from pathlib import Path
 
 from swingctl import tape
 from swingctl.training import TrainConfig
+from test_training import FULLY_ACTIVE_STEP_NODES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,3 +37,9 @@ def test_readme_lists_every_fused_kernel():
     listed = re.search(pattern, README.read_text(), re.S)
     assert listed, "README's fused-kernel list is missing"
     assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(kernels)
+
+
+def test_readme_active_step_node_count_is_the_pinned_budget():
+    quoted = re.search(r"an active one records (\d+)", re.sub(r"\s+", " ", README.read_text()))
+    assert quoted, "README's node count of an active step is missing"
+    assert int(quoted.group(1)) == FULLY_ACTIVE_STEP_NODES

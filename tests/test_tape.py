@@ -1,8 +1,9 @@
 """Finite-difference checks of every tape op and fused kernel plus the pinned
 subgradient conventions: relu'(0) = 0 (for a unit exactly at its threshold
-inside `unit_sums` and at the kinks of `gate`), minimum and the min/max of
-`barrier_bound` route ties to the first argument, reduce_min routes to the
-first attaining index, and a floored denominator gets no adjoint.
+inside `unit_sums` and at the kinks of `control_law`'s gate), minimum routes
+ties to its first argument and `control_law`'s barrier bounds to the cap,
+reduce_min routes to the first attaining index, and a floored denominator
+gets no adjoint.
 """
 
 from functools import partial
@@ -362,16 +363,25 @@ def test_min_max_tie_first_argument():
     t.backward(tp.minimum(la, lb))
     assert np.array_equal(t.grad(la), [1.0, 1.0])
     assert np.array_equal(t.grad(lb), [0.0, 0.0])
-    # barrier_bound at cap == alpha / d + q: the cap takes the adjoint
-    cap, alpha, d, q = np.array([1.5, -0.5]), np.array([1.0, -1.0]), np.array([2.0, 4.0]), np.array([1.0, -0.25])
+
+
+def test_barrier_bound_tie_goes_to_the_cap():
+    # at cap == alpha / d + q (cap 0.5 w, q = 0, d = 0.5) the clipped gate's
+    # adjoint reaches omega and xi through the cap, and none reaches alpha,
+    # or p through q
+    w = np.array([0.5, 0.25, 1.0])
+    tie, other, on, off = 0.25 * w, np.ones(3), np.full(3, 0.5), np.full(3, -0.5)
     for upper in (True, False):
+        args = (w, w, np.zeros(3), tie if upper else other, other if upper else tie,
+                on if upper else off, off if upper else on, np.full(3, 10.0 if upper else -10.0))
         t = Tape()
-        leaves = [t.leaf(x) for x in (cap, alpha, d, q)]
-        out = tp.barrier_bound(*leaves, upper=upper)
-        assert np.array_equal(value(out), cap)
-        t.backward(out)
-        assert np.array_equal(t.grad(leaves[0]), [1.0, 1.0])
-        assert all(np.array_equal(t.grad(x), [0.0, 0.0]) for x in leaves[1:])
+        leaves = [t.leaf(a) for a in args]
+        u, _, ub, lb = hand_law(3)(*leaves)
+        assert np.array_equal(ub if upper else lb, 0.5 * w)
+        t.backward(u)
+        g_w, g_p, g_xi, g_hi, g_lo = (t.grad(x) for x in leaves[:5])
+        assert np.array_equal(g_w, np.full(3, 0.25)) and np.array_equal(g_xi, 0.5 / w)
+        assert not (g_p.any() or g_hi.any() or g_lo.any())
 
 
 def test_reduce_min_tie_first_index():
@@ -385,9 +395,23 @@ BY_MAT = B_MAT * np.array([0.8, 1.3])
 DAMPING, INERTIA, DTILDE = np.array([1.0, 0.7, 1.2]), np.array([0.9, 1.1, 1.4]), np.array([0.5, 0.3, 0.6])
 
 
-def _signed(rng, shape, lo, hi):
-    """Uniform magnitudes in [lo, hi] with random signs."""
-    return rng.uniform(lo, hi, shape) * rng.choice([-1.0, 1.0], shape)
+def _signed(rng, shape, lo, hi, sign=0):
+    """Uniform magnitudes in [lo, hi] with the given sign, or random signs."""
+    return rng.uniform(lo, hi, shape) * (rng.choice([-1.0, 1.0], shape) if sign == 0 else sign)
+
+
+# control_law cases, named after the part of the law whose adjoint they
+# route: (open gate: +1 upper, -1 lower, 0 either per bus; the sign of
+# t_hi - cap and of cap - t_lo, +1 where the cap binds; +1 where f is past
+# the open gate's bound; every edge on), a 0 sign drawn per bus
+LAW_CASES = {
+    "masked_matvec": (0, 1, 1, 1, False),
+    "stability_cap": (0, 1, 1, 1, True),
+    "feedforward": (0, -1, -1, 1, False),
+    "barrier_bound_upper": (1, 0, 0, 1, False),
+    "barrier_bound_lower": (-1, 0, 0, 1, False),
+    "gate": (0, 0, 0, 0, False),
+}
 
 
 def kernel_case(name, batch, rng):
@@ -400,23 +424,23 @@ def kernel_case(name, batch, rng):
     if name == "euler_freqs":
         op = lambda lam, w, u, p: tp.euler_freqs(lam, w, u, p, DAMPING, INERTIA, BY_MAT, 0.1)  # noqa: E731
         return op, [rng.normal(size=edge)] + [rng.normal(size=bus) for _ in range(3)]
-    if name == "masked_matvec":  # a mask per batch row over edge values shared by the rows
-        mask = rng.integers(0, 2, edge).astype(float)
-        return (lambda x: tp.masked_matvec(B_MAT, mask, x)), [rng.normal(size=(2,))]
-    if name == "feedforward":
-        op = lambda lam, w, p: tp.feedforward(lam, w, p, DAMPING, BY_MAT)  # noqa: E731
-        return op, [rng.normal(size=edge), rng.normal(size=bus), rng.normal(size=bus)]
-    if name == "stability_cap":
-        op = lambda w, b: tp.stability_cap(DTILDE, 0.02, w, b)  # noqa: E731
-        return op, [0.02 + _signed(rng, bus, 0.1, 0.5), rng.normal(size=bus)]
-    if name.startswith("barrier_bound"):
-        alpha, d, q = rng.normal(size=bus), _signed(rng, bus, 0.2, 1.0), rng.normal(size=bus)
-        cap = alpha / d + q + _signed(rng, bus, 0.1, 0.5)  # each side of the min/max
-        return partial(tp.barrier_bound, upper=name.endswith("upper")), [cap, alpha, d, q]
-    if name == "gate":
-        f = rng.normal(size=bus)
-        args = [_signed(rng, bus, 0.05, 0.5), _signed(rng, bus, 0.05, 0.5), f]
-        return tp.gate, args + [f + _signed(rng, bus, 0.05, 0.5), f + _signed(rng, bus, 0.05, 0.5)]
+    if name in LAW_CASES:  # each bound's min/max, each clip and each denominator >= 0.05 from its kink
+        gates, hi, lo, clip, all_on = LAW_CASES[name]
+        lam, w, p = rng.normal(size=edge), 0.02 + _signed(rng, bus, 0.1, 0.5), rng.normal(size=bus)
+        xi = rng.normal(size=(2,))  # edge values shared by the batch rows, a mask per row
+        mask = np.ones(edge) if all_on else rng.integers(0, 2, edge).astype(float)
+        up = rng.random(bus) < 0.5 if gates == 0 else np.full(bus, gates > 0)
+        dhi, dlo = (np.where(up == side, 1.0, -1.0) * rng.uniform(0.05, 0.5, bus) for side in (True, False))
+        cap = DTILDE * (w - 0.02) + ((mask * xi) @ B_MAT.T) / (w - 0.02)
+        q = DAMPING * w + np.sin(lam) @ BY_MAT.T - p
+        t_hi, t_lo = cap + _signed(rng, bus, 0.1, 0.5, hi), cap - _signed(rng, bus, 0.1, 0.5, lo)
+        beyond = _signed(rng, bus, 0.05, 0.5, clip)
+        f = np.where(up, np.minimum(cap, t_hi) + beyond, np.maximum(cap, t_lo) - beyond)
+
+        def op(lam, w, p, xi, *rest):
+            return tp.control_law(lam, w, p, xi, mask, *rest, B_MAT, BY_MAT, DAMPING, DTILDE, 0.02)[0]
+
+        return op, [lam, w, p, xi, (t_hi - q) * dhi, (t_lo - q) * dlo, dhi, dlo, f]
     if name == "sq_dist":
         return tp.sq_dist, [rng.normal(size=bus), rng.normal(size=bus)]
     if name == "sq_dist_one":
@@ -428,12 +452,7 @@ def kernel_case(name, batch, rng):
 KERNELS = {  # case name -> tape kind
     "euler_angles": "euler_angles",
     "euler_freqs": "euler_freqs",
-    "masked_matvec": "masked_matvec",
-    "feedforward": "feedforward",
-    "stability_cap": "stability_cap",
-    "barrier_bound_upper": "barrier_bound",
-    "barrier_bound_lower": "barrier_bound",
-    "gate": "gate",
+    **{name: "control_law" for name in LAW_CASES},
     "sq_dist": "sq_dist",
     "sq_dist_one": "sq_dist",
     "sum_seq": "sum_seq",
@@ -462,44 +481,69 @@ def test_fused_kernels_match_fd(name, batch):
         assert np.abs(t.grad(leaf) - fd[i]).max() < 1e-6 * max(1.0, np.abs(fd[i]).max()), (name, i)
 
 
+def hand_law(n):
+    """control_law on n buses with one edge per bus (b = mask xi), no line
+    flows and D = 1 (q = omega - p), D_tilde = 0.5 and omega_sync = 0 (cap =
+    0.5 omega + b / omega): (omega, p, xi, alpha_hi, alpha_lo, dhi, dlo, f)
+    -> (u, b, ub, lb)."""
+    consts = (np.eye(n), np.zeros((n, 1)), np.ones(n), np.full(n, 0.5), 0.0)
+
+    def law(w, p, xi, alpha_hi, alpha_lo, dhi, dlo, f):
+        return tp.control_law(np.zeros(1), w, p, xi, np.ones(n), alpha_hi, alpha_lo, dhi, dlo, f, *consts)
+
+    return law
+
+
+def gate_kink_args():
+    """hand_law(4) arguments with q = 0 and the cap 0.5 w binding both bounds.
+    Per entry: 0 upper gate at dhi = 0; 1 upper branch at f = ub = 0.5;
+    2 lower branch at f = lb = -0.4; 3 lower gate at dlo = 0."""
+    w = np.array([1.0, 1.0, -0.8, 1.0])
+    return (w, w.copy(), np.zeros(4), np.full(4, 9.0), np.full(4, -9.0),
+            np.array([0.0, 0.3, -0.1, -0.1]), np.array([-0.1, -0.1, 0.2, 0.0]), np.array([0.5, 0.5, -0.4, 1.0]))
+
+
 def test_gate_subgradient_zero_at_kinks():
-    # per entry: 0 upper gate at dhi = 0; 1 upper branch at f = ub;
-    # 2 lower branch at f = lb; 3 lower gate at dlo = 0
-    dhi = np.array([0.0, 0.3, -0.1, -0.1])
-    dlo = np.array([-0.1, -0.1, 0.2, 0.0])
-    f = np.array([0.5, 0.5, -0.4, 1.0])
-    ub = np.array([1.0, 0.5, 9.0, 9.0])
-    lb = np.array([-9.0, -9.0, -0.4, -9.0])
     t = Tape()
-    leaves = [t.leaf(x) for x in (dhi, dlo, f, ub, lb)]
-    out = tp.gate(*leaves)
-    assert np.allclose(value(out), [0.0, 0.15, -0.08, 0.0], rtol=0.0, atol=1e-15)
-    t.backward(out)
-    g_dhi, g_dlo, g_f, g_ub, g_lb = (t.grad(x) for x in leaves)
+    leaves = [t.leaf(x) for x in gate_kink_args()]
+    u = hand_law(4)(*leaves)[0]
+    assert np.allclose(value(u), [0.0, 0.15, -0.08, 0.0], rtol=0.0, atol=1e-15)
+    t.backward(u)
+    g_dhi, g_dlo, g_f = (t.grad(x) for x in leaves[5:])
     assert np.array_equal(g_dhi, [0.0, 0.5, 0.0, 0.0])
     assert np.array_equal(g_dlo, [0.0, 0.0, -0.4, 0.0])
     assert np.array_equal(g_f, [0.0, 0.3, 0.2, 0.0])
-    assert np.array_equal(g_ub, [0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(g_lb, [0.0, 0.0, 0.0, 0.0])
+    # the bounds get no adjoint at the kinks: nor do the cap's and q's inputs
+    assert not any(t.grad(x).any() for x in leaves[:5])
 
 
 def test_floored_denominators_in_cap_and_bound():
     # an exact zero denominator gives a finite value, and the floored region
-    # is constant in the denominator
+    # is constant in the denominator. The cap first: it binds the upper
+    # bound, whose gate is open and clipped (q = 0)
     t = Tape()
-    w, b = t.leaf(np.array([0.0, 0.25])), t.leaf(np.array([1.0, 0.125]))
-    cap = tp.stability_cap(np.array([0.5, 0.5]), 0.0, w, b)
-    assert np.array_equal(value(cap), [1.0 / 1e-12, 0.625])
-    t.backward(cap)
+    w, xi = t.leaf(np.array([0.0, 0.25])), t.leaf(np.array([1.0, 0.125]))
+    u, _, ub, _ = hand_law(2)(w, value(w), xi, np.full(2, 1e13), np.full(2, -1e13),
+                              np.ones(2), -np.ones(2), np.array([2e12, 2.0]))
+    assert np.array_equal(ub, [1.0 / 1e-12, 0.625])
+    t.backward(u)
     assert np.array_equal(t.grad(w), [0.5, -1.5])
-    assert np.array_equal(t.grad(b), [1.0 / 1e-12, 4.0])
-    for upper, alpha in ((True, -1.0), (False, 1.0)):  # the alpha / d + q branch binds
-        t = Tape()
-        leaves = [t.leaf(np.array([x])) for x in (0.0, alpha, 0.0, 0.5)]
-        out = tp.barrier_bound(*leaves, upper=upper)
-        assert value(out)[0] == alpha / 1e-12 + 0.5
-        t.backward(out)
-        assert [t.grad(x)[0] for x in leaves] == [0.0, 1.0 / 1e-12, 0.0, 1.0]
+    assert np.array_equal(t.grad(xi), [1.0 / 1e-12, 4.0])
+    # then a bound whose alpha / d + q binds (cap 0.5, q 0.5), at d = 0 (a
+    # shut gate) and at d = 5e-13 (an open one): alpha gets the clipped
+    # gate's adjoint 5e-13 over the floor 1e-12, and d only the gate's own
+    # adjoint, the bound
+    for upper, alpha in ((True, -1.0), (False, 1.0)):
+        for d in (0.0, 5e-13):
+            t = Tape()
+            a, dd = t.leaf(np.array([alpha])), t.leaf(np.array([d]))
+            shut, zero = np.array([-1.0]), np.zeros(1)
+            args = (a, zero, dd, shut) if upper else (zero, a, shut, dd)
+            u, _, ub, lb = hand_law(1)(np.ones(1), np.array([0.5]), zero, *args, zero)
+            bound = ub if upper else lb
+            assert bound[0] == alpha / 1e-12 + 0.5
+            t.backward(u)
+            assert (t.grad(a)[0], t.grad(dd)[0]) == ((0.0, 0.0) if d == 0.0 else (0.5, bound[0]))
 
 
 def dispatch_cases():
@@ -532,14 +576,12 @@ def dispatch_cases():
         for batch in ((), (4,)):
             op, args = kernel_case(name, batch, rng)
             cases.append((kind, op, tuple(args), tuple(range(len(args)))))
-    # kinks and floors: the gate at f = ub and f = lb, zero denominators
-    f = rng.normal(size=3)
-    cases.append(("gate", tp.gate, (x[0], -x[0], f, f, f), (0, 1, 2, 3, 4)))
-    cases.append(("stability_cap", lambda w, b_: tp.stability_cap(DTILDE, 0.02, w, b_),
-                  (np.array([0.02, 0.02 + 1e-14, -0.3]), y), (0, 1)))
-    for upper in (True, False):
-        zero_d = np.array([0.0, -1e-14, 0.5])
-        cases.append(("barrier_bound", partial(tp.barrier_bound, upper=upper), (y, x, zero_d, y), (0, 1, 2, 3)))
+    # kinks and floors: the gate at f = ub and f = lb, and zero or floored
+    # denominators dev, dhi and dlo
+    floors = (np.array([0.0, 1.0]), np.array([0.0, 0.5]), np.array([1.0, 0.0]), np.array([1e13, -1.0]),
+              np.array([-1e13, 1.0]), np.array([1.0, -1e-14]), np.array([-1.0, 5e-13]), np.array([2e12, 0.0]))
+    for n, args in ((4, gate_kink_args()), (2, floors)):
+        cases.append(("control_law", lambda *a, law=hand_law(n): law(*a)[0], args, tuple(range(8))))
     return cases
 
 

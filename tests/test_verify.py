@@ -5,6 +5,7 @@ and the finite-horizon convergence proxy.
 import numpy as np
 import pytest
 
+from oracles import budget_vector
 from swingctl.controller import (
     ControlDecision,
     init_monotone_params,
@@ -187,8 +188,6 @@ def test_budget_check_with_activity_through_final_row():
 def test_budget_conservation_under_mask_flips(net3, inc3, eq3):
     # random controller flipping masks every step; the edge-difference form
     # keeps the sum exactly zero
-    from swingctl.controller import budget_vector
-
     rng = np.random.default_rng(40)
 
     def flipper(lam, omega, p):
