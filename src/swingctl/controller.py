@@ -29,10 +29,10 @@ because the ReLU gates scale rather than select, the raw output can exceed
 `project_control` clamps it, which is how certified evaluation runs are
 produced.
 
-At an active state `control` computes dhi and dlo once each, evaluates
-the two barriers' class-K maps and the dead-zone response (one `unit_sums`
-node each), and hands them to `tape.control_law`, one node for the rest:
-the budgets (the edge differences B^T xi that `precompute` builds once per
+At an active state `control` records one `tape.control_law` node for the
+whole policy: the differences dhi and dlo, both barriers' class-K maps at
+omega_max - omega and omega_min - omega, the dead-zone response, the
+budgets (the edge differences B^T xi that `precompute` builds once per
 rollout, gated by the edges with both ends active), the feedforward q, the
 stability cap, both bounds and the gate. Only u is a tape node; b, ub and
 lb are plain values.
@@ -50,13 +50,13 @@ Every ReLU-unit sum here (the barriers, the dead-zone response and the
 monotone baseline) has ordered biases, so at any input only a prefix of its
 units is active and the sum is one linear piece. The ready tensors hold each
 branch as a `unit_table` of prefix sums, built once per rollout (the
-dead-zone units sorted by bias first). A step evaluates a map's two
-branches with one gather per bus each, in one `tape.unit_sums` node that
-forms the barrier inputs omega_max - omega and omega_min - omega itself and
-skips a branch with no active unit: inside the band, the upper barrier's
-minus branch and the lower barrier's plus branch. Everything here runs on
-plain numpy arrays or on autodiff tape nodes; see `tape` for the dispatch
-rules.
+dead-zone units sorted by bias first), and `precompute` stacks the six
+branches of the barriers and the dead-zone response into one table, so a
+step counts their active units with one comparison and evaluates them with
+one gather, skipping the trailing branches with no active unit: inside the
+band, the upper barrier's minus and the lower barrier's plus branch.
+Everything here runs on plain numpy arrays or on autodiff tape nodes; see
+`tape` for the dispatch rules.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .tape import (
     sigmoid,
     softplus,
     square,
+    stack_units,
     tanh,
     unit_sums,
     value,
@@ -276,18 +277,17 @@ def class_k_tables(wp, wm, bp, bm) -> tuple:
     return unit_table(wp, bp), unit_table(wm, bm)
 
 
-def class_k_eval(tables, s, bound=None):
+def class_k_eval(tables, s):
     """Evaluate the class-K network alpha(x) = wp.relu(x + bp) + wm.relu(-x + bm)
-    at x = s, or at x = bound - s for a plain `bound`.
+    at x = s.
 
     `tables` is `class_k_tables(wp, wm, bp, bm)`, built once per rollout;
     s is (n,) or batched (..., n). Strictly increasing in x and exactly zero
     at x = 0 whenever the weight/bias constraints hold. The map is one
-    `unit_sums` node, which forms bound - s itself and keeps no (..., n, m)
-    temporary.
+    `unit_sums` node, which keeps no (..., n, m) temporary.
     """
     plus, minus = tables
-    return unit_sums(((plus, s, 1.0), (minus, s, -1.0)), bound)
+    return unit_sums(((plus, s, 1.0), (minus, s, -1.0)))
 
 
 def threshold_map(thr_lo_raw, thr_hi_raw, omega_sync, omega_min, omega_max):
@@ -333,14 +333,6 @@ def deadzone_tables(wp, wm, bp, bm) -> tuple:
     return tuple(tables)
 
 
-def deadzone_eval(tables, dhi, dlo):
-    """Trainable response, exactly zero for omega in [wlo, whi] when bp,bm <= 0:
-    wp.relu(dhi + bp) + wm.relu(dlo + bm) with dhi = omega - whi and
-    dlo = wlo - omega, from the `deadzone_tables` built once per rollout."""
-    plus, minus = tables
-    return unit_sums(((plus, dhi, 1.0), (minus, dlo, 1.0)))
-
-
 # ------------------------------------------------------------ assembled policy
 
 
@@ -359,8 +351,9 @@ class PolicyReady:
     hi, lo and dz are (plus, minus) pairs of `unit_table`s: the upper and
     lower barriers' class-K networks and the dead-zone response, whose units
     are sorted by bias. edge_xi = B^T xi holds the edge differences of the
-    budget potentials. wlo_val/whi_val are the thresholds as plain values,
-    for the dead-zone mask.
+    budget potentials. units stacks the six branches of hi, lo and dz for
+    `tape.control_law` (`tape.stack_units`). wlo_val/whi_val are the
+    thresholds as plain values, for the dead-zone mask.
     """
 
     wlo: object
@@ -370,6 +363,7 @@ class PolicyReady:
     hi: tuple
     lo: tuple
     dz: tuple
+    units: tuple
     wlo_val: np.ndarray
     whi_val: np.ndarray
 
@@ -480,14 +474,18 @@ class ConstrainedAdapter(BoundPolicy):
             raw_like["thr_lo"], raw_like["thr_hi"], sync, self.omega_min, self.omega_max
         )
         xi = budget_potentials(raw_like["budget_raw"], wlo, whi, sync, self.dtilde, self.inc.row_l1)
+        edge_xi = matvec(self.inc.b_mat.T, xi)
+        dz = deadzone_tables(*deadzone_weights(raw_like))
+        branches = dz + (hi[0], lo[1], hi[1], lo[0])  # stack_units' order
         return PolicyReady(
             wlo=wlo,
             whi=whi,
             xi=xi,
-            edge_xi=matvec(self.inc.b_mat.T, xi),
+            edge_xi=edge_xi,
             hi=hi,
             lo=lo,
-            dz=deadzone_tables(*deadzone_weights(raw_like)),
+            dz=dz,
+            units=stack_units(branches, whi, wlo, self.omega_min, self.omega_max, sync),
             wlo_val=np.asarray(value(wlo), dtype=float),
             whi_val=np.asarray(value(whi), dtype=float),
         )
@@ -499,14 +497,11 @@ class ConstrainedAdapter(BoundPolicy):
         if not active.any():
             zero = np.zeros(active.shape)
             return ControlDecision(u=zero, budgets=zero, active=active, upper=zero, lower=zero)
-        dhi, dlo = omega - ready.whi, ready.wlo - omega
         ends = self.inc.edge_ends
         on = active[..., ends[:, 0]] & active[..., ends[:, 1]]  # the edges of L_sub
         u, b, ub, lb = control_law(
-            lam, omega, p, ready.edge_xi, on.astype(float),
-            class_k_eval(ready.hi, omega, self.omega_max), class_k_eval(ready.lo, omega, self.omega_min),
-            dhi, dlo, deadzone_eval(ready.dz, dhi, dlo),
-            self.inc.b_mat, self.inc.by_mat, self.net.damping, self.dtilde, self.eq.omega_sync,
+            lam, omega, p, ready.edge_xi, on, ready.units, self.inc.b_mat, self.inc.by_mat, self.net.damping,
+            self.dtilde,
         )
         return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 

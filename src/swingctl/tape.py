@@ -10,32 +10,38 @@ reference the fused Euler kernels' gradients are checked against.
 Fused kernels, one node each with a hand-written backward rule, for the
 per-step hot path of a training episode:
 
-  * `unit_sums`: the class-K and dead-zone maps, each a sum of ReLU-unit
+  * `unit_sums`: the monotone baseline's class-K map, a sum of ReLU-unit
     branches evaluated as one linear piece per branch from prefix tables;
   * `euler_angles`, `euler_freqs`: the two explicit Euler updates of the
     swing state;
-  * `control_law`: the constrained control law (budgets, feedforward,
-    stability cap, both barrier bounds and the gate) at one state, whose
-    only node output is u;
+  * `control_law`: the whole constrained policy at one measured state (gate
+    inputs, both class-K barriers and the dead-zone response from their six
+    ReLU-unit branches, budgets, feedforward, stability cap, both barrier
+    bounds and the gate), whose only node output is u, and `stack_units`,
+    the per-rollout node that stacks the prefix tables it reads;
   * `sq_dist`, `sum_seq`: a loss term's sum of squares and the left-to-right
     sum of the per-step terms.
 
 Each fused kernel evaluates the numpy expression of the composed ops it
-stands for, in the same order, so its value is bitwise the composed one.
-Every recorded node stores its backward rule (whose name gives the op),
-parent indices, output shape and the cached locals the rule needs; a value
-stays alive only while a Node handle or such a cache holds it. Adjoints fill
-a parallel buffer in a single reverse sweep that keeps only leaf ones.
+stands for, in the same order, so its value is bitwise the composed one,
+and its rule sums adjoints in the order of the composed reverse sweep, so
+gradients are bitwise too. Every recorded node stores its backward rule
+(whose name gives the op), parent indices, output shape and the cached
+locals the rule needs; a value stays alive only while a Node handle or such
+a cache holds it. Adjoints fill a parallel buffer in a single reverse sweep
+that keeps only leaf ones.
 
-A `unit_sums` node stores no (..., n, m) temporary: per branch it keeps the
-weight table, the input and the count k of active units per entry in the
-smallest unsigned type that holds m (one byte up to 255 units), and nothing
-for a branch with no active unit, which it skips.
+No node stores an (..., n, m) temporary. A `unit_sums` node keeps, per
+branch, the weight table, the input and the count k of active units per
+entry in the smallest unsigned type that holds m (one byte up to 255
+units), and nothing for a branch with no active unit, which it skips. A
+`control_law` node keeps the measured omega, a few (..., n) values and the
+six branches' counts, and recomputes the branch inputs from omega.
 
 Subgradient conventions (pinned by tests):
   * relu'(0) = 0 (the mask is x > 0, strictly; a unit exactly at its
-    threshold is inactive in `unit_sums`, and `control_law`'s gate treats
-    its ReLUs so)
+    threshold is inactive in `unit_sums` and `control_law`, and the
+    latter's gate treats its ReLUs so)
   * minimum, and the min/max of `control_law`'s barrier bounds, route the
     adjoint entirely to the attaining argument: minimum's first argument,
     and the bounds' cap, on ties
@@ -52,6 +58,7 @@ both simulation and training.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 
 import numpy as np
@@ -340,10 +347,10 @@ def pad_zero_first(a):
 # ------------------------------------------------ fused per-step kernels
 
 
-def unit_sums(branches, bound=None):
+def unit_sums(branches):
     """Left-to-right sum over branches ((W, C, thr), s, sign) of
-    sum_j w[n, j] * relu(x + b[n, j]), x = sign * r, with r = s or, for a
-    plain `bound`, r = bound - s. Each s is (n,) or (..., n), as the result.
+    sum_j w[n, j] * relu(x + b[n, j]), x = sign * s. Each s is (n,) or
+    (..., n), as the result.
 
     The biases of each row n must be non-increasing, so the units active at
     x form a prefix: W and C are (n, m+1) with W[n, k] = sum_{j<k} w[n, j]
@@ -353,12 +360,10 @@ def unit_sums(branches, bound=None):
     or below its first threshold is skipped forward and backward; the sum
     then ends in + 0.0, as adding its zeros would.
     """
-    total, args, aux, last_s = None, [], [], None
+    total, args, aux = None, [], []
     for (W, C, thr), s, sign in branches:
         args += (W, C, s)
-        if s is not last_s:
-            last_s, r = s, _val(s) if bound is None else bound - _val(s)
-        x = r if sign > 0 else -r
+        x = _val(s) if sign > 0 else -_val(s)
         if np.count_nonzero(x <= thr[..., 0]) == x.size:
             aux.append(None)
             continue
@@ -367,18 +372,18 @@ def unit_sums(branches, bound=None):
         vW = _val(W)
         out = x * vW.reshape(-1)[flat] + _val(C).reshape(-1)[flat]
         total = out if total is None else total + out
-        aux.append((vW, r, k.astype(np.min_scalar_type(thr.shape[-1] - 1)), sign))
+        aux.append((vW, _val(s), k.astype(np.min_scalar_type(thr.shape[-1] - 1)), sign))
     if total is None:
-        total = np.zeros(r.shape)
+        total = np.zeros(x.shape)
     elif None in aux:
         total = total + 0.0
-    return _node(_bk_unit_sums, tuple(args), (aux, bound is not None), total)
+    return _node(_bk_unit_sums, tuple(args), aux, total)
 
 
 @functools.lru_cache(maxsize=None)
 def _row_offsets(shape: tuple) -> np.ndarray:
-    """Flat index of column 0 of each row of an (n, m+1) table (read-only)."""
-    off = np.arange(0, shape[0] * shape[1], shape[1])
+    """Flat index of column 0 of each row of a (..., n, m+1) table (read-only)."""
+    off = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
     off.flags.writeable = False
     return off
 
@@ -408,44 +413,122 @@ def euler_freqs(lam, omega, u, p, damping, inertia, by_mat: np.ndarray, dt: floa
     return _node(_bk_euler_freqs, (lam, omega, u, p), (vlam, damping, inertia, by_mat, dt), vomega + dt * rate)
 
 
-def control_law(lam, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
-                b_mat, by_mat, damping, dtilde, omega_sync):
-    """The constrained control law at one measured state, as one node:
+def stack_units(tables, whi, wlo, omega_min, omega_max, omega_sync) -> tuple:
+    """`control_law`'s per-rollout units (WC, thr, c, whi, wlo, layouts).
 
-      b   = (mask * edge_xi) @ b_mat.T             budgets B (on * B^T xi)
-      q   = D omega + sin(lam) @ by_mat.T - p      local feedforward
-      cap = D_tilde dev + b / dev                  stability cap, dev = omega - omega_sync
-      ub  = min(cap, alpha_hi / dhi + q)           upper barrier bound
-      lb  = max(cap, alpha_lo / dlo + q)           lower barrier bound
+    tables are the six (W, C, thr) prefix tables of its ReLU-unit branches
+    in the order dead-zone plus and minus, upper barrier plus, lower barrier
+    minus, upper barrier minus, lower barrier plus: the last two have no
+    active unit inside the band, where a step evaluates only the first four.
+    WC stacks their W and C as
+    (2, 6, n, m+1), one node when any table is one; thr holds the
+    thresholds below +inf as (m, 6, n); c is [omega_sync, whi, wlo,
+    omega_max, omega_min, omega_max, omega_min] (7, n), the values dev, the
+    gate inputs and the branch inputs are formed from; whi and wlo are the
+    threshold nodes (or arrays). layouts caches, per state shape, thr, c
+    and the gather offsets laid out like the (6, ..., n) branch inputs.
+    """
+    vals = np.array([[_val(W) for W, _, _ in tables], [_val(C) for _, C, _ in tables]])
+    args = tuple(W for W, _, _ in tables) + tuple(C for _, C, _ in tables)
+    thr = np.ascontiguousarray(np.stack([t[..., :-1] for _, _, t in tables]).transpose(2, 0, 1))
+    c = np.stack(np.broadcast_arrays(omega_sync, _val(whi), _val(wlo), omega_max, omega_min, omega_max, omega_min))
+    return _node(_bk_stack_units, args, None, vals), thr, c, whi, wlo, {}
+
+
+_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])  # x = sign * r per branch
+
+
+def _layout(units, shape: tuple) -> tuple:
+    """(thr, off, c, sign) of `units` for states of shape `shape`, laid out
+    like the branch inputs, (6,) + shape, so each op runs on contiguous
+    arrays: the thresholds (m, 6) + shape, each entry's flat offset into a
+    (6, n, m+1) table, c (7,) + shape and the branch signs. Built once per
+    state shape."""
+    _, thr, c, _, _, layouts = units
+    if shape not in layouts:
+        m, n, ones = thr.shape[0], shape[-1], (1,) * (len(shape) - 1)
+        off = _row_offsets((6, n, m + 1)).reshape((6,) + ones + (n,))
+        layouts[shape] = tuple(np.ascontiguousarray(np.broadcast_to(a, lead + shape)) for a, lead in (
+            (thr.reshape((m, 6) + ones + (n,)), (m, 6)), (off, (6,)), (c.reshape((7,) + ones + (n,)), (7,)),
+            (_SIGNS.reshape((6,) + ones + (1,)), (6,))))
+    return layouts[shape]
+
+
+def _inputs(vw, c) -> np.ndarray:
+    """(7, ..., n) at omega, from a `_layout` c: dev = omega - omega_sync,
+    dhi = omega - whi and dlo = wlo - omega, then the r of the upper and
+    lower barrier branches, omega_max - omega and omega_min - omega, twice;
+    the branch inputs are r[1:] times the branch signs."""
+    r = c - vw
+    np.subtract(vw, c[:2], out=r[:2])
+    return r
+
+
+def control_law(lam, omega, p, edge_xi, mask, units, b_mat, by_mat, damping, dtilde):
+    """The constrained policy at one measured state, as one node:
+
+      dhi = omega - whi, dlo = wlo - omega          gate inputs
+      a_hi = k_hi(omega_max - omega)                upper class-K barrier
+      a_lo = k_lo(omega_min - omega)                lower class-K barrier
+      f   = z+(dhi) + z-(dlo)                       dead-zone response
+      b   = (mask * edge_xi) @ b_mat.T              budgets B (on * B^T xi)
+      q   = D omega + sin(lam) @ by_mat.T - p       local feedforward
+      cap = D_tilde dev + b / dev                   stability cap, dev = omega - omega_sync
+      ub  = min(cap, a_hi / dhi + q)                upper barrier bound
+      lb  = max(cap, a_lo / dlo + q)                lower barrier bound
       u   = relu(dhi) (f - relu(f - ub)) + relu(dlo) (f + relu(lb - f))
 
-    with |dev|, |dhi| and |dlo| floored at _TINY and the cap taken on ties.
-    mask is a plain float edge mask; b_mat (n, m), by_mat (n, m), D, D_tilde
-    and omega_sync are constants. Returns (u, b, ub, lb): u is a node when
-    any argument is one, and b, ub and lb are plain arrays, since nothing
-    backpropagates through them.
+    with k(r) = k+(r) + k-(-r). Each of the six ReLU-unit branches
+    sum_j w_j relu(x + b_j) is one linear piece x W[k] + C[k], k the count
+    of its thresholds below x (they are non-decreasing along the units),
+    counted and gathered at once from `units` (`stack_units`) for the
+    leading branches up to the last with an active unit; a branch with no
+    active unit gives exactly +0.0. |dev|, |dhi| and |dlo| are floored at
+    _TINY and the cap is taken on ties. mask is a plain edge mask; b_mat
+    (n, m), by_mat (n, m), D and D_tilde are constants. Returns (u, b, ub,
+    lb): u is a node when any argument is one, and b, ub and lb are plain
+    arrays, since nothing backpropagates through them.
     """
-    vlam, vw, vhi, vlo, vf = _val(lam), _val(omega), _val(dhi), _val(dlo), _val(f)
-    va_hi, va_lo = _val(alpha_hi), _val(alpha_lo)
+    WC, _, _, whi, wlo, _ = units
+    vWC, vlam, vw = _val(WC), _val(lam), _val(omega)
+    layout = _layout(units, vw.shape)
+    thr, off, c, sign = layout
+    r = _inputs(vw, c)
+    x = sign * r[1:]
+    on = (x > thr[0]).reshape(6, -1).any(1).tolist()  # branches with an active unit
+    n_on = max((j + 1 for j in range(6) if on[j]), default=0)
+    k = np.zeros(x.shape, dtype=np.min_scalar_type(thr.shape[0]))
+    np.sum(thr[:, :n_on] < x[:n_on], axis=0, dtype=k.dtype, out=k[:n_on])
+    flat = k[:n_on].astype(np.intp) + off[:n_on]
+    part = np.zeros(x.shape)
+    part[:n_on] = x[:n_on] * vWC[0].reshape(-1)[flat] + vWC[1].reshape(-1)[flat]
+    f, a = part[0] + part[1], part[2:4] + part[4:]  # f and a_hi, a_lo
+    floors = None if np.abs(r[:3]).min() >= _TINY else _floored(r[:3])  # of dev, dhi, dlo
+    hat = r[:3] if floors is None else floors[1]
     b = (mask * _val(edge_xi)) @ b_mat.T
     q = damping * vw + np.sin(vlam) @ by_mat.T - _val(p)
-    dev = vw - omega_sync
-    live_w, dev_hat = _floored(dev)
-    cap = dtilde * dev + b / dev_hat
-    live_hi, dhi_hat = _floored(vhi)
-    t = va_hi / dhi_hat + q
-    take_hi = cap <= t
-    ub = np.where(take_hi, cap, t)
-    live_lo, dlo_hat = _floored(vlo)
-    t = va_lo / dlo_hat + q
-    take_lo = cap >= t
-    lb = np.where(take_lo, cap, t)
-    cut_hi, cut_lo = np.maximum(vf - ub, 0.0), np.maximum(lb - vf, 0.0)
-    u = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
-    aux = (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
-           dtilde, b, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat)
-    args = (lam, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
-    return _node(_bk_control_law, args, aux, u), b, ub, lb
+    cap = dtilde * r[0] + b / hat[0]
+    t = a / hat[1:] + q  # a / d + q of both bounds
+    take = np.empty(t.shape, dtype=bool)  # where the cap binds
+    np.less_equal(cap, t[0], out=take[0])
+    np.greater_equal(cap, t[1], out=take[1])
+    bound = np.where(take, cap, t)  # ub, lb
+    cut = np.empty(t.shape)  # relu(f - ub), relu(lb - f)
+    np.subtract(f, bound[0], out=cut[0])
+    np.subtract(bound[1], f, out=cut[1])
+    np.maximum(cut, 0.0, out=cut)
+    gated = np.maximum(r[1:3], 0.0) * _clipped(f, cut)
+    u = gated[0] + gated[1]
+    aux = (vw, f, a, cut, take, b, floors, mask, k, on, n_on, vlam, vWC, layout, (b_mat, by_mat, damping, dtilde))
+    return _node(_bk_control_law, (lam, omega, p, edge_xi, whi, wlo, WC), aux, u), b, bound[0], bound[1]
+
+
+def _clipped(f, cut) -> np.ndarray:
+    """f - relu(f - ub) and f + relu(lb - f), stacked like cut."""
+    out = np.empty(cut.shape)
+    np.subtract(f, cut[0], out=out[0])
+    np.add(f, cut[1], out=out[1])
+    return out
 
 
 def sq_dist(a, b=None):
@@ -538,29 +621,19 @@ def _bk_reduce_min(g, par, aux, shapes, adj):
 
 
 def _bk_unit_sums(g, par, aux, shapes, adj):
-    # Branches in reverse, as the composed sum would sweep them; g, r and the
+    # Branches in reverse, as the composed sum would sweep them; g, s and the
     # gather index have the output's shape, so the table adjoints are plain
-    # bincounts over the flat index. With a bound, the branches of one s sum
-    # the adjoint of bound - s and push it to s once, at the end, so the
-    # gradient is bitwise that of the map evaluated at a bound - s node.
-    branches, shifted = aux
-    through = {}
-    for b in range(len(branches) - 1, -1, -1):
-        if branches[b] is None:
+    # bincounts over the flat index.
+    for b in range(len(aux) - 1, -1, -1):
+        if aux[b] is None:
             continue
-        (iW, iC, i_s), (vW, r, k, sign) = par[3 * b : 3 * b + 3], branches[b]
+        (iW, iC, i_s), (vW, vs, k, sign) = par[3 * b : 3 * b + 3], aux[b]
         flat = (k + _row_offsets(vW.shape)).reshape(-1)
-        gs = sign * g * vW.reshape(-1)[flat].reshape(g.shape)
-        if not shifted:
-            _acc(adj, shapes, i_s, gs)
-        else:
-            through[i_s] = through[i_s] + gs if i_s in through else gs
+        _acc(adj, shapes, i_s, sign * g * vW.reshape(-1)[flat].reshape(g.shape))
         if iW is not None:
-            _acc(adj, shapes, iW, sign * np.bincount(flat, (g * r).reshape(-1), vW.size).reshape(vW.shape))
+            _acc(adj, shapes, iW, sign * np.bincount(flat, (g * vs).reshape(-1), vW.size).reshape(vW.shape))
         if iC is not None:
             _acc(adj, shapes, iC, np.bincount(flat, g.reshape(-1), vW.size).reshape(vW.shape))
-    for i_s, gs in through.items():
-        _acc(adj, shapes, i_s, -gs)
 
 
 def _bk_euler_angles(g, par, aux, shapes, adj):
@@ -583,42 +656,79 @@ def _bk_euler_freqs(g, par, aux, shapes, adj):
 
 
 def _bk_control_law(g, par, aux, shapes, adj):
-    # The composed law's rules in its reverse order: gate, lower bound, upper
-    # bound, cap, feedforward, budgets; the cap and q sum their adjoints from
-    # the lower bound first, as the composed sweep did.
-    il, iw, ip, ix, iah, ial, ihi, ilo, i_f = par
-    (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
-     dtilde, vb, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat) = aux
-    ghi, glo = np.maximum(vhi, 0.0), np.maximum(vlo, 0.0)
-    g_hi, g_lo = g * ghi, g * glo  # adjoints of the two gated branches
-    to_ub, to_lb = g_hi * (cut_hi > 0), g_lo * (cut_lo > 0)
-    if i_f is not None:
-        _acc(adj, shapes, i_f, g_lo - to_lb + g_hi - to_ub)
-    gt_lo, gt_hi = np.where(take_lo, 0.0, to_lb), np.where(take_hi, 0.0, to_ub)  # of alpha / d + q
-    if ial is not None:
-        _acc(adj, shapes, ial, gt_lo / dlo_hat)
-    if iah is not None:
-        _acc(adj, shapes, iah, gt_hi / dhi_hat)
-    if ilo is not None:
-        gd = -gt_lo * va_lo / (dlo_hat * dlo_hat)
-        gd = gd if live_lo is None else np.where(live_lo, gd, 0.0)
-        _acc(adj, shapes, ilo, (g * (vf + cut_lo)) * (glo > 0) + gd)
-    if ihi is not None:
-        gd = -gt_hi * va_hi / (dhi_hat * dhi_hat)
-        gd = gd if live_hi is None else np.where(live_hi, gd, 0.0)
-        _acc(adj, shapes, ihi, (g * (vf - cut_hi)) * (ghi > 0) + gd)
-    g_cap = np.where(take_lo, to_lb, 0.0) + np.where(take_hi, to_ub, 0.0)
-    g_q = gt_lo + gt_hi
+    # The composed policy's rules in its reverse order: the gate, both
+    # bounds, the cap, feedforward and budgets; then the six branches, the
+    # dead-zone ones adding to the adjoints of dlo and dhi and the lower and
+    # upper barrier each sending -(minus + plus) to omega; and last the
+    # differences dlo = wlo - omega and dhi = omega - whi. The branch inputs
+    # and dev are recomputed from the cached omega. A branch with no active
+    # unit adds nothing anywhere: its slices of the table adjoint are -0.0.
+    il, iw, ip, ix, iwhi, iwlo, iu = par
+    vw, f, a, cut, take, vb, floors, mask, k, on, n_on, vlam, vWC, (_, off, c, sign), consts = aux
+    b_mat, by_mat, damping, dtilde = consts
+    r = _inputs(vw, c)
+    live, hat = floors or (None, r[:3])
+    gate = np.maximum(r[1:3], 0.0)
+    gg = g * gate  # of the two gated branches
+    to = gg * (cut > 0)  # of ub and lb
+    g_f = gg[1] - to[1] + gg[0] - to[0]
+    gt = np.where(take, 0.0, to)  # of a / d + q
+    gd = -gt * a / (hat[1:] * hat[1:])
+    gd = gd if live is None else np.where(live[1:], gd, 0.0)
+    g_d = (g * _clipped(f, cut)) * (gate > 0) + gd  # of dhi, dlo
+    g_cap = np.where(take, to, 0.0)
+    g_cap = g_cap[1] + g_cap[0]
+    g_q = gt[1] + gt[0]
+    to_w = []
     if iw is not None:
-        gw = -g_cap * vb / (dev_hat * dev_hat)
-        gw = gw if live_w is None else np.where(live_w, gw, 0.0)
-        _acc(adj, shapes, iw, gw + g_cap * dtilde + g_q * damping)
+        gw = -g_cap * vb / (hat[0] * hat[0])
+        gw = gw if live is None else np.where(live[0], gw, 0.0)
+        to_w.append(gw + g_cap * dtilde + g_q * damping)
     if ix is not None:
-        _acc(adj, shapes, ix, ((g_cap / dev_hat) @ b_mat) * mask)
+        _acc(adj, shapes, ix, ((g_cap / hat[0]) @ b_mat) * mask)
     if il is not None:
         _acc(adj, shapes, il, (g_q @ by_mat) * np.cos(vlam))
     if ip is not None:
         _acc(adj, shapes, ip, -g_q)
+    gb = np.empty(k.shape)  # of each branch: f's or its class-K map's
+    gb[:2] = g_f
+    gb[2:4] = gt / hat[1:]
+    gb[4:] = gb[2:4]
+    flat = (k[:n_on].astype(np.intp) + off[:n_on]).reshape(-1)
+    gs = sign[:n_on] * gb[:n_on] * vWC[0].reshape(-1)[flat].reshape((n_on,) + g.shape)
+    if iu is not None:
+        size = vWC[0].size
+        tables = np.concatenate((np.bincount(flat, (gb[:n_on] * r[1:n_on + 1]).reshape(-1), size),
+                                 np.bincount(flat, gb[:n_on].reshape(-1), size))).reshape(vWC.shape)
+        for j in range(6):
+            if not on[j]:
+                tables[:, j] = -0.0
+            elif _SIGNS[j] < 0:
+                np.negative(tables[0, j], out=tables[0, j])
+        _acc(adj, shapes, iu, tables)
+    g_dhi, g_dlo = g_d[0] + gs[0] if on[0] else g_d[0], g_d[1] + gs[1] if on[1] else g_d[1]
+    if iw is not None:
+        for branches in ((3, 5), (4, 2)):  # lower, then upper barrier: minus, plus
+            through = [gs[j] for j in branches if on[j]]
+            if through:
+                to_w.append(-functools.reduce(np.add, through))
+        to_w += [-g_dlo, g_dhi]
+        for gw in to_w:
+            _acc(adj, shapes, iw, gw)
+    _acc(adj, shapes, iwlo, g_dlo)
+    if iwhi is not None:
+        _acc(adj, shapes, iwhi, -g_dhi)
+
+
+def _bk_stack_units(g, par, aux, shapes, adj):
+    # Per branch, W's adjoint then C's. A branch that no control_law node
+    # evaluated holds only their -0.0 fills, which no C push (a bincount)
+    # contains, and passes nothing on, as if never recorded.
+    n = g.shape[1]
+    for j in range(n):
+        if g[1, j].any() or not np.signbit(g[1, j]).all():
+            _acc(adj, shapes, par[j], g[0, j])
+            _acc(adj, shapes, par[n + j], g[1, j])
 
 
 def _bk_sq_dist(g, par, aux, shapes, adj):

@@ -3,15 +3,18 @@
 None of these run in the package itself: they restate a quantity in its
 plainest form (a dense Laplacian, the control law composed from its
 parts, a per-bus admissibility report, a value-only loss) so the tests can
-compare the production code to it.
+compare the production code to it. `reference_control` keeps the
+constrained policy in the per-op form the fused `tape.control_law` node
+replaced, on the tape, as its bitwise reference for values and gradients.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from swingctl.controller import ControlDecision, active_mask, class_k_eval, deadzone_eval
-from swingctl.tape import _TINY, control_law, value
+from swingctl.controller import ControlDecision, active_mask, class_k_eval
+from swingctl.tape import _TINY, _acc, _node, _val, control_law, unit_sums, value
+from swingctl.tape import _floored as _floored_live
 from swingctl.training import episode_loss
 
 
@@ -160,23 +163,109 @@ def composed_law(lam, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
     return gate(dhi, dlo, f, ub, lb), b, ub, lb
 
 
+def deadzone_eval(tables, dhi, dlo):
+    """Dead-zone response wp.relu(dhi + bp) + wm.relu(dlo + bm), dhi = omega
+    - whi and dlo = wlo - omega, from `controller.deadzone_tables`, as one
+    `unit_sums` node: exactly zero for omega in [wlo, whi]."""
+    plus, minus = tables
+    return unit_sums(((plus, dhi, 1.0), (minus, dlo, 1.0)))
+
+
+def law_node(lam, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
+             b_mat, by_mat, damping, dtilde, omega_sync) -> tuple:
+    """`composed_law` as one tape node with a hand-written backward rule,
+    taking the barrier values, gate inputs and dead-zone response as
+    inputs, so that with `law_args` the policy is on the tape op by op.
+    Returns (u, b, ub, lb) with only u a node."""
+    vlam, vw, vhi, vlo, vf = _val(lam), _val(omega), _val(dhi), _val(dlo), _val(f)
+    va_hi, va_lo = _val(alpha_hi), _val(alpha_lo)
+    b = (mask * _val(edge_xi)) @ b_mat.T
+    q = damping * vw + np.sin(vlam) @ by_mat.T - _val(p)
+    dev = vw - omega_sync
+    live_w, dev_hat = _floored_live(dev)
+    cap = dtilde * dev + b / dev_hat
+    live_hi, dhi_hat = _floored_live(vhi)
+    t = va_hi / dhi_hat + q
+    take_hi = cap <= t
+    ub = np.where(take_hi, cap, t)
+    live_lo, dlo_hat = _floored_live(vlo)
+    t = va_lo / dlo_hat + q
+    take_lo = cap >= t
+    lb = np.where(take_lo, cap, t)
+    cut_hi, cut_lo = np.maximum(vf - ub, 0.0), np.maximum(lb - vf, 0.0)
+    u = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
+    aux = (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
+           dtilde, b, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat)
+    args = (lam, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
+    return _node(_bk_law_node, args, aux, u), b, ub, lb
+
+
+def _bk_law_node(g, par, aux, shapes, adj):
+    # the composed law's rules in its reverse order: gate, lower bound, upper
+    # bound, cap, feedforward, budgets; the cap and q sum their adjoints from
+    # the lower bound first
+    il, iw, ip, ix, iah, ial, ihi, ilo, i_f = par
+    (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
+     dtilde, vb, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat) = aux
+    ghi, glo = np.maximum(vhi, 0.0), np.maximum(vlo, 0.0)
+    g_hi, g_lo = g * ghi, g * glo
+    to_ub, to_lb = g_hi * (cut_hi > 0), g_lo * (cut_lo > 0)
+    if i_f is not None:
+        _acc(adj, shapes, i_f, g_lo - to_lb + g_hi - to_ub)
+    gt_lo, gt_hi = np.where(take_lo, 0.0, to_lb), np.where(take_hi, 0.0, to_ub)
+    if ial is not None:
+        _acc(adj, shapes, ial, gt_lo / dlo_hat)
+    if iah is not None:
+        _acc(adj, shapes, iah, gt_hi / dhi_hat)
+    if ilo is not None:
+        gd = -gt_lo * va_lo / (dlo_hat * dlo_hat)
+        gd = gd if live_lo is None else np.where(live_lo, gd, 0.0)
+        _acc(adj, shapes, ilo, (g * (vf + cut_lo)) * (glo > 0) + gd)
+    if ihi is not None:
+        gd = -gt_hi * va_hi / (dhi_hat * dhi_hat)
+        gd = gd if live_hi is None else np.where(live_hi, gd, 0.0)
+        _acc(adj, shapes, ihi, (g * (vf - cut_hi)) * (ghi > 0) + gd)
+    g_cap = np.where(take_lo, to_lb, 0.0) + np.where(take_hi, to_ub, 0.0)
+    g_q = gt_lo + gt_hi
+    if iw is not None:
+        gw = -g_cap * vb / (dev_hat * dev_hat)
+        gw = gw if live_w is None else np.where(live_w, gw, 0.0)
+        _acc(adj, shapes, iw, gw + g_cap * dtilde + g_q * damping)
+    if ix is not None:
+        _acc(adj, shapes, ix, ((g_cap / dev_hat) @ b_mat) * mask)
+    if il is not None:
+        _acc(adj, shapes, il, (g_q @ by_mat) * np.cos(vlam))
+    if ip is not None:
+        _acc(adj, shapes, ip, -g_q)
+
+
 def law_args(policy, ready, lam, omega, p) -> tuple:
-    """The arguments of the constrained policy's `control_law` call at a
-    measured state, with the full formula at every state."""
+    """The arguments of `law_node` and `composed_law` for the constrained
+    policy at a measured state, formed per op on the tape: the differences
+    dhi and dlo, both barriers' class-K maps at omega_max - omega and
+    omega_min - omega and the dead-zone response, each its own node."""
     dhi, dlo = omega - ready.whi, ready.wlo - omega
     return (
         lam, omega, p, ready.edge_xi, edges_on(policy.inc, active_mask(ready, omega)).astype(float),
-        class_k_eval(ready.hi, omega, policy.omega_max), class_k_eval(ready.lo, omega, policy.omega_min),
+        class_k_eval(ready.hi, policy.omega_max - omega), class_k_eval(ready.lo, policy.omega_min - omega),
         dhi, dlo, deadzone_eval(ready.dz, dhi, dlo),
         policy.inc.b_mat, policy.inc.by_mat, policy.net.damping, policy.dtilde, policy.eq.omega_sync,
     )
 
 
+def reference_control(policy, ready, lam, omega, p) -> tuple:
+    """The constrained policy's (u, b, ub, lb) at every state in the per-op
+    form: `law_node` over `law_args`."""
+    return law_node(*law_args(policy, ready, lam, omega, p))
+
+
 def unguarded_control(policy, ready, lam, omega, p) -> ControlDecision:
-    """The constrained policy's full formula at every state, with no
+    """The constrained policy's fused node at every state, with no
     short-circuit for states where every bus sits inside its dead zone."""
-    u, b, ub, lb = control_law(*law_args(policy, ready, lam, omega, p))
-    return ControlDecision(u=u, budgets=b, active=active_mask(ready, omega), upper=ub, lower=lb)
+    active = active_mask(ready, omega)
+    u, b, ub, lb = control_law(lam, omega, p, ready.edge_xi, edges_on(policy.inc, active), ready.units,
+                               policy.inc.b_mat, policy.inc.by_mat, policy.net.damping, policy.dtilde)
+    return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
 
 class UnguardedPolicy:

@@ -10,9 +10,12 @@ from oracles import (
     budget_vector,
     composed_law,
     constraint_check,
+    deadzone_eval,
     feedforward,
     gate,
     law_args,
+    law_node,
+    reference_control,
     relu_units,
     stability_cap,
     unguarded_control,
@@ -195,10 +198,10 @@ def test_deadzone_hand_cases():
     wlo, whi = np.array([-0.1]), np.array([0.1])
     zeros = np.array([[0.0]])
     upper = C.deadzone_tables(np.array([[2.0]]), zeros, zeros, zeros)
-    assert value(C.deadzone_eval(upper, 0.05 - whi, wlo - 0.05))[0] == 0.0
-    f = C.deadzone_eval(upper, 0.2 - whi, wlo - 0.2)
+    assert value(deadzone_eval(upper, 0.05 - whi, wlo - 0.05))[0] == 0.0
+    f = deadzone_eval(upper, 0.2 - whi, wlo - 0.2)
     assert abs(value(f)[0] - 0.2) < 1e-15
-    f = C.deadzone_eval(C.deadzone_tables(zeros, np.array([[1.0]]), zeros, zeros), -0.3 - whi, wlo + 0.3)
+    f = deadzone_eval(C.deadzone_tables(zeros, np.array([[1.0]]), zeros, zeros), -0.3 - whi, wlo + 0.3)
     assert abs(value(f)[0] - 0.2) < 1e-15
 
 
@@ -219,8 +222,7 @@ def test_unit_tables_match_dense_sums(net3, inc3, eq3, spec_band):
             s = 0.2 - omega
             got, dense = value(C.class_k_eval(ready.hi, s)), unit_sum(*(value(x) for x in hi), s)
             assert np.all(np.abs(got - dense) <= 1e-13 * (1.0 + np.abs(dense)))
-            assert value(C.class_k_eval(ready.hi, omega, np.full(3, 0.2))).tobytes() == got.tobytes()
-            got = value(C.deadzone_eval(ready.dz, omega - ready.whi, ready.wlo - omega))
+            got = value(deadzone_eval(ready.dz, omega - ready.whi, ready.wlo - omega))
             dense = relu_units(raw["dz_wp"], omega - ready.whi_val, dz_b[0], 1.0)
             dense += relu_units(raw["dz_wm"], omega - ready.wlo_val, dz_b[1], -1.0)
             scale = relu_units(np.abs(raw["dz_wp"]), omega - ready.whi_val, dz_b[0], 1.0)
@@ -240,7 +242,7 @@ def test_unit_sums_are_bitwise_zero_at_zero_and_in_the_dead_zone(net3, inc3, eq3
         omega = rng.uniform(ready.wlo_val, ready.whi_val, (4, 3))
         omega[0] = ready.wlo_val  # on the thresholds themselves
         omega[1] = ready.whi_val
-        f = value(C.deadzone_eval(ready.dz, omega - ready.whi, ready.wlo - omega))
+        f = value(deadzone_eval(ready.dz, omega - ready.whi, ready.wlo - omega))
         assert np.asarray(f).tobytes() == zero
 
 
@@ -253,12 +255,12 @@ def test_deadzone_gradient_matches_fd():
 
     def scalar(vals):
         tables = C.deadzone_tables(*C.deadzone_weights(vals))
-        return float(np.sum(value(C.deadzone_eval(tables, omega - whi, wlo - omega))))
+        return float(np.sum(value(deadzone_eval(tables, omega - whi, wlo - omega))))
 
     t = Tape()
     leaves = {k: t.leaf(v) for k, v in raws.items()}
     tables = C.deadzone_tables(*C.deadzone_weights(leaves))
-    t.backward(C.deadzone_eval(tables, omega - whi, wlo - omega))
+    t.backward(deadzone_eval(tables, omega - whi, wlo - omega))
     h = 1e-6
     for k, x in raws.items():
         g = t.grad(leaves[k])
@@ -361,10 +363,12 @@ def test_gated_control_hand_case():
 @pytest.mark.parametrize("size", [3, 39])
 @pytest.mark.parametrize("batch", [None, 5])
 def test_control_law_matches_composed_oracle_bitwise(request, spec_band, size, batch):
-    # the fused kernel against its six-part composition, on plain values and
-    # on tape leaves, at states on both sides of each threshold with clipped
-    # and unclipped gates; the first draw puts bus 0 exactly at its upper
-    # threshold (dhi = 0) and bus 1 at the synchronous frequency (dev = 0)
+    # the fused node against the per-op form (the two class-K maps and the
+    # dead-zone response as unit_sums nodes, then the law composed from its
+    # six parts), on plain values and on tape leaves, at states on both
+    # sides of each threshold with clipped and unclipped gates; the first
+    # draw puts bus 0 exactly at its upper threshold (dhi = 0) and bus 1 at
+    # the synchronous frequency (dev = 0)
     net, inc, eq = (request.getfixturevalue(f"{name}{size}") for name in ("net", "inc", "eq"))
     rng = np.random.default_rng(size)
     params = rand_params(size, rng, dz_amp=30.0)
@@ -380,13 +384,70 @@ def test_control_law_matches_composed_oracle_bitwise(request, spec_band, size, b
         lam = eq.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq.lam_eq.shape)
         p = net.p_nom * rng.uniform(0.8, 1.2, size)
         ref = composed_law(*law_args(policy, ready, lam, omega, p))
-        got = tp.control_law(*law_args(policy, ready, lam, omega, p))
-        taped = tp.control_law(*law_args(policy, ready_t, lam, omega, p))
-        assert isinstance(taped[0], tp.Node) and not isinstance(taped[1], tp.Node)
-        for want, plain, on_tape in zip(ref, got, taped):
+        per_op = law_node(*law_args(policy, ready_t, lam, omega, p))
+        got, taped = (unguarded_control(policy, r, lam, omega, p) for r in (ready, ready_t))
+        assert isinstance(taped.u, tp.Node) and not isinstance(taped.budgets, tp.Node)
+        for want, old, dec_field in zip(ref, per_op, ("u", "budgets", "upper", "lower")):
             assert want.shape == shape
-            assert plain.tobytes() == want.tobytes() == value(on_tape).tobytes()
+            assert want.tobytes() == value(old).tobytes() == getattr(got, dec_field).tobytes()
+            assert want.tobytes() == value(getattr(taped, dec_field)).tobytes()
         assert policy.control(ready, lam, omega, p).u.tobytes() == ref[0].tobytes()
+
+
+def policy_tape(policy, control, raw, states, p):
+    """Record sum_s sum(u_s * proj_s) of `control` over (omega, lam, proj)
+    states on one tape whose leaves are the raws and each state's omega and
+    lam; returns (u values, leaf gradients) after the reverse sweep."""
+    t = Tape()
+    leaves = {k: t.leaf(v) for k, v in raw.items()}
+    ready = policy.precompute(leaves)
+    terms, us = [], []
+    for i, (omega, lam, proj) in enumerate(states):
+        leaves[f"omega{i}"], leaves[f"lam{i}"] = t.leaf(omega), t.leaf(lam)
+        u = control(policy, ready, leaves[f"lam{i}"], leaves[f"omega{i}"], p)
+        us.append(value(u).tobytes())
+        terms.append(u * proj)
+    t.backward(tp.sum_seq(terms))
+    return us, {k: t.grad(leaf).tobytes() for k, leaf in leaves.items()}
+
+
+@pytest.mark.parametrize("size", [3, 39])
+@pytest.mark.parametrize("batch", [None, 4])
+def test_fused_policy_node_matches_per_op_reference_bitwise(request, spec_band, size, batch):
+    # one control_law node per step against the per-op form of tests/oracles
+    # (dhi and dlo subs, class-K and dead-zone unit_sums, the law node): the
+    # values and every raw, omega and lam gradient agree as bytes, signed
+    # zeros included, for settled, mixed and fully active states on one
+    # tape, so the table adjoints sum over steps whose live branches differ.
+    # Bus 0 sits exactly on its upper threshold with a dead-zone unit whose
+    # bias is zero (a unit at its threshold) and bus 1 on the band's upper
+    # edge (the upper barrier's first unit at its threshold); inside the
+    # band the upper barrier's minus and the lower one's plus branch have
+    # no active unit.
+    net, inc, eq = (request.getfixturevalue(f"{name}{size}") for name in ("net", "inc", "eq"))
+    rng = np.random.default_rng(100 + size)
+    shape = (size,) if batch is None else (batch, size)
+    for active in (False, True):
+        params = rand_params(size, rng, dz_amp=30.0)
+        params.raw["dz_bp"][0, 0] = 0.0
+        if active:  # thresholds next to the synchronous frequency
+            params.raw["thr_lo"] += 5.0
+            params.raw["thr_hi"] += 5.0
+        policy = params.bind(spec_band, net, inc, eq)
+        ready = policy.precompute(params.raw)
+        settled = rng.uniform(ready.wlo_val, ready.whi_val, shape)
+        edge = rng.uniform(-0.19, 0.19, shape)
+        edge[..., 0], edge[..., 1] = ready.whi_val[0], policy.omega_max[1]
+        states = [(w, eq.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq.lam_eq.shape), rng.normal(size=shape))
+                  for w in (settled, rng.uniform(-0.19, 0.19, shape), edge, rng.uniform(-0.19, 0.19, shape))]
+        assert not C.active_mask(ready, settled).any() and C.active_mask(ready, states[1][0]).any()
+        p = net.p_nom * rng.uniform(0.8, 1.2, size)
+        fused = policy_tape(policy, lambda *a: unguarded_control(*a).u, params.raw, states, p)
+        per_op = policy_tape(policy, lambda *a: reference_control(*a)[0], params.raw, states, p)
+        assert fused[0] == per_op[0]
+        assert fused[1].keys() == per_op[1].keys() and set(C.PARAM_KEYS) <= fused[1].keys()
+        for key in fused[1]:
+            assert fused[1][key] == per_op[1][key], key
 
 
 def test_policy_dead_zone_and_slack(net2, inc2, eq2, spec_band):

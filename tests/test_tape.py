@@ -2,10 +2,11 @@
 subgradient conventions: relu'(0) = 0 (for a unit exactly at its threshold
 inside `unit_sums` and at the kinks of `control_law`'s gate), minimum routes
 ties to its first argument and `control_law`'s barrier bounds to the cap,
-reduce_min routes to the first attaining index, and a floored denominator
-gets no adjoint.
+reduce_min routes to the first attaining index, a floored denominator gets
+no adjoint, and `stack_units` passes nothing to a branch no step evaluated.
 """
 
+import zlib
 from functools import partial
 
 import numpy as np
@@ -30,6 +31,12 @@ def fd_grad(fn, x, h=1e-6):
         flat[i] = keep
         gf[i] = (up - dn) / (2 * h)
     return g
+
+
+def stable_seed(key) -> int:
+    """A seed from the repr of a test case's key, the same in every process
+    (Python's str hash is salted per process)."""
+    return zlib.crc32(repr(key).encode())
 
 
 def tape_grad(build, x):
@@ -58,7 +65,7 @@ UNARY = {
 @pytest.mark.parametrize("name", sorted(UNARY))
 def test_unary_ops_match_fd(name):
     op, (lo, hi) = UNARY[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(stable_seed(name))
     x = rng.uniform(lo, hi, size=(2, 3))
     w = rng.normal(size=np.asarray(value(op(x))).shape)  # random projection
 
@@ -82,7 +89,7 @@ BINARY = {
 @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 3), (3,)), ((2, 3), ())])
 def test_binary_ops_match_fd(name, shapes):
     op = BINARY[name]
-    rng = np.random.default_rng(abs(hash((name, shapes))) % 2**32)
+    rng = np.random.default_rng(stable_seed((name, shapes)))
     a = rng.uniform(0.5, 2.0, size=shapes[0])
     b = rng.uniform(0.5, 2.0, size=shapes[1]) + (0.5 if name == "div" else 0.0)
     if name == "minimum":
@@ -154,8 +161,9 @@ def piecewise_args(s_shape, seed):
 
 
 def one_branch(W, C, thr, s, sign, bound=None):
-    """`unit_sums` of the single branch sum_j w_j relu(sign * r + b_j)."""
-    return tp.unit_sums((((W, C, thr), s, sign),), bound)
+    """`unit_sums` of the single branch sum_j w_j relu(sign * r + b_j), with
+    r = s or, for a plain `bound`, r = bound - s (a tape node when s is)."""
+    return tp.unit_sums((((W, C, thr), s if bound is None else bound - s, sign),))
 
 
 def check_fd(call, args, proj):
@@ -206,13 +214,12 @@ def two_branch_args(seed, shift):
 @pytest.mark.parametrize("shift", [None, 0.3])
 def test_unit_sums_two_branches_match_fd(shift):
     # a class-K pair alpha(r) = plus(r) + minus(-r) on one input, r = s or
-    # r = shift - s formed inside the kernel
+    # r = shift - s, a tape node
     args, (thr0, thr1) = two_branch_args(seed=11, shift=shift)
-    bound = None if shift is None else np.full(3, shift)
 
     def call(a):
-        return tp.unit_sums((((a["W0"], a["C0"], thr0), a["s"], 1.0),
-                             ((a["W1"], a["C1"], thr1), a["s"], -1.0)), bound)
+        r = a["s"] if shift is None else np.full(3, shift) - a["s"]
+        return tp.unit_sums((((a["W0"], a["C0"], thr0), r, 1.0), ((a["W1"], a["C1"], thr1), r, -1.0)))
 
     check_fd(call, args, np.random.default_rng(2).normal(size=(4, 3)))
 
@@ -242,15 +249,15 @@ def test_unit_sums_skipped_branch_matches_fd(bound, skipped):
     assert np.abs(np.abs(bound - args["s"])[..., None] + b[:, None]).min() > 1e-4
 
     def call(a):
-        return tp.unit_sums(((unit_tables(a["w0"], b[0]), a["s"], 1.0),
-                             (unit_tables(a["w1"], b[1]), a["s"], -1.0)), np.full(3, bound))
+        r = np.full(3, bound) - a["s"]
+        return tp.unit_sums(((unit_tables(a["w0"], b[0]), r, 1.0), (unit_tables(a["w1"], b[1]), r, -1.0)))
 
     fd = check_fd(call, args, np.random.default_rng(4).normal(size=(4, 3)))
     assert not fd[f"w{skipped}"].any() and fd[f"w{1 - skipped}"].any()
     t = Tape()
     leaves = {k: t.leaf(v) for k, v in args.items()}
     out = call(leaves)
-    assert [br is None for br in t.aux[out.idx][0]] == [skipped == 0, skipped == 1]
+    assert [br is None for br in t.aux[out.idx]] == [skipped == 0, skipped == 1]
     t.backward(out)
     assert t.adj[leaves[f"w{skipped}"].idx] is None
 
@@ -301,8 +308,8 @@ def test_piecewise_value_matches_dense_sum(s_shape):
 
 @pytest.mark.parametrize("bound", [None, 0.25])
 def test_unit_sums_value_is_the_composed_branch_sum_bitwise(bound):
-    # the fused sum equals piecewise(plus, r) + piecewise(minus, r) with
-    # r = bound - s formed outside, bit for bit, skipped branch or not
+    # the fused sum equals piecewise(plus, r) + piecewise(minus, r), with
+    # r = s or r = bound - s, bit for bit, skipped branch or not
     rng = np.random.default_rng(15)
     w = rng.normal(size=(2, 3, 5))
     b = -np.sort(rng.uniform(0.0, 0.2, size=(2, 3, 5)), axis=-1)
@@ -312,11 +319,10 @@ def test_unit_sums_value_is_the_composed_branch_sum_bitwise(bound):
               rng.uniform(0.01, 0.3, size=(4, 3)), np.zeros((4, 3)), np.full(3, bound or 0.0)):
         r = s if bound is None else np.full(3, bound) - s
         expect = piecewise(W0, C0, thr0, r, 1.0) + piecewise(W1, C1, thr1, r, -1.0)
-        brs = (((W0, C0, thr0), s, 1.0), ((W1, C1, thr1), s, -1.0))
-        bnd = None if bound is None else np.full(3, bound)
-        assert tp.unit_sums(brs, bnd).tobytes() == expect.tobytes()
+        assert tp.unit_sums((((W0, C0, thr0), r, 1.0), ((W1, C1, thr1), r, -1.0))).tobytes() == expect.tobytes()
         t = Tape()
-        node = tp.unit_sums((((t.leaf(W0), C0, thr0), t.leaf(s), 1.0), ((W1, t.leaf(C1), thr1), s, -1.0)), bnd)
+        rt = t.leaf(s) if bound is None else np.full(3, bound) - t.leaf(s)
+        node = tp.unit_sums((((t.leaf(W0), C0, thr0), rt, 1.0), ((W1, t.leaf(C1), thr1), rt, -1.0)))
         assert value(node).tobytes() == expect.tobytes()
 
 
@@ -331,7 +337,7 @@ def test_piecewise_is_exactly_zero_with_no_unit_active():
     t = Tape()
     lW, ls = t.leaf(W), t.leaf(s)
     out = one_branch(lW, C, thr, ls, 1.0)
-    assert out.value.tobytes() == np.zeros((3, 2)).tobytes() and t.aux[out.idx][0] == [None]
+    assert out.value.tobytes() == np.zeros((3, 2)).tobytes() and t.aux[out.idx] == [None]
     t.backward(out * 2.0)
     assert not t.grad(lW).any() and not t.grad(ls).any()
 
@@ -365,25 +371,6 @@ def test_min_max_tie_first_argument():
     assert np.array_equal(t.grad(lb), [0.0, 0.0])
 
 
-def test_barrier_bound_tie_goes_to_the_cap():
-    # at cap == alpha / d + q (cap 0.5 w, q = 0, d = 0.5) the clipped gate's
-    # adjoint reaches omega and xi through the cap, and none reaches alpha,
-    # or p through q
-    w = np.array([0.5, 0.25, 1.0])
-    tie, other, on, off = 0.25 * w, np.ones(3), np.full(3, 0.5), np.full(3, -0.5)
-    for upper in (True, False):
-        args = (w, w, np.zeros(3), tie if upper else other, other if upper else tie,
-                on if upper else off, off if upper else on, np.full(3, 10.0 if upper else -10.0))
-        t = Tape()
-        leaves = [t.leaf(a) for a in args]
-        u, _, ub, lb = hand_law(3)(*leaves)
-        assert np.array_equal(ub if upper else lb, 0.5 * w)
-        t.backward(u)
-        g_w, g_p, g_xi, g_hi, g_lo = (t.grad(x) for x in leaves[:5])
-        assert np.array_equal(g_w, np.full(3, 0.25)) and np.array_equal(g_xi, 0.5 / w)
-        assert not (g_p.any() or g_hi.any() or g_lo.any())
-
-
 def test_reduce_min_tie_first_index():
     x = np.array([[2.0, 1.0], [1.0, 3.0]])  # min 1.0 attained twice; index 1 first
     g, _ = tape_grad(lambda leaf: tp.reduce_min(leaf), x.copy())
@@ -393,6 +380,8 @@ def test_reduce_min_tie_first_index():
 B_MAT = np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]])  # 3 buses, 2 edges
 BY_MAT = B_MAT * np.array([0.8, 1.3])
 DAMPING, INERTIA, DTILDE = np.array([1.0, 0.7, 1.2]), np.array([0.9, 1.1, 1.4]), np.array([0.5, 0.3, 0.6])
+BAND = (np.array([-0.8, -0.9, -0.75]), np.array([0.7, 0.8, 0.9]), 0.02)  # omega_min, omega_max, omega_sync
+BRANCHES = ("dz_plus", "dz_minus", "hi_plus", "lo_minus", "hi_minus", "lo_plus")  # the order of stack_units
 
 
 def _signed(rng, shape, lo, hi, sign=0):
@@ -400,10 +389,15 @@ def _signed(rng, shape, lo, hi, sign=0):
     return rng.uniform(lo, hi, shape) * (rng.choice([-1.0, 1.0], shape) if sign == 0 else sign)
 
 
-# control_law cases, named after the part of the law whose adjoint they
+# control_law cases, named after the part of the policy whose adjoint they
 # route: (open gate: +1 upper, -1 lower, 0 either per bus; the sign of
 # t_hi - cap and of cap - t_lo, +1 where the cap binds; +1 where f is past
-# the open gate's bound; every edge on), a 0 sign drawn per bus
+# the open gate's bound, -1 where it is inside; every edge on), a 0 sign
+# drawn per bus. The measured_omega case has omega as its one argument and
+# each units_ case one branch's W and C tables, in a regime where that
+# branch's sum gets an adjoint: a barrier's where its bound binds and clips
+# the gate, the dead zone's where nothing clips; the other cases have lam,
+# omega, p, xi, whi and wlo.
 LAW_CASES = {
     "masked_matvec": (0, 1, 1, 1, False),
     "stability_cap": (0, 1, 1, 1, True),
@@ -411,7 +405,78 @@ LAW_CASES = {
     "barrier_bound_upper": (1, 0, 0, 1, False),
     "barrier_bound_lower": (-1, 0, 0, 1, False),
     "gate": (0, 0, 0, 0, False),
+    "measured_omega": (0, 0, 0, 0, False),
+    **{f"units_{name}": (0, 1, 1, -1, False) for name in BRANCHES[:2]},
+    **{f"units_{name}": (0, -1, -1, 1, False) for name in BRANCHES[2:]},
 }
+
+
+def law_case_args(name) -> tuple:
+    """The names of a control_law case's arguments."""
+    if name == "measured_omega":
+        return ("w",)
+    if name.startswith("units_"):
+        j = BRANCHES.index(name.removeprefix("units_"))
+        return (f"W{j}", f"C{j}")
+    return ("lam", "w", "p", "xi", "whi", "wlo")
+
+
+def law_inputs(batch, rng, gates, hi, lo, clip, all_on):
+    """(inputs, mask, thr): control_law's inputs on 3 buses with per-bus
+    arrays of shape batch + (3,), per-edge ones batch + (2,) and 3-unit
+    tables. Every barrier branch has an active unit at every entry; the
+    dead-zone response rises with dhi and falls with dlo from zero at the
+    thresholds, steeply or, where f must stay inside the bounds (clip -1),
+    gently, and with random gates bus 0's upper and bus 1's lower gate are
+    open, so both its branches have active units too. Each entry is
+    drawn until it is in the case's regime with the gate, both bounds'
+    min/max, the clip and dev at least 0.05 from their kinks and every
+    branch input 1e-3 from its unit thresholds, for FD."""
+    bus, edge = batch + (3,), batch + (2,)
+    inputs, thr = {}, []
+    for j in range(6):
+        if j >= 2:  # unit 0 is active at every input drawn below
+            w, b = rng.normal(size=(3, 3)), -np.sort(-rng.uniform(-1.0, 1.0, (3, 3)), axis=-1)
+            b[:, 0] = 2.0
+        else:
+            slope = (0.01, 0.1) if clip < 0 else (2.0, 6.0)
+            w, b = (1.0 if j == 0 else -1.0) * rng.uniform(*slope, (3, 3)), -np.sort(rng.uniform(0.0, 0.5, (3, 3)))
+            b[:, 0] = 0.0
+        inputs[f"W{j}"], inputs[f"C{j}"], t = unit_tables(w, b)
+        thr.append(t)
+    omega_min, omega_max, sync = BAND
+    whi, wlo = rng.uniform(0.03, 0.1, 3), -rng.uniform(0.03, 0.1, 3)
+    lam, xi = rng.normal(size=edge), 0.01 * rng.normal(size=(2,))
+    mask = np.ones(edge) if all_on else rng.integers(0, 2, edge).astype(float)
+    up = np.full(bus, gates > 0)
+    if gates == 0:
+        up = rng.random(bus) < 0.5
+        up[..., 0], up[..., 1] = True, False
+    s_hi, s_lo = (np.full(bus, float(v)) if v else rng.choice([-1.0, 1.0], bus) for v in (hi, lo))
+    w, p, todo = np.zeros(bus), np.zeros(bus), np.ones(bus, dtype=bool)
+    for _ in range(1000):
+        cand = np.where(up, whi + rng.uniform(0.05, 0.5, bus), wlo - rng.uniform(0.05, 0.5, bus))
+        r = (cand - whi, wlo - cand, omega_max - cand, omega_min - cand, omega_max - cand, omega_min - cand)
+        xs = [sign * rj for sign, rj in zip((1.0, 1.0, 1.0, -1.0, -1.0, 1.0), r)]
+        ok = np.abs(cand - sync) >= 0.05
+        for x, t in zip(xs, thr):
+            ok &= np.abs(x[..., None] - t[:, :-1]).min(-1) >= 1e-3
+        part = [piecewise(inputs[f"W{j}"], inputs[f"C{j}"], thr[j], xs[j], 1.0) for j in range(6)]
+        a_hi, a_lo, f = part[2] + part[4], part[3] + part[5], part[0] + part[1]
+        cap = DTILDE * (cand - sync) + ((mask * xi) @ B_MAT.T) / (cand - sync)
+        t_open = np.where(up, cap + s_hi * rng.uniform(0.1, 0.5, bus), cap - s_lo * rng.uniform(0.1, 0.5, bus))
+        q = t_open - np.where(up, a_hi / r[0], a_lo / r[1])
+        bound = np.where(up, np.minimum(cap, t_open), np.maximum(cap, t_open))
+        beyond = np.where(up, f - bound, bound - f)  # > 0: f is past the open gate's bound
+        ok &= (clip * beyond if clip else np.abs(beyond)) >= 0.05
+        new = todo & ok
+        w[new], p[new] = cand[new], (DAMPING * cand + np.sin(lam) @ BY_MAT.T - q)[new]
+        todo &= ~ok
+        if not todo.any():
+            break
+    assert not todo.any()
+    inputs.update(lam=lam, w=w, p=p, xi=xi, whi=whi, wlo=wlo)
+    return inputs, mask, thr
 
 
 def kernel_case(name, batch, rng):
@@ -424,23 +489,16 @@ def kernel_case(name, batch, rng):
     if name == "euler_freqs":
         op = lambda lam, w, u, p: tp.euler_freqs(lam, w, u, p, DAMPING, INERTIA, BY_MAT, 0.1)  # noqa: E731
         return op, [rng.normal(size=edge)] + [rng.normal(size=bus) for _ in range(3)]
-    if name in LAW_CASES:  # each bound's min/max, each clip and each denominator >= 0.05 from its kink
-        gates, hi, lo, clip, all_on = LAW_CASES[name]
-        lam, w, p = rng.normal(size=edge), 0.02 + _signed(rng, bus, 0.1, 0.5), rng.normal(size=bus)
-        xi = rng.normal(size=(2,))  # edge values shared by the batch rows, a mask per row
-        mask = np.ones(edge) if all_on else rng.integers(0, 2, edge).astype(float)
-        up = rng.random(bus) < 0.5 if gates == 0 else np.full(bus, gates > 0)
-        dhi, dlo = (np.where(up == side, 1.0, -1.0) * rng.uniform(0.05, 0.5, bus) for side in (True, False))
-        cap = DTILDE * (w - 0.02) + ((mask * xi) @ B_MAT.T) / (w - 0.02)
-        q = DAMPING * w + np.sin(lam) @ BY_MAT.T - p
-        t_hi, t_lo = cap + _signed(rng, bus, 0.1, 0.5, hi), cap - _signed(rng, bus, 0.1, 0.5, lo)
-        beyond = _signed(rng, bus, 0.05, 0.5, clip)
-        f = np.where(up, np.minimum(cap, t_hi) + beyond, np.maximum(cap, t_lo) - beyond)
+    if name in LAW_CASES:
+        inputs, mask, thr = law_inputs(batch, rng, *LAW_CASES[name])
+        names = law_case_args(name)
 
-        def op(lam, w, p, xi, *rest):
-            return tp.control_law(lam, w, p, xi, mask, *rest, B_MAT, BY_MAT, DAMPING, DTILDE, 0.02)[0]
+        def op(*args):
+            a = dict(inputs, **dict(zip(names, args)))
+            units = tp.stack_units([(a[f"W{j}"], a[f"C{j}"], thr[j]) for j in range(6)], a["whi"], a["wlo"], *BAND)
+            return tp.control_law(a["lam"], a["w"], a["p"], a["xi"], mask, units, B_MAT, BY_MAT, DAMPING, DTILDE)[0]
 
-        return op, [lam, w, p, xi, (t_hi - q) * dhi, (t_lo - q) * dlo, dhi, dlo, f]
+        return op, [inputs[k] for k in names]
     if name == "sq_dist":
         return tp.sq_dist, [rng.normal(size=bus), rng.normal(size=bus)]
     if name == "sq_dist_one":
@@ -462,7 +520,7 @@ KERNELS = {  # case name -> tape kind
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("batch", [(), (4,)])
 def test_fused_kernels_match_fd(name, batch):
-    rng = np.random.default_rng(abs(hash((name, batch))) % 2**32)
+    rng = np.random.default_rng(stable_seed((name, batch)))
     op, args = kernel_case(name, batch, rng)
     proj = rng.normal(size=np.shape(op(*args)))
     fd = []
@@ -481,69 +539,127 @@ def test_fused_kernels_match_fd(name, batch):
         assert np.abs(t.grad(leaf) - fd[i]).max() < 1e-6 * max(1.0, np.abs(fd[i]).max()), (name, i)
 
 
+def col(a) -> np.ndarray:
+    """The C table [0, a] of a one-unit branch whose value is a everywhere
+    (with W = 0 and threshold -inf)."""
+    a = np.asarray(a, dtype=float)
+    return np.stack([np.zeros_like(a), a], axis=-1)
+
+
 def hand_law(n):
     """control_law on n buses with one edge per bus (b = mask xi), no line
     flows and D = 1 (q = omega - p), D_tilde = 0.5 and omega_sync = 0 (cap =
-    0.5 omega + b / omega): (omega, p, xi, alpha_hi, alpha_lo, dhi, dlo, f)
-    -> (u, b, ub, lb)."""
-    consts = (np.eye(n), np.zeros((n, 1)), np.ones(n), np.full(n, 0.5), 0.0)
+    0.5 omega + b / omega), and constant branches: the upper barrier, the
+    lower one and the dead-zone response are the C tables (`col`) c_hi,
+    c_lo and c_f, the minus branches 0, so nothing reaches omega through
+    them: (omega, p, xi, whi, wlo, c_hi, c_lo, c_f) -> (u, b, ub, lb)."""
+    consts = (np.eye(n), np.zeros((n, 1)), np.ones(n), np.full(n, 0.5))
+    thr, zero = np.tile([-np.inf, np.inf], (n, 1)), np.zeros((n, 2))
 
-    def law(w, p, xi, alpha_hi, alpha_lo, dhi, dlo, f):
-        return tp.control_law(np.zeros(1), w, p, xi, np.ones(n), alpha_hi, alpha_lo, dhi, dlo, f, *consts)
+    def law(w, p, xi, whi, wlo, c_hi, c_lo, c_f):
+        tables = [(zero, c, thr) for c in (c_f, zero, c_hi, c_lo, zero, zero)]
+        units = tp.stack_units(tables, whi, wlo, np.full(n, -10.0), np.full(n, 10.0), 0.0)
+        return tp.control_law(np.zeros(1), w, p, xi, np.ones(n), units, *consts)
 
     return law
+
+
+def test_barrier_bound_tie_goes_to_the_cap():
+    # at cap == alpha / d + q (cap 0.5 w, q = 0, d = 0.5) the clipped gate's
+    # adjoint reaches omega and xi through the cap, and none reaches alpha,
+    # or p through q; omega gets the open gate input's adjoint, the bound,
+    # besides the cap's 0.25
+    w = np.array([0.5, 0.25, 1.0])
+    tie, other = col(0.25 * w), col(np.ones(3))
+    for upper in (True, False):
+        gate_in = w - 0.5 if upper else w + 0.5  # whi = wlo: dhi = -dlo = +-0.5
+        args = (w, w, np.zeros(3), gate_in, gate_in, tie if upper else other, other if upper else tie,
+                col(np.full(3, 10.0 if upper else -10.0)))
+        t = Tape()
+        leaves = [t.leaf(a) for a in args]
+        u, _, ub, lb = hand_law(3)(*leaves)
+        assert np.array_equal(ub if upper else lb, 0.5 * w)
+        t.backward(u)
+        g_w, g_p, g_xi, g_whi, g_wlo, g_hi, g_lo = (t.grad(x) for x in leaves[:7])
+        assert np.array_equal(-g_whi if upper else g_wlo, 0.5 * w)
+        assert np.array_equal(g_w, 0.25 + (0.5 * w if upper else -0.5 * w)) and np.array_equal(g_xi, 0.5 / w)
+        assert not (g_p.any() or g_hi.any() or g_lo.any())
 
 
 def gate_kink_args():
     """hand_law(4) arguments with q = 0 and the cap 0.5 w binding both bounds.
     Per entry: 0 upper gate at dhi = 0; 1 upper branch at f = ub = 0.5;
-    2 lower branch at f = lb = -0.4; 3 lower gate at dlo = 0."""
-    w = np.array([1.0, 1.0, -0.8, 1.0])
-    return (w, w.copy(), np.zeros(4), np.full(4, 9.0), np.full(4, -9.0),
-            np.array([0.0, 0.3, -0.1, -0.1]), np.array([-0.1, -0.1, 0.2, 0.0]), np.array([0.5, 0.5, -0.4, 1.0]))
+    2 lower branch at f = lb = -0.375; 3 lower gate at dlo = 0."""
+    w = np.array([1.0, 1.0, -0.75, 1.0])
+    return (w, w.copy(), np.zeros(4), np.array([1.0, 0.75, -0.625, 1.125]), np.array([0.875, 0.875, -0.5, 1.0]),
+            col(np.full(4, 9.0)), col(np.full(4, -9.0)), col(np.array([0.5, 0.5, -0.375, 1.0])))
 
 
 def test_gate_subgradient_zero_at_kinks():
     t = Tape()
     leaves = [t.leaf(x) for x in gate_kink_args()]
     u = hand_law(4)(*leaves)[0]
-    assert np.allclose(value(u), [0.0, 0.15, -0.08, 0.0], rtol=0.0, atol=1e-15)
+    assert np.allclose(value(u), [0.0, 0.125, -0.09375, 0.0], rtol=0.0, atol=1e-15)
     t.backward(u)
-    g_dhi, g_dlo, g_f = (t.grad(x) for x in leaves[5:])
-    assert np.array_equal(g_dhi, [0.0, 0.5, 0.0, 0.0])
-    assert np.array_equal(g_dlo, [0.0, 0.0, -0.4, 0.0])
-    assert np.array_equal(g_f, [0.0, 0.3, 0.2, 0.0])
+    g_w, g_whi, g_wlo, g_f = t.grad(leaves[0]), t.grad(leaves[3]), t.grad(leaves[4]), t.grad(leaves[7])
+    assert np.array_equal(-g_whi, [0.0, 0.5, 0.0, 0.0])  # the adjoint of dhi
+    assert np.array_equal(g_wlo, [0.0, 0.0, -0.375, 0.0])  # the adjoint of dlo
+    assert np.array_equal(g_f[:, 1], [0.0, 0.25, 0.25, 0.0])
+    assert np.array_equal(g_w, [0.0, 0.5, 0.375, 0.0])  # the gate inputs' only
     # the bounds get no adjoint at the kinks: nor do the cap's and q's inputs
-    assert not any(t.grad(x).any() for x in leaves[:5])
+    assert not any(t.grad(x).any() for x in leaves[1:3] + leaves[5:7])
 
 
 def test_floored_denominators_in_cap_and_bound():
     # an exact zero denominator gives a finite value, and the floored region
     # is constant in the denominator. The cap first: it binds the upper
-    # bound, whose gate is open and clipped (q = 0)
+    # bound, whose gate (dhi = 1) is open and clipped (q = 0)
     t = Tape()
     w, xi = t.leaf(np.array([0.0, 0.25])), t.leaf(np.array([1.0, 0.125]))
-    u, _, ub, _ = hand_law(2)(w, value(w), xi, np.full(2, 1e13), np.full(2, -1e13),
-                              np.ones(2), -np.ones(2), np.array([2e12, 2.0]))
+    whi = t.leaf(value(w) - 1.0)
+    u, _, ub, _ = hand_law(2)(w, value(w), xi, whi, value(w) - 1.0, col(np.full(2, 1e13)), col(np.full(2, -1e13)),
+                              col(np.array([2e12, 2.0])))
     assert np.array_equal(ub, [1.0 / 1e-12, 0.625])
     t.backward(u)
-    assert np.array_equal(t.grad(w), [0.5, -1.5])
+    assert np.array_equal(t.grad(w) + t.grad(whi), [0.5, -1.5])  # the cap's share of omega's adjoint
     assert np.array_equal(t.grad(xi), [1.0 / 1e-12, 4.0])
-    # then a bound whose alpha / d + q binds (cap 0.5, q 0.5), at d = 0 (a
-    # shut gate) and at d = 5e-13 (an open one): alpha gets the clipped
-    # gate's adjoint 5e-13 over the floor 1e-12, and d only the gate's own
-    # adjoint, the bound
+    # then a bound whose alpha / d + q binds (q 0.5, the cap below 1e-12),
+    # at d = 0 (a shut gate) and at d = 2^-41 (an open one): alpha gets the
+    # clipped gate's adjoint 2^-41 over the floor 1e-12, and d only the
+    # gate's own adjoint, the bound
+    w, tiny = np.full(1, 2.0**-40), 2.0**-41
     for upper, alpha in ((True, -1.0), (False, 1.0)):
-        for d in (0.0, 5e-13):
+        for d in (0.0, tiny):
             t = Tape()
-            a, dd = t.leaf(np.array([alpha])), t.leaf(np.array([d]))
-            shut, zero = np.array([-1.0]), np.zeros(1)
-            args = (a, zero, dd, shut) if upper else (zero, a, shut, dd)
-            u, _, ub, lb = hand_law(1)(np.ones(1), np.array([0.5]), zero, *args, zero)
+            a = t.leaf(col([alpha]))
+            whi, wlo = (w - d, w - 1.0) if upper else (w + 1.0, w + d)
+            gates = [t.leaf(whi), t.leaf(wlo)]
+            tables = (a, col([0.0])) if upper else (col([0.0]), a)
+            u, _, ub, lb = hand_law(1)(w, w - 0.5, np.zeros(1), *gates, *tables, col([0.0]))
             bound = ub if upper else lb
             assert bound[0] == alpha / 1e-12 + 0.5
             t.backward(u)
-            assert (t.grad(a)[0], t.grad(dd)[0]) == ((0.0, 0.0) if d == 0.0 else (0.5, bound[0]))
+            g_d = -t.grad(gates[0]) if upper else t.grad(gates[1])
+            assert (t.grad(a)[0, 1], g_d[0]) == ((0.0, 0.0) if d == 0.0 else (tiny / 1e-12, bound[0]))
+
+
+def test_stack_units_passes_each_slice_but_an_unevaluated_branch():
+    # the stacked tables' adjoint goes to each branch's W and C, except for a
+    # branch whose C slice is all -0.0: no control_law step evaluated it
+    rng = np.random.default_rng(stable_seed("stack_units"))
+    t = Tape()
+    tables = [(t.leaf(rng.normal(size=(2, 4))), t.leaf(rng.normal(size=(2, 4))), np.zeros((2, 4))) for _ in range(6)]
+    wc = tp.stack_units(tables, np.zeros(2), np.zeros(2), -1.0, 1.0, 0.0)[0]
+    assert np.array_equal(value(wc), np.array([[value(W) for W, _, _ in tables], [value(C) for _, C, _ in tables]]))
+    g = rng.normal(size=(2, 6, 2, 4))
+    g[:, 3] = -0.0
+    g[1, 4] = 0.0  # +0.0: evaluated, with a zero adjoint
+    t.backward(wc * g)
+    for j, (W, C, _) in enumerate(tables):
+        if j == 3:
+            assert t.adj[W.idx] is None and t.adj[C.idx] is None
+        else:
+            assert t.grad(W).tobytes() == g[0, j].tobytes() and t.grad(C).tobytes() == g[1, j].tobytes()
 
 
 def dispatch_cases():
@@ -567,8 +683,11 @@ def dispatch_cases():
     # at bound 2 the second branch reads s - 2, below its first threshold: skipped
     W1, C1, thr1 = unit_tables(-w, -np.sort(-b, axis=-1) - 1.0)
     for bound in (None, np.full(2, 2.0)):
-        op = lambda W_, C_, s_, W1_, bd=bound: tp.unit_sums(  # noqa: E731
-            (((W_, C_, thr), s_, 1.0), ((W1_, C1, thr1), s_, -1.0)), bd)
+
+        def op(W_, C_, s_, W1_, bd=bound):
+            r = s_ if bd is None else bd - s_
+            return tp.unit_sums((((W_, C_, thr), r, 1.0), ((W1_, C1, thr1), r, -1.0)))
+
         cases.append(("unit_sums", op, (W, C, s, W1), (0, 1, 2, 3)))
     perm = np.argsort(b, axis=-1)
     cases.append(("permute_last", lambda a: tp.permute_last(a, perm), (b,), (0,)))
@@ -578,10 +697,17 @@ def dispatch_cases():
             cases.append((kind, op, tuple(args), tuple(range(len(args)))))
     # kinks and floors: the gate at f = ub and f = lb, and zero or floored
     # denominators dev, dhi and dlo
-    floors = (np.array([0.0, 1.0]), np.array([0.0, 0.5]), np.array([1.0, 0.0]), np.array([1e13, -1.0]),
-              np.array([-1e13, 1.0]), np.array([1.0, -1e-14]), np.array([-1.0, 5e-13]), np.array([2e12, 0.0]))
+    w = np.array([0.0, 1.0])
+    floors = (w, np.array([0.0, 0.5]), np.array([1.0, 0.0]), w - np.array([1.0, -1e-14]), w + np.array([-1.0, 5e-13]),
+              col([1e13, -1.0]), col([-1e13, 1.0]), col([2e12, 0.0]))
     for n, args in ((4, gate_kink_args()), (2, floors)):
         cases.append(("control_law", lambda *a, law=hand_law(n): law(*a)[0], args, tuple(range(8))))
+    tabs = [unit_tables(rng.normal(size=(2, 3)), -np.sort(rng.normal(size=(2, 3)), axis=-1)) for _ in range(6)]
+
+    def stack(*wc):
+        return tp.stack_units([(wc[2 * j], wc[2 * j + 1], tabs[j][2]) for j in range(6)], w, w, -1.0, 1.0, 0.0)[0]
+
+    cases.append(("stack_units", stack, tuple(a for W, C, _ in tabs for a in (W, C)), tuple(range(12))))
     return cases
 
 

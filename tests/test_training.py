@@ -2,6 +2,7 @@
 training loop contract (determinism, divergence guard, empty runs).
 """
 
+import gc
 from functools import partial
 
 import numpy as np
@@ -29,9 +30,14 @@ from swingctl.training import (
 )
 
 # Tape nodes of a fully active training step: the measured-frequency noise
-# add, 6 control nodes (dhi, dlo, 2 class-K maps, the dead-zone response,
-# the control law), 2 loss terms and 2 Euler updates. README quotes it.
-FULLY_ACTIVE_STEP_NODES = 11
+# add, the one control_law node, 2 loss terms and 2 Euler updates. README
+# quotes it.
+FULLY_ACTIVE_STEP_NODES = 6
+
+# Bytes of the arrays that the backward rules of one fully active 39-bus
+# step cache at batch 8 (`step_arrays`), as the policy recorded six nodes
+# per step: the ceiling for the one-node policy.
+SIX_NODE_STEP_CACHE_BYTES = 40208
 
 
 class StubAdapter:
@@ -206,7 +212,7 @@ class NodeCounter:
 def test_fused_hot_path_node_budget(net3, inc3, eq3, spec_band):
     # 3 buses, B=4, with the variation term on: a step (noise, control, loss
     # terms and Euler update) records at most 5 tape nodes when every bus is
-    # settled and at most 12 when some bus is active
+    # settled and at most FULLY_ACTIVE_STEP_NODES + 1 when some bus is active
     adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
     omega0 = np.array([[0.15, -0.02, -0.14], [0.03, 0.0, -0.03], [0.01, 0.02, 0.0], [-0.1, 0.05, 0.12]])
     noise = np.random.default_rng(8).uniform(-0.005, 0.005, (300, 4, 3))
@@ -301,28 +307,50 @@ def test_gradient_matches_fd_single_draw(net2, inc2, eq2, spec_band):
     assert checked >= 10 and len(live_keys) >= 5
 
 
+def cached_arrays(obj):
+    """The numpy arrays in a backward cache, through nested tuples and lists,
+    each as the array that owns its memory."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from cached_arrays(item)
+
+
+def step_arrays(tp, marks) -> list:
+    """Per step after the first, the arrays that only that step's nodes
+    cache (the measured-frequency add precedes the control call marked in
+    `marks`): what a step adds to the tape's memory."""
+    steps = [{id(a): a for i in range(lo - 1, hi - 1) for a in cached_arrays(tp.aux[i])}
+             for lo, hi in zip(marks[1:-1], marks[2:])]
+    owners = [key for step in steps for key in step]
+    return [[a for key, a in step.items() if owners.count(key) == 1] for step in steps]
+
+
 def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_band):
-    # B=4, K=20: every node value and backward cache is at most (B, n) or
-    # a (n, m+1) table; a (B, n, m) ReLU-unit temporary would have three
-    # dimensions. A unit_sums branch's active-unit counts take one byte each.
-    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
+    # B=4, K=20 and 7 units: every node a step records is at most (B, n), no
+    # array a step caches has a unit axis, (B, n, m) or (B, 6, n, m + 1);
+    # the control node's active-unit counts, one per branch and entry, take
+    # one byte each
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0, m=7)
     rng = np.random.default_rng(5)
     omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
     lam0 = np.tile(eq3.lam_eq, (4, 1))
     noise = rng.uniform(-0.01, 0.01, size=(20, 4, 3))
     tp = Tape()
+    counter = NodeCounter(adapter, tp)
     leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
     loss, _ = episode_loss(
-        adapter, net3, inc3, eq3, leaves, lam0, omega0, np.tile(net3.p_nom, (20, 1)), noise,
+        counter, net3, inc3, eq3, leaves, lam0, omega0, np.tile(net3.p_nom, (20, 1)), noise,
         40.0, 500.0, 5e-3,
     )
-    assert max(len(shape) for shape in tp.shapes) <= 2
-    branches = [br for rule, aux in zip(tp.rules, tp.aux) if rule is tp_mod._bk_unit_sums for br in aux[0]]
-    others = [aux for rule, aux in zip(tp.rules, tp.aux) if rule is not tp_mod._bk_unit_sums]
-    stored = [a for aux in others + branches for a in (aux if isinstance(aux, tuple) else (aux,))]
-    assert max(np.ndim(a) for a in stored) <= 2
-    counts = [br[2] for br in branches if br is not None]
-    assert counts and all(k.shape == (4, 3) and k.itemsize == 1 for k in counts)
+    assert max(len(tp.shapes[i]) for i in range(counter.marks[0], len(tp))) <= 2
+    cached = [a for step in step_arrays(tp, counter.marks) for a in step]
+    assert cached and not any({7, 8} & set(a.shape) for a in cached)
+    counts = [a for a in cached if a.dtype == np.uint8]
+    assert counts and all(k.shape == (6, 4, 3) for k in counts)
     tp.backward(loss)
     with pytest.raises(ValueError, match=f"node {loss.idx} "):
         tp.grad(loss)
@@ -330,6 +358,41 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
     assert all(grads[k].shape == adapter.raw[k].shape for k in grads)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
     assert any(np.any(g != 0.0) for g in grads.values())
+
+
+def test_fully_active_39_bus_step_caches_no_more_than_six_nodes_did(net39, inc39, eq39):
+    # B=8: the arrays the backward rules of one fully active step keep, by
+    # distinct owner, take no more than those of the six-node policy
+    params = init_policy_params(39, 20, np.random.default_rng(3))
+    params.raw["thr_lo"] += 5.0
+    params.raw["thr_hi"] += 5.0
+    adapter = params.bind(SafetySpec.band(-0.2, 0.2, 39), net39, inc39, eq39)
+    rng = np.random.default_rng(6)
+    omega0, noise = rng.uniform(-0.1, 0.1, (8, 39)), rng.uniform(-0.05, 0.05, (8, 8, 39))
+    tp = Tape()
+    counter = NodeCounter(adapter, tp)
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    episode_loss(counter, net39, inc39, eq39, leaves, np.tile(eq39.lam_eq, (8, 1)), omega0,
+                 np.tile(net39.p_nom, (8, 1)), noise, 40.0, 0.0, 5e-3)
+    assert all(counter.active)
+    per_step = [sum(a.nbytes for a in step) for step in step_arrays(tp, counter.marks)]
+    assert len(set(per_step)) == 1 and 0 < per_step[0] <= SIX_NODE_STEP_CACHE_BYTES
+
+
+def test_an_episode_tape_leaves_no_reference_cycle(net3, inc3, eq3, spec_band):
+    # no backward cache holds a Node, whose tape would hold the cache: each
+    # episode's tape is freed when loss_and_grad returns, not whenever the
+    # cycle collector next runs, which would let tapes pile up in training
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
+    omega0 = np.random.default_rng(5).uniform(-0.19, 0.19, size=(4, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        loss_and_grad(adapter, net3, inc3, eq3, adapter.raw, np.tile(eq3.lam_eq, (4, 1)), omega0,
+                      np.tile(net3.p_nom, (20, 1)), None, 40.0, 500.0, 5e-3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_variation_term_stays_off_the_tape_at_rho_zero(net3, inc3, eq3, spec_band):
