@@ -29,13 +29,16 @@ because the ReLU gates scale rather than select, the raw output can exceed
 `project_control` clamps it, which is how certified evaluation runs are
 produced.
 
-At an active state `control` records one `tape.control_law` node for the
-whole policy: the differences dhi and dlo, both barriers' class-K maps at
-omega_max - omega and omega_min - omega, the dead-zone response, the
-budgets (the edge differences B^T xi that `precompute` builds once per
-rollout, gated by the edges with both ends active), the feedforward q, the
-stability cap, both bounds and the gate. Only u is a tape node; b, ub and
-lb are plain values.
+A policy reads the state through the line flows into each bus and the
+measured frequency (`control(ready, flows, omega, p)`), and every part of
+u at a bus reads only that bus's entries, so states stacked along any
+leading axes evaluate at once. At an active state `control` records one
+`tape.control_law` node for the whole policy: the differences dhi and dlo,
+both barriers' class-K maps at omega_max - omega and omega_min - omega, the
+dead-zone response, the budgets (the edge differences B^T xi that
+`precompute` builds once per rollout, gated by the edges with both ends
+active), the feedforward q, the stability cap, both bounds and the gate.
+Only u is a tape node; b, ub and lb are plain values.
 
 Both policy kinds (this one and the decentralized monotone baseline) share
 one interface: a params class knows its kind tag, trainable keys and array
@@ -424,7 +427,8 @@ class BoundPolicy:
 
       keys, raw                        trainable array names and values;
       precompute(raw_like)             state-independent tensors per rollout;
-      control(ready, lam, omega, p)    a ControlDecision at a measured state;
+      control(ready, flows, omega, p)  a ControlDecision at measured states,
+                                       from the line flows into each bus;
       validate(ready)                  PolicyError if an invariant fails;
       rebuild(raw)                     params of the same kind with new raws.
 
@@ -490,8 +494,8 @@ class ConstrainedAdapter(BoundPolicy):
             whi_val=np.asarray(value(whi), dtype=float),
         )
 
-    def control(self, ready: PolicyReady, lam, omega, p) -> ControlDecision:
-        """Full policy at one measured state. Works on arrays or tape nodes;
+    def control(self, ready: PolicyReady, flows, omega, p) -> ControlDecision:
+        """Full policy at measured states. Works on arrays or tape nodes;
         with every bus inside its dead zone it is zeros and records nothing."""
         active = active_mask(ready, omega)
         if not active.any():
@@ -500,8 +504,7 @@ class ConstrainedAdapter(BoundPolicy):
         ends = self.inc.edge_ends
         on = active[..., ends[:, 0]] & active[..., ends[:, 1]]  # the edges of L_sub
         u, b, ub, lb = control_law(
-            lam, omega, p, ready.edge_xi, on, ready.units, self.inc.b_mat, self.inc.by_mat, self.net.damping,
-            self.dtilde,
+            flows, omega, p, ready.edge_xi, on, ready.units, self.inc.b_mat, self.net.damping, self.dtilde
         )
         return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
@@ -531,7 +534,7 @@ class MonotoneAdapter(BoundPolicy):
     def precompute(self, raw_like: dict) -> tuple:
         return class_k_params(raw_like, "resp")
 
-    def control(self, ready: tuple, lam, omega, p) -> ControlDecision:
+    def control(self, ready: tuple, flows, omega, p) -> ControlDecision:
         shape = np.shape(value(omega))
         u = -class_k_eval(ready, omega)
         return ControlDecision(u=u, budgets=np.zeros(shape), active=np.zeros(shape, dtype=bool))
@@ -547,7 +550,7 @@ def make_zero_controller(n: int):
     zero = np.zeros(n)
     off = np.zeros(n, dtype=bool)
 
-    def control(lam, omega, p) -> ControlDecision:
+    def control(flows, omega, p) -> ControlDecision:
         return ControlDecision(u=zero, budgets=zero, active=off)
 
     return control
@@ -561,7 +564,7 @@ def make_policy_controller(
     eq: Equilibrium,
     projection: bool = False,
 ):
-    """Bind a policy of either kind for simulation: (lam, omega, p) -> decision.
+    """Bind a policy of either kind for simulation: (flows, omega, p) -> decision.
 
     With projection on, u is clamped into the admissible interval wherever
     some bus is active; the monotone policy marks no bus active and has no
@@ -571,8 +574,8 @@ def make_policy_controller(
     ready = policy.precompute(params.raw)
     policy.validate(ready)
 
-    def control(lam, omega, p) -> ControlDecision:
-        dec = policy.control(ready, lam, omega, p)
+    def control(flows, omega, p) -> ControlDecision:
+        dec = policy.control(ready, flows, omega, p)
         if projection and dec.active.any():
             dec.u = project_control(dec, ready, omega)
         return dec
@@ -598,9 +601,9 @@ def make_analytic_safe_controller(
     n = net.n_bus
     lo, hi = spec.per_bus(n)
 
-    def control(lam, omega, p) -> ControlDecision:
+    def control(flows, omega, p) -> ControlDecision:
         w = np.asarray(omega, dtype=float)
-        q = net.damping * w + np.sin(lam) @ inc.by_mat.T - p  # local injection mismatch
+        q = net.damping * w + flows - p  # local injection mismatch
         above = w > threshold
         below = w < -threshold
         with np.errstate(divide="ignore", invalid="ignore"):

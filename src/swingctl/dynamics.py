@@ -7,9 +7,13 @@ equation only.
 
 `closed_loop` is the one stepping loop: the simulator (`rollout`) records a
 trajectory from it and the trainer (`training.episode_loss`) accumulates its
-loss from it, on arrays or tape nodes alike. It steps with explicit Euler,
-the discretization the trainer differentiates through; `rollout` can ask for
-RK4 instead for cross-checks. Controls are zero-order held over a step.
+loss from it. It steps with explicit Euler, the discretization the trainer
+differentiates through; `rollout` can ask for RK4 instead for cross-checks.
+Controls are zero-order held over a step. Each step computes the line flows
+into each bus, sin(lam) @ By^T, once and hands them to both the controller
+and the Euler update: a controller reads the state through the flows and
+the measured frequency only, per bus. The loop and the flows run on arrays
+or tape nodes alike, so a test can record a whole rollout per step.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .equilibrium import Equilibrium, energy, in_region, solve_equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import euler_angles, euler_freqs, matvec, sin, value
+from .tape import matvec, sin, value
 
 
 class IntegrationError(RuntimeError):
@@ -116,24 +120,32 @@ def injection_schedule(net: PowerNetwork, scenario: Scenario, rows: int, dt: flo
     return p
 
 
+def line_flows(inc: Incidence, lam):
+    """Line flows into each bus, sin(lam) @ By^T; arrays or tape nodes."""
+    return matvec(inc.by_mat, sin(lam))
+
+
 def swing_rhs(net: PowerNetwork, inc: Incidence, lam, omega, u, p):
     """Time derivatives (dlam, domega); accepts arrays or tape nodes."""
     dlam = matvec(inc.b_mat.T, omega)
-    domega = (u + p - net.damping * omega - matvec(inc.by_mat, sin(lam))) / net.inertia
+    domega = (u + p - net.damping * omega - line_flows(inc, lam)) / net.inertia
     return dlam, domega
 
 
-def euler_step(net: PowerNetwork, inc: Incidence, lam, omega, u, p, dt: float):
+def euler_step(net: PowerNetwork, inc: Incidence, lam, omega, u, p, dt: float, flows=None):
     """(lam + dt * dlam, omega + dt * domega) with (dlam, domega) = swing_rhs,
-    bitwise; each update is one fused tape kernel."""
+    bitwise, given the step's line flows (computed here when None). Values
+    only."""
+    flows = line_flows(inc, lam) if flows is None else flows
     return (
-        euler_angles(lam, omega, inc.b_mat, dt),
-        euler_freqs(lam, omega, u, p, net.damping, net.inertia, inc.by_mat, dt),
+        lam + dt * (omega @ inc.b_mat),
+        omega + dt * ((u + p - net.damping * omega - flows) / net.inertia),
     )
 
 
-def rk4_step(net: PowerNetwork, inc: Incidence, lam, omega, u, p, dt: float):
-    """Classic RK4 with u and p held constant over the step. Values only."""
+def rk4_step(net: PowerNetwork, inc: Incidence, lam, omega, u, p, dt: float, flows=None):
+    """Classic RK4 with u and p held constant over the step. Values only;
+    each stage evaluates its own flows, so `flows` is not read."""
     k1l, k1w = swing_rhs(net, inc, lam, omega, u, p)
     k2l, k2w = swing_rhs(net, inc, lam + 0.5 * dt * k1l, omega + 0.5 * dt * k1w, u, p)
     k3l, k3w = swing_rhs(net, inc, lam + 0.5 * dt * k2l, omega + 0.5 * dt * k2w, u, p)
@@ -221,22 +233,25 @@ def check_cost_window(window: float) -> None:
 def closed_loop(net, inc, control, lam0, omega0, p_rows, dt: float, noise=None, step=euler_step):
     """Run the closed loop over the rows of the injection schedule `p_rows`.
 
-    At row k it evaluates `control(lam, measured, p_rows[k])` on the
-    measured frequency (the true one plus `noise[k]` when a noise block is
-    given), yields (lam, omega, decision) with the true state, then steps
-    to row k+1 holding decision.u and p_rows[k]; the last row is not
-    stepped. States may carry a leading batch axis and may be tape nodes.
-    Raises IntegrationError naming the step if the state goes non-finite.
+    At row k it computes the line flows of lam (`line_flows`), evaluates
+    `control(flows, measured, p_rows[k])` on the measured frequency (the
+    true one plus `noise[k]` when a noise block is given), yields (lam,
+    omega, decision) with the true state, then steps to row k+1 with
+    `step(net, inc, lam, omega, decision.u, p_rows[k], dt, flows)`; the
+    last row is not stepped. States may carry a leading batch axis and may
+    be tape nodes when `step` takes them. Raises IntegrationError naming
+    the step if the state goes non-finite.
     """
     lam, omega = lam0, omega0
     last = len(p_rows) - 1
     for k, p in enumerate(p_rows):
         measured = omega if noise is None else omega + noise[k]
-        dec = control(lam, measured, p)
+        flows = line_flows(inc, lam)
+        dec = control(flows, measured, p)
         yield lam, omega, dec
         if k == last:
             return
-        lam, omega = step(net, inc, lam, omega, dec.u, p, dt)
+        lam, omega = step(net, inc, lam, omega, dec.u, p, dt, flows)
         if not (np.isfinite(value(lam)).all() and np.isfinite(value(omega)).all()):
             raise IntegrationError(f"non-finite state after step {k + 1} (t={k * dt + dt:g})")
 
@@ -256,9 +271,9 @@ def rollout(
 ) -> Trajectory:
     """Simulate the closed loop over the scenario horizon.
 
-    The controller is any callable (lam, omega, p) -> ControlDecision; it sees
-    the measured frequency (true plus per-row uniform noise when the scenario
-    carries a noise bound) and the true injections. Draw order per run:
+    The controller is any callable (flows, omega, p) -> ControlDecision; it
+    sees the line flows, the measured frequency (true plus per-row uniform
+    noise when the scenario carries a noise bound) and the true injections. Draw order per run:
     initial state first (when not supplied), then the (rows, n) noise block.
 
     Warns if the initial state falls outside the invariant energy region for

@@ -1,26 +1,22 @@
 """Reverse-mode automatic differentiation on a flat tape of numpy ops.
 
-The op set is exactly what the rollout, controller and loss need, nothing
-more. General ops: elementwise arithmetic and activations, `minimum`, a
-constant matvec, a min reduction, last-axis prefix sums, differences and zero
-padding, and `permute_last` (a constant per-row reordering of the last axis).
-`sin` serves `dynamics.swing_rhs`, the composed vector field that the
-values-only RK4 step evaluates and that, recorded on a tape, is the
-reference the fused Euler kernels' gradients are checked against.
+The op set is exactly what the policies need, nothing more. General ops:
+elementwise arithmetic and activations, `minimum`, a constant matvec, a min
+reduction, last-axis prefix sums, differences and zero padding, and
+`permute_last` (a constant per-row reordering of the last axis). `sin` and
+`matvec` also serve `dynamics.line_flows` and `dynamics.swing_rhs`, which
+the values-only stepping evaluates and which, recorded on a tape, give the
+per-step reference the training episode's gradients are checked against.
 Fused kernels, one node each with a hand-written backward rule, for the
-per-step hot path of a training episode:
+policies:
 
   * `unit_sums`: the monotone baseline's class-K map, a sum of ReLU-unit
     branches evaluated as one linear piece per branch from prefix tables;
-  * `euler_angles`, `euler_freqs`: the two explicit Euler updates of the
-    swing state;
-  * `control_law`: the whole constrained policy at one measured state (gate
+  * `control_law`: the whole constrained policy at measured states (gate
     inputs, both class-K barriers and the dead-zone response from their six
     ReLU-unit branches, budgets, feedforward, stability cap, both barrier
     bounds and the gate), whose only node output is u, and `stack_units`,
-    the per-rollout node that stacks the prefix tables it reads;
-  * `sq_dist`, `sum_seq`: a loss term's sum of squares and the left-to-right
-    sum of the per-step terms.
+    the per-rollout node that stacks the prefix tables it reads.
 
 Each fused kernel evaluates the numpy expression of the composed ops it
 stands for, in the same order, so its value is bitwise the composed one,
@@ -29,7 +25,10 @@ gradients are bitwise too. Every recorded node stores its backward rule
 (whose name gives the op), parent indices, output shape and the cached
 locals the rule needs; a value stays alive only while a Node handle or such
 a cache holds it. Adjoints fill a parallel buffer in a single reverse sweep
-that keeps only leaf ones.
+that keeps only leaf ones. A module may record an op of its own with
+`record` (the training episode is one such node), and `rebind` copies a
+structure of nodes onto another tape as leaves, so a rule can re-run model
+code on a scratch tape of its own.
 
 No node stores an (..., n, m) temporary. A `unit_sums` node keeps, per
 branch, the weight table, the input and the count k of active units per
@@ -50,13 +49,14 @@ Subgradient conventions (pinned by tests):
 
 All functions below accept either `Node`s or plain numpy arrays / scalars and
 broadcast like numpy. Each computes its value and backward cache once and
-hands them to `_node`, the one place that decides between returning the plain
-value (no argument is a Node) and recording it, so the same model code serves
-both simulation and training.
+hands them to `record`, the one place that decides between returning the
+plain value (no argument is a Node) and recording it, so the same model code
+serves both simulation and training.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import weakref
@@ -154,32 +154,48 @@ class Tape:
         self._refs.append(weakref.ref(val))
         return Node(self, len(self.rules) - 1, val)
 
-    def backward(self, root: Node, check_finite: bool = False) -> None:
+    def backward(self, root: Node, check_finite: bool = False, wrt=None) -> None:
         """Fill the leaf adjoints of the sum of `root`'s entries by one reverse
         sweep; an interior adjoint is dropped as soon as its rule has pushed
         it to the parents.
 
         With check_finite=True every visited adjoint is tested and the first
         non-finite one aborts the sweep; the checked mode exists to locate
-        the source after a cheap unchecked sweep came back non-finite.
+        the source after a cheap unchecked sweep came back non-finite. A rule
+        with adjoints of its own inside (see `record`) runs its `checked`
+        attribute in this mode, which tests those too.
+
+        With `wrt`, a list of leaves, only their adjoints are formed: a node
+        with no path to one of them is skipped, and a rule sees None for
+        such a parent, as for a plain argument, so it skips that work.
         """
         if root.tape is not self:
             raise ValueError("root node belongs to a different tape")
         adj = [None] * len(self)
         adj[root.idx] = np.ones(self.shapes[root.idx])
         rules, parents, aux, shapes = self.rules, self.parents, self.aux, self.shapes
+        if wrt is not None:
+            need = [False] * len(self)
+            for leaf in wrt:
+                need[leaf.idx] = True
+            for i in range(root.idx + 1):  # parents precede children
+                need[i] = need[i] or any(need[j] for j in parents[i] if j is not None)
+            parents = [tuple(j if j is not None and need[j] else None for j in par) for par in parents]
         for i in range(root.idx, -1, -1):
             g = adj[i]
-            if g is None:
+            if g is None or (wrt is not None and not need[i]):
                 continue
             if check_finite and not np.all(np.isfinite(g)):
                 raise TapeError(
                     f"non-finite adjoint at node {i} (op '{_op_name(rules[i])}') "
                     f"in reverse sweep from node {root.idx}"
                 )
-            if rules[i] is None:
+            rule = rules[i]
+            if rule is None:
                 continue
-            rules[i](g, parents[i], aux[i], shapes, adj)
+            if check_finite:
+                rule = getattr(rule, "checked", rule)
+            rule(g, parents[i], aux[i], shapes, adj)
             adj[i] = None
         self.adj = adj
 
@@ -229,50 +245,79 @@ def _acc(adj, shapes, idx, g):
     adj[idx] = g if prev is None else prev + g
 
 
-def _node(rule, args: tuple, aux, out):
+def record(rule, args: tuple, aux, out):
     """The one recording path: `out` itself when no argument is a Node, else
     `out` recorded on the first Node's tape with its backward `rule` and
-    the `aux` that rule reads."""
+    the `aux` that rule reads.
+
+    A rule is called as rule(g, parents, aux, shapes, adj) with g the
+    node's adjoint, and adds each parent's share into adj (`_acc`). The aux
+    must hold no Node: the Node's tape would then hold the cache that holds
+    it, a reference cycle that only the cycle collector frees."""
     for x in args:
         if isinstance(x, Node):
             return x.tape._rec(rule, tuple([a.idx if isinstance(a, Node) else None for a in args]), aux, out)
     return out
 
 
+def rebind(obj, tape: Tape) -> tuple:
+    """(copy, nodes, leaves): `obj` with every Node in it replaced by a leaf
+    of `tape` holding the same value, one leaf per distinct Node (by
+    identity, so a Node met twice maps to one leaf); `nodes` and `leaves`
+    pair them in the order first met. Tuples, lists and dataclass instances
+    are copied on the way down; anything else is shared."""
+    memo = {}  # id(node) -> (node, leaf), in the order first met
+    copy = _rebind(obj, tape, memo)
+    return copy, [node for node, _ in memo.values()], [leaf for _, leaf in memo.values()]
+
+
+def _rebind(x, tape: Tape, memo: dict):
+    if isinstance(x, Node):
+        if id(x) not in memo:
+            memo[id(x)] = (x, tape.leaf(x.value))
+        return memo[id(x)][1]
+    if isinstance(x, (tuple, list)):
+        return type(x)(_rebind(a, tape, memo) for a in x)
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        fields = (f.name for f in dataclasses.fields(x) if f.init)
+        return dataclasses.replace(x, **{name: _rebind(getattr(x, name), tape, memo) for name in fields})
+    return x
+
+
 # ---------------------------------------------------------------- primitives
 
 
 def add(a, b):
-    return _node(_bk_add, (a, b), None, _val(a) + _val(b))
+    return record(_bk_add, (a, b), None, _val(a) + _val(b))
 
 
 def sub(a, b):
-    return _node(_bk_sub, (a, b), None, _val(a) - _val(b))
+    return record(_bk_sub, (a, b), None, _val(a) - _val(b))
 
 
 def mul(a, b):
     va, vb = _val(a), _val(b)
-    return _node(_bk_mul, (a, b), (va, vb), va * vb)
+    return record(_bk_mul, (a, b), (va, vb), va * vb)
 
 
 def div(a, b):
     """Plain division; denominators must stay away from zero."""
     va, vb = _val(a), _val(b)
-    return _node(_bk_div, (a, b), (va, vb), va / vb)
+    return record(_bk_div, (a, b), (va, vb), va / vb)
 
 
 def neg(a):
-    return _node(_bk_neg, (a,), None, -_val(a))
+    return record(_bk_neg, (a,), None, -_val(a))
 
 
 def sin(a):
     va = _val(a)
-    return _node(_bk_sin, (a,), va, np.sin(va))
+    return record(_bk_sin, (a,), va, np.sin(va))
 
 
 def sigmoid(a):
     out = _sigmoid_val(_val(a))
-    return _node(_bk_sigmoid, (a,), out, out)
+    return record(_bk_sigmoid, (a,), out, out)
 
 
 def _sigmoid_val(x: np.ndarray) -> np.ndarray:
@@ -283,23 +328,23 @@ def _sigmoid_val(x: np.ndarray) -> np.ndarray:
 
 def softplus(a):
     va = _val(a)
-    return _node(_bk_softplus, (a,), va, np.maximum(va, 0.0) + np.log1p(np.exp(-np.abs(va))))
+    return record(_bk_softplus, (a,), va, np.maximum(va, 0.0) + np.log1p(np.exp(-np.abs(va))))
 
 
 def tanh(a):
     out = np.tanh(_val(a))
-    return _node(_bk_tanh, (a,), out, out)
+    return record(_bk_tanh, (a,), out, out)
 
 
 def square(a):
     va = _val(a)
-    return _node(_bk_square, (a,), va, va * va)
+    return record(_bk_square, (a,), va, va * va)
 
 
 def minimum(a, b):
     va, vb = _val(a), _val(b)
     take = va <= vb  # first argument wins ties
-    return _node(_bk_minimum, (a, b), take, np.where(take, va, vb))
+    return record(_bk_minimum, (a, b), take, np.where(take, va, vb))
 
 
 def matvec(mat: np.ndarray, x):
@@ -307,24 +352,24 @@ def matvec(mat: np.ndarray, x):
 
     Batches over leading axes of x: (..., k) -> (..., r) for mat (r, k).
     """
-    return _node(_bk_matvec, (x,), mat, _val(x) @ mat.T)
+    return record(_bk_matvec, (x,), mat, _val(x) @ mat.T)
 
 
 def reduce_min(a):
     """Scalar minimum of an array; adjoint goes to the first attaining entry."""
     va = _val(a)
     k = int(np.argmin(va))
-    return _node(_bk_reduce_min, (a,), k, np.asarray(va.reshape(-1)[k]))
+    return record(_bk_reduce_min, (a,), k, np.asarray(va.reshape(-1)[k]))
 
 
 def permute_last(a, perm: np.ndarray):
     """a reordered along its last axis by a constant index array `perm` of
     a's shape, each row of it a permutation."""
-    return _node(_bk_permute_last, (a,), perm, np.take_along_axis(_val(a), perm, axis=-1))
+    return record(_bk_permute_last, (a,), perm, np.take_along_axis(_val(a), perm, axis=-1))
 
 
 def cumsum_last(a):
-    return _node(_bk_cumsum_last, (a,), None, np.cumsum(_val(a), axis=-1))
+    return record(_bk_cumsum_last, (a,), None, np.cumsum(_val(a), axis=-1))
 
 
 def diff_keepfirst(a):
@@ -333,7 +378,7 @@ def diff_keepfirst(a):
     out = np.empty_like(va)
     out[..., 0] = va[..., 0]
     out[..., 1:] = va[..., 1:] - va[..., :-1]
-    return _node(_bk_diff_keepfirst, (a,), None, out)
+    return record(_bk_diff_keepfirst, (a,), None, out)
 
 
 def pad_zero_first(a):
@@ -341,10 +386,10 @@ def pad_zero_first(a):
     va = _val(a)
     out = np.zeros(va.shape[:-1] + (va.shape[-1] + 1,), dtype=float)
     out[..., 1:] = va
-    return _node(_bk_pad_zero_first, (a,), None, out)
+    return record(_bk_pad_zero_first, (a,), None, out)
 
 
-# ------------------------------------------------ fused per-step kernels
+# ------------------------------------------------ fused policy kernels
 
 
 def unit_sums(branches):
@@ -377,7 +422,7 @@ def unit_sums(branches):
         total = np.zeros(x.shape)
     elif None in aux:
         total = total + 0.0
-    return _node(_bk_unit_sums, tuple(args), aux, total)
+    return record(_bk_unit_sums, tuple(args), aux, total)
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,22 +440,6 @@ def _floored(vd):
     if np.count_nonzero(live) == live.size:
         return None, vd
     return live, np.where(live, vd, np.where(vd < 0, -_TINY, _TINY))
-
-
-def euler_angles(lam, omega, b_mat: np.ndarray, dt: float):
-    """Explicit Euler update of the edge angles, lam + dt * (omega @ b_mat),
-    for the constant (n, m) incidence matrix b_mat."""
-    out = _val(lam) + dt * (_val(omega) @ b_mat)
-    return _node(_bk_euler_angles, (lam, omega), (b_mat, dt), out)
-
-
-def euler_freqs(lam, omega, u, p, damping, inertia, by_mat: np.ndarray, dt: float):
-    """Explicit Euler update of the bus frequencies,
-    omega + dt * (u + p - D omega - sin(lam) @ by_mat.T) / M, for constant
-    per-bus damping D and inertia M and the (n, m) matrix by_mat."""
-    vlam, vomega = _val(lam), _val(omega)
-    rate = (_val(u) + _val(p) - damping * vomega - np.sin(vlam) @ by_mat.T) / inertia
-    return _node(_bk_euler_freqs, (lam, omega, u, p), (vlam, damping, inertia, by_mat, dt), vomega + dt * rate)
 
 
 def stack_units(tables, whi, wlo, omega_min, omega_max, omega_sync) -> tuple:
@@ -432,7 +461,7 @@ def stack_units(tables, whi, wlo, omega_min, omega_max, omega_sync) -> tuple:
     args = tuple(W for W, _, _ in tables) + tuple(C for _, C, _ in tables)
     thr = np.ascontiguousarray(np.stack([t[..., :-1] for _, _, t in tables]).transpose(2, 0, 1))
     c = np.stack(np.broadcast_arrays(omega_sync, _val(whi), _val(wlo), omega_max, omega_min, omega_max, omega_min))
-    return _node(_bk_stack_units, args, None, vals), thr, c, whi, wlo, {}
+    return record(_bk_stack_units, args, None, vals), thr, c, whi, wlo, {}
 
 
 _SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])  # x = sign * r per branch
@@ -464,15 +493,15 @@ def _inputs(vw, c) -> np.ndarray:
     return r
 
 
-def control_law(lam, omega, p, edge_xi, mask, units, b_mat, by_mat, damping, dtilde):
-    """The constrained policy at one measured state, as one node:
+def control_law(flows, omega, p, edge_xi, mask, units, b_mat, damping, dtilde):
+    """The constrained policy at measured states, as one node:
 
       dhi = omega - whi, dlo = wlo - omega          gate inputs
       a_hi = k_hi(omega_max - omega)                upper class-K barrier
       a_lo = k_lo(omega_min - omega)                lower class-K barrier
       f   = z+(dhi) + z-(dlo)                       dead-zone response
       b   = (mask * edge_xi) @ b_mat.T              budgets B (on * B^T xi)
-      q   = D omega + sin(lam) @ by_mat.T - p       local feedforward
+      q   = D omega + flows - p                     local feedforward
       cap = D_tilde dev + b / dev                   stability cap, dev = omega - omega_sync
       ub  = min(cap, a_hi / dhi + q)                upper barrier bound
       lb  = max(cap, a_lo / dlo + q)                lower barrier bound
@@ -484,13 +513,16 @@ def control_law(lam, omega, p, edge_xi, mask, units, b_mat, by_mat, damping, dti
     counted and gathered at once from `units` (`stack_units`) for the
     leading branches up to the last with an active unit; a branch with no
     active unit gives exactly +0.0. |dev|, |dhi| and |dlo| are floored at
-    _TINY and the cap is taken on ties. mask is a plain edge mask; b_mat
-    (n, m), by_mat (n, m), D and D_tilde are constants. Returns (u, b, ub,
-    lb): u is a node when any argument is one, and b, ub and lb are plain
+    _TINY and the cap is taken on ties. flows are the line flows into each
+    bus, sin(lam) @ by_mat.T (`dynamics.line_flows`); mask is a plain edge
+    mask; b_mat (n, m), D and D_tilde are constants. Everything but the
+    budgets' edge mask is per entry: u at an entry reads only that entry's
+    omega, flows and p (and the policy's tensors). Returns (u, b, ub, lb):
+    u is a node when any argument is one, and b, ub and lb are plain
     arrays, since nothing backpropagates through them.
     """
     WC, _, _, whi, wlo, _ = units
-    vWC, vlam, vw = _val(WC), _val(lam), _val(omega)
+    vWC, vw = _val(WC), _val(omega)
     layout = _layout(units, vw.shape)
     thr, off, c, sign = layout
     r = _inputs(vw, c)
@@ -506,7 +538,7 @@ def control_law(lam, omega, p, edge_xi, mask, units, b_mat, by_mat, damping, dti
     floors = None if np.abs(r[:3]).min() >= _TINY else _floored(r[:3])  # of dev, dhi, dlo
     hat = r[:3] if floors is None else floors[1]
     b = (mask * _val(edge_xi)) @ b_mat.T
-    q = damping * vw + np.sin(vlam) @ by_mat.T - _val(p)
+    q = damping * vw + _val(flows) - _val(p)
     cap = dtilde * r[0] + b / hat[0]
     t = a / hat[1:] + q  # a / d + q of both bounds
     take = np.empty(t.shape, dtype=bool)  # where the cap binds
@@ -519,8 +551,8 @@ def control_law(lam, omega, p, edge_xi, mask, units, b_mat, by_mat, damping, dti
     np.maximum(cut, 0.0, out=cut)
     gated = np.maximum(r[1:3], 0.0) * _clipped(f, cut)
     u = gated[0] + gated[1]
-    aux = (vw, f, a, cut, take, b, floors, mask, k, on, n_on, vlam, vWC, layout, (b_mat, by_mat, damping, dtilde))
-    return _node(_bk_control_law, (lam, omega, p, edge_xi, whi, wlo, WC), aux, u), b, bound[0], bound[1]
+    aux = (vw, f, a, cut, take, b, floors, mask, k, on, n_on, vWC, layout, (b_mat, damping, dtilde))
+    return record(_bk_control_law, (flows, omega, p, edge_xi, whi, wlo, WC), aux, u), b, bound[0], bound[1]
 
 
 def _clipped(f, cut) -> np.ndarray:
@@ -529,20 +561,6 @@ def _clipped(f, cut) -> np.ndarray:
     np.subtract(f, cut[0], out=out[0])
     np.add(f, cut[1], out=out[1])
     return out
-
-
-def sq_dist(a, b=None):
-    """Scalar sum((a - b)^2), or sum(a^2) without b."""
-    d = _val(a) if b is None else _val(a) - _val(b)
-    return _node(_bk_sq_dist, (a, b), d, np.asarray((d * d).sum()))
-
-
-def sum_seq(terms):
-    """Left-to-right sum 0.0 + t0 + t1 + ... of a sequence, as one node."""
-    total = 0.0
-    for t in terms:
-        total = total + _val(t)
-    return _node(_bk_sum_seq, tuple(terms), None, np.asarray(total))
 
 
 # ------------------------------------------------------------ backward rules
@@ -636,25 +654,6 @@ def _bk_unit_sums(g, par, aux, shapes, adj):
             _acc(adj, shapes, iC, np.bincount(flat, g.reshape(-1), vW.size).reshape(vW.shape))
 
 
-def _bk_euler_angles(g, par, aux, shapes, adj):
-    b_mat, dt = aux
-    _acc(adj, shapes, par[0], g)
-    if par[1] is not None:
-        _acc(adj, shapes, par[1], (g * dt) @ b_mat.T)
-
-
-def _bk_euler_freqs(g, par, aux, shapes, adj):
-    il, iw, iu, ip = par
-    vlam, damping, inertia, by_mat, dt = aux
-    gr = g * dt / inertia  # adjoint of u + p - D omega - sin(lam) @ by_mat.T
-    if il is not None:
-        _acc(adj, shapes, il, ((-gr) @ by_mat) * np.cos(vlam))
-    if iw is not None:
-        _acc(adj, shapes, iw, g + (-gr) * damping)
-    _acc(adj, shapes, iu, gr)
-    _acc(adj, shapes, ip, gr)
-
-
 def _bk_control_law(g, par, aux, shapes, adj):
     # The composed policy's rules in its reverse order: the gate, both
     # bounds, the cap, feedforward and budgets; then the six branches, the
@@ -663,9 +662,9 @@ def _bk_control_law(g, par, aux, shapes, adj):
     # differences dlo = wlo - omega and dhi = omega - whi. The branch inputs
     # and dev are recomputed from the cached omega. A branch with no active
     # unit adds nothing anywhere: its slices of the table adjoint are -0.0.
-    il, iw, ip, ix, iwhi, iwlo, iu = par
-    vw, f, a, cut, take, vb, floors, mask, k, on, n_on, vlam, vWC, (_, off, c, sign), consts = aux
-    b_mat, by_mat, damping, dtilde = consts
+    i_fl, iw, ip, ix, iwhi, iwlo, iu = par
+    vw, f, a, cut, take, vb, floors, mask, k, on, n_on, vWC, (_, off, c, sign), consts = aux
+    b_mat, damping, dtilde = consts
     r = _inputs(vw, c)
     live, hat = floors or (None, r[:3])
     gate = np.maximum(r[1:3], 0.0)
@@ -686,8 +685,8 @@ def _bk_control_law(g, par, aux, shapes, adj):
         to_w.append(gw + g_cap * dtilde + g_q * damping)
     if ix is not None:
         _acc(adj, shapes, ix, ((g_cap / hat[0]) @ b_mat) * mask)
-    if il is not None:
-        _acc(adj, shapes, il, (g_q @ by_mat) * np.cos(vlam))
+    if i_fl is not None:
+        _acc(adj, shapes, i_fl, g_q)
     if ip is not None:
         _acc(adj, shapes, ip, -g_q)
     gb = np.empty(k.shape)  # of each branch: f's or its class-K map's
@@ -729,19 +728,6 @@ def _bk_stack_units(g, par, aux, shapes, adj):
         if g[1, j].any() or not np.signbit(g[1, j]).all():
             _acc(adj, shapes, par[j], g[0, j])
             _acc(adj, shapes, par[n + j], g[1, j])
-
-
-def _bk_sq_dist(g, par, aux, shapes, adj):
-    ia, ib = par
-    gd = g * 2.0 * aux
-    _acc(adj, shapes, ia, gd)
-    if ib is not None:
-        _acc(adj, shapes, ib, -gd)
-
-
-def _bk_sum_seq(g, par, aux, shapes, adj):
-    for i in par:
-        _acc(adj, shapes, i, g)
 
 
 def _bk_permute_last(g, par, aux, shapes, adj):

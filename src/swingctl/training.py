@@ -1,12 +1,23 @@
 """Training loop: discretized rollouts, loss, exact gradients, Adam.
 
 The trainer runs the simulator's own closed loop (`dynamics.closed_loop`,
-explicit Euler) on autodiff tape leaves and backpropagates through the whole
-rollout. The policy is any bound policy (`controller.BoundPolicy`), so both
-policy kinds train through the same code. A batch is carried as a leading
-axis on the state arrays, so one tape serves the entire episode and gradient
-accumulation order is fixed by construction (numpy's reduction order per
-parameter entry), making training bit-reproducible for a given seed.
+explicit Euler) on plain values, keeping only the states (lam_k, omega_k),
+and records the whole episode as one tape node after the policy's
+per-rollout nodes. That node's backward rule is the discrete adjoint
+(costate) recurrence of the two Euler updates and the loss terms, swept
+step by step in reverse. The policy is re-run there in time-batched chunks
+of live steps on a scratch tape, its ready tensors rebound as leaves: u at
+a bus reads only that bus's measured frequency and line flows, so one sweep
+seeded with ones gives the exact per-entry derivatives the recurrence
+multiplies by, and a second seeded with the chunk's u adjoints gives the
+policy tensors' adjoints. Memory per step is the two states, not a taped
+step (checkpointed reverse mode: Griewank & Walther, ACM TOMS 2000).
+
+The policy is any bound policy (`controller.BoundPolicy`), so both policy
+kinds train through the same code. A batch is carried as a leading axis on
+the state arrays, and the sweep's order is fixed by construction (numpy's
+reduction order per parameter entry), making training bit-reproducible for
+a given seed.
 
 Loss per episode of K rows (averaged over the batch):
 
@@ -32,11 +43,12 @@ from .dynamics import (
     Scenario,
     closed_loop,
     injection_schedule,
+    line_flows,
     sample_initial_state,
 )
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import Node, Tape, TapeError, sq_dist, sum_seq, value
+from .tape import Node, Tape, TapeError, rebind, record, value
 
 
 class TrainingError(RuntimeError):
@@ -94,6 +106,12 @@ class TrainConfig:
         return settings
 
 
+# States (steps x batch rows) per chunk of the policy re-run in an episode's
+# backward rule: enough to amortize a call over many steps at small batches,
+# few enough that a chunk's scratch tape stays a few MB.
+CHUNK_STATES = 128
+
+
 def episode_loss(
     policy,
     net: PowerNetwork,
@@ -112,8 +130,17 @@ def episode_loss(
 
     lam0/omega0 may be single states (m,)/(n,) or batches (B, m)/(B, n);
     p_steps is (K, n); noise is (K, n) or (K, B, n) or None. Returns
-    (loss, parts) where parts are the frequency/control/variation terms;
-    both are tape nodes when raw_like holds leaves, plain scalars otherwise.
+    (loss, parts) where parts are the frequency/control/variation terms as
+    plain scalars. The rollout runs on plain values (`dynamics.closed_loop`
+    with the policy's ready tensors precomputed from the raw values). When
+    raw_like holds leaves and the policy acts at some step, the loss is one
+    tape node (`_bk_episode`) whose parents are the nodes of
+    `policy.precompute(raw_like)`; otherwise the loss is a plain scalar.
+
+    A step is live when its decision marks some bus active or its control
+    is not exactly zero; any other step's control is constant (the
+    constrained policy's settled short-circuit, or a monotone map at zero
+    frequency, where relu'(0) = 0) and the backward rule skips it.
     """
     omega0 = np.asarray(omega0, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
@@ -122,24 +149,164 @@ def episode_loss(
     if k_steps == 0:
         return 0.0, (0.0, 0.0, 0.0)
 
-    control = partial(policy.control, policy.precompute(raw_like))
-    freq, ctrl, lip = [], [], []  # one sum-of-squares term per step
+    lip_on = rho > 0 and k_steps > 1  # at rho = 0 the term never reaches the loss
+    chunk = -(-CHUNK_STATES // n_batch)
+    control = partial(policy.control, policy.precompute({k: value(v) for k, v in raw_like.items()}))
+    lams, omegas = np.empty((k_steps,) + lam0.shape), np.empty((k_steps,) + omega0.shape)
+    live, n_live = np.zeros(k_steps, dtype=bool), 0
+    tails = {}  # with the variation term: u at the last step of each full chunk
+    freq = ctrl = lip = 0.0  # left-to-right sums of the per-step sums of squares
     u_prev = None
-    for _, omega, dec in closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise):
-        freq.append(sq_dist(omega, eq.omega_sync))
-        ctrl.append(sq_dist(dec.u))
-        if rho > 0 and u_prev is not None:  # at rho = 0 the term never reaches the loss
-            lip.append(sq_dist(dec.u, u_prev))
+    for k, (lam, omega, dec) in enumerate(closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise)):
+        lams[k], omegas[k] = lam, omega
+        d = omega - eq.omega_sync
+        freq = freq + (d * d).sum()
+        ctrl = ctrl + (dec.u * dec.u).sum()
+        if lip_on and u_prev is not None:
+            d = dec.u - u_prev
+            lip = lip + (d * d).sum()
         u_prev = dec.u
+        if dec.active.any() or dec.u.any():
+            live[k], n_live = True, n_live + 1
+            if lip_on and n_live % chunk == 0:
+                tails[k] = dec.u
 
-    freq_term = gamma * sum_seq(freq) * (1.0 / (k_steps * n_batch))
-    ctrl_term = sum_seq(ctrl) * (1.0 / (k_steps * n_batch))
-    if rho > 0 and k_steps > 1:
-        lip_term = rho * sum_seq(lip) * (1.0 / ((k_steps - 1) * n_batch))
-    else:
-        lip_term = 0.0
-    loss = freq_term + ctrl_term + lip_term
-    return loss, (freq_term, ctrl_term, lip_term)
+    scale, lip_scale = 1.0 / (k_steps * n_batch), 1.0 / (max(k_steps - 1, 1) * n_batch)
+    parts = (gamma * freq * scale, ctrl * scale, rho * lip * lip_scale if lip_on else 0.0)
+    loss = parts[0] + parts[1] + parts[2]
+    if not (live.any() and any(isinstance(v, Node) for v in raw_like.values())):
+        return loss, parts
+    template, nodes, _ = rebind(policy.precompute(raw_like), Tape())
+    steps = np.flatnonzero(live)
+    sweep = _Sweep(
+        policy=policy, net=net, inc=inc, omega_sync=eq.omega_sync, dt=dt, template=template,
+        lams=lams, omegas=omegas, noise=noise, p_steps=p_steps, tails=tails,
+        chunks=[steps[i:i + chunk] for i in range(0, len(steps), chunk)],
+        weights=(gamma * scale, scale, rho * lip_scale if lip_on else 0.0),
+    )
+    return record(_bk_episode, tuple(nodes), sweep, np.asarray(loss)), parts
+
+
+@dataclass
+class _Sweep:
+    """What an episode node's backward rule reads: the policy, the rollout's
+    states (K, ...) and inputs, the live steps in chunks in time order, u at
+    the chunk tails the variation term needs, the loss weights of the three
+    sums of squares, and `template`, the policy's ready tensors with their
+    nodes rebound as leaves of a throwaway tape, so no Node of the episode's
+    own tape is held."""
+
+    policy: object
+    net: PowerNetwork
+    inc: Incidence
+    omega_sync: object
+    dt: float
+    template: object
+    lams: np.ndarray
+    omegas: np.ndarray
+    noise: np.ndarray | None
+    p_steps: np.ndarray
+    tails: dict
+    chunks: list
+    weights: tuple
+
+
+class _Chunk:
+    """The policy re-run at one chunk of live steps on a scratch tape, the
+    ready tensors rebound as its leaves: u and, from one reverse sweep seeded
+    with ones, its per-entry derivatives in the measured frequency and the
+    line flows. u at an entry reads only that entry's frequency and flows,
+    so each adjoint of that sweep is exactly the entry's derivative."""
+
+    def __init__(self, sw: _Sweep, steps: np.ndarray):
+        self.steps, self.tape = steps, Tape()
+        ready, _, self.leaves = rebind(sw.template, self.tape)
+        ndim = sw.omegas.ndim
+        flows = self.tape.leaf(np.stack([line_flows(sw.inc, sw.lams[k]) for k in steps]))
+        measured = sw.omegas[steps] if sw.noise is None else sw.omegas[steps] + _rows(sw.noise, steps, ndim)
+        omega = self.tape.leaf(measured)
+        self.node = sw.policy.control(ready, flows, omega, _rows(sw.p_steps, steps, ndim)).u
+        self.u = np.broadcast_to(value(self.node), measured.shape)
+        self.du_domega = self.du_dflows = np.zeros(measured.shape)
+        if isinstance(self.node, Node):
+            self.tape.backward(self.node, wrt=(omega, flows))
+            self.du_domega, self.du_dflows = self.tape.grad(omega), self.tape.grad(flows)
+        self.u_bar = np.empty(measured.shape)
+
+    def policy_adjoints(self) -> list:
+        """Per ready leaf, its adjoint from the sweep seeded with the chunk's
+        u adjoints, or None when none reaches it."""
+        if not isinstance(self.node, Node):
+            return [None] * len(self.leaves)
+        self.tape.backward(self.node * self.u_bar, wrt=self.leaves)
+        return [self.tape.adj[leaf.idx] for leaf in self.leaves]
+
+
+def _rows(block: np.ndarray, steps: np.ndarray, ndim: int) -> np.ndarray:
+    """block[steps] with unit axes after the first, to broadcast against
+    (steps,) + state arrays of `ndim` axes."""
+    a = block[steps]
+    return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
+
+
+def _bk_episode(g, par, aux, shapes, adj, check_finite=False):
+    # The discrete adjoint of the rollout, in reverse step order. wbar and
+    # lbar are the costates of omega_k and lam_k: each takes the Euler
+    # updates' shares from step k + 1 and the frequency term's, and at a
+    # live step the policy's, u_bar times u's per-entry derivatives; u_bar
+    # sums the rate's share and the control and variation terms'. A live
+    # step's u and derivatives come from its chunk (`_Chunk`), re-run when
+    # the sweep reaches the chunk's last step; once it passes the chunk's
+    # first, a second sweep of the chunk's tape seeded with its u_bar gives
+    # the ready tensors' adjoints, summed over chunks and handed to `par`.
+    sw = aux
+    net, inc, dt = sw.net, sw.inc, sw.dt
+    w_freq, w_ctrl, w_lip = (g * w for w in sw.weights)
+    k_steps = len(sw.lams)
+    lbar, wbar = np.zeros(sw.lams.shape[1:]), np.zeros(sw.omegas.shape[1:])
+    totals = [None] * len(par)
+    chunks, cur, j, u_after = list(sw.chunks), None, -1, None
+    for k in range(k_steps - 1, -1, -1):
+        gr = wbar * dt / net.inertia  # of the rate u + p - D omega - flows
+        f_bar = -gr
+        wbar = wbar + (-gr) * net.damping + (lbar * dt) @ inc.b_mat.T + w_freq * 2.0 * (sw.omegas[k] - sw.omega_sync)
+        if cur is None and chunks and chunks[-1][-1] == k:
+            cur = _Chunk(sw, chunks.pop())
+            j = len(cur.steps) - 1
+        if cur is not None and cur.steps[j] == k:
+            u = cur.u[j]
+            u_bar = gr + w_ctrl * 2.0 * u
+            if w_lip and k > 0:
+                before = cur.u[j - 1] if j > 0 and cur.steps[j - 1] == k - 1 else sw.tails.get(k - 1, 0.0)
+                u_bar = u_bar + w_lip * 2.0 * (u - before)
+            if w_lip and k < k_steps - 1:
+                u_bar = u_bar - w_lip * 2.0 * ((0.0 if u_after is None else u_after) - u)
+            cur.u_bar[j] = u_bar
+            f_bar = f_bar + u_bar * cur.du_dflows[j]
+            wbar = wbar + u_bar * cur.du_domega[j]
+            u_after, j = u, j - 1
+            if j < 0:
+                for i, a in enumerate(cur.policy_adjoints()):
+                    if a is not None:
+                        totals[i] = a if totals[i] is None else totals[i] + a
+                cur = None
+        else:
+            u_after = None
+        lbar = lbar + (f_bar @ inc.by_mat) * np.cos(sw.lams[k])
+        if check_finite:
+            for what, bar in (("bus", wbar), ("edge", lbar)):
+                if not np.all(np.isfinite(bar)):
+                    *row, at = np.argwhere(~np.isfinite(bar))[0]
+                    raise TapeError(
+                        f"non-finite adjoint at step {k}, row {row[0] if row else 0}, {what} {at} "
+                        "in the episode's costate sweep"
+                    )
+    for i, total in zip(par, totals):
+        if i is not None and total is not None:
+            adj[i] = total if adj[i] is None else adj[i] + total
+
+
+_bk_episode.checked = partial(_bk_episode, check_finite=True)
 
 
 def loss_and_grad(policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt):
@@ -148,7 +315,8 @@ def loss_and_grad(policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise
     A loss that never reaches the tape (an empty horizon, or an episode
     spent inside every dead zone) is constant and gets zero gradients. A
     non-finite gradient triggers a second, checked reverse sweep that names
-    the first offending tape node.
+    where it arose: the step, batch row and bus of the episode's first
+    non-finite costate, or else the first offending tape node.
     """
     tp = Tape()
     leaves = {k: tp.leaf(raw_values[k]) for k in policy.keys}

@@ -6,16 +6,22 @@ parts, a per-bus admissibility report, a value-only loss) so the tests can
 compare the production code to it. `reference_control` keeps the
 constrained policy in the per-op form the fused `tape.control_law` node
 replaced, on the tape, as its bitwise reference for values and gradients.
+`taped_episode_loss` keeps the training episode recorded step by step (the
+two Euler updates, the per-step sums of squares and their sum, each a node
+with its own rule), as the gradient reference for the one-node episode of
+`training.episode_loss`.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from swingctl.controller import ControlDecision, active_mask, class_k_eval
-from swingctl.tape import _TINY, _acc, _node, _val, control_law, unit_sums, value
+from swingctl.dynamics import closed_loop, line_flows
+from swingctl.tape import _TINY, Node, Tape, _acc, _val, control_law, record, unit_sums, value
 from swingctl.tape import _floored as _floored_live
-from swingctl.training import episode_loss
+from swingctl.training import TrainingError, episode_loss
 
 
 def unit_laplacian(inc) -> np.ndarray:
@@ -102,7 +108,7 @@ class ConstraintReport:
 def constraint_check(params, spec, net, inc, eq, lam, omega, p, u, tol: float = 1e-9) -> ConstraintReport:
     policy = params.bind(spec, net, inc, eq)
     ready = policy.precompute(params.raw)
-    out = policy.control(ready, lam, omega, p)
+    out = policy.control(ready, line_flows(inc, lam), omega, p)
     w = np.asarray(omega, dtype=float)
     u = np.asarray(u, dtype=float)
     above = w > ready.whi_val
@@ -122,9 +128,9 @@ def _floored(d: np.ndarray) -> np.ndarray:
     return np.where(np.abs(d) >= _TINY, d, np.where(d < 0, -_TINY, _TINY))
 
 
-def feedforward(lam, omega, p, damping, by_mat) -> np.ndarray:
-    """Local injection mismatch q = D omega + sin(lam) @ by_mat.T - p."""
-    return damping * omega + np.sin(lam) @ by_mat.T - p
+def feedforward(flows, omega, p, damping) -> np.ndarray:
+    """Local injection mismatch q = D omega + flows - p."""
+    return damping * omega + flows - p
 
 
 def stability_cap(dtilde, omega_sync, omega, b) -> np.ndarray:
@@ -146,17 +152,17 @@ def gate(dhi, dlo, f, ub, lb) -> np.ndarray:
     return np.maximum(dhi, 0.0) * (f - cut_hi) + np.maximum(dlo, 0.0) * (f + cut_lo)
 
 
-def composed_law(lam, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
-                 b_mat, by_mat, damping, dtilde, omega_sync) -> tuple:
+def composed_law(flows, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
+                 b_mat, damping, dtilde, omega_sync) -> tuple:
     """`tape.control_law`'s (u, b, ub, lb) on plain values, composed from
     the budgets, feedforward, stability cap, two barrier bounds and gate
     above, each in its own expression order; the tests compare the fused
     kernel to it bit for bit."""
-    lam, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f = (
-        np.asarray(value(a), dtype=float) for a in (lam, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
+    flows, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f = (
+        np.asarray(value(a), dtype=float) for a in (flows, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
     )
     b = (mask * edge_xi) @ b_mat.T
-    q = feedforward(lam, omega, p, damping, by_mat)
+    q = feedforward(flows, omega, p, damping)
     cap = stability_cap(dtilde, omega_sync, omega, b)
     ub = barrier_bound(cap, alpha_hi, dhi, q, upper=True)
     lb = barrier_bound(cap, alpha_lo, dlo, q, upper=False)
@@ -171,16 +177,16 @@ def deadzone_eval(tables, dhi, dlo):
     return unit_sums(((plus, dhi, 1.0), (minus, dlo, 1.0)))
 
 
-def law_node(lam, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
-             b_mat, by_mat, damping, dtilde, omega_sync) -> tuple:
+def law_node(flows, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
+             b_mat, damping, dtilde, omega_sync) -> tuple:
     """`composed_law` as one tape node with a hand-written backward rule,
     taking the barrier values, gate inputs and dead-zone response as
     inputs, so that with `law_args` the policy is on the tape op by op.
     Returns (u, b, ub, lb) with only u a node."""
-    vlam, vw, vhi, vlo, vf = _val(lam), _val(omega), _val(dhi), _val(dlo), _val(f)
+    vw, vhi, vlo, vf = _val(omega), _val(dhi), _val(dlo), _val(f)
     va_hi, va_lo = _val(alpha_hi), _val(alpha_lo)
     b = (mask * _val(edge_xi)) @ b_mat.T
-    q = damping * vw + np.sin(vlam) @ by_mat.T - _val(p)
+    q = damping * vw + _val(flows) - _val(p)
     dev = vw - omega_sync
     live_w, dev_hat = _floored_live(dev)
     cap = dtilde * dev + b / dev_hat
@@ -195,18 +201,18 @@ def law_node(lam, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
     cut_hi, cut_lo = np.maximum(vf - ub, 0.0), np.maximum(lb - vf, 0.0)
     u = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
     aux = (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
-           dtilde, b, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat)
-    args = (lam, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
-    return _node(_bk_law_node, args, aux, u), b, ub, lb
+           dtilde, b, live_w, dev_hat, mask, b_mat, damping)
+    args = (flows, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
+    return record(_bk_law_node, args, aux, u), b, ub, lb
 
 
 def _bk_law_node(g, par, aux, shapes, adj):
     # the composed law's rules in its reverse order: gate, lower bound, upper
     # bound, cap, feedforward, budgets; the cap and q sum their adjoints from
     # the lower bound first
-    il, iw, ip, ix, iah, ial, ihi, ilo, i_f = par
+    i_fl, iw, ip, ix, iah, ial, ihi, ilo, i_f = par
     (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
-     dtilde, vb, live_w, dev_hat, mask, b_mat, vlam, damping, by_mat) = aux
+     dtilde, vb, live_w, dev_hat, mask, b_mat, damping) = aux
     ghi, glo = np.maximum(vhi, 0.0), np.maximum(vlo, 0.0)
     g_hi, g_lo = g * ghi, g * glo
     to_ub, to_lb = g_hi * (cut_hi > 0), g_lo * (cut_lo > 0)
@@ -233,38 +239,38 @@ def _bk_law_node(g, par, aux, shapes, adj):
         _acc(adj, shapes, iw, gw + g_cap * dtilde + g_q * damping)
     if ix is not None:
         _acc(adj, shapes, ix, ((g_cap / dev_hat) @ b_mat) * mask)
-    if il is not None:
-        _acc(adj, shapes, il, (g_q @ by_mat) * np.cos(vlam))
+    if i_fl is not None:
+        _acc(adj, shapes, i_fl, g_q)
     if ip is not None:
         _acc(adj, shapes, ip, -g_q)
 
 
-def law_args(policy, ready, lam, omega, p) -> tuple:
+def law_args(policy, ready, flows, omega, p) -> tuple:
     """The arguments of `law_node` and `composed_law` for the constrained
     policy at a measured state, formed per op on the tape: the differences
     dhi and dlo, both barriers' class-K maps at omega_max - omega and
     omega_min - omega and the dead-zone response, each its own node."""
     dhi, dlo = omega - ready.whi, ready.wlo - omega
     return (
-        lam, omega, p, ready.edge_xi, edges_on(policy.inc, active_mask(ready, omega)).astype(float),
+        flows, omega, p, ready.edge_xi, edges_on(policy.inc, active_mask(ready, omega)).astype(float),
         class_k_eval(ready.hi, policy.omega_max - omega), class_k_eval(ready.lo, policy.omega_min - omega),
         dhi, dlo, deadzone_eval(ready.dz, dhi, dlo),
-        policy.inc.b_mat, policy.inc.by_mat, policy.net.damping, policy.dtilde, policy.eq.omega_sync,
+        policy.inc.b_mat, policy.net.damping, policy.dtilde, policy.eq.omega_sync,
     )
 
 
-def reference_control(policy, ready, lam, omega, p) -> tuple:
+def reference_control(policy, ready, flows, omega, p) -> tuple:
     """The constrained policy's (u, b, ub, lb) at every state in the per-op
     form: `law_node` over `law_args`."""
-    return law_node(*law_args(policy, ready, lam, omega, p))
+    return law_node(*law_args(policy, ready, flows, omega, p))
 
 
-def unguarded_control(policy, ready, lam, omega, p) -> ControlDecision:
+def unguarded_control(policy, ready, flows, omega, p) -> ControlDecision:
     """The constrained policy's fused node at every state, with no
     short-circuit for states where every bus sits inside its dead zone."""
     active = active_mask(ready, omega)
-    u, b, ub, lb = control_law(lam, omega, p, ready.edge_xi, edges_on(policy.inc, active), ready.units,
-                               policy.inc.b_mat, policy.inc.by_mat, policy.net.damping, policy.dtilde)
+    u, b, ub, lb = control_law(flows, omega, p, ready.edge_xi, edges_on(policy.inc, active), ready.units,
+                               policy.inc.b_mat, policy.net.damping, policy.dtilde)
     return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
 
 
@@ -278,5 +284,125 @@ class UnguardedPolicy:
     def precompute(self, raw_like):
         return self.policy.precompute(raw_like)
 
-    def control(self, ready, lam, omega, p) -> ControlDecision:
-        return unguarded_control(self.policy, ready, lam, omega, p)
+    def control(self, ready, flows, omega, p) -> ControlDecision:
+        return unguarded_control(self.policy, ready, flows, omega, p)
+
+
+# ------------------------------------------------ the per-step taped episode
+
+
+def euler_angles(lam, omega, b_mat: np.ndarray, dt: float):
+    """Explicit Euler update of the edge angles, lam + dt * (omega @ b_mat),
+    for the constant (n, m) incidence matrix b_mat, as one node."""
+    out = _val(lam) + dt * (_val(omega) @ b_mat)
+    return record(_bk_euler_angles, (lam, omega), (b_mat, dt), out)
+
+
+def euler_freqs(flows, omega, u, p, damping, inertia, dt: float):
+    """Explicit Euler update of the bus frequencies,
+    omega + dt * (u + p - D omega - flows) / M, for constant per-bus damping
+    D and inertia M and the step's line flows, as one node."""
+    vomega = _val(omega)
+    rate = (_val(u) + _val(p) - damping * vomega - _val(flows)) / inertia
+    return record(_bk_euler_freqs, (flows, omega, u, p), (damping, inertia, dt), vomega + dt * rate)
+
+
+def sq_dist(a, b=None):
+    """Scalar sum((a - b)^2), or sum(a^2) without b, as one node."""
+    d = _val(a) if b is None else _val(a) - _val(b)
+    return record(_bk_sq_dist, (a, b), d, np.asarray((d * d).sum()))
+
+
+def sum_seq(terms):
+    """Left-to-right sum 0.0 + t0 + t1 + ... of a sequence, as one node."""
+    total = 0.0
+    for t in terms:
+        total = total + _val(t)
+    return record(_bk_sum_seq, tuple(terms), None, np.asarray(total))
+
+
+def _bk_euler_angles(g, par, aux, shapes, adj):
+    b_mat, dt = aux
+    _acc(adj, shapes, par[0], g)
+    if par[1] is not None:
+        _acc(adj, shapes, par[1], (g * dt) @ b_mat.T)
+
+
+def _bk_euler_freqs(g, par, aux, shapes, adj):
+    i_fl, iw, iu, ip = par
+    damping, inertia, dt = aux
+    gr = g * dt / inertia  # adjoint of u + p - D omega - flows
+    if i_fl is not None:
+        _acc(adj, shapes, i_fl, -gr)
+    if iw is not None:
+        _acc(adj, shapes, iw, g + (-gr) * damping)
+    _acc(adj, shapes, iu, gr)
+    _acc(adj, shapes, ip, gr)
+
+
+def _bk_sq_dist(g, par, aux, shapes, adj):
+    ia, ib = par
+    gd = g * 2.0 * aux
+    _acc(adj, shapes, ia, gd)
+    if ib is not None:
+        _acc(adj, shapes, ib, -gd)
+
+
+def _bk_sum_seq(g, par, aux, shapes, adj):
+    for i in par:
+        _acc(adj, shapes, i, g)
+
+
+def taped_euler_step(net, inc, lam, omega, u, p, dt: float, flows):
+    """`dynamics.euler_step` as the two Euler nodes, on arrays or nodes."""
+    return (
+        euler_angles(lam, omega, inc.b_mat, dt),
+        euler_freqs(flows, omega, u, p, net.damping, net.inertia, dt),
+    )
+
+
+def taped_episode_loss(policy, net, inc, eq, raw_like, lam0, omega0, p_steps, noise, gamma, rho, dt):
+    """`training.episode_loss` recorded step by step: the closed loop on
+    tape nodes (the line flows, the policy's nodes, the two Euler nodes),
+    one sum-of-squares node per loss term and step, and their sums. Returns
+    (loss, parts), nodes once the loss reaches the tape."""
+    omega0 = np.asarray(omega0, dtype=float)
+    lam0 = np.asarray(lam0, dtype=float)
+    n_batch = omega0.shape[0] if omega0.ndim == 2 else 1
+    k_steps = p_steps.shape[0]
+    if k_steps == 0:
+        return 0.0, (0.0, 0.0, 0.0)
+    control = partial(policy.control, policy.precompute(raw_like))
+    freq, ctrl, lip = [], [], []
+    u_prev = None
+    loop = closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise, taped_euler_step)
+    for _, omega, dec in loop:
+        freq.append(sq_dist(omega, eq.omega_sync))
+        ctrl.append(sq_dist(dec.u))
+        if rho > 0 and u_prev is not None:
+            lip.append(sq_dist(dec.u, u_prev))
+        u_prev = dec.u
+    freq_term = gamma * sum_seq(freq) * (1.0 / (k_steps * n_batch))
+    ctrl_term = sum_seq(ctrl) * (1.0 / (k_steps * n_batch))
+    if rho > 0 and k_steps > 1:
+        lip_term = rho * sum_seq(lip) * (1.0 / ((k_steps - 1) * n_batch))
+    else:
+        lip_term = 0.0
+    loss = freq_term + ctrl_term + lip_term
+    return loss, (freq_term, ctrl_term, lip_term)
+
+
+def taped_loss_and_grad(policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise, gamma, rho, dt):
+    """`training.loss_and_grad` over `taped_episode_loss`: (loss, parts,
+    grads), zero gradients for a loss that never reaches the tape."""
+    tp = Tape()
+    leaves = {k: tp.leaf(raw_values[k]) for k in policy.keys}
+    loss, parts = taped_episode_loss(policy, net, inc, eq, leaves, lam0, omega0, p_steps, noise, gamma, rho, dt)
+    part_vals = tuple(float(value(p)) for p in parts)
+    if not isinstance(loss, Node):
+        return float(loss), part_vals, {k: np.zeros_like(raw_values[k]) for k in policy.keys}
+    tp.backward(loss)
+    grads = {k: tp.grad(leaves[k]) for k in policy.keys}
+    if any(not np.all(np.isfinite(g)) for g in grads.values()):
+        raise TrainingError("non-finite gradient in the taped reference")
+    return float(value(loss)), part_vals, grads

@@ -25,7 +25,7 @@ from swingctl.controller import (
     make_policy_controller,
     project_control,
 )
-from swingctl.dynamics import Scenario, rollout
+from swingctl.dynamics import Scenario, line_flows, rollout
 from swingctl.equilibrium import in_region
 from swingctl.netgraph import PowerNetwork, build_incidence
 from swingctl.equilibrium import solve_equilibrium
@@ -119,7 +119,7 @@ def test_criterion_1_structural_exactness(net3, inc3, eq3):
         lam = theta @ inc3.b_mat
         omega = rng.uniform(-0.3, 0.3, (batch, 3))
         p = net3.p_nom * rng.uniform(0.5, 1.5, (batch, 3))
-        out = policy.control(ready, lam, omega, p)
+        out = policy.control(ready, line_flows(inc3, lam), omega, p)
         u = project_control(out, ready, omega)
         b = np.asarray(value(out.budgets))
         active = out.active

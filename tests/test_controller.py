@@ -17,13 +17,15 @@ from oracles import (
     law_node,
     reference_control,
     relu_units,
+    sq_dist,
     stability_cap,
+    sum_seq,
     unguarded_control,
     unit_sum,
 )
 from swingctl import controller as C
 from swingctl import tape as tp
-from swingctl.dynamics import Scenario, rollout
+from swingctl.dynamics import Scenario, line_flows, rollout
 from swingctl.equilibrium import in_region
 from swingctl.netgraph import PowerNetwork
 from swingctl.tape import Tape, value
@@ -151,7 +153,7 @@ def test_class_k_fits_tanh_shaped_target():
         wp, wm = C.class_k_weights(leaves["wp"], leaves["wm"])
         bp, bm = C.class_k_biases(leaves["bp"], leaves["bm"])
         pred = C.class_k_eval(C.class_k_tables(wp, wm, bp, bm), grid.reshape(-1, 1))
-        t.backward(tp.sq_dist(pred, target.reshape(-1, 1)))
+        t.backward(sq_dist(pred, target.reshape(-1, 1)))
         for k in raw:
             g = t.grad(leaves[k])
             ms[k] = b1 * ms[k] + (1 - b1) * g
@@ -286,7 +288,7 @@ def test_deadzone_exactness_property(net3, inc3, eq3, spec_band):
         frac = rng.uniform(0.0, 1.0, 3)
         omega = ready.wlo_val + frac * (ready.whi_val - ready.wlo_val)
         lam = rng.uniform(-0.5, 0.5, 2)
-        out = policy.control(ready, lam, omega, net3.p_nom)
+        out = policy.control(ready, line_flows(inc3, lam), omega, net3.p_nom)
         assert np.all(value(out.u) == 0.0)
         assert np.all(value(out.budgets) == 0.0)
 
@@ -340,7 +342,7 @@ def test_stability_cap_hand_cases():
 
 def test_feedforward_hand_cases(net2, inc2, eq2):
     def q_at(lam, omega, p):
-        return feedforward(lam, omega, p, net2.damping, inc2.by_mat)
+        return feedforward(line_flows(inc2, lam), omega, p, net2.damping)
 
     q = q_at(np.array([0.0]), np.array([0.1, -0.1]), np.zeros(2))
     assert np.allclose(q, [0.1, -0.1], atol=1e-15)
@@ -382,32 +384,34 @@ def test_control_law_matches_composed_oracle_bitwise(request, spec_band, size, b
         if i == 0:
             omega[..., 0], omega[..., 1] = ready.whi_val[0], eq.omega_sync
         lam = eq.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq.lam_eq.shape)
+        flows = line_flows(inc, lam)
         p = net.p_nom * rng.uniform(0.8, 1.2, size)
-        ref = composed_law(*law_args(policy, ready, lam, omega, p))
-        per_op = law_node(*law_args(policy, ready_t, lam, omega, p))
-        got, taped = (unguarded_control(policy, r, lam, omega, p) for r in (ready, ready_t))
+        ref = composed_law(*law_args(policy, ready, flows, omega, p))
+        per_op = law_node(*law_args(policy, ready_t, flows, omega, p))
+        got, taped = (unguarded_control(policy, r, flows, omega, p) for r in (ready, ready_t))
         assert isinstance(taped.u, tp.Node) and not isinstance(taped.budgets, tp.Node)
         for want, old, dec_field in zip(ref, per_op, ("u", "budgets", "upper", "lower")):
             assert want.shape == shape
             assert want.tobytes() == value(old).tobytes() == getattr(got, dec_field).tobytes()
             assert want.tobytes() == value(getattr(taped, dec_field)).tobytes()
-        assert policy.control(ready, lam, omega, p).u.tobytes() == ref[0].tobytes()
+        assert policy.control(ready, flows, omega, p).u.tobytes() == ref[0].tobytes()
 
 
 def policy_tape(policy, control, raw, states, p):
     """Record sum_s sum(u_s * proj_s) of `control` over (omega, lam, proj)
     states on one tape whose leaves are the raws and each state's omega and
-    lam; returns (u values, leaf gradients) after the reverse sweep."""
+    lam, the policy reading lam through its line flows; returns (u values,
+    leaf gradients) after the reverse sweep."""
     t = Tape()
     leaves = {k: t.leaf(v) for k, v in raw.items()}
     ready = policy.precompute(leaves)
     terms, us = [], []
     for i, (omega, lam, proj) in enumerate(states):
         leaves[f"omega{i}"], leaves[f"lam{i}"] = t.leaf(omega), t.leaf(lam)
-        u = control(policy, ready, leaves[f"lam{i}"], leaves[f"omega{i}"], p)
+        u = control(policy, ready, line_flows(policy.inc, leaves[f"lam{i}"]), leaves[f"omega{i}"], p)
         us.append(value(u).tobytes())
         terms.append(u * proj)
-    t.backward(tp.sum_seq(terms))
+    t.backward(sum_seq(terms))
     return us, {k: t.grad(leaf).tobytes() for k, leaf in leaves.items()}
 
 
@@ -455,7 +459,7 @@ def test_policy_dead_zone_and_slack(net2, inc2, eq2, spec_band):
     policy = params.bind(spec_band, net2, inc2, eq2)
     ready = policy.precompute(params.raw)
     inside = 0.5 * (ready.wlo_val + ready.whi_val)
-    out = policy.control(ready, eq2.lam_eq, inside, net2.p_nom)
+    out = policy.control(ready, line_flows(inc2, eq2.lam_eq), inside, net2.p_nom)
     assert np.all(value(out.u) == 0.0)
     # upper-branch slack arithmetic from the worked numbers: bound 0.2, u 0.01
     assert abs((0.2 - 0.01) - 0.19) < 1e-15
@@ -473,17 +477,17 @@ def test_all_inactive_decision_equals_full_formula_bitwise(net3, inc3, eq3, spec
     shape = (3,) if batch is None else (batch, 3)
     for _ in range(20):
         omega = rng.uniform(ready.wlo_val, ready.whi_val, shape)
-        lam = eq3.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq3.lam_eq.shape)
+        flows = line_flows(inc3, eq3.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq3.lam_eq.shape))
         p = net3.p_nom * rng.uniform(0.8, 1.2, 3)
-        got = policy.control(ready, lam, omega, p)
-        full = unguarded_control(policy, ready, lam, omega, p)
+        got = policy.control(ready, flows, omega, p)
+        full = unguarded_control(policy, ready, flows, omega, p)
         assert not got.active.any() and np.array_equal(got.active, full.active)
         for field in ("u", "budgets"):
             assert np.shape(getattr(got, field)) == shape
             assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(full, field)).tobytes()
         proj = C.project_control(got, ready, omega)
         assert proj.tobytes() == C.project_control(full, ready, omega).tobytes()
-        assert all(sim(lam, omega, p).u.tobytes() == proj.tobytes() for sim in sims)
+        assert all(sim(flows, omega, p).u.tobytes() == proj.tobytes() for sim in sims)
 
 
 def test_constraint_check_cases(net2, inc2, eq2, spec_band):
@@ -497,7 +501,7 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
     assert rep.ok and rep.violations == [] and np.all(rep.branch == 0)
 
     omega = np.array([0.18, -0.05])  # bus 0 above its upper threshold
-    out = policy.control(ready, eq2.lam_eq, omega, net2.p_nom)
+    out = policy.control(ready, line_flows(inc2, eq2.lam_eq), omega, net2.p_nom)
     u = C.project_control(out, ready, omega)
     rep = constraint_check(
         params, spec_band, net2, inc2, eq2, eq2.lam_eq, omega, net2.p_nom, u
@@ -519,7 +523,7 @@ def test_projection_identity_and_clamp(net2, inc2, eq2, spec_band):
     policy = params.bind(spec_band, net2, inc2, eq2)
     ready = policy.precompute(params.raw)
     omega = np.array([0.19, -0.18])
-    out = policy.control(ready, eq2.lam_eq, omega, net2.p_nom)
+    out = policy.control(ready, line_flows(inc2, eq2.lam_eq), omega, net2.p_nom)
     proj = C.project_control(out, ready, omega)
     ub, lb = value(out.upper), value(out.lower)
     assert proj[0] <= ub[0] + 1e-15 and proj[1] >= lb[1] - 1e-15
@@ -554,7 +558,7 @@ def test_projection_property_random_states(net3, inc3, eq3, spec_band):
     ready = policy.precompute(params.raw)
     omega = rng.uniform(-0.35, 0.35, size=(10**4, 3))
     lam = rng.uniform(-0.6, 0.6, size=(10**4, 2))
-    out = policy.control(ready, lam, omega, net3.p_nom)
+    out = policy.control(ready, line_flows(inc3, lam), omega, net3.p_nom)
     proj = C.project_control(out, ready, omega)
     above = omega > ready.whi_val
     below = omega < ready.wlo_val
@@ -593,7 +597,7 @@ def test_projected_control_meets_cap_and_barrier_where_they_bind(net3, inc3, eq3
         omega = np.where(above, whi + frac * (band - whi), wlo - frac * (wlo + band))
         lam = rng.uniform(-0.5, 0.5, (100, 2))
         p = rng.uniform(-3.0, 3.0, (100, 3))
-        dec = policy.control(ready, lam, omega, p)
+        dec = policy.control(ready, line_flows(inc3, lam), omega, p)
         u = C.project_control(dec, ready, omega)
         assert dec.active.all()
 
@@ -656,12 +660,12 @@ def test_distributedness(net3, inc3, eq3, spec_band):
     ready = policy.precompute(params.raw)
     omega = np.array([0.18, 0.15, 0.02])
     lam = np.array([0.3, 0.1])
-    base = policy.control(ready, lam, omega, net3.p_nom)
+    base = policy.control(ready, line_flows(inc3, lam), omega, net3.p_nom)
     omega2 = omega.copy()
     omega2[2] = 0.19  # flips bus 2's mask; bus 0 only shares an edge with bus 1
     lam2 = lam.copy()
     lam2[1] = -0.4
-    pert = policy.control(ready, lam2, omega2, net3.p_nom)
+    pert = policy.control(ready, line_flows(inc3, lam2), omega2, net3.p_nom)
     assert value(pert.u)[0] == value(base.u)[0]
     assert value(pert.budgets)[0] == value(base.budgets)[0]
 

@@ -5,6 +5,7 @@ injection schedules, and rollout invariants.
 import numpy as np
 import pytest
 
+from oracles import sq_dist, sum_seq, taped_euler_step
 from swingctl.controller import make_zero_controller
 from swingctl.dynamics import (
     Disturbance,
@@ -13,6 +14,7 @@ from swingctl.dynamics import (
     euler_step,
     injection_at,
     injection_schedule,
+    line_flows,
     rk4_step,
     rollout,
     sample_initial_state,
@@ -20,7 +22,7 @@ from swingctl.dynamics import (
 )
 from swingctl.equilibrium import energy, solve_equilibrium
 from swingctl.netgraph import PowerNetwork, build_incidence
-from swingctl.tape import Tape, _bk_add, sq_dist, sum_seq, value
+from swingctl.tape import Tape, _bk_add, value
 
 
 def test_rhs_hand_case(net2, inc2):
@@ -55,9 +57,11 @@ def test_euler_hand_step(net2, inc2):
 
 
 def test_euler_step_is_the_swing_rhs_update_bitwise(net3, inc3):
-    # the fused Euler kernels and the composed vector field must not drift
-    # apart: lam + dt dlam, omega + dt domega from swing_rhs, on arrays and
-    # on tape values, batched and unbatched
+    # the Euler update, given the step's line flows or not, and the
+    # composed vector field must not drift apart: lam + dt dlam, omega + dt
+    # domega from swing_rhs, batched and unbatched; the per-step taped
+    # reference of the training episode records the same values, with the
+    # composed tape's gradients
     rng = np.random.default_rng(3)
     p, dt = rng.normal(size=3), 5e-3
 
@@ -67,10 +71,13 @@ def test_euler_step_is_the_swing_rhs_update_bitwise(net3, inc3):
 
     for batch in ((), (4,)):
         args = rng.normal(size=batch + (2,)), rng.normal(size=batch + (3,)), rng.normal(size=batch + (3,))
-        for fused, ref in zip(euler_step(net3, inc3, *args, p, dt), composed(*args)):
-            assert fused.tobytes() == ref.tobytes()
+        flows = line_flows(inc3, args[0])
+        for fused, given, ref in zip(euler_step(net3, inc3, *args, p, dt),
+                                     euler_step(net3, inc3, *args, p, dt, flows), composed(*args)):
+            assert fused.tobytes() == ref.tobytes() and given.tobytes() == ref.tobytes()
         grads = []
-        for step in (lambda *a: euler_step(net3, inc3, *a, p, dt), composed):
+        taped = lambda lam, *a: taped_euler_step(net3, inc3, lam, *a, p, dt, line_flows(inc3, lam))  # noqa: E731
+        for step in (taped, composed):
             t = Tape()
             leaves = [t.leaf(a) for a in args]
             lam1, omega1 = step(*leaves)

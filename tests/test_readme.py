@@ -1,13 +1,16 @@
 """README's Python examples run as written, its `train` flag list names the
 settings the code reads, its fused-kernel list names the tape's, and its
-node count of an active step is the one the tests pin."""
+node count of an episode's tape is the one an episode records."""
 
 import re
 from pathlib import Path
 
+import numpy as np
+
 from swingctl import tape
-from swingctl.training import TrainConfig
-from test_training import FULLY_ACTIVE_STEP_NODES
+from swingctl.tape import Tape
+from swingctl.training import TrainConfig, episode_loss
+from test_training import fully_active_39
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -31,7 +34,7 @@ def test_readme_lists_every_train_config_field():
 def test_readme_lists_every_fused_kernel():
     # the tape's fused kernels are the public functions of its fused-kernel section
     source = Path(tape.__file__).read_text()
-    section = re.search(r"# -+ fused per-step kernels\n(.*?)# -+ backward rules", source, re.S)
+    section = re.search(r"# -+ fused policy kernels\n(.*?)# -+ backward rules", source, re.S)
     kernels = re.findall(r"^def ([a-z]\w*)\(", section.group(1), re.M)
     pattern = r"Each fused kernel is one tape node with a\s+hand-written backward rule:(.*?)\.\s"
     listed = re.search(pattern, README.read_text(), re.S)
@@ -39,7 +42,12 @@ def test_readme_lists_every_fused_kernel():
     assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(kernels)
 
 
-def test_readme_active_step_node_count_is_the_pinned_budget():
-    quoted = re.search(r"an active one records (\d+)", re.sub(r"\s+", " ", README.read_text()))
-    assert quoted, "README's node count of an active step is missing"
-    assert int(quoted.group(1)) == FULLY_ACTIVE_STEP_NODES
+def test_readme_episode_node_count_is_the_tape_length(net39, inc39, eq39):
+    quoted = re.search(r"a constrained episode's tape holds (\d+) nodes", re.sub(r"\s+", " ", README.read_text()))
+    assert quoted, "README's node count of an episode's tape is missing"
+    adapter = fully_active_39(net39, inc39, eq39)
+    tp = Tape()
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    episode_loss(adapter, net39, inc39, eq39, leaves, eq39.lam_eq, np.full(39, 0.05), np.tile(net39.p_nom, (10, 1)),
+                 None, 40.0, 0.0, 5e-3)
+    assert int(quoted.group(1)) == len(tp)

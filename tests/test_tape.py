@@ -12,6 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import oracles
 from oracles import piecewise, relu_units
 from swingctl import tape as tp
 from swingctl.tape import Node, Tape, TapeError, value
@@ -129,9 +130,9 @@ def test_reduce_min_and_sq_dist_grads():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 4))
     w = rng.normal(size=(3, 4))
-    g, _ = tape_grad(lambda leaf: tp.sq_dist(leaf, w), x.copy())
+    g, _ = tape_grad(lambda leaf: oracles.sq_dist(leaf, w), x.copy())
     assert np.array_equal(g, 2.0 * (x - w))
-    g, total = tape_grad(lambda leaf: tp.sq_dist(leaf), x.copy())
+    g, total = tape_grad(lambda leaf: oracles.sq_dist(leaf), x.copy())
     assert np.array_equal(g, 2.0 * x) and total == (x * x).sum()
     g, lo = tape_grad(lambda leaf: tp.reduce_min(leaf), x.copy())
     assert lo == x.min()
@@ -396,8 +397,8 @@ def _signed(rng, shape, lo, hi, sign=0):
 # drawn per bus. The measured_omega case has omega as its one argument and
 # each units_ case one branch's W and C tables, in a regime where that
 # branch's sum gets an adjoint: a barrier's where its bound binds and clips
-# the gate, the dead zone's where nothing clips; the other cases have lam,
-# omega, p, xi, whi and wlo.
+# the gate, the dead zone's where nothing clips; the other cases have
+# flows, omega, p, xi, whi and wlo.
 LAW_CASES = {
     "masked_matvec": (0, 1, 1, 1, False),
     "stability_cap": (0, 1, 1, 1, True),
@@ -418,7 +419,7 @@ def law_case_args(name) -> tuple:
     if name.startswith("units_"):
         j = BRANCHES.index(name.removeprefix("units_"))
         return (f"W{j}", f"C{j}")
-    return ("lam", "w", "p", "xi", "whi", "wlo")
+    return ("flows", "w", "p", "xi", "whi", "wlo")
 
 
 def law_inputs(batch, rng, gates, hi, lo, clip, all_on):
@@ -447,6 +448,7 @@ def law_inputs(batch, rng, gates, hi, lo, clip, all_on):
     omega_min, omega_max, sync = BAND
     whi, wlo = rng.uniform(0.03, 0.1, 3), -rng.uniform(0.03, 0.1, 3)
     lam, xi = rng.normal(size=edge), 0.01 * rng.normal(size=(2,))
+    flows = np.sin(lam) @ BY_MAT.T
     mask = np.ones(edge) if all_on else rng.integers(0, 2, edge).astype(float)
     up = np.full(bus, gates > 0)
     if gates == 0:
@@ -470,12 +472,12 @@ def law_inputs(batch, rng, gates, hi, lo, clip, all_on):
         beyond = np.where(up, f - bound, bound - f)  # > 0: f is past the open gate's bound
         ok &= (clip * beyond if clip else np.abs(beyond)) >= 0.05
         new = todo & ok
-        w[new], p[new] = cand[new], (DAMPING * cand + np.sin(lam) @ BY_MAT.T - q)[new]
+        w[new], p[new] = cand[new], (DAMPING * cand + flows - q)[new]
         todo &= ~ok
         if not todo.any():
             break
     assert not todo.any()
-    inputs.update(lam=lam, w=w, p=p, xi=xi, whi=whi, wlo=wlo)
+    inputs.update(flows=flows, w=w, p=p, xi=xi, whi=whi, wlo=wlo)
     return inputs, mask, thr
 
 
@@ -485,10 +487,10 @@ def kernel_case(name, batch, rng):
     off the kernel's kinks (for FD); constants are fixed inside op."""
     bus, edge = batch + (3,), batch + (2,)
     if name == "euler_angles":
-        return (lambda lam, w: tp.euler_angles(lam, w, B_MAT, 0.1)), [rng.normal(size=edge), rng.normal(size=bus)]
+        return (lambda lam, w: oracles.euler_angles(lam, w, B_MAT, 0.1)), [rng.normal(size=edge), rng.normal(size=bus)]
     if name == "euler_freqs":
-        op = lambda lam, w, u, p: tp.euler_freqs(lam, w, u, p, DAMPING, INERTIA, BY_MAT, 0.1)  # noqa: E731
-        return op, [rng.normal(size=edge)] + [rng.normal(size=bus) for _ in range(3)]
+        op = lambda flows, w, u, p: oracles.euler_freqs(flows, w, u, p, DAMPING, INERTIA, 0.1)  # noqa: E731
+        return op, [rng.normal(size=bus) for _ in range(4)]
     if name in LAW_CASES:
         inputs, mask, thr = law_inputs(batch, rng, *LAW_CASES[name])
         names = law_case_args(name)
@@ -496,18 +498,20 @@ def kernel_case(name, batch, rng):
         def op(*args):
             a = dict(inputs, **dict(zip(names, args)))
             units = tp.stack_units([(a[f"W{j}"], a[f"C{j}"], thr[j]) for j in range(6)], a["whi"], a["wlo"], *BAND)
-            return tp.control_law(a["lam"], a["w"], a["p"], a["xi"], mask, units, B_MAT, BY_MAT, DAMPING, DTILDE)[0]
+            return tp.control_law(a["flows"], a["w"], a["p"], a["xi"], mask, units, B_MAT, DAMPING, DTILDE)[0]
 
         return op, [inputs[k] for k in names]
     if name == "sq_dist":
-        return tp.sq_dist, [rng.normal(size=bus), rng.normal(size=bus)]
+        return oracles.sq_dist, [rng.normal(size=bus), rng.normal(size=bus)]
     if name == "sq_dist_one":
-        return tp.sq_dist, [rng.normal(size=bus)]
+        return oracles.sq_dist, [rng.normal(size=bus)]
     assert name == "sum_seq"
-    return (lambda *terms: tp.sum_seq(terms)), [rng.normal(size=bus) for _ in range(3)]
+    return (lambda *terms: oracles.sum_seq(terms)), [rng.normal(size=bus) for _ in range(3)]
 
 
-KERNELS = {  # case name -> tape kind
+# case name -> tape kind: the tape's policy kernels and the per-step kernels
+# of the taped reference episode (`oracles.taped_episode_loss`)
+KERNELS = {
     "euler_angles": "euler_angles",
     "euler_freqs": "euler_freqs",
     **{name: "control_law" for name in LAW_CASES},
@@ -553,13 +557,13 @@ def hand_law(n):
     lower one and the dead-zone response are the C tables (`col`) c_hi,
     c_lo and c_f, the minus branches 0, so nothing reaches omega through
     them: (omega, p, xi, whi, wlo, c_hi, c_lo, c_f) -> (u, b, ub, lb)."""
-    consts = (np.eye(n), np.zeros((n, 1)), np.ones(n), np.full(n, 0.5))
+    consts = (np.eye(n), np.ones(n), np.full(n, 0.5))
     thr, zero = np.tile([-np.inf, np.inf], (n, 1)), np.zeros((n, 2))
 
     def law(w, p, xi, whi, wlo, c_hi, c_lo, c_f):
         tables = [(zero, c, thr) for c in (c_f, zero, c_hi, c_lo, zero, zero)]
         units = tp.stack_units(tables, whi, wlo, np.full(n, -10.0), np.full(n, 10.0), 0.0)
-        return tp.control_law(np.zeros(1), w, p, xi, np.ones(n), units, *consts)
+        return tp.control_law(np.zeros(n), w, p, xi, np.ones(n), units, *consts)
 
     return law
 
@@ -724,7 +728,7 @@ def test_plain_array_dispatch_matches_tape_values():
             assert (got.shape, got.dtype) == (plain.shape, plain.dtype), (kind, i)
             assert got.tobytes() == plain.tobytes(), (kind, i)
             covered.add(kind)
-    assert covered == {name.removeprefix("_bk_") for name in vars(tp) if name.startswith("_bk_")}
+    assert covered == {name.removeprefix("_bk_") for name in vars(tp) if name.startswith("_bk_")} | set(KERNELS.values())
 
 
 def test_operator_overloads_and_mixed_args():

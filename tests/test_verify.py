@@ -240,7 +240,7 @@ def _policy(init, projection):
 def _stale_budgets(net, inc, eq, spec):
     # budgets that outlive the dead-zone activity; with u = 0 the CSV alone
     # cannot tell when activity ended
-    def control(lam, omega, p):
+    def control(flows, omega, p):
         b = np.zeros(net.n_bus)
         b[:2] = (0.01, -0.01)
         return ControlDecision(u=np.zeros(net.n_bus), budgets=b, active=np.abs(omega) > 0.1)
