@@ -171,7 +171,8 @@ def episode_loss(
             if lip_on and n_live % chunk == 0:
                 tails[k] = dec.u
 
-    scale, lip_scale = 1.0 / (k_steps * n_batch), 1.0 / (max(k_steps - 1, 1) * n_batch)
+    scale = 1.0 / (k_steps * n_batch)
+    lip_scale = 1.0 / ((k_steps - 1) * n_batch) if lip_on else 0.0
     parts = (gamma * freq * scale, ctrl * scale, rho * lip * lip_scale if lip_on else 0.0)
     loss = parts[0] + parts[1] + parts[2]
     if not (live.any() and any(isinstance(v, Node) for v in raw_like.values())):
@@ -182,7 +183,7 @@ def episode_loss(
         policy=policy, net=net, inc=inc, omega_sync=eq.omega_sync, dt=dt, template=template,
         lams=lams, omegas=omegas, noise=noise, p_steps=p_steps, tails=tails,
         chunks=[steps[i:i + chunk] for i in range(0, len(steps), chunk)],
-        weights=(gamma * scale, scale, rho * lip_scale if lip_on else 0.0),
+        weights=(gamma * scale, scale, rho * lip_scale),
     )
     return record(_bk_episode, tuple(nodes), sweep, np.asarray(loss)), parts
 
@@ -226,7 +227,7 @@ class _Chunk:
         measured = sw.omegas[steps] if sw.noise is None else sw.omegas[steps] + _rows(sw.noise, steps, ndim)
         omega = self.tape.leaf(measured)
         self.node = sw.policy.control(ready, flows, omega, _rows(sw.p_steps, steps, ndim)).u
-        self.u = np.broadcast_to(value(self.node), measured.shape)
+        self.u = value(self.node)
         self.du_domega = self.du_dflows = np.zeros(measured.shape)
         if isinstance(self.node, Node):
             self.tape.backward(self.node, wrt=(omega, flows))

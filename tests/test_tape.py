@@ -6,6 +6,7 @@ reduce_min routes to the first attaining index, a floored denominator gets
 no adjoint, and `stack_units` passes nothing to a branch no step evaluated.
 """
 
+import dataclasses
 import zlib
 from functools import partial
 
@@ -792,3 +793,39 @@ def test_non_finite_adjoint_diagnostic():
         assert not np.isfinite(t.grad(x)).all()
         with pytest.raises(TapeError, match="non-finite adjoint at node"):
             t.backward(loss, check_finite=True)
+
+
+def test_backward_wrt_forms_only_the_wanted_adjoints():
+    # the wanted leaves get the full sweep's adjoints as bytes; a leaf no
+    # wanted path needs gets none, and neither does the rule's work for it
+    rng = np.random.default_rng(stable_seed("wrt"))
+    inputs, mask, thr = law_inputs((4,), rng, 0, 0, 0, 0, False)
+    t = Tape()
+    leaves = {k: t.leaf(v) for k, v in inputs.items()}
+    units = tp.stack_units([(leaves[f"W{j}"], leaves[f"C{j}"], thr[j]) for j in range(6)], leaves["whi"],
+                           leaves["wlo"], *BAND)
+    u = tp.control_law(leaves["flows"], leaves["w"], leaves["p"], leaves["xi"], mask, units, B_MAT, DAMPING, DTILDE)[0]
+    t.backward(u)
+    full = {k: t.grad(leaf).tobytes() for k, leaf in leaves.items()}
+    for wanted in (("w", "flows"), ("whi", "wlo", "xi", "W2", "C2")):
+        t.backward(u, wrt=[leaves[k] for k in wanted])
+        assert {k: t.grad(leaves[k]).tobytes() for k in wanted} == {k: full[k] for k in wanted}
+        assert all(t.adj[leaf.idx] is None for k, leaf in leaves.items() if k not in wanted)
+
+
+def test_rebind_maps_each_node_once_and_shares_the_rest():
+    @dataclasses.dataclass
+    class Box:
+        a: object
+        pair: tuple
+
+    t = Tape()
+    x, y = t.leaf(np.array([1.0, 2.0])), t.leaf(np.array([3.0]))
+    plain, shared = np.array([5.0]), {}
+    box = Box(a=x, pair=(y, [x, plain], shared))
+    scratch = Tape()
+    copy, nodes, leaves = tp.rebind(box, scratch)
+    assert nodes == [x, y] and [leaf.idx for leaf in leaves] == [0, 1] and len(scratch) == 2
+    assert copy.a is leaves[0] and copy.pair[1][0] is leaves[0] and copy.pair[0] is leaves[1]
+    assert copy.pair[1][1] is plain and copy.pair[2] is shared and isinstance(copy.pair[1], list)
+    assert all(leaf.value is node.value and leaf.tape is scratch for node, leaf in zip(nodes, leaves))
