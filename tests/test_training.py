@@ -31,6 +31,11 @@ from swingctl.training import (
     train,
 )
 
+# Bytes of the arrays that the backward rules of one fully active 39-bus
+# step cached at batch 8, when the policy recorded six nodes per step: the
+# ceiling for what an episode node keeps per step.
+SIX_NODE_STEP_CACHE_BYTES = 40208
+
 
 class StubAdapter:
     """Fixed-response controller with no trainable parameters."""
@@ -261,6 +266,103 @@ def test_episode_node_keeps_at_most_the_states_and_noise_per_step(net39, inc39, 
         finally:
             tracemalloc.stop()
     assert 0 < (held[1] - held[0]) / 400 <= (m + 2 * n) * batch * 8
+
+
+def cached_arrays(obj):
+    """The numpy arrays in a backward cache, through nested tuples, lists and
+    dict values, each as the array that owns its memory."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from cached_arrays(item)
+    elif isinstance(obj, dict):
+        yield from cached_arrays(list(obj.values()))
+
+
+def step_arrays(sweep) -> list:
+    """The arrays an episode node keeps with one row per step: the rollout's
+    states and the inputs it re-reads."""
+    k_steps = len(sweep.lams)
+    fields = (sweep.lams, sweep.omegas, sweep.noise, sweep.p_steps)
+    return [a for a in {id(a): a for a in cached_arrays(fields)}.values() if a.shape[:1] == (k_steps,)]
+
+
+class ChunkTapes:
+    """Forwards to a bound policy and keeps, at each backward chunk's control
+    call, the chunk's scratch tape, the index its measured-frequency leaf
+    got and the u node."""
+
+    def __init__(self, policy):
+        self.policy, self.keys, self.seen = policy, policy.keys, []
+
+    def precompute(self, raw_like):
+        return self.policy.precompute(raw_like)
+
+    def control(self, ready, flows, omega, p):
+        dec = self.policy.control(ready, flows, omega, p)
+        if isinstance(omega, tp_mod.Node):
+            self.seen.append((omega.tape, omega.idx, dec.u))
+        return dec
+
+
+def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_band):
+    # B=4, K=20 and 7 units: the episode tape ends in the one 0-d episode
+    # node, and no array it keeps per step has a unit axis, (B, n, m) or
+    # (B, 6, n, m + 1); a backward chunk records nodes of its states' shape
+    # only, and the control node's active-unit counts, one per branch and
+    # entry, take one byte each
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0, m=7)
+    rng = np.random.default_rng(5)
+    omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
+    lam0 = np.tile(eq3.lam_eq, (4, 1))
+    noise = rng.uniform(-0.01, 0.01, size=(20, 4, 3))
+    tp = Tape()
+    chunks = ChunkTapes(adapter)
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    loss, _ = episode_loss(
+        chunks, net3, inc3, eq3, leaves, lam0, omega0, np.tile(net3.p_nom, (20, 1)), noise,
+        40.0, 500.0, 5e-3,
+    )
+    assert loss.idx == len(tp) - 1 and tp.shapes[loss.idx] == ()
+    kept = step_arrays(tp.aux[loss.idx])
+    assert kept and all(a.ndim <= 3 for a in kept)
+    assert not any({7, 8} & set(a.shape) for a in kept)
+    tp.backward(loss)
+    with pytest.raises(ValueError, match=f"node {loss.idx} "):
+        tp.grad(loss)
+    assert chunks.seen
+    for chunk_tape, start, u in chunks.seen:
+        state = chunk_tape.shapes[start]
+        assert len(state) == 3 and state[1:] == (4, 3)
+        assert all(chunk_tape.shapes[i] == state for i in range(start, len(chunk_tape)))
+        counts = [a for a in cached_arrays(chunk_tape.aux[u.idx]) if a.dtype == np.uint8]
+        assert counts and all(k.shape == (6,) + state for k in counts)
+    grads = {k: tp.grad(leaf) for k, leaf in leaves.items()}
+    assert all(grads[k].shape == adapter.raw[k].shape for k in grads)
+    assert all(np.all(np.isfinite(g)) for g in grads.values())
+    assert any(np.any(g != 0.0) for g in grads.values())
+
+
+def test_fully_active_39_bus_step_caches_no_more_than_six_nodes_did(net39, inc39, eq39):
+    # B=8, every step live: the arrays the episode node keeps per step (the
+    # states lam_k and omega_k, the noise and injection rows) take no more
+    # than the six-node policy's step caches did
+    adapter = fully_active_39(net39, inc39, eq39)
+    rng = np.random.default_rng(6)
+    omega0, noise = rng.uniform(-0.1, 0.1, (8, 39)), rng.uniform(-0.05, 0.05, (8, 8, 39))
+    tp = Tape()
+    leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
+    loss, _ = episode_loss(adapter, net39, inc39, eq39, leaves, np.tile(eq39.lam_eq, (8, 1)), omega0,
+                           np.tile(net39.p_nom, (8, 1)), noise, 40.0, 0.0, 5e-3)
+    sweep = tp.aux[loss.idx]
+    assert np.array_equal(np.concatenate(sweep.chunks), np.arange(8))
+    kept = step_arrays(sweep)
+    assert len(kept) == 4
+    per_step = sum(a.nbytes for a in kept) / 8
+    assert 0 < per_step <= SIX_NODE_STEP_CACHE_BYTES
 
 
 @pytest.mark.parametrize("case", ["3-bus settling", "39-bus fully active"])
