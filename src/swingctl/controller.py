@@ -18,16 +18,19 @@ The learned controller composes, per bus:
 
 The assembled control is, with dhi = w - whi and dlo = wlo - w,
 
-  u_i = relu(dhi_i) * (f_i - relu(f_i - ub_i))
-      + relu(dlo_i) * (f_i + relu(lb_i - f_i))
+  u_i = 1[dhi_i > 0] * min(f_i, ub_i) + 1[dlo_i > 0] * max(f_i, lb_i)
 
 with ub = min(stability cap, alpha_hi / dhi + q) (the upper safety barrier)
-and lb the mirrored max, q the local feedforward. This form is
-differentiable almost everywhere and exactly zero inside the dead zone, but
-because the ReLU gates scale rather than select, the raw output can exceed
-[lb, ub] for states far from a threshold or when a cap goes negative;
-`project_control` clamps it, which is how certified evaluation runs are
-produced.
+and lb the mirrored max, q the local feedforward. The gate selects: above
+the upper threshold u is f clipped to ub, below the lower one f clipped to
+lb, and inside the dead zone exactly zero. The two bounds are the paper's
+per-bus sufficient conditions: the cap D_tilde dev + b / dev gives
+u_i dev_i <= D_tilde_i dev_i^2 + b_i (stability; the budgets sum to zero,
+so the energy never rises), and the barrier bound keeps the frequency
+inside its band (safety). So every parameter value gives a policy that
+meets them: the raw output is the certified one, bit for bit. The form is
+differentiable almost everywhere; the gate inputs get gradients through
+the bounds' denominators and f, not through the indicator.
 
 A policy reads the state through the line flows into each bus and the
 measured frequency (`control(ready, flows, omega, p)`), and every part of
@@ -65,6 +68,7 @@ Everything here runs on plain numpy arrays or on autodiff tape nodes; see
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,6 +310,15 @@ def budget_potentials(budget_raw, wlo, whi, omega_sync, dtilde, row_l1):
     The cap is min over buses of D_tilde_i * min((whi_i - sync)^2,
     (wlo_i - sync)^2) / ||row i of the unit Laplacian||_1, so any xi with
     |xi| <= cap keeps every per-bus budget within its damping margin.
+
+    That is what keeps the policy continuous. The paper's per-bus stability
+    condition is u_i dev_i <= D_tilde_i dev_i^2 + b_i with sum_i b_i = 0,
+    dev = omega - sync; its stability cap D_tilde_i dev_i + b_i / dev_i
+    bounds u from above past the upper threshold and from below past the
+    lower one. On that active side |dev_i| exceeds the threshold distance,
+    so |b_i| <= D_tilde_i dev_i^2 and the cap is >= 0 above and <= 0 below.
+    Hence u = 0 is admissible at each threshold, and the selection min(f, ub)
+    or max(f, lb) goes to 0 with f as omega crosses it.
     """
     margin = minimum(square(whi - omega_sync), square(wlo - omega_sync))
     cap = reduce_min(dtilde * margin / row_l1)
@@ -389,18 +402,6 @@ class ControlDecision:
     active: np.ndarray
     upper: object = None
     lower: object = None
-
-
-def project_control(out: ControlDecision, ready: PolicyReady, omega) -> np.ndarray:
-    """Clamp the raw policy output into the admissible interval (values only)."""
-    w = np.asarray(value(omega), dtype=float)
-    u = np.asarray(value(out.u), dtype=float)
-    ub = np.asarray(value(out.upper), dtype=float)
-    lb = np.asarray(value(out.lower), dtype=float)
-    above = w > ready.whi_val
-    below = w < ready.wlo_val
-    proj = np.where(above, np.minimum(u, ub), np.where(below, np.maximum(u, lb), 0.0))
-    return proj
 
 
 def validate_class_k(tables: tuple, tag: str) -> None:
@@ -566,21 +567,14 @@ def make_policy_controller(
 ):
     """Bind a policy of either kind for simulation: (flows, omega, p) -> decision.
 
-    With projection on, u is clamped into the admissible interval wherever
-    some bus is active; the monotone policy marks no bus active and has no
-    interval, so projection leaves it unchanged.
+    `projection` is ignored: the constrained policy's output already lies in
+    its admissible interval, and the argument stays only for callers that
+    still pass it.
     """
     policy = params.bind(spec, net, inc, eq)
     ready = policy.precompute(params.raw)
     policy.validate(ready)
-
-    def control(flows, omega, p) -> ControlDecision:
-        dec = policy.control(ready, flows, omega, p)
-        if projection and dec.active.any():
-            dec.u = project_control(dec, ready, omega)
-        return dec
-
-    return control
+    return functools.partial(policy.control, ready)
 
 
 def make_analytic_safe_controller(

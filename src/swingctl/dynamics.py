@@ -12,8 +12,9 @@ differentiates through; `rollout` can ask for RK4 instead for cross-checks.
 Controls are zero-order held over a step. Each step computes the line flows
 into each bus, sin(lam) @ By^T, once and hands them to both the controller
 and the Euler update: a controller reads the state through the flows and
-the measured frequency only, per bus. The loop and the flows run on arrays
-or tape nodes alike, so a test can record a whole rollout per step.
+the measured frequency only, per bus. Everything here runs on plain
+arrays: training differentiates the loop by its own costate sweep, not by
+recording it on a tape.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .equilibrium import Equilibrium, energy, in_region, solve_equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import matvec, sin, value
 
 
 class IntegrationError(RuntimeError):
@@ -120,14 +120,14 @@ def injection_schedule(net: PowerNetwork, scenario: Scenario, rows: int, dt: flo
     return p
 
 
-def line_flows(inc: Incidence, lam):
-    """Line flows into each bus, sin(lam) @ By^T; arrays or tape nodes."""
-    return matvec(inc.by_mat, sin(lam))
+def line_flows(inc: Incidence, lam) -> np.ndarray:
+    """Line flows into each bus, sin(lam) @ By^T (values only)."""
+    return np.sin(lam) @ inc.by_mat.T
 
 
 def swing_rhs(net: PowerNetwork, inc: Incidence, lam, omega, u, p):
-    """Time derivatives (dlam, domega); accepts arrays or tape nodes."""
-    dlam = matvec(inc.b_mat.T, omega)
+    """Time derivatives (dlam, domega) (values only)."""
+    dlam = omega @ inc.b_mat
     domega = (u + p - net.damping * omega - line_flows(inc, lam)) / net.inertia
     return dlam, domega
 
@@ -238,9 +238,8 @@ def closed_loop(net, inc, control, lam0, omega0, p_rows, dt: float, noise=None, 
     true one plus `noise[k]` when a noise block is given), yields (lam,
     omega, decision) with the true state, then steps to row k+1 with
     `step(net, inc, lam, omega, decision.u, p_rows[k], dt, flows)`; the
-    last row is not stepped. States may carry a leading batch axis and may
-    be tape nodes when `step` takes them. Raises IntegrationError naming
-    the step if the state goes non-finite.
+    last row is not stepped. States may carry a leading batch axis. Raises
+    IntegrationError naming the step if the state goes non-finite.
     """
     lam, omega = lam0, omega0
     last = len(p_rows) - 1
@@ -252,7 +251,7 @@ def closed_loop(net, inc, control, lam0, omega0, p_rows, dt: float, noise=None, 
         if k == last:
             return
         lam, omega = step(net, inc, lam, omega, dec.u, p, dt, flows)
-        if not (np.isfinite(value(lam)).all() and np.isfinite(value(omega)).all()):
+        if not (np.isfinite(lam).all() and np.isfinite(omega).all()):
             raise IntegrationError(f"non-finite state after step {k + 1} (t={k * dt + dt:g})")
 
 

@@ -3,20 +3,17 @@
 The op set is exactly what the policies need, nothing more. General ops:
 elementwise arithmetic and activations, `minimum`, a constant matvec, a min
 reduction, last-axis prefix sums, differences and zero padding, and
-`permute_last` (a constant per-row reordering of the last axis). `sin` and
-`matvec` also serve `dynamics.line_flows` and `dynamics.swing_rhs`, which
-the values-only stepping evaluates and which, recorded on a tape, give the
-per-step reference the training episode's gradients are checked against.
-Fused kernels, one node each with a hand-written backward rule, for the
-policies:
+`permute_last` (a constant per-row reordering of the last axis). Fused
+kernels, one node each with a hand-written backward rule, for the policies:
 
   * `unit_sums`: the monotone baseline's class-K map, a sum of ReLU-unit
     branches evaluated as one linear piece per branch from prefix tables;
   * `control_law`: the whole constrained policy at measured states (gate
     inputs, both class-K barriers and the dead-zone response from their six
     ReLU-unit branches, budgets, feedforward, stability cap, both barrier
-    bounds and the gate), whose only node output is u, and `stack_units`,
-    the per-rollout node that stacks the prefix tables it reads.
+    bounds and the selecting gate), whose only node output is u, and
+    `stack_units`, the per-rollout node that stacks the prefix tables it
+    reads.
 
 Each fused kernel evaluates the numpy expression of the composed ops it
 stands for, in the same order, so its value is bitwise the composed one,
@@ -40,10 +37,10 @@ six branches' counts, and recomputes the branch inputs from omega.
 Subgradient conventions (pinned by tests):
   * relu'(0) = 0 (the mask is x > 0, strictly; a unit exactly at its
     threshold is inactive in `unit_sums` and `control_law`, and the
-    latter's gate treats its ReLUs so)
-  * minimum, and the min/max of `control_law`'s barrier bounds, route the
-    adjoint entirely to the attaining argument: minimum's first argument,
-    and the bounds' cap, on ties
+    latter's gate 1[d > 0] is shut at d = 0 and passes no adjoint to d)
+  * minimum, the min/max of `control_law`'s barrier bounds and its
+    min(f, ub), max(f, lb) route the adjoint entirely to the attaining
+    argument: minimum's first argument, the bounds' cap and f on ties
   * reduce_min routes to the first attaining index in C order
   * a denominator of `control_law` floored at +/-_TINY gets no adjoint
 
@@ -310,11 +307,6 @@ def neg(a):
     return record(_bk_neg, (a,), None, -_val(a))
 
 
-def sin(a):
-    va = _val(a)
-    return record(_bk_sin, (a,), va, np.sin(va))
-
-
 def sigmoid(a):
     out = _sigmoid_val(_val(a))
     return record(_bk_sigmoid, (a,), out, out)
@@ -505,7 +497,7 @@ def control_law(flows, omega, p, edge_xi, mask, units, b_mat, damping, dtilde):
       cap = D_tilde dev + b / dev                   stability cap, dev = omega - omega_sync
       ub  = min(cap, a_hi / dhi + q)                upper barrier bound
       lb  = max(cap, a_lo / dlo + q)                lower barrier bound
-      u   = relu(dhi) (f - relu(f - ub)) + relu(dlo) (f + relu(lb - f))
+      u   = 1[dhi > 0] min(f, ub) + 1[dlo > 0] max(f, lb)
 
     with k(r) = k+(r) + k-(-r). Each of the six ReLU-unit branches
     sum_j w_j relu(x + b_j) is one linear piece x W[k] + C[k], k the count
@@ -513,11 +505,14 @@ def control_law(flows, omega, p, edge_xi, mask, units, b_mat, damping, dtilde):
     counted and gathered at once from `units` (`stack_units`) for the
     leading branches up to the last with an active unit; a branch with no
     active unit gives exactly +0.0. |dev|, |dhi| and |dlo| are floored at
-    _TINY and the cap is taken on ties. flows are the line flows into each
-    bus, sin(lam) @ by_mat.T (`dynamics.line_flows`); mask is a plain edge
-    mask; b_mat (n, m), D and D_tilde are constants. Everything but the
-    budgets' edge mask is per entry: u at an entry reads only that entry's
-    omega, flows and p (and the policy's tensors). Returns (u, b, ub, lb):
+    _TINY and the cap is taken on ties. The gate selects, and min(f, ub)
+    and max(f, lb) are the attained argument itself, so u <= ub wherever
+    dhi > 0 and u >= lb wherever dlo > 0 hold bit for bit. flows are the
+    line flows into each bus, sin(lam) @ by_mat.T (`dynamics.line_flows`);
+    mask is a plain edge mask; b_mat (n, m), D and D_tilde are constants.
+    Everything but the budgets' edge mask is per entry: u at an entry reads
+    only that entry's omega, flows and p (and the policy's tensors).
+    Returns (u, b, ub, lb):
     u is a node when any argument is one, and b, ub and lb are plain
     arrays, since nothing backpropagates through them.
     """
@@ -545,22 +540,16 @@ def control_law(flows, omega, p, edge_xi, mask, units, b_mat, damping, dtilde):
     np.less_equal(cap, t[0], out=take[0])
     np.greater_equal(cap, t[1], out=take[1])
     bound = np.where(take, cap, t)  # ub, lb
-    cut = np.empty(t.shape)  # relu(f - ub), relu(lb - f)
-    np.subtract(f, bound[0], out=cut[0])
-    np.subtract(bound[1], f, out=cut[1])
-    np.maximum(cut, 0.0, out=cut)
-    gated = np.maximum(r[1:3], 0.0) * _clipped(f, cut)
+    over = np.empty(t.shape, dtype=bool)  # where the bound binds: f > ub, f < lb
+    np.greater(f, bound[0], out=over[0])
+    np.less(f, bound[1], out=over[1])
+    gated = np.empty(t.shape)  # min(f, ub), max(f, lb), 0 where the gate is shut
+    np.minimum(f, bound[0], out=gated[0])
+    np.maximum(f, bound[1], out=gated[1])
+    gated[r[1:3] <= 0] = 0.0
     u = gated[0] + gated[1]
-    aux = (vw, f, a, cut, take, b, floors, mask, k, on, n_on, vWC, layout, (b_mat, damping, dtilde))
+    aux = (vw, a, over, take, b, floors, mask, k, on, n_on, vWC, layout, (b_mat, damping, dtilde))
     return record(_bk_control_law, (flows, omega, p, edge_xi, whi, wlo, WC), aux, u), b, bound[0], bound[1]
-
-
-def _clipped(f, cut) -> np.ndarray:
-    """f - relu(f - ub) and f + relu(lb - f), stacked like cut."""
-    out = np.empty(cut.shape)
-    np.subtract(f, cut[0], out=out[0])
-    np.add(f, cut[1], out=out[1])
-    return out
 
 
 # ------------------------------------------------------------ backward rules
@@ -598,10 +587,6 @@ def _bk_div(g, par, aux, shapes, adj):
 
 def _bk_neg(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], -g)
-
-
-def _bk_sin(g, par, aux, shapes, adj):
-    _acc(adj, shapes, par[0], g * np.cos(aux))
 
 
 def _bk_sigmoid(g, par, aux, shapes, adj):
@@ -655,26 +640,26 @@ def _bk_unit_sums(g, par, aux, shapes, adj):
 
 
 def _bk_control_law(g, par, aux, shapes, adj):
-    # The composed policy's rules in its reverse order: the gate, both
+    # The composed policy's rules in its reverse order: the selection, both
     # bounds, the cap, feedforward and budgets; then the six branches, the
     # dead-zone ones adding to the adjoints of dlo and dhi and the lower and
     # upper barrier each sending -(minus + plus) to omega; and last the
     # differences dlo = wlo - omega and dhi = omega - whi. The branch inputs
-    # and dev are recomputed from the cached omega. A branch with no active
-    # unit adds nothing anywhere: its slices of the table adjoint are -0.0.
+    # and dev are recomputed from the cached omega. The gate is an
+    # indicator, so dhi and dlo get adjoints only as the bounds'
+    # denominators. A branch with no active unit adds nothing anywhere: its
+    # slices of the table adjoint are -0.0.
     i_fl, iw, ip, ix, iwhi, iwlo, iu = par
-    vw, f, a, cut, take, vb, floors, mask, k, on, n_on, vWC, (_, off, c, sign), consts = aux
+    vw, a, over, take, vb, floors, mask, k, on, n_on, vWC, (_, off, c, sign), consts = aux
     b_mat, damping, dtilde = consts
     r = _inputs(vw, c)
     live, hat = floors or (None, r[:3])
-    gate = np.maximum(r[1:3], 0.0)
-    gg = g * gate  # of the two gated branches
-    to = gg * (cut > 0)  # of ub and lb
+    gg = np.where(r[1:3] > 0, g, 0.0)  # of min(f, ub) and max(f, lb)
+    to = np.where(over, gg, 0.0)  # of ub and lb
     g_f = gg[1] - to[1] + gg[0] - to[0]
     gt = np.where(take, 0.0, to)  # of a / d + q
-    gd = -gt * a / (hat[1:] * hat[1:])
-    gd = gd if live is None else np.where(live[1:], gd, 0.0)
-    g_d = (g * _clipped(f, cut)) * (gate > 0) + gd  # of dhi, dlo
+    g_d = -gt * a / (hat[1:] * hat[1:])  # of dhi, dlo
+    g_d = g_d if live is None else np.where(live[1:], g_d, 0.0)
     g_cap = np.where(take, to, 0.0)
     g_cap = g_cap[1] + g_cap[0]
     g_q = gt[1] + gt[0]

@@ -7,9 +7,9 @@ compare the production code to it. `reference_control` keeps the
 constrained policy in the per-op form the fused `tape.control_law` node
 replaced, on the tape, as its bitwise reference for values and gradients.
 `taped_episode_loss` keeps the training episode recorded step by step (the
-two Euler updates, the per-step sums of squares and their sum, each a node
-with its own rule), as the gradient reference for the one-node episode of
-`training.episode_loss`.
+line flows through a `sin` node, the two Euler updates, the per-step sums
+of squares and their sum, each a node with its own rule), as the gradient
+reference for the one-node episode of `training.episode_loss`.
 """
 
 from dataclasses import dataclass
@@ -18,8 +18,8 @@ from functools import partial
 import numpy as np
 
 from swingctl.controller import ControlDecision, active_mask, class_k_eval
-from swingctl.dynamics import closed_loop, line_flows
-from swingctl.tape import _TINY, Node, Tape, _acc, _val, control_law, record, unit_sums, value
+from swingctl.dynamics import line_flows
+from swingctl.tape import _TINY, Node, Tape, _acc, _val, control_law, matvec, record, unit_sums, value
 from swingctl.tape import _floored as _floored_live
 from swingctl.training import TrainingError, episode_loss
 
@@ -147,9 +147,8 @@ def barrier_bound(cap, alpha, d, q, upper: bool) -> np.ndarray:
 
 
 def gate(dhi, dlo, f, ub, lb) -> np.ndarray:
-    """relu(dhi) (f - relu(f - ub)) + relu(dlo) (f + relu(lb - f))."""
-    cut_hi, cut_lo = np.maximum(f - ub, 0.0), np.maximum(lb - f, 0.0)
-    return np.maximum(dhi, 0.0) * (f - cut_hi) + np.maximum(dlo, 0.0) * (f + cut_lo)
+    """The selection 1[dhi > 0] min(f, ub) + 1[dlo > 0] max(f, lb)."""
+    return np.where(dhi > 0, np.minimum(f, ub), 0.0) + np.where(dlo > 0, np.maximum(f, lb), 0.0)
 
 
 def composed_law(flows, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
@@ -198,9 +197,8 @@ def law_node(flows, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
     t = va_lo / dlo_hat + q
     take_lo = cap >= t
     lb = np.where(take_lo, cap, t)
-    cut_hi, cut_lo = np.maximum(vf - ub, 0.0), np.maximum(lb - vf, 0.0)
-    u = np.maximum(vhi, 0.0) * (vf - cut_hi) + np.maximum(vlo, 0.0) * (vf + cut_lo)
-    aux = (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
+    u = gate(vhi, vlo, vf, ub, lb)
+    aux = (vhi, vlo, vf > ub, vf < lb, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
            dtilde, b, live_w, dev_hat, mask, b_mat, damping)
     args = (flows, omega, p, edge_xi, alpha_hi, alpha_lo, dhi, dlo, f)
     return record(_bk_law_node, args, aux, u), b, ub, lb
@@ -209,13 +207,14 @@ def law_node(flows, omega, p, edge_xi, mask, alpha_hi, alpha_lo, dhi, dlo, f,
 def _bk_law_node(g, par, aux, shapes, adj):
     # the composed law's rules in its reverse order: gate, lower bound, upper
     # bound, cap, feedforward, budgets; the cap and q sum their adjoints from
-    # the lower bound first
+    # the lower bound first. The gate's indicators pass nothing to dhi and
+    # dlo, and min(f, ub), max(f, lb) send g to the bound only where it
+    # binds strictly.
     i_fl, iw, ip, ix, iah, ial, ihi, ilo, i_f = par
-    (vhi, vlo, vf, cut_hi, cut_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
+    (vhi, vlo, over_hi, over_lo, take_hi, va_hi, live_hi, dhi_hat, take_lo, va_lo, live_lo, dlo_hat,
      dtilde, vb, live_w, dev_hat, mask, b_mat, damping) = aux
-    ghi, glo = np.maximum(vhi, 0.0), np.maximum(vlo, 0.0)
-    g_hi, g_lo = g * ghi, g * glo
-    to_ub, to_lb = g_hi * (cut_hi > 0), g_lo * (cut_lo > 0)
+    g_hi, g_lo = np.where(vhi > 0, g, 0.0), np.where(vlo > 0, g, 0.0)
+    to_ub, to_lb = np.where(over_hi, g_hi, 0.0), np.where(over_lo, g_lo, 0.0)
     if i_f is not None:
         _acc(adj, shapes, i_f, g_lo - to_lb + g_hi - to_ub)
     gt_lo, gt_hi = np.where(take_lo, 0.0, to_lb), np.where(take_hi, 0.0, to_ub)
@@ -225,12 +224,10 @@ def _bk_law_node(g, par, aux, shapes, adj):
         _acc(adj, shapes, iah, gt_hi / dhi_hat)
     if ilo is not None:
         gd = -gt_lo * va_lo / (dlo_hat * dlo_hat)
-        gd = gd if live_lo is None else np.where(live_lo, gd, 0.0)
-        _acc(adj, shapes, ilo, (g * (vf + cut_lo)) * (glo > 0) + gd)
+        _acc(adj, shapes, ilo, gd if live_lo is None else np.where(live_lo, gd, 0.0))
     if ihi is not None:
         gd = -gt_hi * va_hi / (dhi_hat * dhi_hat)
-        gd = gd if live_hi is None else np.where(live_hi, gd, 0.0)
-        _acc(adj, shapes, ihi, (g * (vf - cut_hi)) * (ghi > 0) + gd)
+        _acc(adj, shapes, ihi, gd if live_hi is None else np.where(live_hi, gd, 0.0))
     g_cap = np.where(take_lo, to_lb, 0.0) + np.where(take_hi, to_ub, 0.0)
     g_q = gt_lo + gt_hi
     if iw is not None:
@@ -291,6 +288,24 @@ class UnguardedPolicy:
 # ------------------------------------------------ the per-step taped episode
 
 
+def sin(a):
+    """Elementwise sin as one node."""
+    va = _val(a)
+    return record(_bk_sin, (a,), va, np.sin(va))
+
+
+def taped_line_flows(inc, lam):
+    """`dynamics.line_flows` on arrays or tape nodes, sin(lam) @ By^T,
+    bitwise its value."""
+    return matvec(inc.by_mat, sin(lam))
+
+
+def taped_swing_rhs(net, inc, lam, omega, u, p):
+    """`dynamics.swing_rhs` composed of tape ops, on arrays or nodes."""
+    dlam = matvec(inc.b_mat.T, omega)
+    return dlam, (u + p - net.damping * omega - taped_line_flows(inc, lam)) / net.inertia
+
+
 def euler_angles(lam, omega, b_mat: np.ndarray, dt: float):
     """Explicit Euler update of the edge angles, lam + dt * (omega @ b_mat),
     for the constant (n, m) incidence matrix b_mat, as one node."""
@@ -319,6 +334,10 @@ def sum_seq(terms):
     for t in terms:
         total = total + _val(t)
     return record(_bk_sum_seq, tuple(terms), None, np.asarray(total))
+
+
+def _bk_sin(g, par, aux, shapes, adj):
+    _acc(adj, shapes, par[0], g * np.cos(aux))
 
 
 def _bk_euler_angles(g, par, aux, shapes, adj):
@@ -362,10 +381,11 @@ def taped_euler_step(net, inc, lam, omega, u, p, dt: float, flows):
 
 
 def taped_episode_loss(policy, net, inc, eq, raw_like, lam0, omega0, p_steps, noise, gamma, rho, dt):
-    """`training.episode_loss` recorded step by step: the closed loop on
-    tape nodes (the line flows, the policy's nodes, the two Euler nodes),
-    one sum-of-squares node per loss term and step, and their sums. Returns
-    (loss, parts), nodes once the loss reaches the tape."""
+    """`training.episode_loss` recorded step by step: the steps of
+    `dynamics.closed_loop` on tape nodes (the line flows, the policy's
+    nodes, the two Euler nodes), one sum-of-squares node per loss term and
+    step, and their sums. Returns (loss, parts), nodes once the loss
+    reaches the tape."""
     omega0 = np.asarray(omega0, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
     n_batch = omega0.shape[0] if omega0.ndim == 2 else 1
@@ -374,14 +394,17 @@ def taped_episode_loss(policy, net, inc, eq, raw_like, lam0, omega0, p_steps, no
         return 0.0, (0.0, 0.0, 0.0)
     control = partial(policy.control, policy.precompute(raw_like))
     freq, ctrl, lip = [], [], []
-    u_prev = None
-    loop = closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise, taped_euler_step)
-    for _, omega, dec in loop:
+    u_prev, lam, omega = None, lam0, omega0
+    for k, p in enumerate(p_steps):
+        flows = taped_line_flows(inc, lam)
+        dec = control(flows, omega if noise is None else omega + noise[k], p)
         freq.append(sq_dist(omega, eq.omega_sync))
         ctrl.append(sq_dist(dec.u))
         if rho > 0 and u_prev is not None:
             lip.append(sq_dist(dec.u, u_prev))
         u_prev = dec.u
+        if k < k_steps - 1:
+            lam, omega = taped_euler_step(net, inc, lam, omega, dec.u, p, dt, flows)
     freq_term = gamma * sum_seq(freq) * (1.0 / (k_steps * n_batch))
     ctrl_term = sum_seq(ctrl) * (1.0 / (k_steps * n_batch))
     if rho > 0 and k_steps > 1:

@@ -23,7 +23,6 @@ from swingctl.controller import (
     init_policy_params,
     make_analytic_safe_controller,
     make_policy_controller,
-    project_control,
 )
 from swingctl.dynamics import Scenario, line_flows, rollout
 from swingctl.equilibrium import in_region
@@ -92,9 +91,7 @@ def trained_monotone(net39, inc39, eq39, spec39, train_scenario):
 @pytest.fixture(scope="module")
 def desk_eval(net39, inc39, eq39, spec39, trained_rho0, eval_scenario):
     """Criterion-5 evaluation run, reused by criterion 7."""
-    ctrl = make_policy_controller(
-        trained_rho0[0].params, spec39, net39, inc39, eq39, projection=True
-    )
+    ctrl = make_policy_controller(trained_rho0[0].params, spec39, net39, inc39, eq39)
     t0 = time.time()
     traj = rollout(net39, inc39, eq39, ctrl, eval_scenario, seed=0)
     return traj, time.time() - t0
@@ -120,7 +117,7 @@ def test_criterion_1_structural_exactness(net3, inc3, eq3):
         omega = rng.uniform(-0.3, 0.3, (batch, 3))
         p = net3.p_nom * rng.uniform(0.5, 1.5, (batch, 3))
         out = policy.control(ready, line_flows(inc3, lam), omega, p)
-        u = project_control(out, ready, omega)
+        u = out.u
         b = np.asarray(value(out.budgets))
         active = out.active
         assert np.all(u[~active] == 0.0), "nonzero control inside the dead zone"
@@ -283,8 +280,8 @@ def test_criterion_3_equilibrium_oracle(net2, inc2, eq2, net3, inc3, eq3):
 
 
 def test_criterion_4_lyapunov_descent(net2, inc2, eq2, net3, inc3, eq3):
-    """Projection ON: energy never rises and the damping-injection balance
-    stays nonpositive at every one of 10^6 recorded steps."""
+    """The policy as trained: energy never rises and the damping-injection
+    balance stays nonpositive at every one of 10^6 recorded steps."""
     sc = Scenario(horizon=1.0, dt=1e-3, init_omega_range=0.0, init_p_frac=0.0)
     worst_dv, worst_diss = -np.inf, -np.inf
     cases = [(net2, inc2, eq2, 2), (net3, inc3, eq3, 3)]
@@ -293,7 +290,7 @@ def test_criterion_4_lyapunov_descent(net2, inc2, eq2, net3, inc3, eq3):
             rng = np.random.default_rng(k)
             params = init_policy_params(n, 8, rng, scale=float(rng.uniform(0.05, 0.35)))
             spec = SafetySpec.band(-0.2, 0.2, n)
-            ctrl = make_policy_controller(params, spec, net, inc, eq, projection=True)
+            ctrl = make_policy_controller(params, spec, net, inc, eq)
             theta = rng.uniform(-0.15, 0.15, n)
             lam0 = eq.lam_eq + theta @ inc.b_mat
             omega0 = rng.uniform(-0.08, 0.08, n)
@@ -335,12 +332,8 @@ def test_criterion_5_safety_reproduction(desk_eval, trained_rho0, eq39):
 def test_criterion_6_cost_ordering(
     trained_rho0, trained_monotone, net39, inc39, eq39, spec39, eval_scenario
 ):
-    ctrl_con = make_policy_controller(
-        trained_rho0[0].params, spec39, net39, inc39, eq39, projection=True
-    )
-    ctrl_mono = make_policy_controller(
-        trained_monotone[0].params, spec39, net39, inc39, eq39, projection=True
-    )
+    ctrl_con = make_policy_controller(trained_rho0[0].params, spec39, net39, inc39, eq39)
+    ctrl_mono = make_policy_controller(trained_monotone[0].params, spec39, net39, inc39, eq39)
     ctrl_safe = make_analytic_safe_controller(spec39, net39, inc39, eq39)
     summaries = []
     for label, ctrl in (("constrained", ctrl_con), ("monotone", ctrl_mono), ("analytic-safe", ctrl_safe)):
@@ -386,7 +379,7 @@ def test_criterion_8_lipschitz_regularization(
     trained_rho0, trained_rho500, net39, inc39, eq39, spec39, noise_scenario
 ):
     def step_variation(params):
-        ctrl = make_policy_controller(params, spec39, net39, inc39, eq39, projection=True)
+        ctrl = make_policy_controller(params, spec39, net39, inc39, eq39)
         tr = rollout(net39, inc39, eq39, ctrl, noise_scenario, seed=11)
         du = np.diff(tr.u[:-1], axis=0)
         return float((du * du).sum(axis=1).mean())

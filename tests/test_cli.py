@@ -17,7 +17,7 @@ import pytest
 
 import swingctl
 from swingctl.cli import run
-from swingctl.controller import init_policy_params
+from swingctl.controller import init_monotone_params, init_policy_params
 from swingctl.scenario_io import (
     bundled_path,
     config_hash,
@@ -234,6 +234,33 @@ def test_train_monotone_policy(files, capsys):
     assert params.kind == "monotone"
     out = files["dir"] / "mono.csv"
     assert simulate(files, "step", out, files["dir"] / "mono_v.json", ["--controller", str(ckpt)]) == 0
+    capsys.readouterr()
+
+
+def test_projection_flag_is_a_kept_no_op(files, capsys):
+    # `--projection` stays accepted for old scripts (`maybe` still exits 2:
+    # test_usage_errors_exit_two) and changes nothing but its own echo: the
+    # constrained policy's output already lies in its admissible interval,
+    # and the constrained checkpoint acts on the step. compare echoes no
+    # projection.
+    mono, ckpt = files["dir"] / "mono.json", files["dir"] / "ck.json"
+    save_checkpoint(mono, init_monotone_params(2, 4, np.random.default_rng(1)), TrainConfig())
+    save_checkpoint(ckpt, init_policy_params(2, 4, np.random.default_rng(0), scale=1.0), TrainConfig())
+    for controller in ("zero", "safe", str(mono), str(ckpt)):
+        outs = []
+        for flag in ("on", "off"):
+            csv, rep = files["dir"] / f"{flag}.csv", files["dir"] / f"{flag}.json"
+            assert simulate(files, "step", csv, rep, ["--controller", controller, "--projection", flag]) == 0
+            echo, rows = csv.read_bytes().split(b"\n", 1)
+            echo = json.loads(echo.removeprefix(b"# "))
+            assert echo.pop("projection") == flag
+            outs.append((echo, rows, rep.read_bytes()))
+        assert outs[0] == outs[1], controller
+    assert load_trajectory(files["dir"] / "on.csv").active.any()  # the constrained policy's run
+    table = files["dir"] / "cmp.csv"
+    assert run(["compare", "--net", files["net"], "--scenario", files["step"], "--controller", str(ckpt),
+                "--projection", "off", "--out", str(table)]) == 0
+    assert "projection" not in json.loads(table.read_text().splitlines()[0].removeprefix("# "))
     capsys.readouterr()
 
 

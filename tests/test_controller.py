@@ -20,6 +20,7 @@ from oracles import (
     sq_dist,
     stability_cap,
     sum_seq,
+    taped_line_flows,
     unguarded_control,
     unit_sum,
 )
@@ -356,8 +357,11 @@ def test_feedforward_hand_cases(net2, inc2, eq2):
 
 
 def test_gated_control_hand_case():
-    u = gate(np.array([0.05]), np.array([0.0]), np.array([0.5]), np.array([0.2]), np.array([-1.0]))
-    assert abs(u[0] - 0.01) < 1e-15
+    # the gate selects f clipped to the open side's bound, and a shut gate
+    # gives exactly zero
+    dhi, dlo, f = np.array([0.05, -0.3, 0.0, 0.0]), np.array([-0.4, 0.02, 0.0, -0.1]), np.array([0.5, -0.5, 3.0, 0.1])
+    u = gate(dhi, dlo, f, np.full(4, 0.2), np.full(4, -0.3))
+    assert np.array_equal(u, [0.2, -0.3, 0.0, 0.0])
     ub = barrier_bound(np.array([0.2]), np.array([1.0]), np.array([0.05]), np.array([-30.0]), upper=True)
     assert ub[0] == -10.0  # alpha / d + q = 20 - 30 binds below the cap 0.2
 
@@ -408,7 +412,7 @@ def policy_tape(policy, control, raw, states, p):
     terms, us = [], []
     for i, (omega, lam, proj) in enumerate(states):
         leaves[f"omega{i}"], leaves[f"lam{i}"] = t.leaf(omega), t.leaf(lam)
-        u = control(policy, ready, line_flows(policy.inc, leaves[f"lam{i}"]), leaves[f"omega{i}"], p)
+        u = control(policy, ready, taped_line_flows(policy.inc, leaves[f"lam{i}"]), leaves[f"omega{i}"], p)
         us.append(value(u).tobytes())
         terms.append(u * proj)
     t.backward(sum_seq(terms))
@@ -468,12 +472,13 @@ def test_policy_dead_zone_and_slack(net2, inc2, eq2, spec_band):
 @pytest.mark.parametrize("batch", [None, 5])
 def test_all_inactive_decision_equals_full_formula_bitwise(net3, inc3, eq3, spec_band, batch):
     # every bus inside its dead zone: the short-circuit's constant zeros
-    # equal the full formula's u and budgets bit for bit, raw and projected
+    # equal the full formula's u and budgets bit for bit, as the simulation
+    # controller returns them
     rng = np.random.default_rng(3)
     params = rand_params(3, rng, dz_amp=6.0)
     policy = params.bind(spec_band, net3, inc3, eq3)
     ready = policy.precompute(params.raw)
-    sims = [C.make_policy_controller(params, spec_band, net3, inc3, eq3, on) for on in (False, True)]
+    sim = C.make_policy_controller(params, spec_band, net3, inc3, eq3)
     shape = (3,) if batch is None else (batch, 3)
     for _ in range(20):
         omega = rng.uniform(ready.wlo_val, ready.whi_val, shape)
@@ -485,9 +490,7 @@ def test_all_inactive_decision_equals_full_formula_bitwise(net3, inc3, eq3, spec
         for field in ("u", "budgets"):
             assert np.shape(getattr(got, field)) == shape
             assert np.asarray(getattr(got, field)).tobytes() == np.asarray(getattr(full, field)).tobytes()
-        proj = C.project_control(got, ready, omega)
-        assert proj.tobytes() == C.project_control(full, ready, omega).tobytes()
-        assert all(sim(flows, omega, p).u.tobytes() == proj.tobytes() for sim in sims)
+        assert sim(flows, omega, p).u.tobytes() == got.u.tobytes()
 
 
 def test_constraint_check_cases(net2, inc2, eq2, spec_band):
@@ -502,7 +505,7 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
 
     omega = np.array([0.18, -0.05])  # bus 0 above its upper threshold
     out = policy.control(ready, line_flows(inc2, eq2.lam_eq), omega, net2.p_nom)
-    u = C.project_control(out, ready, omega)
+    u = out.u
     rep = constraint_check(
         params, spec_band, net2, inc2, eq2, eq2.lam_eq, omega, net2.p_nom, u
     )
@@ -518,67 +521,68 @@ def test_constraint_check_cases(net2, inc2, eq2, spec_band):
     assert not rep.ok and rep.violations == [0]
 
 
-def test_projection_identity_and_clamp(net2, inc2, eq2, spec_band):
-    params = rand_params(2, np.random.default_rng(11), dz_amp=6.0)
-    policy = params.bind(spec_band, net2, inc2, eq2)
-    ready = policy.precompute(params.raw)
-    omega = np.array([0.19, -0.18])
-    out = policy.control(ready, line_flows(inc2, eq2.lam_eq), omega, net2.p_nom)
-    proj = C.project_control(out, ready, omega)
-    ub, lb = value(out.upper), value(out.lower)
-    assert proj[0] <= ub[0] + 1e-15 and proj[1] >= lb[1] - 1e-15
-    # feasible outputs pass through unchanged
-    feasible = C.ControlDecision(
-        u=np.array([ub[0] - 0.01, lb[1] + 0.01]),
-        budgets=out.budgets,
-        active=out.active,
-        upper=out.upper,
-        lower=out.lower,
-    )
-    assert np.array_equal(
-        C.project_control(feasible, ready, omega), np.asarray(value(feasible.u))
-    )
-    # an output beyond the bound lands exactly on it
-    over = C.ControlDecision(
-        u=np.array([ub[0] + 5.0, lb[1] - 5.0]),
-        budgets=out.budgets,
-        active=out.active,
-        upper=out.upper,
-        lower=out.lower,
-    )
-    assert np.allclose(C.project_control(over, ready, omega), [ub[0], lb[1]])
+@pytest.mark.parametrize("size", [3, 39])
+@pytest.mark.parametrize("batch", [None, 500])
+def test_raw_policy_lies_in_its_bounds_bitwise(request, spec_band, size, batch):
+    # the raw constrained output, not a projection of it, at random states
+    # far from and near the thresholds: u <= ub above the upper threshold and
+    # u >= lb below the lower one, compared as floats with no tolerance
+    # against the bounds of the same decision, and exactly +0.0 inside the
+    # dead zone; large dead-zone weights put f past its bounds often
+    net, inc, eq = (request.getfixturevalue(f"{name}{size}") for name in ("net", "inc", "eq"))
+    rng = np.random.default_rng(31 + size)
+    shape = (size,) if batch is None else (batch, size)
+    clipped = 0
+    for _ in range(20 if batch is None else 4):
+        params = rand_params(size, rng, scale=float(rng.uniform(0.1, 1.5)), dz_amp=float(rng.uniform(1.0, 40.0)))
+        policy = params.bind(spec_band, net, inc, eq)
+        ready = policy.precompute(params.raw)
+        for _ in range(25 if batch is None else 1):
+            omega = rng.uniform(-0.35, 0.35, shape)
+            lam = eq.lam_eq + rng.normal(scale=0.3, size=shape[:-1] + eq.lam_eq.shape)
+            p = net.p_nom * rng.uniform(0.5, 1.5, shape)
+            dec = policy.control(ready, line_flows(inc, lam), omega, p)
+            above, below = omega > ready.whi_val, omega < ready.wlo_val
+            assert np.array_equal(dec.active, above | below)
+            assert np.all(dec.u[above] <= dec.upper[above]) and np.all(dec.u[below] >= dec.lower[below])
+            inside = dec.u[~(above | below)]
+            assert np.all(inside == 0.0) and not np.signbit(inside).any()
+            clipped += int((dec.u[above] == dec.upper[above]).sum() + (dec.u[below] == dec.lower[below]).sum())
+    assert clipped > 0  # some draws put f past a bound, so the clip is exercised
 
 
-def test_projection_property_random_states(net3, inc3, eq3, spec_band):
-    # batched sweep over 10**4 random (params, state) draws plus a spot check
-    # through the single-state reporting path
-    rng = np.random.default_rng(17)
-    params = rand_params(3, rng, dz_amp=4.0)
-    policy = params.bind(spec_band, net3, inc3, eq3)
-    ready = policy.precompute(params.raw)
-    omega = rng.uniform(-0.35, 0.35, size=(10**4, 3))
-    lam = rng.uniform(-0.6, 0.6, size=(10**4, 2))
-    out = policy.control(ready, line_flows(inc3, lam), omega, net3.p_nom)
-    proj = C.project_control(out, ready, omega)
-    above = omega > ready.whi_val
-    below = omega < ready.wlo_val
-    ub, lb = value(out.upper), value(out.lower)
-    assert np.all(proj[above] <= ub[above] + 1e-12)
-    assert np.all(proj[below] >= lb[below] - 1e-12)
-    assert np.all(proj[~(above | below)] == 0.0)
-    for i in range(0, 10**4, 500):
-        rep = constraint_check(
-            params, spec_band, net3, inc3, eq3, lam[i], omega[i], net3.p_nom, proj[i]
-        )
-        assert rep.ok, f"row {i}: {rep.slack}"
+@pytest.mark.parametrize("size", [3, 39])
+def test_policy_is_continuous_at_its_thresholds(request, spec_band, size):
+    # with the budget potentials saturated at their cap (xi = +/-cap), a
+    # budget can reach D_tilde thr^2 but not past it, so the stability cap
+    # stays >= 0 on the active side and u = min(f, ub) or max(f, lb) goes to
+    # 0 with f as omega crosses a threshold: 1e-8 past each, |u| <= 1e-8
+    net, inc, eq = (request.getfixturevalue(f"{name}{size}") for name in ("net", "inc", "eq"))
+    rng = np.random.default_rng(41 + size)
+    eps, spent = 1e-8, 0.0
+    for _ in range(20):
+        params = C.init_policy_params(size, 20, rng)
+        params.raw["budget_raw"] = rng.choice([-20.0, 20.0], size)
+        policy = params.bind(spec_band, net, inc, eq)
+        ready = policy.precompute(params.raw)
+        assert np.array_equal(np.abs(value(ready.xi)), np.full(size, np.abs(value(ready.xi)).max()))
+        side = rng.random((8, size)) < 0.5
+        for omega in (ready.whi_val + eps, ready.wlo_val - eps,
+                      np.where(side, ready.whi_val + eps, ready.wlo_val - eps)):
+            lam = eq.lam_eq + rng.normal(scale=0.05, size=omega.shape[:-1] + eq.lam_eq.shape)
+            dec = policy.control(ready, line_flows(inc, lam), omega, net.p_nom)
+            assert dec.active.all()
+            assert np.abs(dec.u).max() <= eps
+            dev = omega - eq.omega_sync
+            spent = max(spent, (-dec.budgets / (policy.dtilde * dev**2)).max())
+    assert spent > 0.5  # some budget takes most of D_tilde dev^2, so the xi cap is what keeps u near 0
 
 
 def test_projected_control_meets_cap_and_barrier_where_they_bind(net3, inc3, eq3):
-    # Large dead-zone weights push the raw output past its bounds, so the
-    # projected u lands on them. The gates scale by omega - threshold (Hz),
-    # and only a gate above 1 lets the raw output reach a positive stability
-    # cap, so the band is +/-2 Hz with the thresholds pulled toward sync. The
-    # bounds are restated from net, params and the raws, not from the policy.
+    # Large dead-zone weights push f past its bounds, so the raw u lands on
+    # them. The band is +/-2 Hz with the thresholds pulled toward sync, so
+    # the draws span both bounds binding. The bounds are restated from net,
+    # params and the raws, not from the policy.
     rng = np.random.default_rng(2027)
     band, sync = 2.0, eq3.omega_sync
     spec = C.SafetySpec.band(-band, band, 3)
@@ -598,7 +602,7 @@ def test_projected_control_meets_cap_and_barrier_where_they_bind(net3, inc3, eq3
         lam = rng.uniform(-0.5, 0.5, (100, 2))
         p = rng.uniform(-3.0, 3.0, (100, 3))
         dec = policy.control(ready, line_flows(inc3, lam), omega, p)
-        u = C.project_control(dec, ready, omega)
+        u = dec.u
         assert dec.active.all()
 
         # stability cap: u dev <= dtilde_frac D dev^2 + b on both branches
@@ -642,7 +646,7 @@ def test_projected_policy_keeps_dissipation_and_band_while_active(
             while not in_region(net, inc, eq, lam0, omega0):
                 lam0 = eq.lam_eq + rng.uniform(-0.15, 0.15, n) @ inc.b_mat
                 omega0 = rng.uniform(-0.18, 0.18, n)
-            ctrl = C.make_policy_controller(params, spec, net, inc, eq, projection=True)
+            ctrl = C.make_policy_controller(params, spec, net, inc, eq)
             traj = rollout(net, inc, eq, ctrl, sc, lam0=lam0, omega0=omega0)
             dev = traj.omega - eq.omega_sync
             balance = (-net.damping * dev**2 + dev * traj.u).sum(axis=1)

@@ -2,10 +2,12 @@
 injection schedules, and rollout invariants.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from oracles import sq_dist, sum_seq, taped_euler_step
+from oracles import sq_dist, sum_seq, taped_euler_step, taped_line_flows, taped_swing_rhs
 from swingctl.controller import make_zero_controller
 from swingctl.dynamics import (
     Disturbance,
@@ -61,12 +63,12 @@ def test_euler_step_is_the_swing_rhs_update_bitwise(net3, inc3):
     # composed vector field must not drift apart: lam + dt dlam, omega + dt
     # domega from swing_rhs, batched and unbatched; the per-step taped
     # reference of the training episode records the same values, with the
-    # composed tape's gradients
+    # gradients of the vector field composed of tape ops
     rng = np.random.default_rng(3)
     p, dt = rng.normal(size=3), 5e-3
 
-    def composed(lam, omega, u):
-        dlam, domega = swing_rhs(net3, inc3, lam, omega, u, p)
+    def composed(lam, omega, u, rhs=swing_rhs):
+        dlam, domega = rhs(net3, inc3, lam, omega, u, p)
         return lam + dt * dlam, omega + dt * domega
 
     for batch in ((), (4,)):
@@ -76,8 +78,8 @@ def test_euler_step_is_the_swing_rhs_update_bitwise(net3, inc3):
                                      euler_step(net3, inc3, *args, p, dt, flows), composed(*args)):
             assert fused.tobytes() == ref.tobytes() and given.tobytes() == ref.tobytes()
         grads = []
-        taped = lambda lam, *a: taped_euler_step(net3, inc3, lam, *a, p, dt, line_flows(inc3, lam))  # noqa: E731
-        for step in (taped, composed):
+        taped = lambda lam, *a: taped_euler_step(net3, inc3, lam, *a, p, dt, taped_line_flows(inc3, lam))  # noqa: E731
+        for step in (taped, partial(composed, rhs=taped_swing_rhs)):
             t = Tape()
             leaves = [t.leaf(a) for a in args]
             lam1, omega1 = step(*leaves)

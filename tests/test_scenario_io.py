@@ -566,7 +566,7 @@ def test_summary_cost_matches_training_loss(net2, inc2, eq2, spec_band):
     lam0 = eq2.lam_eq + 0.2
     omega0 = np.array([0.05, -0.05])
     sc = Scenario(horizon=steps * dt, dt=dt)
-    ctrl = make_policy_controller(params, spec_band, net2, inc2, eq2, projection=False)
+    ctrl = make_policy_controller(params, spec_band, net2, inc2, eq2)
     traj = rollout(net2, inc2, eq2, ctrl, sc, lam0=lam0, omega0=omega0, gamma=40.0)
 
     adapter = ConstrainedAdapter(params, spec_band, net2, inc2, eq2)

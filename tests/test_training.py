@@ -17,7 +17,7 @@ from swingctl.controller import (
     init_monotone_params,
     init_policy_params,
 )
-from swingctl.dynamics import Disturbance, Scenario, closed_loop, injection_schedule, swing_rhs
+from swingctl.dynamics import Disturbance, Scenario, closed_loop, injection_schedule
 from swingctl import tape as tp_mod
 from swingctl.tape import Tape, value
 from swingctl.training import (
@@ -621,8 +621,8 @@ def test_adam_zero_grad_keeps_params():
 def test_recordings_use_every_tape_op(net3, inc3, eq3, spec_band):
     # a constrained episode with rho > 0 and active buses and a monotone
     # episode, each recorded step by step (the taped reference, which runs
-    # the package's policy code on the tape), and the composed vector field
-    # together record every op the tape has
+    # the package's policy code on the tape), together record every op the
+    # tape has
     rules = set()
     policies = (
         (make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0), 500.0),
@@ -637,9 +637,6 @@ def test_recordings_use_every_tape_op(net3, inc3, eq3, spec_band):
             np.tile(net3.p_nom, (10, 1)), None, 40.0, rho, 5e-3,
         )
         rules |= set(tp.rules)
-    tp = Tape()
-    swing_rhs(net3, inc3, tp.leaf(eq3.lam_eq), tp.leaf(omega0[0]), tp.leaf(np.zeros(3)), net3.p_nom)
-    rules |= set(tp.rules)
     assert tp_mod._bk_control_law in rules  # some bus left its dead zone
     assert {f for name, f in vars(tp_mod).items() if name.startswith("_bk_")} <= rules
 

@@ -230,6 +230,8 @@ def _safe(net, inc, eq, spec):
 
 
 def _policy(init, projection):
+    # `projection` is make_policy_controller's kept no-op argument: the
+    # "projected" cases run the same policy as the "raw" ones through it
     def build(net, inc, eq, spec):
         params = init(net.n_bus, 8, np.random.default_rng(np.random.Philox(5)), 1.0)
         return make_policy_controller(params, spec, net, inc, eq, projection=projection)
