@@ -25,14 +25,17 @@ a cache holds it. Adjoints fill a parallel buffer in a single reverse sweep
 that keeps only leaf ones. A module may record an op of its own with
 `record` (the training episode is one such node), and `rebind` copies a
 structure of nodes onto another tape as leaves, so a rule can re-run model
-code on a scratch tape of its own.
+code on a scratch tape of its own and `truncate` it after. The rule of
+`control_law` has a `factors` companion: u is per entry, so one pass over a
+node's cache gives u's derivatives in omega and the line flows and the
+policy tensors' adjoints for any adjoint of u, with no reverse sweep.
 
 No node stores an (..., n, m) temporary. A `unit_sums` node keeps, per
 branch, the weight table, the input and the count k of active units per
 entry in the smallest unsigned type that holds m (one byte up to 255
 units), and nothing for a branch with no active unit, which it skips. A
-`control_law` node keeps the measured omega, a few (..., n) values and the
-six branches' counts, and recomputes the branch inputs from omega.
+`control_law` node keeps its (7, ..., n) inputs (dev, the gate inputs and
+the barrier branches'), a few (..., n) values and the six branches' counts.
 
 Subgradient conventions (pinned by tests):
   * relu'(0) = 0 (the mask is x > 0, strictly; a unit exactly at its
@@ -151,7 +154,7 @@ class Tape:
         self._refs.append(weakref.ref(val))
         return Node(self, len(self.rules) - 1, val)
 
-    def backward(self, root: Node, check_finite: bool = False, wrt=None) -> None:
+    def backward(self, root: Node, check_finite: bool = False) -> None:
         """Fill the leaf adjoints of the sum of `root`'s entries by one reverse
         sweep; an interior adjoint is dropped as soon as its rule has pushed
         it to the parents.
@@ -161,26 +164,15 @@ class Tape:
         the source after a cheap unchecked sweep came back non-finite. A rule
         with adjoints of its own inside (see `record`) runs its `checked`
         attribute in this mode, which tests those too.
-
-        With `wrt`, a list of leaves, only their adjoints are formed: a node
-        with no path to one of them is skipped, and a rule sees None for
-        such a parent, as for a plain argument, so it skips that work.
         """
         if root.tape is not self:
             raise ValueError("root node belongs to a different tape")
         adj = [None] * len(self)
         adj[root.idx] = np.ones(self.shapes[root.idx])
         rules, parents, aux, shapes = self.rules, self.parents, self.aux, self.shapes
-        if wrt is not None:
-            need = [False] * len(self)
-            for leaf in wrt:
-                need[leaf.idx] = True
-            for i in range(root.idx + 1):  # parents precede children
-                need[i] = need[i] or any(need[j] for j in parents[i] if j is not None)
-            parents = [tuple(j if j is not None and need[j] else None for j in par) for par in parents]
         for i in range(root.idx, -1, -1):
             g = adj[i]
-            if g is None or (wrt is not None and not need[i]):
+            if g is None:
                 continue
             if check_finite and not np.all(np.isfinite(g)):
                 raise TapeError(
@@ -195,6 +187,12 @@ class Tape:
             rule(g, parents[i], aux[i], shapes, adj)
             adj[i] = None
         self.adj = adj
+
+    def truncate(self, n: int) -> None:
+        """Drop the entries from index n on, and with them their caches; a
+        Node of a dropped entry must not be used again."""
+        for entries in (self.rules, self.parents, self.aux, self.shapes, self._refs):
+            del entries[n:]
 
     def grad(self, node: Node) -> np.ndarray:
         """Adjoint of a leaf after `backward` (zeros if the root ignores it);
@@ -446,8 +444,8 @@ def stack_units(tables, whi, wlo, omega_min, omega_max, omega_sync) -> tuple:
     thresholds below +inf as (m, 6, n); c is [omega_sync, whi, wlo,
     omega_max, omega_min, omega_max, omega_min] (7, n), the values dev, the
     gate inputs and the branch inputs are formed from; whi and wlo are the
-    threshold nodes (or arrays). layouts caches, per state shape, thr, c
-    and the gather offsets laid out like the (6, ..., n) branch inputs.
+    threshold nodes (or arrays). layouts caches thr, c and the gather
+    offsets laid out like the (6, ..., n) branch inputs (`_layout`).
     """
     vals = np.array([[_val(W) for W, _, _ in tables], [_val(C) for _, C, _ in tables]])
     args = tuple(W for W, _, _ in tables) + tuple(C for _, C, _ in tables)
@@ -461,18 +459,24 @@ _SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])  # x = sign * r per branch
 
 def _layout(units, shape: tuple) -> tuple:
     """(thr, off, c, sign) of `units` for states of shape `shape`, laid out
-    like the branch inputs, (6,) + shape, so each op runs on contiguous
-    arrays: the thresholds (m, 6) + shape, each entry's flat offset into a
-    (6, n, m+1) table, c (7,) + shape and the branch signs. Built once per
-    state shape."""
+    like the branch inputs, (6,) + shape: the thresholds (m, 6) + shape,
+    each entry's flat offset into a (6, n, m+1) table, c (7,) + shape and
+    the branch signs. Each is materialized over the states' last two axes
+    only, once per such shape, so a step's (B, n) or (n,) states run on
+    contiguous arrays, and broadcast over any axes before them: a (steps,
+    B, n) chunk shares its steps' copy instead of an (m, 6) + shape one."""
     _, thr, c, _, _, layouts = units
-    if shape not in layouts:
-        m, n, ones = thr.shape[0], shape[-1], (1,) * (len(shape) - 1)
+    tail = shape[-2:]
+    if tail not in layouts:
+        m, n, ones = thr.shape[0], tail[-1], (1,) * (len(tail) - 1)
         off = _row_offsets((6, n, m + 1)).reshape((6,) + ones + (n,))
-        layouts[shape] = tuple(np.ascontiguousarray(np.broadcast_to(a, lead + shape)) for a, lead in (
+        layouts[tail] = tuple(np.ascontiguousarray(np.broadcast_to(a, lead + tail)) for a, lead in (
             (thr.reshape((m, 6) + ones + (n,)), (m, 6)), (off, (6,)), (c.reshape((7,) + ones + (n,)), (7,)),
             (_SIGNS.reshape((6,) + ones + (1,)), (6,))))
-    return layouts[shape]
+    if len(shape) == len(tail):
+        return layouts[tail]
+    steps = (1,) * (len(shape) - len(tail))
+    return tuple(a.reshape(a.shape[:a.ndim - len(tail)] + steps + tail) for a in layouts[tail])
 
 
 def _inputs(vw, c) -> np.ndarray:
@@ -525,7 +529,7 @@ def control_law(flows, omega, p, edge_xi, mask, units, b_mat, damping, dtilde):
     on = (x > thr[0]).reshape(6, -1).any(1).tolist()  # branches with an active unit
     n_on = max((j + 1 for j in range(6) if on[j]), default=0)
     k = np.zeros(x.shape, dtype=np.min_scalar_type(thr.shape[0]))
-    np.sum(thr[:, :n_on] < x[:n_on], axis=0, dtype=k.dtype, out=k[:n_on])
+    np.add.reduce((thr[:, :n_on] < x[:n_on]).view(np.uint8), axis=0, out=k[:n_on])  # bools as bytes: no cast
     flat = k[:n_on].astype(np.intp) + off[:n_on]
     part = np.zeros(x.shape)
     part[:n_on] = x[:n_on] * vWC[0].reshape(-1)[flat] + vWC[1].reshape(-1)[flat]
@@ -540,16 +544,19 @@ def control_law(flows, omega, p, edge_xi, mask, units, b_mat, damping, dtilde):
     np.less_equal(cap, t[0], out=take[0])
     np.greater_equal(cap, t[1], out=take[1])
     bound = np.where(take, cap, t)  # ub, lb
-    over = np.empty(t.shape, dtype=bool)  # where the bound binds: f > ub, f < lb
-    np.greater(f, bound[0], out=over[0])
-    np.less(f, bound[1], out=over[1])
     gated = np.empty(t.shape)  # min(f, ub), max(f, lb), 0 where the gate is shut
     np.minimum(f, bound[0], out=gated[0])
     np.maximum(f, bound[1], out=gated[1])
     gated[r[1:3] <= 0] = 0.0
     u = gated[0] + gated[1]
-    aux = (vw, a, over, take, b, floors, mask, k, on, n_on, vWC, layout, (b_mat, damping, dtilde))
-    return record(_bk_control_law, (flows, omega, p, edge_xi, whi, wlo, WC), aux, u), b, bound[0], bound[1]
+    args = (flows, omega, p, edge_xi, whi, wlo, WC)
+    if not any(isinstance(x, Node) for x in args):
+        return u, b, bound[0], bound[1]  # values only: nothing below is read
+    over = np.empty(t.shape, dtype=bool)  # where the bound binds: f > ub, f < lb
+    np.greater(f, bound[0], out=over[0])
+    np.less(f, bound[1], out=over[1])
+    aux = (r, a, over, take, b, floors, mask, k, on, n_on, vWC, layout, (b_mat, damping, dtilde))
+    return record(_bk_control_law, args, aux, u), b, bound[0], bound[1]
 
 
 # ------------------------------------------------------------ backward rules
@@ -640,19 +647,43 @@ def _bk_unit_sums(g, par, aux, shapes, adj):
 
 
 def _bk_control_law(g, par, aux, shapes, adj):
-    # The composed policy's rules in its reverse order: the selection, both
-    # bounds, the cap, feedforward and budgets; then the six branches, the
-    # dead-zone ones adding to the adjoints of dlo and dhi and the lower and
-    # upper barrier each sending -(minus + plus) to omega; and last the
-    # differences dlo = wlo - omega and dhi = omega - whi. The branch inputs
-    # and dev are recomputed from the cached omega. The gate is an
-    # indicator, so dhi and dlo get adjoints only as the bounds'
-    # denominators. A branch with no active unit adds nothing anywhere: its
-    # slices of the table adjoint are -0.0.
+    # The composed policy's rules in its reverse order (`_law_shares`), each
+    # parent's adjoint summed in that order.
     i_fl, iw, ip, ix, iwhi, iwlo, iu = par
-    vw, a, over, take, vb, floors, mask, k, on, n_on, vWC, (_, off, c, sign), consts = aux
-    b_mat, damping, dtilde = consts
-    r = _inputs(vw, c)
+    to_w, g_q, g_x, g_dhi, g_dlo, gb, r, flat = _law_shares(g, aux)
+    if ix is not None:
+        _acc(adj, shapes, ix, (g_x @ aux[12][0]) * aux[6])
+    _acc(adj, shapes, i_fl, g_q)
+    if ip is not None:
+        _acc(adj, shapes, ip, -g_q)
+    if iu is not None:
+        _acc(adj, shapes, iu, _tables(gb, r, flat, aux))
+    if iw is not None:
+        for gw in to_w:
+            _acc(adj, shapes, iw, gw)
+    _acc(adj, shapes, iwlo, g_dlo)
+    if iwhi is not None:
+        _acc(adj, shapes, iwhi, -g_dhi)
+
+
+def _law_shares(g, aux) -> tuple:
+    """The per-entry adjoint shares of a `control_law` node whose u has the
+    adjoint g (an array, or 1.0 for u's own derivatives): (to_w, g_q, g_x,
+    g_dhi, g_dlo, gb, r, flat). to_w are omega's shares in the order the
+    rule sums them; g_q is q's (so that of flows, and of p negated); g_x =
+    g_cap / dev is the budgets' (edge_xi gets (g_x @ b_mat) * mask); g_dhi
+    and g_dlo are the gate inputs' (whi gets -g_dhi, wlo g_dlo); gb, the
+    branch inputs r and the gather index flat give the tables' (`_tables`).
+
+    The composed policy's rules run in its reverse order: the selection,
+    both bounds, the cap, feedforward and budgets; then the six branches,
+    the dead-zone ones adding to the adjoints of dlo and dhi and the lower
+    and upper barrier each sending -(minus + plus) to omega; and last the
+    differences dlo = wlo - omega and dhi = omega - whi. The gate is an
+    indicator, so dhi and dlo get adjoints only as the bounds'
+    denominators."""
+    r, a, over, take, vb, floors, mask, k, on, n_on, vWC, (_, off, _, sign), consts = aux
+    _, damping, dtilde = consts
     live, hat = floors or (None, r[:3])
     gg = np.where(r[1:3] > 0, g, 0.0)  # of min(f, ub) and max(f, lb)
     to = np.where(over, gg, 0.0)  # of ub and lb
@@ -663,45 +694,70 @@ def _bk_control_law(g, par, aux, shapes, adj):
     g_cap = np.where(take, to, 0.0)
     g_cap = g_cap[1] + g_cap[0]
     g_q = gt[1] + gt[0]
-    to_w = []
-    if iw is not None:
-        gw = -g_cap * vb / (hat[0] * hat[0])
-        gw = gw if live is None else np.where(live[0], gw, 0.0)
-        to_w.append(gw + g_cap * dtilde + g_q * damping)
-    if ix is not None:
-        _acc(adj, shapes, ix, ((g_cap / hat[0]) @ b_mat) * mask)
-    if i_fl is not None:
-        _acc(adj, shapes, i_fl, g_q)
-    if ip is not None:
-        _acc(adj, shapes, ip, -g_q)
+    gw = -g_cap * vb / (hat[0] * hat[0])
+    gw = gw if live is None else np.where(live[0], gw, 0.0)
+    to_w = [gw + g_cap * dtilde + g_q * damping]
     gb = np.empty(k.shape)  # of each branch: f's or its class-K map's
     gb[:2] = g_f
     gb[2:4] = gt / hat[1:]
     gb[4:] = gb[2:4]
     flat = (k[:n_on].astype(np.intp) + off[:n_on]).reshape(-1)
-    gs = sign[:n_on] * gb[:n_on] * vWC[0].reshape(-1)[flat].reshape((n_on,) + g.shape)
-    if iu is not None:
-        size = vWC[0].size
-        tables = np.concatenate((np.bincount(flat, (gb[:n_on] * r[1:n_on + 1]).reshape(-1), size),
-                                 np.bincount(flat, gb[:n_on].reshape(-1), size))).reshape(vWC.shape)
-        for j in range(6):
-            if not on[j]:
-                tables[:, j] = -0.0
-            elif _SIGNS[j] < 0:
-                np.negative(tables[0, j], out=tables[0, j])
-        _acc(adj, shapes, iu, tables)
+    gs = sign[:n_on] * gb[:n_on] * vWC[0].reshape(-1)[flat].reshape(k[:n_on].shape)
     g_dhi, g_dlo = g_d[0] + gs[0] if on[0] else g_d[0], g_d[1] + gs[1] if on[1] else g_d[1]
-    if iw is not None:
-        for branches in ((3, 5), (4, 2)):  # lower, then upper barrier: minus, plus
-            through = [gs[j] for j in branches if on[j]]
-            if through:
-                to_w.append(-functools.reduce(np.add, through))
-        to_w += [-g_dlo, g_dhi]
-        for gw in to_w:
-            _acc(adj, shapes, iw, gw)
-    _acc(adj, shapes, iwlo, g_dlo)
-    if iwhi is not None:
-        _acc(adj, shapes, iwhi, -g_dhi)
+    for branches in ((3, 5), (4, 2)):  # lower, then upper barrier: minus, plus
+        through = [gs[j] for j in branches if on[j]]
+        if through:
+            to_w.append(-functools.reduce(np.add, through))
+    to_w += [-g_dlo, g_dhi]
+    return to_w, g_q, g_cap / hat[0], g_dhi, g_dlo, gb[:n_on], r, flat
+
+
+def _tables(gb, r, flat, aux) -> np.ndarray:
+    """The adjoint of a `control_law` node's stacked tables, (2, 6, n, m+1),
+    from its live branches' adjoints gb: W's and C's are bincounts over the
+    gather index of gb times the branch input and of gb. A branch with no
+    active unit adds nothing anywhere: its slices are -0.0."""
+    on, vWC = aux[8], aux[10]
+    size, n_on = vWC[0].size, len(gb)
+    tables = np.concatenate((np.bincount(flat, (gb * r[1:n_on + 1]).reshape(-1), size),
+                             np.bincount(flat, gb.reshape(-1), size))).reshape(vWC.shape)
+    for j in range(6):
+        if not on[j]:
+            tables[:, j] = -0.0
+        elif _SIGNS[j] < 0:
+            np.negative(tables[0, j], out=tables[0, j])
+    return tables
+
+
+def _law_factors(aux) -> tuple:
+    """A `control_law` node's rule factored by its seed, from one pass over
+    its cache: (du/domega, du/dflows, push). u is per entry, so its
+    Jacobian in omega and flows is diagonal and those are its entries, and
+    each adjoint the rule gives the policy's tensors is linear in the seed:
+    push(u_bar, par, shapes, adj) adds to adj, at the node's parents
+    `par`, edge_xi's, whi's, wlo's and the stacked tables' adjoints for the
+    seed u_bar, as per-entry coefficients weighted by u_bar and summed (a
+    bincount per table family). They equal the rule's for that seed up to
+    rounding; the derivatives are the rule's at a seed of ones, bit for
+    bit."""
+    to_w, g_q, g_x, g_dhi, g_dlo, gb, r, flat = _law_shares(1.0, aux)
+    mask, b_mat = aux[6], aux[12][0]
+
+    def push(u_bar, par, shapes, adj):
+        _, _, _, ix, iwhi, iwlo, iu = par
+        if ix is not None:
+            _acc(adj, shapes, ix, ((u_bar * g_x) @ b_mat) * mask)
+        if iwhi is not None:
+            _acc(adj, shapes, iwhi, -(u_bar * g_dhi))
+        if iwlo is not None:
+            _acc(adj, shapes, iwlo, u_bar * g_dlo)
+        if iu is not None:
+            _acc(adj, shapes, iu, _tables(u_bar * gb, r, flat, aux))
+
+    return functools.reduce(np.add, to_w), g_q, push
+
+
+_bk_control_law.factors = _law_factors
 
 
 def _bk_stack_units(g, par, aux, shapes, adj):

@@ -6,12 +6,16 @@ and records the whole episode as one tape node after the policy's
 per-rollout nodes. That node's backward rule is the discrete adjoint
 (costate) recurrence of the two Euler updates and the loss terms, swept
 step by step in reverse. The policy is re-run there in time-batched chunks
-of live steps on a scratch tape, its ready tensors rebound as leaves: u at
-a bus reads only that bus's measured frequency and line flows, so one sweep
-seeded with ones gives the exact per-entry derivatives the recurrence
-multiplies by, and a second seeded with the chunk's u adjoints gives the
-policy tensors' adjoints. Memory per step is the two states, not a taped
-step (checkpointed reverse mode: Griewank & Walther, ACM TOMS 2000).
+of live steps on a scratch tape whose leaves are its ready tensors, rebound
+once per episode: u at a bus reads only that bus's measured frequency and
+line flows, so its Jacobian in them is diagonal and its adjoint is linear
+in the seed. One factor pass over the chunk's `control_law` node gives the
+exact per-entry derivatives the recurrence multiplies by and per-entry
+coefficients that the chunk's u adjoints weight into the policy tensors'
+adjoints (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008); a
+policy whose u is not one such node takes two reverse sweeps instead.
+Memory per step is the two states, not a taped step (checkpointed reverse
+mode: Griewank & Walther, ACM TOMS 2000).
 
 The policy is any bound policy (`controller.BoundPolicy`), so both policy
 kinds train through the same code. A batch is carried as a leading axis on
@@ -177,10 +181,11 @@ def episode_loss(
     loss = parts[0] + parts[1] + parts[2]
     if not (live.any() and any(isinstance(v, Node) for v in raw_like.values())):
         return loss, parts
-    template, nodes, _ = rebind(policy.precompute(raw_like), Tape())
+    scratch = Tape()
+    template, nodes, _ = rebind(policy.precompute(raw_like), scratch)
     steps = np.flatnonzero(live)
     sweep = _Sweep(
-        policy=policy, net=net, inc=inc, omega_sync=eq.omega_sync, dt=dt, template=template,
+        policy=policy, net=net, inc=inc, omega_sync=eq.omega_sync, dt=dt, tape=scratch, template=template,
         lams=lams, omegas=omegas, noise=noise, p_steps=p_steps, tails=tails,
         chunks=[steps[i:i + chunk] for i in range(0, len(steps), chunk)],
         weights=(gamma * scale, scale, rho * lip_scale),
@@ -194,14 +199,16 @@ class _Sweep:
     states (K, ...) and inputs, the live steps in chunks in time order, u at
     the chunk tails the variation term needs, the loss weights of the three
     sums of squares, and `template`, the policy's ready tensors with their
-    nodes rebound as leaves of a throwaway tape, so no Node of the episode's
-    own tape is held."""
+    nodes rebound once per episode as the leaves of `tape`, in the order of
+    the episode node's parents (leaf i is entry i), so no Node of the
+    episode's own tape is held."""
 
     policy: object
     net: PowerNetwork
     inc: Incidence
     omega_sync: object
     dt: float
+    tape: Tape
     template: object
     lams: np.ndarray
     omegas: np.ndarray
@@ -213,34 +220,45 @@ class _Sweep:
 
 
 class _Chunk:
-    """The policy re-run at one chunk of live steps on a scratch tape, the
-    ready tensors rebound as its leaves: u and, from one reverse sweep seeded
-    with ones, its per-entry derivatives in the measured frequency and the
-    line flows. u at an entry reads only that entry's frequency and flows,
-    so each adjoint of that sweep is exactly the entry's derivative."""
+    """The policy re-run at one chunk of live steps on the sweep's tape: u
+    and its per-entry derivatives in the measured frequency and the line
+    flows (u at an entry reads only that entry's frequency and flows). When
+    u is one node whose rule has a `factors` companion (`control_law`'s),
+    one pass over the node's cache gives them and the coefficients the
+    chunk's u adjoints weight into the ready tensors' adjoints; otherwise a
+    reverse sweep seeded with ones gives them, and a second seeded with the
+    u adjoints the ready tensors'. The chunk's entries then leave the tape."""
 
     def __init__(self, sw: _Sweep, steps: np.ndarray):
-        self.steps, self.tape = steps, Tape()
-        ready, _, self.leaves = rebind(sw.template, self.tape)
-        ndim = sw.omegas.ndim
-        flows = self.tape.leaf(np.stack([line_flows(sw.inc, sw.lams[k]) for k in steps]))
+        tape, ndim = sw.tape, sw.omegas.ndim
+        self.steps, self.tape, self.n_ready = steps, tape, len(tape)
+        flows = tape.leaf(np.stack([line_flows(sw.inc, sw.lams[k]) for k in steps]))
         measured = sw.omegas[steps] if sw.noise is None else sw.omegas[steps] + _rows(sw.noise, steps, ndim)
-        omega = self.tape.leaf(measured)
-        self.node = sw.policy.control(ready, flows, omega, _rows(sw.p_steps, steps, ndim)).u
-        self.u = value(self.node)
+        omega = tape.leaf(measured)
+        self.node = sw.policy.control(sw.template, flows, omega, _rows(sw.p_steps, steps, ndim)).u
+        self.u, self.u_bar, self.push = value(self.node), np.empty(measured.shape), None
         self.du_domega = self.du_dflows = np.zeros(measured.shape)
         if isinstance(self.node, Node):
-            self.tape.backward(self.node, wrt=(omega, flows))
-            self.du_domega, self.du_dflows = self.tape.grad(omega), self.tape.grad(flows)
-        self.u_bar = np.empty(measured.shape)
+            factors = getattr(tape.rules[self.node.idx], "factors", None)
+            if factors is None:
+                tape.backward(self.node)
+                self.du_domega, self.du_dflows = tape.grad(omega), tape.grad(flows)
+            else:
+                self.du_domega, self.du_dflows, self.push = factors(tape.aux[self.node.idx])
+                self.parents = tape.parents[self.node.idx]
+                tape.truncate(self.n_ready)
 
     def policy_adjoints(self) -> list:
-        """Per ready leaf, its adjoint from the sweep seeded with the chunk's
-        u adjoints, or None when none reaches it."""
-        if not isinstance(self.node, Node):
-            return [None] * len(self.leaves)
-        self.tape.backward(self.node * self.u_bar, wrt=self.leaves)
-        return [self.tape.adj[leaf.idx] for leaf in self.leaves]
+        """Per ready leaf, its adjoint for the chunk's u adjoints u_bar, or
+        None when none reaches it."""
+        adj = [None] * self.n_ready
+        if self.push is not None:
+            self.push(self.u_bar, self.parents, self.tape.shapes, adj)
+        elif isinstance(self.node, Node):
+            self.tape.backward(self.node * self.u_bar)
+            adj = self.tape.adj[:self.n_ready]
+        self.tape.truncate(self.n_ready)
+        return adj
 
 
 def _rows(block: np.ndarray, steps: np.ndarray, ndim: int) -> np.ndarray:
@@ -258,30 +276,36 @@ def _bk_episode(g, par, aux, shapes, adj, check_finite=False):
     # sums the rate's share and the control and variation terms'. A live
     # step's u and derivatives come from its chunk (`_Chunk`), re-run when
     # the sweep reaches the chunk's last step; once it passes the chunk's
-    # first, a second sweep of the chunk's tape seeded with its u_bar gives
-    # the ready tensors' adjoints, summed over chunks and handed to `par`.
+    # first, the chunk's u_bar gives the ready tensors' adjoints, summed
+    # over chunks and handed to `par`. cos(lam_k) and the frequency term's
+    # seed are formed for a chunk's worth of steps at once.
     sw = aux
-    net, inc, dt = sw.net, sw.inc, sw.dt
-    w_freq, w_ctrl, w_lip = (g * w for w in sw.weights)
+    net, inc = sw.net, sw.inc
+    w_freq, w_ctrl, w_lip = (2.0 * g * w for w in sw.weights)  # slopes of the three sums of squares
+    dt_m, b_dt = sw.dt / net.inertia, sw.dt * inc.b_mat.T  # of the rate u + p - D omega - flows; of lam's update
     k_steps = len(sw.lams)
+    span = -(-CHUNK_STATES // (sw.omegas[0].size // sw.omegas.shape[-1]))  # steps per chunk
     lbar, wbar = np.zeros(sw.lams.shape[1:]), np.zeros(sw.omegas.shape[1:])
     totals = [None] * len(par)
-    chunks, cur, j, u_after = list(sw.chunks), None, -1, None
+    chunks, cur, j, u_after, lo = list(sw.chunks), None, -1, None, k_steps
     for k in range(k_steps - 1, -1, -1):
-        gr = wbar * dt / net.inertia  # of the rate u + p - D omega - flows
+        if k < lo:
+            lo = max(k + 1 - span, 0)
+            cos_lam, seed = np.cos(sw.lams[lo:k + 1]), w_freq * (sw.omegas[lo:k + 1] - sw.omega_sync)
+        gr = wbar * dt_m
         f_bar = -gr
-        wbar = wbar + (-gr) * net.damping + (lbar * dt) @ inc.b_mat.T + w_freq * 2.0 * (sw.omegas[k] - sw.omega_sync)
+        wbar = wbar - gr * net.damping + lbar @ b_dt + seed[k - lo]
         if cur is None and chunks and chunks[-1][-1] == k:
             cur = _Chunk(sw, chunks.pop())
             j = len(cur.steps) - 1
         if cur is not None and cur.steps[j] == k:
             u = cur.u[j]
-            u_bar = gr + w_ctrl * 2.0 * u
+            u_bar = gr + w_ctrl * u
             if w_lip and k > 0:
                 before = cur.u[j - 1] if j > 0 and cur.steps[j - 1] == k - 1 else sw.tails.get(k - 1, 0.0)
-                u_bar = u_bar + w_lip * 2.0 * (u - before)
+                u_bar = u_bar + w_lip * (u - before)
             if w_lip and k < k_steps - 1:
-                u_bar = u_bar - w_lip * 2.0 * ((0.0 if u_after is None else u_after) - u)
+                u_bar = u_bar - w_lip * ((0.0 if u_after is None else u_after) - u)
             cur.u_bar[j] = u_bar
             f_bar = f_bar + u_bar * cur.du_dflows[j]
             wbar = wbar + u_bar * cur.du_domega[j]
@@ -293,7 +317,7 @@ def _bk_episode(g, par, aux, shapes, adj, check_finite=False):
                 cur = None
         else:
             u_after = None
-        lbar = lbar + (f_bar @ inc.by_mat) * np.cos(sw.lams[k])
+        lbar = lbar + (f_bar @ inc.by_mat) * cos_lam[k - lo]
         if check_finite:
             for what, bar in (("bus", wbar), ("edge", lbar)):
                 if not np.all(np.isfinite(bar)):

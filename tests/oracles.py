@@ -6,6 +6,8 @@ parts, a per-bus admissibility report, a value-only loss) so the tests can
 compare the production code to it. `reference_control` keeps the
 constrained policy in the per-op form the fused `tape.control_law` node
 replaced, on the tape, as its bitwise reference for values and gradients.
+`two_sweep_adjoints` keeps the two reverse sweeps a backward chunk made
+before `control_law`'s factor pass replaced them, as that pass's reference.
 `taped_episode_loss` keeps the training episode recorded step by step (the
 line flows through a `sin` node, the two Euler updates, the per-step sums
 of squares and their sum, each a node with its own rule), as the gradient
@@ -269,6 +271,17 @@ def unguarded_control(policy, ready, flows, omega, p) -> ControlDecision:
     u, b, ub, lb = control_law(flows, omega, p, ready.edge_xi, edges_on(policy.inc, active), ready.units,
                                policy.inc.b_mat, policy.net.damping, policy.dtilde)
     return ControlDecision(u=u, budgets=b, active=active, upper=ub, lower=lb)
+
+
+def two_sweep_adjoints(tape, u, states, ready, u_bar) -> tuple:
+    """What two reverse sweeps over a per-entry u give: its per-entry
+    derivatives in each of the `states` leaves, from a sweep seeded with
+    ones, and the adjoints of the `ready` leaves for the u adjoint u_bar,
+    from a second sweep seeded with u_bar."""
+    tape.backward(u)
+    derivs = [tape.grad(leaf) for leaf in states]
+    tape.backward(u * u_bar)
+    return derivs, [tape.grad(leaf) for leaf in ready]
 
 
 class UnguardedPolicy:

@@ -16,7 +16,9 @@ import pytest
 
 import oracles
 from oracles import piecewise, relu_units
+from swingctl import controller as C
 from swingctl import tape as tp
+from swingctl.dynamics import line_flows
 from swingctl.tape import Node, Tape, TapeError, value
 
 
@@ -559,15 +561,15 @@ def hand_law(n):
     lower one and the dead-zone response are the C tables (`col`) c_hi,
     c_lo and c_f, the minus branches 0, so nothing reaches omega through
     them: (omega, p, xi, whi, wlo, c_hi, c_lo, c_f) -> (u, b, ub, lb)."""
-    consts = (np.eye(n), np.ones(n), np.full(n, 0.5))
+    return lambda *a: tp.control_law(*hand_args(n, *a))
+
+
+def hand_args(n, w, p, xi, whi, wlo, c_hi, c_lo, c_f) -> tuple:
+    """`hand_law`'s control_law arguments."""
     thr, zero = np.tile([-np.inf, np.inf], (n, 1)), np.zeros((n, 2))
-
-    def law(w, p, xi, whi, wlo, c_hi, c_lo, c_f):
-        tables = [(zero, c, thr) for c in (c_f, zero, c_hi, c_lo, zero, zero)]
-        units = tp.stack_units(tables, whi, wlo, np.full(n, -10.0), np.full(n, 10.0), 0.0)
-        return tp.control_law(np.zeros(n), w, p, xi, np.ones(n), units, *consts)
-
-    return law
+    tables = [(zero, c, thr) for c in (c_f, zero, c_hi, c_lo, zero, zero)]
+    units = tp.stack_units(tables, whi, wlo, np.full(n, -10.0), np.full(n, 10.0), 0.0)
+    return np.zeros(n), w, p, xi, np.ones(n), units, np.eye(n), np.ones(n), np.full(n, 0.5)
 
 
 def test_barrier_bound_tie_goes_to_the_cap():
@@ -794,22 +796,91 @@ def test_non_finite_adjoint_diagnostic():
             t.backward(loss, check_finite=True)
 
 
-def test_backward_wrt_forms_only_the_wanted_adjoints():
-    # the wanted leaves get the full sweep's adjoints as bytes; a leaf no
-    # wanted path needs gets none, and neither does the rule's work for it
-    rng = np.random.default_rng(stable_seed("wrt"))
-    inputs, mask, thr = law_inputs((4,), rng, 0, 0, 0, 0, False)
+def check_factors(args, rng) -> list:
+    """control_law's factor pass against the two reverse sweeps it replaces
+    (`oracles.two_sweep_adjoints`), on plain control_law arguments `args`
+    whose flows, omega, edge_xi, thresholds and stacked tables become tape
+    leaves, for a random u adjoint: u's derivatives in omega and the flows
+    as bytes, and each ready tensor's adjoint (the W and C tables apart)
+    within 1e-12 of its largest entry. Returns the sweeps' ready adjoints."""
+    flows, w, p, xi, mask, (WC, thr, c, whi, wlo, _), *consts = args
     t = Tape()
-    leaves = {k: t.leaf(v) for k, v in inputs.items()}
-    units = tp.stack_units([(leaves[f"W{j}"], leaves[f"C{j}"], thr[j]) for j in range(6)], leaves["whi"],
-                           leaves["wlo"], *BAND)
-    u = tp.control_law(leaves["flows"], leaves["w"], leaves["p"], leaves["xi"], mask, units, B_MAT, DAMPING, DTILDE)[0]
-    t.backward(u)
-    full = {k: t.grad(leaf).tobytes() for k, leaf in leaves.items()}
-    for wanted in (("w", "flows"), ("whi", "wlo", "xi", "W2", "C2")):
-        t.backward(u, wrt=[leaves[k] for k in wanted])
-        assert {k: t.grad(leaves[k]).tobytes() for k in wanted} == {k: full[k] for k in wanted}
-        assert all(t.adj[leaf.idx] is None for k, leaf in leaves.items() if k not in wanted)
+    flows = np.broadcast_to(flows, np.shape(w))  # per entry, as a chunk's
+    lv = {k: t.leaf(value(a)) for k, a in dict(flows=flows, w=w, xi=xi, whi=whi, wlo=wlo, WC=WC).items()}
+    units = (lv["WC"], thr, c, lv["whi"], lv["wlo"], {})
+    u = tp.control_law(lv["flows"], lv["w"], p, lv["xi"], mask, units, *consts)[0]
+    u_bar = rng.normal(size=u.shape)
+    du_dw, du_dflows, push = tp._bk_control_law.factors(t.aux[u.idx])
+    adj = [None] * len(t)
+    push(u_bar, t.parents[u.idx], t.shapes, adj)
+    ready = ("xi", "whi", "wlo", "WC")
+    got = [np.zeros(t.shapes[lv[k].idx]) if adj[lv[k].idx] is None else adj[lv[k].idx] for k in ready]
+    derivs, want = oracles.two_sweep_adjoints(t, u, [lv["w"], lv["flows"]], [lv[k] for k in ready], u_bar)
+    assert du_dw.tobytes() == derivs[0].tobytes() and du_dflows.tobytes() == derivs[1].tobytes()
+    for a, b in zip(got[:3] + [got[3][0], got[3][1]], want[:3] + [want[3][0], want[3][1]]):
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    return want
+
+
+@pytest.mark.parametrize("size", [3, 39])
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("active", [False, True])
+def test_control_law_factors_match_two_sweeps(request, size, batch, active):
+    # a constrained policy at noisy measured states, mixed gates or (with
+    # thresholds next to the synchronous frequency) every bus active; bus 0
+    # sits 5e-13 past its upper threshold (an open gate with a floored dhi)
+    # and, in the first row, bus 1 at the synchronous frequency (a floored
+    # dev); the last bus is outside its dead zone
+    net, inc, eq = (request.getfixturevalue(f"{name}{size}") for name in ("net", "inc", "eq"))
+    rng = np.random.default_rng(stable_seed(("factors", size, batch, active)))
+    params = C.init_policy_params(size, 20 if size == 39 else 4, rng, scale=0.5)
+    if active:
+        params.raw["thr_lo"] += 5.0
+        params.raw["thr_hi"] += 5.0
+    policy = params.bind(C.SafetySpec.band(-0.2, 0.2, size), net, inc, eq)
+    ready = policy.precompute(params.raw)
+    shape = (size,) if batch == 1 else (batch, size)
+    omega = rng.uniform(-0.19, 0.19, shape) + rng.uniform(-0.05, 0.05, shape)
+    rows = omega.reshape(-1, size)
+    rows[:, 0] = ready.whi_val[0] + 5e-13
+    rows[0, 1] = eq.omega_sync
+    rows[:, -1] = rng.choice([-0.18, 0.18], len(rows))  # outside the dead zone
+    flows = line_flows(inc, eq.lam_eq + rng.normal(scale=0.05, size=shape[:-1] + eq.lam_eq.shape))
+    p = net.p_nom * rng.uniform(0.8, 1.2, size)
+    on = oracles.edges_on(inc, C.active_mask(ready, omega)).astype(float)
+    want = check_factors((flows, omega, p, ready.edge_xi, on, ready.units, inc.b_mat, net.damping, policy.dtilde), rng)
+    assert np.any(want[-1] != 0.0)
+
+
+def test_control_law_factors_match_two_sweeps_at_ties_kinks_and_floors():
+    # hand_law's cases: a cap/bound tie on each side, the gate and the clip
+    # of f at their kinks, and zero or floored dev, dhi and dlo
+    rng = np.random.default_rng(stable_seed("factor kinks"))
+    w = np.array([0.5, 0.25, 1.0])
+    tie, other = col(0.25 * w), col(np.ones(3))
+    cases = [(3, (w, w, np.zeros(3), w - 0.5, w - 0.5, tie, other, col(np.full(3, 10.0)))),
+             (3, (w, w, np.zeros(3), w + 0.5, w + 0.5, other, tie, col(np.full(3, -10.0)))),
+             (4, gate_kink_args())]
+    w = np.array([0.0, 1.0])
+    cases.append((2, (w, np.array([0.0, 0.5]), np.array([1.0, 0.0]), w - np.array([1.0, -1e-14]),
+                      w + np.array([-1.0, 5e-13]), col([1e13, -1.0]), col([-1e13, 1.0]), col([2e12, 0.0]))))
+    for n, args in cases:
+        for batch in ((), (2,)):
+            w, p, *rest = args
+            check_factors(hand_args(n, *(np.broadcast_to(a, batch + a.shape) for a in (w, p)), *rest), rng)
+
+
+def test_a_chunk_layout_is_a_view_of_its_steps_layout():
+    # control_law's layout for (steps, B, n) states broadcasts the one built
+    # for (B, n) over the steps, so a chunk of steps caches no (m, 6, steps,
+    # B, n) threshold copy of its own
+    rng = np.random.default_rng(stable_seed("layout"))
+    tables = [unit_tables(rng.normal(size=(3, 4)), -np.sort(rng.uniform(0.0, 1.0, (3, 4)), axis=-1)) for _ in range(6)]
+    units = tp.stack_units(tables, np.full(3, 0.05), np.full(3, -0.05), *BAND)
+    step, chunk = tp._layout(units, (2, 3)), tp._layout(units, (5, 2, 3))
+    assert list(units[5]) == [(2, 3)]
+    for a, b in zip(step, chunk):
+        assert b.shape == a.shape[:-2] + (1, 2, 3) and np.shares_memory(a, b)
 
 
 def test_rebind_maps_each_node_once_and_shares_the_rest():

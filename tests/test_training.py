@@ -290,40 +290,19 @@ def step_arrays(sweep) -> list:
     return [a for a in {id(a): a for a in cached_arrays(fields)}.values() if a.shape[:1] == (k_steps,)]
 
 
-class ChunkTapes:
-    """Forwards to a bound policy and keeps, at each backward chunk's control
-    call, the chunk's scratch tape, the index its measured-frequency leaf
-    got and the u node."""
-
-    def __init__(self, policy):
-        self.policy, self.keys, self.seen = policy, policy.keys, []
-
-    def precompute(self, raw_like):
-        return self.policy.precompute(raw_like)
-
-    def control(self, ready, flows, omega, p):
-        dec = self.policy.control(ready, flows, omega, p)
-        if isinstance(omega, tp_mod.Node):
-            self.seen.append((omega.tape, omega.idx, dec.u))
-        return dec
-
-
 def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_band):
     # B=4, K=20 and 7 units: the episode tape ends in the one 0-d episode
     # node, and no array it keeps per step has a unit axis, (B, n, m) or
-    # (B, 6, n, m + 1); a backward chunk records nodes of its states' shape
-    # only, and the control node's active-unit counts, one per branch and
-    # entry, take one byte each
+    # (B, 6, n, m + 1)
     adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0, m=7)
     rng = np.random.default_rng(5)
     omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
     lam0 = np.tile(eq3.lam_eq, (4, 1))
     noise = rng.uniform(-0.01, 0.01, size=(20, 4, 3))
     tp = Tape()
-    chunks = ChunkTapes(adapter)
     leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
     loss, _ = episode_loss(
-        chunks, net3, inc3, eq3, leaves, lam0, omega0, np.tile(net3.p_nom, (20, 1)), noise,
+        adapter, net3, inc3, eq3, leaves, lam0, omega0, np.tile(net3.p_nom, (20, 1)), noise,
         40.0, 500.0, 5e-3,
     )
     assert loss.idx == len(tp) - 1 and tp.shapes[loss.idx] == ()
@@ -333,17 +312,55 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
     tp.backward(loss)
     with pytest.raises(ValueError, match=f"node {loss.idx} "):
         tp.grad(loss)
-    assert chunks.seen
-    for chunk_tape, start, u in chunks.seen:
-        state = chunk_tape.shapes[start]
-        assert len(state) == 3 and state[1:] == (4, 3)
-        assert all(chunk_tape.shapes[i] == state for i in range(start, len(chunk_tape)))
-        counts = [a for a in cached_arrays(chunk_tape.aux[u.idx]) if a.dtype == np.uint8]
-        assert counts and all(k.shape == (6,) + state for k in counts)
     grads = {k: tp.grad(leaf) for k, leaf in leaves.items()}
     assert all(grads[k].shape == adapter.raw[k].shape for k in grads)
     assert all(np.all(np.isfinite(g)) for g in grads.values())
     assert any(np.any(g != 0.0) for g in grads.values())
+
+
+def test_each_backward_chunk_runs_the_control_law_and_its_factor_pass_once(net3, inc3, eq3, spec_band,
+                                                                            monkeypatch):
+    # B=4, rho = 500, noise on: a live chunk makes one control_law call on
+    # the tape (its states' shape, after the forward's values-only calls at
+    # the live steps) and one factor pass of that node, and no reverse sweep
+    # runs but the episode's own. The chunk records nodes of its states'
+    # shape only, the control node's active-unit counts, one per branch and
+    # entry, take one byte each, and the chunk's u equals the forward's as
+    # bytes
+    import swingctl.controller as controller_mod
+
+    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0, m=7)
+    calls, factored, sweeps = [], [], []
+    law, factors, backward = controller_mod.control_law, tp_mod._bk_control_law.factors, Tape.backward
+
+    def spy_law(flows, omega, *rest):
+        out = law(flows, omega, *rest)
+        if isinstance(omega, tp_mod.Node):
+            t, u = omega.tape, out[0]
+            counts = [a for a in cached_arrays(t.aux[u.idx]) if a.dtype == np.uint8]
+            calls.append((t.shapes[omega.idx], [t.shapes[i] for i in range(omega.idx, len(t))], counts))
+        else:
+            calls.append(None)
+        return out
+
+    monkeypatch.setattr(controller_mod, "control_law", spy_law)
+    monkeypatch.setattr(tp_mod._bk_control_law, "factors", lambda aux: factored.append(len(calls)) or factors(aux))
+    monkeypatch.setattr(Tape, "backward", lambda self, *a, **kw: sweeps.append(a) or backward(self, *a, **kw))
+    rng = np.random.default_rng(5)
+    omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
+    noise = rng.uniform(-0.01, 0.01, size=(60, 4, 3))
+    log = ControlLog(adapter)
+    loss_and_grad(log, net3, inc3, eq3, adapter.raw, np.tile(eq3.lam_eq, (4, 1)), omega0,
+                  np.tile(net3.p_nom, (60, 1)), noise, 40.0, 500.0, 5e-3)
+    chunks = [i + 1 for i, call in enumerate(calls) if call is not None]
+    assert len(chunks) == len(log.chunk_u) > 1 and factored == chunks and len(sweeps) == 1
+    assert len(calls) - len(chunks) == sum(active for _, active in log.forward.values())
+    for state, shapes, counts in filter(None, calls):
+        assert len(state) == 3 and state[1:] == (4, 3) and all(s == state for s in shapes)
+        assert counts and all(k.shape == (6,) + state for k in counts)
+    for us, ws in zip(log.chunk_u, log.chunk_omega):
+        for u, w in zip(us, ws):
+            assert u.tobytes() == log.forward[w.tobytes()][0]
 
 
 def test_fully_active_39_bus_step_caches_no_more_than_six_nodes_did(net39, inc39, eq39):
