@@ -457,16 +457,17 @@ def stack_units(tables, whi, wlo, omega_min, omega_max, omega_sync) -> tuple:
 _SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])  # x = sign * r per branch
 
 
-def _layout(units, shape: tuple) -> tuple:
-    """(thr, off, c, sign) of `units` for states of shape `shape`, laid out
-    like the branch inputs, (6,) + shape: the thresholds (m, 6) + shape,
-    each entry's flat offset into a (6, n, m+1) table, c (7,) + shape and
-    the branch signs. Each is materialized over the states' last two axes
-    only, once per such shape, so a step's (B, n) or (n,) states run on
-    contiguous arrays, and broadcast over any axes before them: a (steps,
-    B, n) chunk shares its steps' copy instead of an (m, 6) + shape one."""
+def _layout(units, shape: tuple, steps: int = 0) -> tuple:
+    """(thr, off, c, sign) of `units` for states of shape `shape` whose
+    first `steps` axes stack steps, laid out like the branch inputs, (6,) +
+    shape: the thresholds (m, 6) + shape, each entry's flat offset into a
+    (6, n, m+1) table, c (7,) + shape and the branch signs. Each is
+    materialized over a step's states' last two axes only, once per such
+    shape, so a step's (B, n) or (n,) states run on contiguous arrays, and
+    broadcast over any axes before them: a (steps, B, n) or (steps, n)
+    chunk shares its steps' copy instead of an (m, 6) + shape one."""
     _, thr, c, _, _, layouts = units
-    tail = shape[-2:]
+    tail = shape[steps:][-2:]
     if tail not in layouts:
         m, n, ones = thr.shape[0], tail[-1], (1,) * (len(tail) - 1)
         off = _row_offsets((6, n, m + 1)).reshape((6,) + ones + (n,))
@@ -475,8 +476,8 @@ def _layout(units, shape: tuple) -> tuple:
             (_SIGNS.reshape((6,) + ones + (1,)), (6,))))
     if len(shape) == len(tail):
         return layouts[tail]
-    steps = (1,) * (len(shape) - len(tail))
-    return tuple(a.reshape(a.shape[:a.ndim - len(tail)] + steps + tail) for a in layouts[tail])
+    lead = (1,) * (len(shape) - len(tail))
+    return tuple(a.reshape(a.shape[:a.ndim - len(tail)] + lead + tail) for a in layouts[tail])
 
 
 def _inputs(vw, c) -> np.ndarray:
@@ -522,7 +523,9 @@ def control_law(flows, omega, p, edge_xi, mask, units, b_mat, damping, dtilde):
     """
     WC, _, _, whi, wlo, _ = units
     vWC, vw = _val(WC), _val(omega)
-    layout = _layout(units, vw.shape)
+    # a step's p is one (n,) row; a chunk of steps stacks its rows with the
+    # states' axes, so there the states' first axis indexes the steps
+    layout = _layout(units, vw.shape, int(vw.ndim > 1 and np.ndim(_val(p)) == vw.ndim))
     thr, off, c, sign = layout
     r = _inputs(vw, c)
     x = sign * r[1:]

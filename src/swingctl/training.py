@@ -1,21 +1,24 @@
 """Training loop: discretized rollouts, loss, exact gradients, Adam.
 
 The trainer runs the simulator's own closed loop (`dynamics.closed_loop`,
-explicit Euler) on plain values, keeping only the states (lam_k, omega_k),
-and records the whole episode as one tape node after the policy's
-per-rollout nodes. That node's backward rule is the discrete adjoint
-(costate) recurrence of the two Euler updates and the loss terms, swept
-step by step in reverse. The policy is re-run there in time-batched chunks
-of live steps on a scratch tape whose leaves are its ready tensors, rebound
-once per episode: u at a bus reads only that bus's measured frequency and
-line flows, so its Jacobian in them is diagonal and its adjoint is linear
-in the seed. One factor pass over the chunk's `control_law` node gives the
+explicit Euler) on plain values, keeping the frequencies omega_k and, only
+at the first step of each block of steps, the angles lam_k. It records the
+whole episode as one tape node after the policy's per-rollout nodes. That
+node's backward rule is the discrete adjoint (costate) recurrence of the
+two Euler updates and the loss terms, swept step by step in reverse. The
+policy is re-run there in time-batched chunks of live steps on a scratch
+tape whose leaves are its ready tensors, rebound once per episode: u at a
+bus reads only that bus's measured frequency and line flows, so its
+Jacobian in them is diagonal and its adjoint is linear in the seed. One
+factor pass over the chunk's `control_law` node gives the
 exact per-entry derivatives the recurrence multiplies by and per-entry
 coefficients that the chunk's u adjoints weight into the policy tensors'
 adjoints (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008); a
 policy whose u is not one such node takes two reverse sweeps instead.
-Memory per step is the two states, not a taped step (checkpointed reverse
-mode: Griewank & Walther, ACM TOMS 2000).
+The sweep replays each block's angles from its mark and the kept omega_k
+by the Euler angle update, bitwise, so memory per step is omega_k and a
+mark's share of lam, not a taped step (checkpointed reverse mode:
+Griewank & Walther, ACM TOMS 2000).
 
 The policy is any bound policy (`controller.BoundPolicy`), so both policy
 kinds train through the same code. A batch is carried as a leading axis on
@@ -154,15 +157,17 @@ def episode_loss(
         return 0.0, (0.0, 0.0, 0.0)
 
     lip_on = rho > 0 and k_steps > 1  # at rho = 0 the term never reaches the loss
-    chunk = -(-CHUNK_STATES // n_batch)
+    span = -(-CHUNK_STATES // n_batch)  # live steps per chunk, and steps per block of the angle marks
     control = partial(policy.control, policy.precompute({k: value(v) for k, v in raw_like.items()}))
-    lams, omegas = np.empty((k_steps,) + lam0.shape), np.empty((k_steps,) + omega0.shape)
+    marks, omegas = np.empty((-(-k_steps // span),) + lam0.shape), np.empty((k_steps,) + omega0.shape)
     live, n_live = np.zeros(k_steps, dtype=bool), 0
     tails = {}  # with the variation term: u at the last step of each full chunk
     freq = ctrl = lip = 0.0  # left-to-right sums of the per-step sums of squares
     u_prev = None
     for k, (lam, omega, dec) in enumerate(closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise)):
-        lams[k], omegas[k] = lam, omega
+        if k % span == 0:
+            marks[k // span] = lam
+        omegas[k] = omega
         d = omega - eq.omega_sync
         freq = freq + (d * d).sum()
         ctrl = ctrl + (dec.u * dec.u).sum()
@@ -172,7 +177,7 @@ def episode_loss(
         u_prev = dec.u
         if dec.active.any() or dec.u.any():
             live[k], n_live = True, n_live + 1
-            if lip_on and n_live % chunk == 0:
+            if lip_on and n_live % span == 0:
                 tails[k] = dec.u
 
     scale = 1.0 / (k_steps * n_batch)
@@ -186,8 +191,8 @@ def episode_loss(
     steps = np.flatnonzero(live)
     sweep = _Sweep(
         policy=policy, net=net, inc=inc, omega_sync=eq.omega_sync, dt=dt, tape=scratch, template=template,
-        lams=lams, omegas=omegas, noise=noise, p_steps=p_steps, tails=tails,
-        chunks=[steps[i:i + chunk] for i in range(0, len(steps), chunk)],
+        marks=marks, omegas=omegas, span=span, noise=noise, p_steps=p_steps, tails=tails,
+        chunks=[steps[i:i + span] for i in range(0, len(steps), span)],
         weights=(gamma * scale, scale, rho * lip_scale),
     )
     return record(_bk_episode, tuple(nodes), sweep, np.asarray(loss)), parts
@@ -196,8 +201,10 @@ def episode_loss(
 @dataclass
 class _Sweep:
     """What an episode node's backward rule reads: the policy, the rollout's
-    states (K, ...) and inputs, the live steps in chunks in time order, u at
-    the chunk tails the variation term needs, the loss weights of the three
+    frequencies omega_k (K, ...) and its angles only at the first step of
+    each block of `span` steps (`marks`, from which `angles` replays the
+    rest), its inputs, the live steps in chunks in time order, u at the
+    chunk tails the variation term needs, the loss weights of the three
     sums of squares, and `template`, the policy's ready tensors with their
     nodes rebound once per episode as the leaves of `tape`, in the order of
     the episode node's parents (leaf i is entry i), so no Node of the
@@ -210,29 +217,50 @@ class _Sweep:
     dt: float
     tape: Tape
     template: object
-    lams: np.ndarray
+    marks: np.ndarray
     omegas: np.ndarray
+    span: int
     noise: np.ndarray | None
     p_steps: np.ndarray
     tails: dict
     chunks: list
     weights: tuple
 
+    def angles(self, lo: int, hi: int) -> np.ndarray:
+        """lam_k for lo <= k < hi, lo the first step of a block and hi at
+        most the next one's: the block's mark, then `dynamics.euler_step`'s
+        angle update one step at a time at the step's own shape, so bitwise
+        the rollout's angles."""
+        out = np.empty((hi - lo,) + self.marks.shape[1:])
+        out[0] = self.marks[lo // self.span]
+        for k in range(lo + 1, hi):
+            out[k - lo] = out[k - lo - 1] + self.dt * (self.omegas[k - 1] @ self.inc.b_mat)
+        return out
+
 
 class _Chunk:
     """The policy re-run at one chunk of live steps on the sweep's tape: u
     and its per-entry derivatives in the measured frequency and the line
-    flows (u at an entry reads only that entry's frequency and flows). When
-    u is one node whose rule has a `factors` companion (`control_law`'s),
-    one pass over the node's cache gives them and the coefficients the
-    chunk's u adjoints weight into the ready tensors' adjoints; otherwise a
-    reverse sweep seeded with ones gives them, and a second seeded with the
-    u adjoints the ready tensors'. The chunk's entries then leave the tape."""
+    flows (u at an entry reads only that entry's frequency and flows). The
+    angles at the steps from `lo` on are rows of `lams`, the costate's
+    block; those in earlier blocks are replayed from their marks. When u is
+    one node whose rule has a `factors` companion (`control_law`'s), one
+    pass over the node's cache gives the derivatives and the coefficients
+    the chunk's u adjoints weight into the ready tensors' adjoints;
+    otherwise a reverse sweep seeded with ones gives them, and a second
+    seeded with the u adjoints the ready tensors'. The chunk's entries then
+    leave the tape."""
 
-    def __init__(self, sw: _Sweep, steps: np.ndarray):
+    def __init__(self, sw: _Sweep, steps: np.ndarray, lo: int, lams: np.ndarray):
         tape, ndim = sw.tape, sw.omegas.ndim
         self.steps, self.tape, self.n_ready = steps, tape, len(tape)
-        flows = tape.leaf(np.stack([line_flows(sw.inc, sw.lams[k]) for k in steps]))
+        parts = []
+        for block in dict.fromkeys((steps[steps < lo] // sw.span).tolist()):  # earlier blocks: replayed
+            first = block * sw.span
+            own = steps[(steps >= first) & (steps < first + sw.span)]
+            parts.append(sw.angles(first, own[-1] + 1)[own - first])
+        parts.append(lams[steps[steps >= lo] - lo])
+        flows = tape.leaf(np.stack([line_flows(sw.inc, lam) for lam in np.concatenate(parts)]))
         measured = sw.omegas[steps] if sw.noise is None else sw.omegas[steps] + _rows(sw.noise, steps, ndim)
         omega = tape.leaf(measured)
         self.node = sw.policy.control(sw.template, flows, omega, _rows(sw.p_steps, steps, ndim)).u
@@ -277,26 +305,29 @@ def _bk_episode(g, par, aux, shapes, adj, check_finite=False):
     # step's u and derivatives come from its chunk (`_Chunk`), re-run when
     # the sweep reaches the chunk's last step; once it passes the chunk's
     # first, the chunk's u_bar gives the ready tensors' adjoints, summed
-    # over chunks and handed to `par`. cos(lam_k) and the frequency term's
-    # seed are formed for a chunk's worth of steps at once.
+    # over chunks and handed to `par`. The sweep replays a block's angles
+    # from its mark when it enters the block (`_Sweep.angles`) and forms
+    # cos(lam_k) and the frequency term's seed for the block at once; a
+    # chunk reads its steps in that block from there and replays those in
+    # earlier blocks, so each angle update is replayed at most twice.
     sw = aux
     net, inc = sw.net, sw.inc
     w_freq, w_ctrl, w_lip = (2.0 * g * w for w in sw.weights)  # slopes of the three sums of squares
     dt_m, b_dt = sw.dt / net.inertia, sw.dt * inc.b_mat.T  # of the rate u + p - D omega - flows; of lam's update
-    k_steps = len(sw.lams)
-    span = -(-CHUNK_STATES // (sw.omegas[0].size // sw.omegas.shape[-1]))  # steps per chunk
-    lbar, wbar = np.zeros(sw.lams.shape[1:]), np.zeros(sw.omegas.shape[1:])
+    k_steps = len(sw.omegas)
+    lbar, wbar = np.zeros(sw.marks.shape[1:]), np.zeros(sw.omegas.shape[1:])
     totals = [None] * len(par)
     chunks, cur, j, u_after, lo = list(sw.chunks), None, -1, None, k_steps
     for k in range(k_steps - 1, -1, -1):
         if k < lo:
-            lo = max(k + 1 - span, 0)
-            cos_lam, seed = np.cos(sw.lams[lo:k + 1]), w_freq * (sw.omegas[lo:k + 1] - sw.omega_sync)
+            lo = k - k % sw.span
+            lams = sw.angles(lo, k + 1)
+            cos_lam, seed = np.cos(lams), w_freq * (sw.omegas[lo:k + 1] - sw.omega_sync)
         gr = wbar * dt_m
         f_bar = -gr
         wbar = wbar - gr * net.damping + lbar @ b_dt + seed[k - lo]
         if cur is None and chunks and chunks[-1][-1] == k:
-            cur = _Chunk(sw, chunks.pop())
+            cur = _Chunk(sw, chunks.pop(), lo, lams)
             j = len(cur.steps) - 1
         if cur is not None and cur.steps[j] == k:
             u = cur.u[j]

@@ -246,11 +246,14 @@ def test_episode_tape_node_count_does_not_depend_on_the_horizon(net39, inc39, eq
 
 
 def test_episode_node_keeps_at_most_the_states_and_noise_per_step(net39, inc39, eq39):
-    # B=8, fully active: what an episode's tape keeps beyond its inputs
-    # grows by at most (m + 2n) B 8 bytes per step (lam_k, omega_k and a
-    # noise row's worth), not by a taped step's caches
+    # B=8, fully active, rho = 500: what an episode's tape keeps beyond its
+    # inputs grows by at most (n + (m + n)/S) B 8 + 32 bytes per step, S =
+    # CHUNK_STATES / B steps per block: omega_k, a block's share of its
+    # angle mark and of u at a chunk tail, and a step's live flag, index and
+    # share of its chunk's bookkeeping; not by lam_k nor a taped step's caches
     adapter = fully_active_39(net39, inc39, eq39)
     n, m, batch = 39, inc39.b_mat.shape[1], 8
+    span = -(-CHUNK_STATES // batch)
     held = []
     for k_steps in (10, 410):
         rng = np.random.default_rng(6)
@@ -265,7 +268,7 @@ def test_episode_node_keeps_at_most_the_states_and_noise_per_step(net39, inc39, 
             held.append(tracemalloc.get_traced_memory()[0])
         finally:
             tracemalloc.stop()
-    assert 0 < (held[1] - held[0]) / 400 <= (m + 2 * n) * batch * 8
+    assert 0 < (held[1] - held[0]) / 400 <= (n + (m + n) / span) * batch * 8 + 32
 
 
 def cached_arrays(obj):
@@ -283,11 +286,12 @@ def cached_arrays(obj):
 
 
 def step_arrays(sweep) -> list:
-    """The arrays an episode node keeps with one row per step: the rollout's
-    states and the inputs it re-reads."""
-    k_steps = len(sweep.lams)
-    fields = (sweep.lams, sweep.omegas, sweep.noise, sweep.p_steps)
-    return [a for a in {id(a): a for a in cached_arrays(fields)}.values() if a.shape[:1] == (k_steps,)]
+    """The arrays an episode node keeps with one row per step or per block
+    of steps: the rollout's frequencies, its angle marks and the inputs it
+    re-reads."""
+    rows = {(len(sweep.omegas),), (len(sweep.marks),)}
+    fields = (sweep.marks, sweep.omegas, sweep.noise, sweep.p_steps)
+    return [a for a in {id(a): a for a in cached_arrays(fields)}.values() if a.shape[:1] in rows]
 
 
 def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_band):
@@ -364,21 +368,23 @@ def test_each_backward_chunk_runs_the_control_law_and_its_factor_pass_once(net3,
 
 
 def test_fully_active_39_bus_step_caches_no_more_than_six_nodes_did(net39, inc39, eq39):
-    # B=8, every step live: the arrays the episode node keeps per step (the
-    # states lam_k and omega_k, the noise and injection rows) take no more
+    # B=8, K=40, every step live: the arrays the episode node keeps (the
+    # frequencies omega_k, the noise and injection rows, and lam at the
+    # first step of each of the 3 blocks of 16 steps) take no more per step
     # than the six-node policy's step caches did
     adapter = fully_active_39(net39, inc39, eq39)
     rng = np.random.default_rng(6)
-    omega0, noise = rng.uniform(-0.1, 0.1, (8, 39)), rng.uniform(-0.05, 0.05, (8, 8, 39))
+    omega0, noise = rng.uniform(-0.1, 0.1, (8, 39)), rng.uniform(-0.05, 0.05, (40, 8, 39))
     tp = Tape()
     leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
     loss, _ = episode_loss(adapter, net39, inc39, eq39, leaves, np.tile(eq39.lam_eq, (8, 1)), omega0,
-                           np.tile(net39.p_nom, (8, 1)), noise, 40.0, 0.0, 5e-3)
+                           np.tile(net39.p_nom, (40, 1)), noise, 40.0, 0.0, 5e-3)
     sweep = tp.aux[loss.idx]
-    assert np.array_equal(np.concatenate(sweep.chunks), np.arange(8))
+    assert np.array_equal(np.concatenate(sweep.chunks), np.arange(40))
+    assert sweep.span == 16 and sweep.marks.shape == (3, 8, inc39.b_mat.shape[1])
     kept = step_arrays(sweep)
     assert len(kept) == 4
-    per_step = sum(a.nbytes for a in kept) / 8
+    per_step = sum(a.nbytes for a in kept) / 40
     assert 0 < per_step <= SIX_NODE_STEP_CACHE_BYTES
 
 
@@ -408,6 +414,89 @@ def test_backward_chunks_recompute_the_forward_controls_bitwise(request, spec_ba
             assert u.tobytes() == log.forward[w.tobytes()][0]
 
 
+def load_step_episode(net39, inc39, eq39, policy, batch, k_steps, noisy=False, rho=500.0):
+    """(args, lam_k): the arguments after the raws of `loss_and_grad` for a
+    39-bus episode from the synchronous angles with a load step on bus 5
+    mid-horizon, which moves settled batches out of their dead zones, and
+    the rollout's angles from `closed_loop` (K, ...)."""
+    rng = np.random.default_rng(6)
+    omega0, lam0 = rng.uniform(-0.1, 0.1, (batch, 39)), np.tile(eq39.lam_eq, (batch, 1))
+    noise = rng.uniform(-0.05, 0.05, (k_steps, batch, 39)) if noisy else None
+    if batch == 1:
+        omega0, lam0, noise = omega0[0], lam0[0], None if noise is None else noise[:, 0]
+    scen = Scenario(horizon=k_steps * 5e-3, dt=5e-3, disturbances=(Disturbance(5, -2.0, 0.05, 0.2),))
+    p_steps = injection_schedule(net39, scen, k_steps, 5e-3)
+    control = partial(policy.control, policy.precompute(policy.raw))
+    lams = np.stack([lam for lam, _, _ in closed_loop(net39, inc39, control, lam0, omega0, p_steps, 5e-3, noise)])
+    return (lam0, omega0, p_steps, noise, 40.0, rho, 5e-3), lams
+
+
+def untrained_39(net39, inc39, eq39):
+    return init_policy_params(39, 20, np.random.default_rng(3)).bind(
+        SafetySpec.band(-0.2, 0.2, 39), net39, inc39, eq39)
+
+
+@pytest.mark.parametrize("batch,k_steps", [(1, 300), (8, 53)])
+def test_replayed_angles_are_the_rollouts_as_bytes(net39, inc39, eq39, monkeypatch, batch, k_steps):
+    # the untrained policy is live at some steps only, so some chunk's live
+    # steps straddle blocks of S = CHUNK_STATES / B steps, and K is no
+    # multiple of S: every block's angles replayed from its mark, and the
+    # angles each chunk computes its line flows from, equal closed_loop's
+    # lam_k as bytes
+    import swingctl.training as training_mod
+
+    policy = untrained_39(net39, inc39, eq39)
+    args, lams = load_step_episode(net39, inc39, eq39, policy, batch, k_steps)
+    read, line_flows = [], training_mod.line_flows
+    monkeypatch.setattr(training_mod, "line_flows", lambda inc, lam: read.append(lam.tobytes()) or line_flows(inc, lam))
+    tp = Tape()
+    leaves = {k: tp.leaf(np.array(v)) for k, v in policy.raw.items()}
+    loss, _ = episode_loss(policy, net39, inc39, eq39, leaves, *args)
+    sweep, span = tp.aux[loss.idx], -(-CHUNK_STATES // batch)
+    assert sweep.span == span and k_steps % span and len(sweep.marks) == -(-k_steps // span)
+    assert any(c[0] // span != c[-1] // span for c in sweep.chunks) and not all(len(c) == span for c in sweep.chunks)
+    blocks = [sweep.angles(lo, min(lo + span, k_steps)) for lo in range(0, k_steps, span)]
+    assert np.concatenate(blocks).tobytes() == lams.tobytes()
+    tp.backward(loss)
+    assert read == [lams[k].tobytes() for c in reversed(sweep.chunks) for k in c]
+
+
+@pytest.mark.parametrize("kind,batch,k_steps", [("untrained", 1, 300), ("untrained", 8, 53), ("untrained", 8, 200),
+                                                ("fully active", 8, 200), ("fully active", 1, 300)])
+def test_an_episode_replays_at_most_two_angle_updates_per_step(net39, inc39, eq39, monkeypatch, kind, batch, k_steps):
+    # angles(lo, hi) steps from lo, a block's first step, to hi - 1: the
+    # costate replays each block once and a chunk the blocks before the
+    # costate's that it reads, at most 2K updates in all; in a fully active
+    # episode each chunk is a block and each update is replayed once
+    import swingctl.training as training_mod
+
+    policy = (untrained_39 if kind == "untrained" else fully_active_39)(net39, inc39, eq39)
+    args, _ = load_step_episode(net39, inc39, eq39, policy, batch, k_steps)
+    spans, angles = [], training_mod._Sweep.angles
+    monkeypatch.setattr(training_mod._Sweep, "angles",
+                        lambda sw, lo, hi: spans.append(hi - 1 - lo) or angles(sw, lo, hi))
+    loss_and_grad(policy, net39, inc39, eq39, policy.raw, *args)
+    n_blocks = -(-k_steps // -(-CHUNK_STATES // batch))
+    assert 0 < sum(spans) <= 2 * k_steps
+    if kind == "fully active":
+        assert sum(spans) == k_steps - n_blocks
+
+
+def test_a_batch_1_episode_lays_its_chunks_over_the_steps_layout(net39, inc39, eq39):
+    # fully active, B=1, K=300: chunks of (128, 39) and (44, 39) states run
+    # on the control law's layout for one step's (39,) states, broadcast
+    # over the chunk's steps, so the template caches no layout per chunk
+    policy = fully_active_39(net39, inc39, eq39)
+    args, _ = load_step_episode(net39, inc39, eq39, policy, 1, 300)
+    tp = Tape()
+    leaves = {k: tp.leaf(np.array(v)) for k, v in policy.raw.items()}
+    loss, _ = episode_loss(policy, net39, inc39, eq39, leaves, *args)
+    tp.backward(loss)
+    sweep = tp.aux[loss.idx]
+    assert [len(c) for c in sweep.chunks] == [128, 128, 44]
+    assert list(sweep.template.units[5]) == [(39,)]
+
+
 def episode_grid():
     """(kind, B, rho, noisy) of the gradient reference grid."""
     return [(kind, batch, rho, noisy) for kind in ("untrained", "fully active", "monotone")
@@ -420,24 +509,13 @@ def test_gradients_match_the_per_step_taped_reference(net39, inc39, eq39, kind, 
     # (oracles.taped_episode_loss): losses and parts bitwise, every gradient
     # array within 1e-10 of its family's largest |entry|; a load step on bus
     # 5 mid-horizon moves settled batches out of their dead zones
-    k_steps = 60
     if kind == "monotone":
         policy = init_monotone_params(39, 20, np.random.default_rng(3)).bind(
             SafetySpec.band(-0.2, 0.2, 39), net39, inc39, eq39)
-    elif kind == "fully active":
-        policy = fully_active_39(net39, inc39, eq39)
     else:
-        policy = init_policy_params(39, 20, np.random.default_rng(3)).bind(
-            SafetySpec.band(-0.2, 0.2, 39), net39, inc39, eq39)
-    rng = np.random.default_rng(6)
-    omega0 = rng.uniform(-0.1, 0.1, (batch, 39))
-    noise = rng.uniform(-0.05, 0.05, (k_steps, batch, 39)) if noisy else None
-    lam0 = np.tile(eq39.lam_eq, (batch, 1))
-    if batch == 1:
-        omega0, lam0, noise = omega0[0], lam0[0], None if noise is None else noise[:, 0]
-    scen = Scenario(horizon=k_steps * 5e-3, dt=5e-3, disturbances=(Disturbance(5, -2.0, 0.05, 0.2),))
-    args = (net39, inc39, eq39, policy.raw, lam0, omega0, injection_schedule(net39, scen, k_steps, 5e-3),
-            noise, 40.0, rho, 5e-3)
+        policy = (fully_active_39 if kind == "fully active" else untrained_39)(net39, inc39, eq39)
+    episode, _ = load_step_episode(net39, inc39, eq39, policy, batch, 60, noisy, rho)
+    args = (net39, inc39, eq39, policy.raw, *episode)
     loss, parts, grads = loss_and_grad(policy, *args)
     ref_loss, ref_parts, ref_grads = taped_loss_and_grad(policy, *args)
     assert loss == ref_loss and parts == ref_parts
