@@ -284,9 +284,9 @@ def class_k_tables(wp, wm, bp, bm) -> tuple:
     return unit_table(wp, bp), unit_table(wm, bm)
 
 
-def class_k_eval(tables, s):
+def class_k_eval(tables, s, negate: bool = False):
     """Evaluate the class-K network alpha(x) = wp.relu(x + bp) + wm.relu(-x + bm)
-    at x = s.
+    at x = s, or -alpha(s) with `negate`.
 
     `tables` is `class_k_tables(wp, wm, bp, bm)`, built once per rollout;
     s is (n,) or batched (..., n). Strictly increasing in x and exactly zero
@@ -294,7 +294,7 @@ def class_k_eval(tables, s):
     `unit_sums` node, which keeps no (..., n, m) temporary.
     """
     plus, minus = tables
-    return unit_sums(((plus, s, 1.0), (minus, s, -1.0)))
+    return unit_sums(((plus, s, 1.0), (minus, s, -1.0)), negate)
 
 
 def threshold_map(thr_lo_raw, thr_hi_raw, omega_sync, omega_min, omega_max):
@@ -433,7 +433,11 @@ class BoundPolicy:
       validate(ready)                  PolicyError if an invariant fails;
       rebuild(raw)                     params of the same kind with new raws.
 
-    Binding checks that every per-bus array has one row per network bus.
+    On tape leaves, control's u is a plain array or one node of a per-entry
+    kernel (`tape.unit_sums`, `tape.control_law`) whose state arguments are
+    omega and flows themselves: training reads u's linearization from that
+    node and raises TypeError for any other op. Binding checks that every
+    per-bus array has one row per network bus.
     """
 
     def __init__(self, params, spec, net, inc, eq):
@@ -537,7 +541,7 @@ class MonotoneAdapter(BoundPolicy):
 
     def control(self, ready: tuple, flows, omega, p) -> ControlDecision:
         shape = np.shape(value(omega))
-        u = -class_k_eval(ready, omega)
+        u = class_k_eval(ready, omega, negate=True)
         return ControlDecision(u=u, budgets=np.zeros(shape), active=np.zeros(shape, dtype=bool))
 
     def validate(self, ready: tuple) -> None:

@@ -4,31 +4,36 @@ The op set is exactly what the policies need, nothing more. General ops:
 elementwise arithmetic and activations, `minimum`, a constant matvec, a min
 reduction, last-axis prefix sums, differences and zero padding, and
 `permute_last` (a constant per-row reordering of the last axis). Fused
-kernels, one node each with a hand-written backward rule, for the policies:
+policy kernels, one node each:
 
-  * `unit_sums`: the monotone baseline's class-K map, a sum of ReLU-unit
-    branches evaluated as one linear piece per branch from prefix tables;
+  * `unit_sums`: the monotone baseline's class-K map (or its negative), a
+    sum of ReLU-unit branches evaluated as one linear piece per branch from
+    prefix tables;
   * `control_law`: the whole constrained policy at measured states (gate
     inputs, both class-K barriers and the dead-zone response from their six
     ReLU-unit branches, budgets, feedforward, stability cap, both barrier
-    bounds and the selecting gate), whose only node output is u, and
-    `stack_units`, the per-rollout node that stacks the prefix tables it
-    reads.
+    bounds and the selecting gate), whose only node output is u; the
+    prefix tables it reads are one `stack_units` node per rollout.
 
 Each fused kernel evaluates the numpy expression of the composed ops it
-stands for, in the same order, so its value is bitwise the composed one,
-and its rule sums adjoints in the order of the composed reverse sweep, so
-gradients are bitwise too. Every recorded node stores its backward rule
-(whose name gives the op), parent indices, output shape and the cached
-locals the rule needs; a value stays alive only while a Node handle or such
-a cache holds it. Adjoints fill a parallel buffer in a single reverse sweep
-that keeps only leaf ones. A module may record an op of its own with
-`record` (the training episode is one such node), and `rebind` copies a
-structure of nodes onto another tape as leaves, so a rule can re-run model
-code on a scratch tape of its own and `truncate` it after. The rule of
-`control_law` has a `factors` companion: u is per entry, so one pass over a
-node's cache gives u's derivatives in omega and the line flows and the
-policy tensors' adjoints for any adjoint of u, with no reverse sweep.
+stands for, in the same order, so its value is bitwise the composed one.
+Its output is per entry in its state arguments, so its Jacobian in them is
+diagonal and its one backward is its linearization (Griewank & Walther,
+*Evaluating Derivatives*, SIAM 2008): `factors(aux, parents)` gives, from
+one pass over the node's cache, each state parent's per-entry derivative
+and a `push(u_bar, shapes, adj)` of any output adjoint into the other
+parents' adjoints. The tape rule seeds it with the node's adjoint
+(`_linearized`); a training chunk seeds it with its own, with no reverse
+sweep. Gradients agree with the composed ops' to rounding.
+
+Every recorded node stores its backward rule (whose name gives the op),
+parent indices, output shape and the cached locals the rule needs; a value
+stays alive only while a Node handle or such a cache holds it. Adjoints
+fill a parallel buffer in a single reverse sweep that keeps only leaf ones.
+A module may record an op of its own with `record` (the training episode is
+one such node), and `rebind` copies a structure of nodes onto another tape
+as leaves, so a rule can re-run model code on a scratch tape of its own and
+`truncate` it after.
 
 No node stores an (..., n, m) temporary. A `unit_sums` node keeps, per
 branch, the weight table, the input and the count k of active units per
@@ -379,59 +384,6 @@ def pad_zero_first(a):
     return record(_bk_pad_zero_first, (a,), None, out)
 
 
-# ------------------------------------------------ fused policy kernels
-
-
-def unit_sums(branches):
-    """Left-to-right sum over branches ((W, C, thr), s, sign) of
-    sum_j w[n, j] * relu(x + b[n, j]), x = sign * s. Each s is (n,) or
-    (..., n), as the result.
-
-    The biases of each row n must be non-increasing, so the units active at
-    x form a prefix: W and C are (n, m+1) with W[n, k] = sum_{j<k} w[n, j]
-    and C[n, k] = sum_{j<k} w[n, j] b[n, j], thr is the plain (n, m+1) array
-    [-b, +inf], and a branch is x W[k] + C[k] at the first column k with
-    thr >= x: exactly 0.0 with no unit active. A branch with every entry at
-    or below its first threshold is skipped forward and backward; the sum
-    then ends in + 0.0, as adding its zeros would.
-    """
-    total, args, aux = None, [], []
-    for (W, C, thr), s, sign in branches:
-        args += (W, C, s)
-        x = _val(s) if sign > 0 else -_val(s)
-        if np.count_nonzero(x <= thr[..., 0]) == x.size:
-            aux.append(None)
-            continue
-        k = (thr < x[..., None]).argmin(-1)
-        flat = k + _row_offsets(thr.shape)
-        vW = _val(W)
-        out = x * vW.reshape(-1)[flat] + _val(C).reshape(-1)[flat]
-        total = out if total is None else total + out
-        aux.append((vW, _val(s), k.astype(np.min_scalar_type(thr.shape[-1] - 1)), sign))
-    if total is None:
-        total = np.zeros(x.shape)
-    elif None in aux:
-        total = total + 0.0
-    return record(_bk_unit_sums, tuple(args), aux, total)
-
-
-@functools.lru_cache(maxsize=None)
-def _row_offsets(shape: tuple) -> np.ndarray:
-    """Flat index of column 0 of each row of a (..., n, m+1) table (read-only)."""
-    off = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
-    off.flags.writeable = False
-    return off
-
-
-def _floored(vd):
-    """(live, dhat): where |d| >= _TINY, and d with its magnitude floored
-    there; (None, d) when no entry needs the floor."""
-    live = np.abs(vd) >= _TINY
-    if np.count_nonzero(live) == live.size:
-        return None, vd
-    return live, np.where(live, vd, np.where(vd < 0, -_TINY, _TINY))
-
-
 def stack_units(tables, whi, wlo, omega_min, omega_max, omega_sync) -> tuple:
     """`control_law`'s per-rollout units (WC, thr, c, whi, wlo, layouts).
 
@@ -452,6 +404,60 @@ def stack_units(tables, whi, wlo, omega_min, omega_max, omega_sync) -> tuple:
     thr = np.ascontiguousarray(np.stack([t[..., :-1] for _, _, t in tables]).transpose(2, 0, 1))
     c = np.stack(np.broadcast_arrays(omega_sync, _val(whi), _val(wlo), omega_max, omega_min, omega_max, omega_min))
     return record(_bk_stack_units, args, None, vals), thr, c, whi, wlo, {}
+
+
+# ------------------------------------------------ fused policy kernels
+
+
+def unit_sums(branches, negate: bool = False):
+    """Left-to-right sum over branches ((W, C, thr), s, sign) of
+    sum_j w[n, j] * relu(x + b[n, j]), x = sign * s, negated with `negate`.
+    Each s is (n,) or (..., n), as the result.
+
+    The biases of each row n must be non-increasing, so the units active at
+    x form a prefix: W and C are (n, m+1) with W[n, k] = sum_{j<k} w[n, j]
+    and C[n, k] = sum_{j<k} w[n, j] b[n, j], thr is the plain (n, m+1) array
+    [-b, +inf], and a branch is x W[k] + C[k] at the first column k with
+    thr >= x: exactly 0.0 with no unit active. A branch with every entry at
+    or below its first threshold is skipped forward and backward; the sum
+    then ends in + 0.0, as adding its zeros would.
+    """
+    total, args, aux = None, [], []
+    out = -1.0 if negate else 1.0
+    for (W, C, thr), s, sign in branches:
+        args += (W, C, s)
+        x = _val(s) if sign > 0 else -_val(s)
+        if np.count_nonzero(x <= thr[..., 0]) == x.size:
+            aux.append(None)
+            continue
+        k = (thr < x[..., None]).argmin(-1)
+        flat = k + _row_offsets(thr.shape)
+        vW = _val(W)
+        part = x * vW.reshape(-1)[flat] + _val(C).reshape(-1)[flat]
+        total = part if total is None else total + part
+        aux.append((vW, _val(s), k.astype(np.min_scalar_type(thr.shape[-1] - 1)), sign, out))
+    if total is None:
+        total = np.zeros(x.shape)
+    elif None in aux:
+        total = total + 0.0
+    return record(_bk_unit_sums, tuple(args), aux, -total if negate else total)
+
+
+@functools.lru_cache(maxsize=None)
+def _row_offsets(shape: tuple) -> np.ndarray:
+    """Flat index of column 0 of each row of a (..., n, m+1) table (read-only)."""
+    off = np.arange(0, math.prod(shape), shape[-1]).reshape(shape[:-1])
+    off.flags.writeable = False
+    return off
+
+
+def _floored(vd):
+    """(live, dhat): where |d| >= _TINY, and d with its magnitude floored
+    there; (None, d) when no entry needs the floor."""
+    live = np.abs(vd) >= _TINY
+    if np.count_nonzero(live) == live.size:
+        return None, vd
+    return live, np.where(live, vd, np.where(vd < 0, -_TINY, _TINY))
 
 
 _SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, 1.0])  # x = sign * r per branch
@@ -633,62 +639,74 @@ def _bk_reduce_min(g, par, aux, shapes, adj):
     _acc(adj, shapes, par[0], full)
 
 
-def _bk_unit_sums(g, par, aux, shapes, adj):
-    # Branches in reverse, as the composed sum would sweep them; g, s and the
-    # gather index have the output's shape, so the table adjoints are plain
-    # bincounts over the flat index.
-    for b in range(len(aux) - 1, -1, -1):
-        if aux[b] is None:
-            continue
-        (iW, iC, i_s), (vW, vs, k, sign) = par[3 * b : 3 * b + 3], aux[b]
-        flat = (k + _row_offsets(vW.shape)).reshape(-1)
-        _acc(adj, shapes, i_s, sign * g * vW.reshape(-1)[flat].reshape(g.shape))
-        if iW is not None:
-            _acc(adj, shapes, iW, sign * np.bincount(flat, (g * vs).reshape(-1), vW.size).reshape(vW.shape))
-        if iC is not None:
-            _acc(adj, shapes, iC, np.bincount(flat, g.reshape(-1), vW.size).reshape(vW.shape))
+def _linearized(factors):
+    """A per-entry kernel's backward rule from its linearization
+    factors(aux, par) -> ({state parent: its per-entry derivative}, push):
+    the node's adjoint g times each derivative goes to its state parent,
+    and push(g, shapes, adj) adds the other parents' adjoints. The rule
+    carries `factors` and its name."""
+
+    def rule(g, par, aux, shapes, adj):
+        derivs, push = factors(aux, par)
+        for i, d in derivs.items():
+            _acc(adj, shapes, i, g * d)
+        push(g, shapes, adj)
+
+    rule.__name__, rule.factors = factors.__name__, factors
+    return rule
 
 
-def _bk_control_law(g, par, aux, shapes, adj):
-    # The composed policy's rules in its reverse order (`_law_shares`), each
-    # parent's adjoint summed in that order.
+def _by_parent(pairs) -> dict:
+    """{parent: the sum of its derivatives} over (parent, derivative) pairs,
+    leaving out plain arguments (parent None)."""
+    derivs = {}
+    for i, d in pairs:
+        if i is not None:
+            derivs[i] = d if i not in derivs else derivs[i] + d
+    return derivs
+
+
+@_linearized
+def _bk_unit_sums(aux, par):
+    # Per branch with an active unit: u's slope in s is out * sign * W[k],
+    # and for an adjoint u_bar the tables' are bincounts over the gather
+    # index of u_bar * out * s (W's, times sign) and of u_bar * out (C's).
+    pairs, live = [], []
+    for b, branch in enumerate(aux):
+        if branch is not None:
+            (iW, iC, i_s), (vW, vs, k, sign, out) = par[3 * b : 3 * b + 3], branch
+            flat = (k + _row_offsets(vW.shape)).reshape(-1)
+            pairs.append((i_s, (out * sign) * vW.reshape(-1)[flat].reshape(k.shape)))
+            live.append((iW, iC, vW, out * vs, out, sign, flat))
+
+    def push(u_bar, shapes, adj):
+        for iW, iC, vW, xs, out, sign, flat in live:
+            if iW is not None:
+                _acc(adj, shapes, iW, sign * np.bincount(flat, (u_bar * xs).reshape(-1), vW.size).reshape(vW.shape))
+            if iC is not None:
+                _acc(adj, shapes, iC, np.bincount(flat, (u_bar * out).reshape(-1), vW.size).reshape(vW.shape))
+
+    return _by_parent(pairs), push
+
+
+@_linearized
+def _bk_control_law(aux, par):
+    """A `control_law` node's linearization: u's derivatives in omega, the
+    flows and p, and a push that adds edge_xi's, whi's, wlo's and the
+    stacked tables' adjoints for the u adjoint u_bar, as per-entry
+    coefficients weighted by u_bar and summed (a bincount per table family).
+
+    The coefficients follow the composed policy's rules in its reverse
+    order at a seed of ones: the selection, both bounds, the cap,
+    feedforward and budgets; then the six branches, the dead-zone ones
+    adding to the coefficients of dlo and dhi and the lower and upper
+    barrier each sending -(minus + plus) to omega; and last the differences
+    dlo = wlo - omega and dhi = omega - whi. The gate is an indicator, so
+    dhi and dlo get adjoints only as the bounds' denominators."""
     i_fl, iw, ip, ix, iwhi, iwlo, iu = par
-    to_w, g_q, g_x, g_dhi, g_dlo, gb, r, flat = _law_shares(g, aux)
-    if ix is not None:
-        _acc(adj, shapes, ix, (g_x @ aux[12][0]) * aux[6])
-    _acc(adj, shapes, i_fl, g_q)
-    if ip is not None:
-        _acc(adj, shapes, ip, -g_q)
-    if iu is not None:
-        _acc(adj, shapes, iu, _tables(gb, r, flat, aux))
-    if iw is not None:
-        for gw in to_w:
-            _acc(adj, shapes, iw, gw)
-    _acc(adj, shapes, iwlo, g_dlo)
-    if iwhi is not None:
-        _acc(adj, shapes, iwhi, -g_dhi)
-
-
-def _law_shares(g, aux) -> tuple:
-    """The per-entry adjoint shares of a `control_law` node whose u has the
-    adjoint g (an array, or 1.0 for u's own derivatives): (to_w, g_q, g_x,
-    g_dhi, g_dlo, gb, r, flat). to_w are omega's shares in the order the
-    rule sums them; g_q is q's (so that of flows, and of p negated); g_x =
-    g_cap / dev is the budgets' (edge_xi gets (g_x @ b_mat) * mask); g_dhi
-    and g_dlo are the gate inputs' (whi gets -g_dhi, wlo g_dlo); gb, the
-    branch inputs r and the gather index flat give the tables' (`_tables`).
-
-    The composed policy's rules run in its reverse order: the selection,
-    both bounds, the cap, feedforward and budgets; then the six branches,
-    the dead-zone ones adding to the adjoints of dlo and dhi and the lower
-    and upper barrier each sending -(minus + plus) to omega; and last the
-    differences dlo = wlo - omega and dhi = omega - whi. The gate is an
-    indicator, so dhi and dlo get adjoints only as the bounds'
-    denominators."""
-    r, a, over, take, vb, floors, mask, k, on, n_on, vWC, (_, off, _, sign), consts = aux
-    _, damping, dtilde = consts
+    r, a, over, take, vb, floors, mask, k, on, n_on, vWC, (_, off, _, sign), (b_mat, damping, dtilde) = aux
     live, hat = floors or (None, r[:3])
-    gg = np.where(r[1:3] > 0, g, 0.0)  # of min(f, ub) and max(f, lb)
+    gg = np.where(r[1:3] > 0, 1.0, 0.0)  # of min(f, ub) and max(f, lb)
     to = np.where(over, gg, 0.0)  # of ub and lb
     g_f = gg[1] - to[1] + gg[0] - to[0]
     gt = np.where(take, 0.0, to)  # of a / d + q
@@ -696,82 +714,48 @@ def _law_shares(g, aux) -> tuple:
     g_d = g_d if live is None else np.where(live[1:], g_d, 0.0)
     g_cap = np.where(take, to, 0.0)
     g_cap = g_cap[1] + g_cap[0]
-    g_q = gt[1] + gt[0]
+    g_q = gt[1] + gt[0]  # of q: the flows', and p's negated
     gw = -g_cap * vb / (hat[0] * hat[0])
     gw = gw if live is None else np.where(live[0], gw, 0.0)
-    to_w = [gw + g_cap * dtilde + g_q * damping]
+    du_dw = gw + g_cap * dtilde + g_q * damping
+    g_x = g_cap / hat[0]  # of the budgets: edge_xi gets (g_x @ b_mat) * mask
     gb = np.empty(k.shape)  # of each branch: f's or its class-K map's
     gb[:2] = g_f
     gb[2:4] = gt / hat[1:]
     gb[4:] = gb[2:4]
+    gb = gb[:n_on]
     flat = (k[:n_on].astype(np.intp) + off[:n_on]).reshape(-1)
-    gs = sign[:n_on] * gb[:n_on] * vWC[0].reshape(-1)[flat].reshape(k[:n_on].shape)
+    gs = sign[:n_on] * gb * vWC[0].reshape(-1)[flat].reshape(gb.shape)
     g_dhi, g_dlo = g_d[0] + gs[0] if on[0] else g_d[0], g_d[1] + gs[1] if on[1] else g_d[1]
     for branches in ((3, 5), (4, 2)):  # lower, then upper barrier: minus, plus
         through = [gs[j] for j in branches if on[j]]
         if through:
-            to_w.append(-functools.reduce(np.add, through))
-    to_w += [-g_dlo, g_dhi]
-    return to_w, g_q, g_cap / hat[0], g_dhi, g_dlo, gb[:n_on], r, flat
+            du_dw = du_dw - functools.reduce(np.add, through)
+    du_dw = du_dw - g_dlo + g_dhi
 
-
-def _tables(gb, r, flat, aux) -> np.ndarray:
-    """The adjoint of a `control_law` node's stacked tables, (2, 6, n, m+1),
-    from its live branches' adjoints gb: W's and C's are bincounts over the
-    gather index of gb times the branch input and of gb. A branch with no
-    active unit adds nothing anywhere: its slices are -0.0."""
-    on, vWC = aux[8], aux[10]
-    size, n_on = vWC[0].size, len(gb)
-    tables = np.concatenate((np.bincount(flat, (gb * r[1:n_on + 1]).reshape(-1), size),
-                             np.bincount(flat, gb.reshape(-1), size))).reshape(vWC.shape)
-    for j in range(6):
-        if not on[j]:
-            tables[:, j] = -0.0
-        elif _SIGNS[j] < 0:
-            np.negative(tables[0, j], out=tables[0, j])
-    return tables
-
-
-def _law_factors(aux) -> tuple:
-    """A `control_law` node's rule factored by its seed, from one pass over
-    its cache: (du/domega, du/dflows, push). u is per entry, so its
-    Jacobian in omega and flows is diagonal and those are its entries, and
-    each adjoint the rule gives the policy's tensors is linear in the seed:
-    push(u_bar, par, shapes, adj) adds to adj, at the node's parents
-    `par`, edge_xi's, whi's, wlo's and the stacked tables' adjoints for the
-    seed u_bar, as per-entry coefficients weighted by u_bar and summed (a
-    bincount per table family). They equal the rule's for that seed up to
-    rounding; the derivatives are the rule's at a seed of ones, bit for
-    bit."""
-    to_w, g_q, g_x, g_dhi, g_dlo, gb, r, flat = _law_shares(1.0, aux)
-    mask, b_mat = aux[6], aux[12][0]
-
-    def push(u_bar, par, shapes, adj):
-        _, _, _, ix, iwhi, iwlo, iu = par
+    def push(u_bar, shapes, adj):
         if ix is not None:
             _acc(adj, shapes, ix, ((u_bar * g_x) @ b_mat) * mask)
         if iwhi is not None:
             _acc(adj, shapes, iwhi, -(u_bar * g_dhi))
         if iwlo is not None:
             _acc(adj, shapes, iwlo, u_bar * g_dlo)
-        if iu is not None:
-            _acc(adj, shapes, iu, _tables(u_bar * gb, r, flat, aux))
+        if iu is not None:  # W's and C's: bincounts of the branches' adjoints times x = sign * r, and alone
+            g = u_bar * gb
+            tables = np.concatenate((np.bincount(flat, (g * r[1:n_on + 1]).reshape(-1), vWC[0].size),
+                                     np.bincount(flat, g.reshape(-1), vWC[0].size))).reshape(vWC.shape)
+            np.negative(tables[0, 3:5], out=tables[0, 3:5])  # the branches at sign -1
+            _acc(adj, shapes, iu, tables)
 
-    return functools.reduce(np.add, to_w), g_q, push
-
-
-_bk_control_law.factors = _law_factors
+    return _by_parent(((iw, du_dw), (i_fl, g_q), (ip, -g_q))), push
 
 
 def _bk_stack_units(g, par, aux, shapes, adj):
-    # Per branch, W's adjoint then C's. A branch that no control_law node
-    # evaluated holds only their -0.0 fills, which no C push (a bincount)
-    # contains, and passes nothing on, as if never recorded.
+    # per branch, W's adjoint then C's
     n = g.shape[1]
     for j in range(n):
-        if g[1, j].any() or not np.signbit(g[1, j]).all():
-            _acc(adj, shapes, par[j], g[0, j])
-            _acc(adj, shapes, par[n + j], g[1, j])
+        _acc(adj, shapes, par[j], g[0, j])
+        _acc(adj, shapes, par[n + j], g[1, j])
 
 
 def _bk_permute_last(g, par, aux, shapes, adj):

@@ -9,12 +9,12 @@ two Euler updates and the loss terms, swept step by step in reverse. The
 policy is re-run there in time-batched chunks of live steps on a scratch
 tape whose leaves are its ready tensors, rebound once per episode: u at a
 bus reads only that bus's measured frequency and line flows, so its
-Jacobian in them is diagonal and its adjoint is linear in the seed. One
-factor pass over the chunk's `control_law` node gives the
-exact per-entry derivatives the recurrence multiplies by and per-entry
-coefficients that the chunk's u adjoints weight into the policy tensors'
-adjoints (Griewank & Walther, *Evaluating Derivatives*, SIAM 2008); a
-policy whose u is not one such node takes two reverse sweeps instead.
+Jacobian in them is diagonal and its adjoint is linear in the seed. u is
+one node of a fused policy kernel, and its linearization (`factors`, from
+one pass over the chunk's node) gives the exact per-entry derivatives the
+recurrence multiplies by and a push of the chunk's u adjoints into the
+policy tensors' adjoints (Griewank & Walther, *Evaluating Derivatives*,
+SIAM 2008).
 The sweep replays each block's angles from its mark and the kept omega_k
 by the Euler angle update, bitwise, so memory per step is omega_k and a
 mark's share of lam, not a taped step (checkpointed reverse mode:
@@ -55,7 +55,7 @@ from .dynamics import (
 )
 from .equilibrium import Equilibrium
 from .netgraph import Incidence, PowerNetwork
-from .tape import Node, Tape, TapeError, rebind, record, value
+from .tape import Node, Tape, TapeError, _op_name, rebind, record, value
 
 
 class TrainingError(RuntimeError):
@@ -103,6 +103,8 @@ class TrainConfig:
         for name in ("lr", "init_scale"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if self.init_scale > np.finfo(float).max / 2:  # the initial draws span 2 * init_scale
+            raise ValueError(f"init_scale must be at most half the largest float, got {self.init_scale}")
 
     def to_dict(self, kind: str = "constrained") -> dict:
         """The settings a run of policy `kind` reads: every field, less
@@ -243,17 +245,15 @@ class _Chunk:
     and its per-entry derivatives in the measured frequency and the line
     flows (u at an entry reads only that entry's frequency and flows). The
     angles at the steps from `lo` on are rows of `lams`, the costate's
-    block; those in earlier blocks are replayed from their marks. When u is
-    one node whose rule has a `factors` companion (`control_law`'s), one
-    pass over the node's cache gives the derivatives and the coefficients
-    the chunk's u adjoints weight into the ready tensors' adjoints;
-    otherwise a reverse sweep seeded with ones gives them, and a second
-    seeded with the u adjoints the ready tensors'. The chunk's entries then
-    leave the tape."""
+    block; those in earlier blocks are replayed from their marks. u must be
+    one node of a per-entry kernel on those states, whose rule's `factors`
+    give, from one pass over the node's cache, the derivatives and a push
+    of the chunk's u adjoints into the ready tensors' adjoints; the chunk's
+    entries then leave the tape. A TypeError names any other op."""
 
     def __init__(self, sw: _Sweep, steps: np.ndarray, lo: int, lams: np.ndarray):
         tape, ndim = sw.tape, sw.omegas.ndim
-        self.steps, self.tape, self.n_ready = steps, tape, len(tape)
+        self.steps, self.shapes, self.n_ready = steps, tape.shapes, len(tape)
         parts = []
         for block in dict.fromkeys((steps[steps < lo] // sw.span).tolist()):  # earlier blocks: replayed
             first = block * sw.span
@@ -263,29 +263,25 @@ class _Chunk:
         flows = tape.leaf(np.stack([line_flows(sw.inc, lam) for lam in np.concatenate(parts)]))
         measured = sw.omegas[steps] if sw.noise is None else sw.omegas[steps] + _rows(sw.noise, steps, ndim)
         omega = tape.leaf(measured)
-        self.node = sw.policy.control(sw.template, flows, omega, _rows(sw.p_steps, steps, ndim)).u
-        self.u, self.u_bar, self.push = value(self.node), np.empty(measured.shape), None
+        node = sw.policy.control(sw.template, flows, omega, _rows(sw.p_steps, steps, ndim)).u
+        self.u, self.u_bar, self.push = value(node), np.empty(measured.shape), None
         self.du_domega = self.du_dflows = np.zeros(measured.shape)
-        if isinstance(self.node, Node):
-            factors = getattr(tape.rules[self.node.idx], "factors", None)
-            if factors is None:
-                tape.backward(self.node)
-                self.du_domega, self.du_dflows = tape.grad(omega), tape.grad(flows)
-            else:
-                self.du_domega, self.du_dflows, self.push = factors(tape.aux[self.node.idx])
-                self.parents = tape.parents[self.node.idx]
-                tape.truncate(self.n_ready)
+        if isinstance(node, Node):
+            factors = getattr(tape.rules[node.idx], "factors", None)
+            derivs, self.push = factors(tape.aux[node.idx], tape.parents[node.idx]) if factors else ({}, None)
+            self.du_domega = derivs.pop(omega.idx, self.du_domega)
+            self.du_dflows = derivs.pop(flows.idx, self.du_dflows)
+            if factors is None or derivs:  # no linearization, or one in a state reached through another node
+                raise TypeError(f"the policy's u is op '{_op_name(tape.rules[node.idx])}': training needs one "
+                                "per-entry kernel node (a rule with `factors`) on the measured states")
+        tape.truncate(self.n_ready)
 
     def policy_adjoints(self) -> list:
         """Per ready leaf, its adjoint for the chunk's u adjoints u_bar, or
         None when none reaches it."""
         adj = [None] * self.n_ready
         if self.push is not None:
-            self.push(self.u_bar, self.parents, self.tape.shapes, adj)
-        elif isinstance(self.node, Node):
-            self.tape.backward(self.node * self.u_bar)
-            adj = self.tape.adj[:self.n_ready]
-        self.tape.truncate(self.n_ready)
+            self.push(self.u_bar, self.shapes, adj)
         return adj
 
 

@@ -5,9 +5,12 @@ plainest form (a dense Laplacian, the control law composed from its
 parts, a per-bus admissibility report, a value-only loss) so the tests can
 compare the production code to it. `reference_control` keeps the
 constrained policy in the per-op form the fused `tape.control_law` node
-replaced, on the tape, as its bitwise reference for values and gradients.
+replaced, on the tape, as its reference for values (bitwise) and
+gradients (to rounding).
+`piecewise` keeps the per-branch kernel that `tape.unit_sums` replaced.
 `two_sweep_adjoints` keeps the two reverse sweeps a backward chunk made
-before `control_law`'s factor pass replaced them, as that pass's reference.
+before the fused kernels' linearizations replaced them: over `law_node`
+and `piecewise` nodes, they are those linearizations' reference.
 `taped_episode_loss` keeps the training episode recorded step by step (the
 line flows through a `sin` node, the two Euler updates, the per-step sums
 of squares and their sum, each a node with its own rule), as the gradient
@@ -62,15 +65,25 @@ def relu_units(w, s, b, sign: float) -> np.ndarray:
     return (w * np.maximum(sign * s[..., None] + b, 0.0)).sum(axis=-1)
 
 
-def piecewise(W, C, thr, s, sign: float) -> np.ndarray:
+def piecewise(W, C, thr, s, sign: float):
     """One ReLU-unit branch from its prefix tables (W, C, thr) at x = sign * s,
-    on plain arrays, by the formula of the per-branch kernel that
-    `tape.unit_sums` replaced: x W[k] + C[k] at the first column k with
-    thr >= x. The tests compare the fused sum to a sum of these bit for bit."""
-    W, C, s = (np.asarray(value(a), dtype=float) for a in (W, C, s))
-    x = s if sign > 0 else -s
+    as one node with the per-branch rule of the kernel that `tape.unit_sums`
+    replaced: x W[k] + C[k] at the first column k with thr >= x, with no
+    branch skipped. The tests compare the fused sum to a sum of these, its
+    value bit for bit and its linearization to rounding."""
+    vW, vC, vs = (np.asarray(value(a), dtype=float) for a in (W, C, s))
+    x = vs if sign > 0 else -vs
     flat = (thr < x[..., None]).argmin(-1) + np.arange(0, thr.size, thr.shape[-1])
-    return x * W.reshape(-1)[flat] + C.reshape(-1)[flat]
+    return record(_bk_piecewise, (W, C, s), (vW, x, flat, sign), x * vW.reshape(-1)[flat] + vC.reshape(-1)[flat])
+
+
+def _bk_piecewise(g, par, aux, shapes, adj):
+    iW, iC, i_s = par
+    vW, x, flat, sign = aux
+    _acc(adj, shapes, i_s, sign * g * vW.reshape(-1)[flat])
+    for i, weights in ((iW, g * x), (iC, g)):
+        if i is not None:
+            _acc(adj, shapes, i, np.bincount(flat.reshape(-1), weights.reshape(-1), vW.size).reshape(vW.shape))
 
 
 def unit_sum(wp, wm, bp, bm, s) -> np.ndarray:
@@ -277,7 +290,8 @@ def two_sweep_adjoints(tape, u, states, ready, u_bar) -> tuple:
     """What two reverse sweeps over a per-entry u give: its per-entry
     derivatives in each of the `states` leaves, from a sweep seeded with
     ones, and the adjoints of the `ready` leaves for the u adjoint u_bar,
-    from a second sweep seeded with u_bar."""
+    from a second sweep seeded with u_bar. Over the per-op forms above, the
+    reference for a fused kernel's linearization."""
     tape.backward(u)
     derivs = [tape.grad(leaf) for leaf in states]
     tape.backward(u * u_bar)

@@ -682,7 +682,7 @@ def test_bus_count_mismatch_names_both_sizes(files, capsys, build, net, message)
     [
         ["--batch", "0"], ["--steps", "0"], ["--m-hidden", "0"], ["--dt", "0"],
         ["--episodes", "-1"], ["--rho", "-5"], ["--rho", "nan"], ["--gamma", "-1"], ["--gamma", "nan"],
-        ["--lr", "-1"], ["--lr", "0"], ["--init-scale", "inf"],
+        ["--lr", "-1"], ["--lr", "0"], ["--init-scale", "inf"], ["--init-scale", "1e308"],
     ],
 )
 def test_train_rejects_unusable_sizes(files, capsys, flag):

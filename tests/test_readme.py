@@ -1,6 +1,7 @@
 """README's Python examples run as written, its `train` flag list names the
-settings the code reads, its fused-kernel list names the tape's, and its
-node count of an episode's tape is the one an episode records."""
+settings the code reads, its fused-kernel list names the tape's, each with
+a linearization, and its node count of an episode's tape is the one an
+episode records."""
 
 import re
 from pathlib import Path
@@ -32,14 +33,17 @@ def test_readme_lists_every_train_config_field():
 
 
 def test_readme_lists_every_fused_kernel():
-    # the tape's fused kernels are the public functions of its fused-kernel section
+    # the tape's fused kernels are the public functions of its fused-kernel
+    # section, and each one's backward rule is built from its linearization
     source = Path(tape.__file__).read_text()
     section = re.search(r"# -+ fused policy kernels\n(.*?)# -+ backward rules", source, re.S)
     kernels = re.findall(r"^def ([a-z]\w*)\(", section.group(1), re.M)
-    pattern = r"Each fused kernel is one tape node with a\s+hand-written backward rule:(.*?)\.\s"
+    pattern = r"Each fused kernel is one tape node whose backward\s+rule is its linearization:(.*?)\.\s"
     listed = re.search(pattern, README.read_text(), re.S)
     assert listed, "README's fused-kernel list is missing"
     assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(kernels)
+    for name in kernels:
+        assert callable(getattr(getattr(tape, f"_bk_{name}"), "factors", None)), name
 
 
 def test_readme_episode_node_count_is_the_tape_length(net39, inc39, eq39):

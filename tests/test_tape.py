@@ -3,8 +3,9 @@ subgradient conventions: relu'(0) = 0 (for a unit exactly at its threshold
 inside `unit_sums`), `control_law`'s gate is shut at its kink and passes no
 adjoint, minimum routes ties to its first argument, `control_law`'s barrier
 bounds to the cap and its clip of f to f, reduce_min routes to the first
-attaining index, a floored denominator gets no adjoint, and `stack_units`
-passes nothing to a branch no step evaluated.
+attaining index and a floored denominator gets no adjoint. Each fused
+kernel's linearization is checked against two reverse sweeps over its
+per-op form in tests/oracles.
 """
 
 import dataclasses
@@ -240,6 +241,49 @@ def test_unit_sums_two_inputs_match_fd():
                              ((a["W1"], a["C1"], thr1), a["t"], 1.0)))
 
     check_fd(call, args, np.random.default_rng(3).normal(size=(4, 3)))
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("pair", ["class_k", "dead_zone"])
+def test_unit_sums_linearization_matches_fd_and_two_sweeps_of_its_branches(pair, negate):
+    # the class-K pair on one input and the dead-zone pair on two, each
+    # branch with an active unit: the derivative in each input against
+    # central differences of u entry by entry (u is per entry) and the
+    # tables' push against finite differences of sum(u * u_bar); then both
+    # against two sweeps over the per-branch oracle's sum (negated)
+    args, (thr0, thr1) = two_branch_args(seed=16, shift=None)
+    second, sign1 = ("s", -1.0) if pair == "class_k" else ("t", 1.0)
+    rng = np.random.default_rng(stable_seed(("unit_sums factors", pair, negate)))
+    args["t"] = rng.uniform(-1.0, 1.0, size=(4, 3))
+    assert np.abs(args["t"][..., None] - thr1[:, :-1]).min() > 1e-4
+
+    def call(a):
+        return tp.unit_sums((((a["W0"], a["C0"], thr0), a["s"], 1.0), ((a["W1"], a["C1"], thr1), a[second], sign1)),
+                            negate)
+
+    t = Tape()
+    lv = {k: t.leaf(v) for k, v in args.items()}
+    u = call(lv)
+    assert None not in t.aux[u.idx]
+    derivs, push = tp._bk_unit_sums.factors(t.aux[u.idx], t.parents[u.idx])
+    u_bar = rng.normal(size=u.shape)
+    adj = [None] * len(t)
+    push(u_bar, t.shapes, adj)
+    states, tables = list(dict.fromkeys(("s", second))), ("W0", "C0", "W1", "C1")
+    assert sorted(derivs) == sorted(lv[k].idx for k in states)
+    for name in states:
+        up, dn = (value(call(dict(args, **{name: args[name] + h}))) for h in (1e-6, -1e-6))
+        assert np.abs(derivs[lv[name].idx] - (up - dn) / 2e-6).max() < 1e-6, name
+    for name in tables:
+        fd = fd_grad(lambda x: float(np.sum(value(call(dict(args, **{name: x}))) * u_bar)), args[name].copy())
+        assert np.abs(adj[lv[name].idx] - fd).max() < 1e-6, name
+    ref = oracles.piecewise(lv["W0"], lv["C0"], thr0, lv["s"], 1.0) + oracles.piecewise(
+        lv["W1"], lv["C1"], thr1, lv[second], sign1)
+    ref = -ref if negate else ref
+    assert value(ref).tobytes() == value(u).tobytes()
+    want_d, want = oracles.two_sweep_adjoints(t, ref, [lv[k] for k in states], [lv[k] for k in tables], u_bar)
+    for a, b in zip([derivs[lv[k].idx] for k in states] + [adj[lv[k].idx] for k in tables], want_d + want):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 @pytest.mark.parametrize("bound, skipped", [(1.2, 1), (-1.2, 0)])
@@ -648,23 +692,19 @@ def test_floored_denominators_in_cap_and_bound():
             assert (t.grad(a)[0, 1], g_d[0]) == ((0.0, 0.0) if d == 0.0 else (1.0 / 1e-12, 0.0))
 
 
-def test_stack_units_passes_each_slice_but_an_unevaluated_branch():
-    # the stacked tables' adjoint goes to each branch's W and C, except for a
-    # branch whose C slice is all -0.0: no control_law step evaluated it
+def test_stack_units_passes_each_slice_to_its_table():
+    # the stacked tables' adjoint goes to each branch's W and C, a slice of
+    # zeros (a branch no control_law step evaluated) included
     rng = np.random.default_rng(stable_seed("stack_units"))
     t = Tape()
     tables = [(t.leaf(rng.normal(size=(2, 4))), t.leaf(rng.normal(size=(2, 4))), np.zeros((2, 4))) for _ in range(6)]
     wc = tp.stack_units(tables, np.zeros(2), np.zeros(2), -1.0, 1.0, 0.0)[0]
     assert np.array_equal(value(wc), np.array([[value(W) for W, _, _ in tables], [value(C) for _, C, _ in tables]]))
     g = rng.normal(size=(2, 6, 2, 4))
-    g[:, 3] = -0.0
-    g[1, 4] = 0.0  # +0.0: evaluated, with a zero adjoint
+    g[:, 3] = 0.0
     t.backward(wc * g)
     for j, (W, C, _) in enumerate(tables):
-        if j == 3:
-            assert t.adj[W.idx] is None and t.adj[C.idx] is None
-        else:
-            assert t.grad(W).tobytes() == g[0, j].tobytes() and t.grad(C).tobytes() == g[1, j].tobytes()
+        assert t.grad(W).tobytes() == g[0, j].tobytes() and t.grad(C).tobytes() == g[1, j].tobytes()
 
 
 def dispatch_cases():
@@ -797,27 +837,47 @@ def test_non_finite_adjoint_diagnostic():
 
 
 def check_factors(args, rng) -> list:
-    """control_law's factor pass against the two reverse sweeps it replaces
-    (`oracles.two_sweep_adjoints`), on plain control_law arguments `args`
-    whose flows, omega, edge_xi, thresholds and stacked tables become tape
-    leaves, for a random u adjoint: u's derivatives in omega and the flows
-    as bytes, and each ready tensor's adjoint (the W and C tables apart)
-    within 1e-12 of its largest entry. Returns the sweeps' ready adjoints."""
-    flows, w, p, xi, mask, (WC, thr, c, whi, wlo, _), *consts = args
+    """control_law's linearization against two reverse sweeps over the
+    per-op oracle (`oracles.two_sweep_adjoints` over `oracles.law_node`,
+    whose six branches are `oracles.piecewise` nodes), on plain control_law
+    arguments `args` whose flows, omega, edge_xi, thresholds and twelve W
+    and C tables become tape leaves, for a random u adjoint: u's value as
+    bytes, and its derivatives in omega and the flows and each ready
+    tensor's adjoint within 1e-12 of the family's largest entry (a table's
+    past its zero-pad column 0, where a branch with no active unit gathers
+    only in the oracle). Returns the oracle's ready adjoints, the tables
+    stacked last as (2, 6, n, m+1)."""
+    flows, w, p, xi, mask, (WC, thr, c, whi, wlo, _), b_mat, damping, dtilde = args
     t = Tape()
     flows = np.broadcast_to(flows, np.shape(w))  # per entry, as a chunk's
-    lv = {k: t.leaf(value(a)) for k, a in dict(flows=flows, w=w, xi=xi, whi=whi, wlo=wlo, WC=WC).items()}
-    units = (lv["WC"], thr, c, lv["whi"], lv["wlo"], {})
-    u = tp.control_law(lv["flows"], lv["w"], p, lv["xi"], mask, units, *consts)[0]
+    lv = {k: t.leaf(value(a)) for k, a in dict(flows=flows, w=w, xi=xi, whi=whi, wlo=wlo).items()}
+    tables = [[t.leaf(a) for a in family] for family in value(WC)]  # W's, then C's
+    thr = [np.concatenate((thr[:, j].T, np.full(thr.shape[2:] + (1,), np.inf)), axis=-1) for j in range(6)]
+    sync, omega_max, omega_min = c[0], c[3], c[4]
+    units = tp.stack_units([(tables[0][j], tables[1][j], thr[j]) for j in range(6)], lv["whi"], lv["wlo"],
+                           omega_min, omega_max, sync)
+    u = tp.control_law(lv["flows"], lv["w"], p, lv["xi"], mask, units, b_mat, damping, dtilde)[0]
     u_bar = rng.normal(size=u.shape)
-    du_dw, du_dflows, push = tp._bk_control_law.factors(t.aux[u.idx])
+    derivs, push = tp._bk_control_law.factors(t.aux[u.idx], t.parents[u.idx])
     adj = [None] * len(t)
-    push(u_bar, t.parents[u.idx], t.shapes, adj)
-    ready = ("xi", "whi", "wlo", "WC")
-    got = [np.zeros(t.shapes[lv[k].idx]) if adj[lv[k].idx] is None else adj[lv[k].idx] for k in ready]
-    derivs, want = oracles.two_sweep_adjoints(t, u, [lv["w"], lv["flows"]], [lv[k] for k in ready], u_bar)
-    assert du_dw.tobytes() == derivs[0].tobytes() and du_dflows.tobytes() == derivs[1].tobytes()
-    for a, b in zip(got[:3] + [got[3][0], got[3][1]], want[:3] + [want[3][0], want[3][1]]):
+    push(u_bar, t.shapes, adj)
+    got = [np.zeros(t.shapes[lv[k].idx]) if adj[lv[k].idx] is None else adj[lv[k].idx] for k in ("xi", "whi", "wlo")]
+
+    def branch(j, s, sign):
+        return oracles.piecewise(tables[0][j], tables[1][j], thr[j], s, sign)
+
+    dhi, dlo, r_hi, r_lo = lv["w"] - lv["whi"], lv["wlo"] - lv["w"], omega_max - lv["w"], omega_min - lv["w"]
+    f, a_hi, a_lo = branch(0, dhi, 1.0) + branch(1, dlo, 1.0), branch(2, r_hi, 1.0) + branch(4, r_hi, -1.0), \
+        branch(3, r_lo, -1.0) + branch(5, r_lo, 1.0)
+    ref = oracles.law_node(lv["flows"], lv["w"], p, lv["xi"], mask, a_hi, a_lo, dhi, dlo, f,
+                           b_mat, damping, dtilde, sync)[0]
+    assert value(u).tobytes() == value(ref).tobytes()
+    want_d, want = oracles.two_sweep_adjoints(t, ref, [lv["w"], lv["flows"]],
+                                              [lv[k] for k in ("xi", "whi", "wlo")] + tables[0] + tables[1], u_bar)
+    want = want[:3] + [np.array([want[3:9], want[9:]])]
+    pairs = list(zip([derivs[lv["w"].idx], derivs[lv["flows"].idx]] + got, want_d + want[:3]))
+    pairs += [(adj[units[0].idx][i, ..., 1:], want[3][i, ..., 1:]) for i in (0, 1)]
+    for a, b in pairs:
         assert a.shape == b.shape and np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
     return want
 

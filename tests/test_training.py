@@ -324,47 +324,55 @@ def test_batched_episode_tape_stores_no_unit_temporaries(net3, inc3, eq3, spec_b
 
 def test_each_backward_chunk_runs_the_control_law_and_its_factor_pass_once(net3, inc3, eq3, spec_band,
                                                                             monkeypatch):
-    # B=4, rho = 500, noise on: a live chunk makes one control_law call on
+    # B=4, rho = 500, noise on: a live chunk makes one policy kernel call on
     # the tape (its states' shape, after the forward's values-only calls at
-    # the live steps) and one factor pass of that node, and no reverse sweep
-    # runs but the episode's own. The chunk records nodes of its states'
-    # shape only, the control node's active-unit counts, one per branch and
-    # entry, take one byte each, and the chunk's u equals the forward's as
-    # bytes
+    # the live steps) and one linearization of that node, and no reverse
+    # sweep runs but the episode's own, for the constrained policy
+    # (control_law) and the monotone one (unit_sums). The chunk records
+    # nodes of its states' shape only, the kernel node's active-unit counts,
+    # one per live branch and entry, take one byte each, and the chunk's u
+    # equals the forward's as bytes
     import swingctl.controller as controller_mod
 
-    adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0, m=7)
-    calls, factored, sweeps = [], [], []
-    law, factors, backward = controller_mod.control_law, tp_mod._bk_control_law.factors, Tape.backward
-
-    def spy_law(flows, omega, *rest):
-        out = law(flows, omega, *rest)
-        if isinstance(omega, tp_mod.Node):
-            t, u = omega.tape, out[0]
-            counts = [a for a in cached_arrays(t.aux[u.idx]) if a.dtype == np.uint8]
-            calls.append((t.shapes[omega.idx], [t.shapes[i] for i in range(omega.idx, len(t))], counts))
-        else:
-            calls.append(None)
-        return out
-
-    monkeypatch.setattr(controller_mod, "control_law", spy_law)
-    monkeypatch.setattr(tp_mod._bk_control_law, "factors", lambda aux: factored.append(len(calls)) or factors(aux))
-    monkeypatch.setattr(Tape, "backward", lambda self, *a, **kw: sweeps.append(a) or backward(self, *a, **kw))
     rng = np.random.default_rng(5)
     omega0 = rng.uniform(-0.19, 0.19, size=(4, 3))
     noise = rng.uniform(-0.01, 0.01, size=(60, 4, 3))
-    log = ControlLog(adapter)
-    loss_and_grad(log, net3, inc3, eq3, adapter.raw, np.tile(eq3.lam_eq, (4, 1)), omega0,
-                  np.tile(net3.p_nom, (60, 1)), noise, 40.0, 500.0, 5e-3)
-    chunks = [i + 1 for i, call in enumerate(calls) if call is not None]
-    assert len(chunks) == len(log.chunk_u) > 1 and factored == chunks and len(sweeps) == 1
-    assert len(calls) - len(chunks) == sum(active for _, active in log.forward.values())
-    for state, shapes, counts in filter(None, calls):
-        assert len(state) == 3 and state[1:] == (4, 3) and all(s == state for s in shapes)
-        assert counts and all(k.shape == (6,) + state for k in counts)
-    for us, ws in zip(log.chunk_u, log.chunk_omega):
-        for u, w in zip(us, ws):
-            assert u.tobytes() == log.forward[w.tobytes()][0]
+    backward, sweeps = Tape.backward, []
+    monkeypatch.setattr(Tape, "backward", lambda self, *a, **kw: sweeps.append(a) or backward(self, *a, **kw))
+    policies = (("control_law", make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0, m=7), (6,)),
+                ("unit_sums", init_monotone_params(3, 7, np.random.default_rng(1)).bind(spec_band, net3, inc3, eq3), ()))
+    for kernel, adapter, count_axes in policies:
+        calls, factored = [], []
+        law, factors = getattr(controller_mod, kernel), getattr(tp_mod, f"_bk_{kernel}").factors
+
+        def spy_law(*args, law=law):
+            out = law(*args)
+            u = out[0] if kernel == "control_law" else out
+            if isinstance(u, tp_mod.Node):
+                t, omega = u.tape, args[1] if kernel == "control_law" else args[0][0][1]
+                counts = [a for a in cached_arrays(t.aux[u.idx]) if a.dtype == np.uint8]
+                calls.append((t.shapes[omega.idx], [t.shapes[i] for i in range(omega.idx, len(t))], counts))
+            else:
+                calls.append(None)
+            return out
+
+        monkeypatch.setattr(controller_mod, kernel, spy_law)
+        monkeypatch.setattr(getattr(tp_mod, f"_bk_{kernel}"), "factors",
+                            lambda aux, par, factors=factors: factored.append(len(calls)) or factors(aux, par))
+        sweeps.clear()
+        log = ControlLog(adapter)
+        loss_and_grad(log, net3, inc3, eq3, adapter.raw, np.tile(eq3.lam_eq, (4, 1)), omega0,
+                      np.tile(net3.p_nom, (60, 1)), noise, 40.0, 500.0, 5e-3)
+        chunks = [i + 1 for i, call in enumerate(calls) if call is not None]
+        assert len(chunks) == len(log.chunk_u) > 1 and factored == chunks and len(sweeps) == 1, kernel
+        if kernel == "control_law":
+            assert len(calls) - len(chunks) == sum(active for _, active in log.forward.values())
+        for state, shapes, counts in filter(None, calls):
+            assert len(state) == 3 and state[1:] == (4, 3) and all(s == state for s in shapes)
+            assert counts and all(k.shape == count_axes + state for k in counts)
+        for us, ws in zip(log.chunk_u, log.chunk_omega):
+            for u, w in zip(us, ws):
+                assert u.tobytes() == log.forward[w.tobytes()][0]
 
 
 def test_fully_active_39_bus_step_caches_no_more_than_six_nodes_did(net39, inc39, eq39):
@@ -662,9 +670,19 @@ def test_variation_term_stays_off_the_tape_at_rho_zero(net3, inc3, eq3, spec_ban
         assert (parts[2] == 0.0 and sweep.weights[2] == 0.0 and not sweep.tails) == (rho == 0.0)
 
 
+@tp_mod._linearized
+def _bk_nan_slope(aux, par):
+    # u = 0 * (1 / (x omega)): its slope in omega, -0 x / (x omega)^2, is
+    # 0 / 0 where (x omega)^2 underflows; x gets 0 * u_bar
+    x, omega = aux
+    xw = x * omega
+    return {par[0]: -0.0 * x / (xw * xw)}, lambda u_bar, shapes, adj: tp_mod._acc(adj, shapes, par[1], 0.0 * u_bar)
+
+
 class NanGradientStub(StubAdapter):
-    """u = 0 * (1 / (x omega)) at x = 1e-200 with every bus active: zero
-    control, a NaN derivative in omega, so a NaN costate."""
+    """u = 0 * (1 / (x omega)) at x = 1e-200 with every bus active, as one
+    node of a per-entry kernel: zero control, a NaN derivative in omega, so
+    a NaN costate."""
 
     keys = ("x",)
     raw = {"x": np.array([1e-200])}
@@ -677,8 +695,37 @@ class NanGradientStub(StubAdapter):
 
     def control(self, ready, flows, omega, p):
         shape = np.shape(value(omega))
-        u = 0.0 * (1.0 / (ready * omega))
+        u = tp_mod.record(_bk_nan_slope, (omega, ready), (value(ready), value(omega)), np.zeros(shape))
         return ControlDecision(u=u, budgets=np.zeros(shape), active=np.ones(shape, dtype=bool))
+
+
+class ComposedStub(NanGradientStub):
+    """u = build(x, omega) on the tape."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def control(self, ready, flows, omega, p):
+        shape = np.shape(value(omega))
+        return ControlDecision(u=self.build(ready, omega), budgets=np.zeros(shape), active=np.ones(shape, dtype=bool))
+
+
+IDENTITY_UNITS = (np.array([[0.0, 1.0]] * 2), np.zeros((2, 2)), np.array([[-np.inf, np.inf]] * 2))  # u = x per bus
+
+
+@pytest.mark.parametrize("op, build", [
+    ("mul", lambda x, omega: x * omega),
+    ("unit_sums", lambda x, omega: tp_mod.unit_sums(((IDENTITY_UNITS, x * omega, 1.0),))),
+])
+def test_a_policy_whose_u_is_composed_is_a_type_error_naming_the_op(net2, inc2, eq2, op, build):
+    # a training chunk reads u's linearization from its one node: a u built
+    # of tape ops has none, and a kernel's in a state formed by another node
+    # does not reach the measured one; the backward names the op it got
+    args = (net2, inc2, eq2, ComposedStub.raw, eq2.lam_eq, np.array([0.1, -0.1]), np.tile(net2.p_nom, (5, 1)), None,
+            40.0, 0.0, 5e-3)
+    with pytest.raises(TypeError, match=f"^the policy's u is op '{op}': "):
+        loss_and_grad(ComposedStub(build), *args)
 
 
 def test_train_non_finite_gradient_is_a_training_error(net2, inc2, eq2):

@@ -229,12 +229,10 @@ def _safe(net, inc, eq, spec):
     return make_analytic_safe_controller(spec, net, inc, eq)
 
 
-def _policy(init, projection):
-    # `projection` is make_policy_controller's kept no-op argument: the
-    # "projected" cases run the same policy as the "raw" ones through it
+def _policy(init):
     def build(net, inc, eq, spec):
         params = init(net.n_bus, 8, np.random.default_rng(np.random.Philox(5)), 1.0)
-        return make_policy_controller(params, spec, net, inc, eq, projection=projection)
+        return make_policy_controller(params, spec, net, inc, eq)
 
     return build
 
@@ -263,21 +261,18 @@ SHORT = dict(horizon=2.43, dt=0.01, init_omega_range=0.0, init_p_frac=0.0)
         ("3", _zero, STEP, None, None),
         ("2", _safe, STEP, None, None),
         ("3", _safe, STEP, None, None),
-        ("2", _policy(init_policy_params, True), STEP, None, None),
-        ("3", _policy(init_policy_params, True), STEP, None, None),
-        ("2", _policy(init_policy_params, False), STEP, None, None),
-        ("3", _policy(init_policy_params, False), STEP, None, None),
-        ("2", _policy(init_policy_params, True), {**STEP, "noise_bound": 0.01}, None, None),
-        ("3", _policy(init_policy_params, True), {**STEP, "noise_bound": 0.01}, None, None),
-        ("2", _policy(init_monotone_params, False), STEP, None, None),
-        ("3", _policy(init_monotone_params, False), STEP, None, None),
+        ("2", _policy(init_policy_params), STEP, None, None),
+        ("3", _policy(init_policy_params), STEP, None, None),
+        ("2", _policy(init_policy_params), {**STEP, "noise_bound": 0.01}, None, None),
+        ("3", _policy(init_policy_params), {**STEP, "noise_bound": 0.01}, None, None),
+        ("2", _policy(init_monotone_params), STEP, None, None),
+        ("3", _policy(init_monotone_params), STEP, None, None),
         ("2", _stale_budgets, STEP, None, "budget_conservation"),
         ("2", _zero, SHORT, 0.05, "convergence"),
     ],
     ids=[
         "2bus-zero", "3bus-zero", "2bus-safe", "3bus-safe",
-        "2bus-projected", "3bus-projected", "2bus-raw", "3bus-raw",
-        "2bus-projected-noise", "3bus-projected-noise", "2bus-monotone", "3bus-monotone",
+        "2bus-raw", "3bus-raw", "2bus-raw-noise", "3bus-raw-noise", "2bus-monotone", "3bus-monotone",
         "2bus-stale-budgets", "2bus-unsettled-angle",
     ],
 )
