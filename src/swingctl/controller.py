@@ -594,10 +594,16 @@ def make_analytic_safe_controller(
     Above +threshold it emits min(0, gain*(omega_max - w)/(w - threshold) + q),
     mirrored below -threshold, zero inside. Signs force u to oppose the local
     deviation, which keeps the dissipation inequality while the barrier keeps
-    the band, at the price of tracking the full feedforward q.
+    the band, at the price of tracking the full feedforward q. PolicyError
+    unless every bus's band strictly contains both thresholds: otherwise the
+    barrier runs to -inf (+inf) as w falls (rises) to a threshold.
     """
     n = net.n_bus
     lo, hi = spec.per_bus(n)
+    bad = np.flatnonzero((hi <= threshold) | (lo >= -threshold))
+    if bad.size:
+        raise PolicyError(f"the safe controller's thresholds +/-{threshold:g} Hz are not strictly inside "
+                          f"bus {bad[0]}'s band [{lo[bad[0]]:g}, {hi[bad[0]]:g}] Hz")
 
     def control(flows, omega, p) -> ControlDecision:
         w = np.asarray(omega, dtype=float)

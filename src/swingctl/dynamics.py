@@ -214,11 +214,12 @@ class Trajectory:
         """Average running cost over the first `window` seconds (default all).
 
         ValueError unless the window is finite and >= 0; a window shorter
-        than half a step averages no rows and costs 0.
+        than half a step averages no rows and costs 0, and one past the
+        horizon averages them all.
         """
         if window is not None:
             check_cost_window(window)
-        k = self.n_steps if window is None else min(self.n_steps, int(round(window / self.dt)))
+        k = self.n_steps if window is None else int(round(min(window / self.dt, self.n_steps)))
         if k <= 0:
             return 0.0
         return float((self.loss_freq[:k] + self.loss_ctrl[:k]).sum() / k)

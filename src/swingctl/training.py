@@ -5,20 +5,21 @@ explicit Euler) on plain values, keeping the frequencies omega_k and, only
 at the first step of each block of steps, the angles lam_k. It records the
 whole episode as one tape node after the policy's per-rollout nodes. That
 node's backward rule is the discrete adjoint (costate) recurrence of the
-two Euler updates and the loss terms, swept step by step in reverse. The
-policy is re-run there in time-batched chunks of live steps on a scratch
-tape whose leaves are its ready tensors, rebound once per episode: u at a
-bus reads only that bus's measured frequency and line flows, so its
-Jacobian in them is diagonal and its adjoint is linear in the seed. u is
-one node of a fused policy kernel, and its linearization (`factors`, from
-one pass over the chunk's node) gives the exact per-entry derivatives the
-recurrence multiplies by and a push of the chunk's u adjoints into the
-policy tensors' adjoints (Griewank & Walther, *Evaluating Derivatives*,
-SIAM 2008).
-The sweep replays each block's angles from its mark and the kept omega_k
-by the Euler angle update, bitwise, so memory per step is omega_k and a
-mark's share of lam, not a taped step (checkpointed reverse mode:
-Griewank & Walther, ACM TOMS 2000).
+two Euler updates and the loss terms, swept block by block and step by
+step in reverse. It replays each block's angles once from its mark and
+the kept omega_k by the Euler angle update, bitwise, so memory per step is
+omega_k, a mark's share of lam and, with the variation term, a share of u
+at each live block's last step, not a taped step (checkpointed reverse
+mode: Griewank & Walther, ACM TOMS 2000). At a live block (some step with
+an active bus or a nonzero control) it re-runs the policy with one call
+over the block's steps on a scratch tape whose leaves are its ready
+tensors, rebound once per episode: u at a bus reads only that bus's
+measured frequency and line flows, so its Jacobian in them is diagonal
+and its adjoint is linear in the seed. u is one node of a fused policy
+kernel, and its linearization (`factors`, from one pass over the block's
+node) gives the exact per-entry derivatives the recurrence multiplies by
+and a push of the block's u adjoints into the policy tensors' adjoints
+(Griewank & Walther, *Evaluating Derivatives*, SIAM 2008).
 
 The policy is any bound policy (`controller.BoundPolicy`), so both policy
 kinds train through the same code. A batch is carried as a leading axis on
@@ -115,9 +116,10 @@ class TrainConfig:
         return settings
 
 
-# States (steps x batch rows) per chunk of the policy re-run in an episode's
-# backward rule: enough to amortize a call over many steps at small batches,
-# few enough that a chunk's scratch tape stays a few MB.
+# States (steps x batch rows) per block of an episode: its steps share one
+# angle mark, and the backward rule re-runs the policy over a live block in
+# one chunk. Enough to amortize a call over many steps at small batches, few
+# enough that a chunk's scratch tape stays a few MB.
 CHUNK_STATES = 128
 
 
@@ -146,10 +148,12 @@ def episode_loss(
     tape node (`_bk_episode`) whose parents are the nodes of
     `policy.precompute(raw_like)`; otherwise the loss is a plain scalar.
 
-    A step is live when its decision marks some bus active or its control
-    is not exactly zero; any other step's control is constant (the
-    constrained policy's settled short-circuit, or a monotone map at zero
-    frequency, where relu'(0) = 0) and the backward rule skips it.
+    A block of steps is live when some step's decision marks a bus active
+    or its control is not exactly zero. Every step of any other block is
+    settled: its control is constant zero (the constrained policy's settled
+    short-circuit, or a monotone map at zero frequency, where relu'(0) = 0)
+    and the backward rule does not re-run the policy there. A settled step
+    inside a live block re-runs to zero control and zero derivatives.
     """
     omega0 = np.asarray(omega0, dtype=float)
     lam0 = np.asarray(lam0, dtype=float)
@@ -159,16 +163,17 @@ def episode_loss(
         return 0.0, (0.0, 0.0, 0.0)
 
     lip_on = rho > 0 and k_steps > 1  # at rho = 0 the term never reaches the loss
-    span = -(-CHUNK_STATES // n_batch)  # live steps per chunk, and steps per block of the angle marks
+    span = -(-CHUNK_STATES // n_batch)  # steps per block
     control = partial(policy.control, policy.precompute({k: value(v) for k, v in raw_like.items()}))
     marks, omegas = np.empty((-(-k_steps // span),) + lam0.shape), np.empty((k_steps,) + omega0.shape)
-    live, n_live = np.zeros(k_steps, dtype=bool), 0
-    tails = {}  # with the variation term: u at the last step of each full chunk
+    live = np.zeros(len(marks), dtype=bool)
+    tails = {}  # with the variation term: u at the last step of each live block
     freq = ctrl = lip = 0.0  # left-to-right sums of the per-step sums of squares
     u_prev = None
     for k, (lam, omega, dec) in enumerate(closed_loop(net, inc, control, lam0, omega0, p_steps, dt, noise)):
+        block = k // span
         if k % span == 0:
-            marks[k // span] = lam
+            marks[block] = lam
         omegas[k] = omega
         d = omega - eq.omega_sync
         freq = freq + (d * d).sum()
@@ -177,10 +182,9 @@ def episode_loss(
             d = dec.u - u_prev
             lip = lip + (d * d).sum()
         u_prev = dec.u
-        if dec.active.any() or dec.u.any():
-            live[k], n_live = True, n_live + 1
-            if lip_on and n_live % span == 0:
-                tails[k] = dec.u
+        live[block] |= dec.active.any() or dec.u.any()
+        if lip_on and live[block] and k % span == span - 1:
+            tails[block] = dec.u
 
     scale = 1.0 / (k_steps * n_batch)
     lip_scale = 1.0 / ((k_steps - 1) * n_batch) if lip_on else 0.0
@@ -190,11 +194,9 @@ def episode_loss(
         return loss, parts
     scratch = Tape()
     template, nodes, _ = rebind(policy.precompute(raw_like), scratch)
-    steps = np.flatnonzero(live)
     sweep = _Sweep(
         policy=policy, net=net, inc=inc, omega_sync=eq.omega_sync, dt=dt, tape=scratch, template=template,
-        marks=marks, omegas=omegas, span=span, noise=noise, p_steps=p_steps, tails=tails,
-        chunks=[steps[i:i + span] for i in range(0, len(steps), span)],
+        marks=marks, omegas=omegas, span=span, noise=noise, p_steps=p_steps, live=live, tails=tails,
         weights=(gamma * scale, scale, rho * lip_scale),
     )
     return record(_bk_episode, tuple(nodes), sweep, np.asarray(loss)), parts
@@ -205,12 +207,13 @@ class _Sweep:
     """What an episode node's backward rule reads: the policy, the rollout's
     frequencies omega_k (K, ...) and its angles only at the first step of
     each block of `span` steps (`marks`, from which `angles` replays the
-    rest), its inputs, the live steps in chunks in time order, u at the
-    chunk tails the variation term needs, the loss weights of the three
-    sums of squares, and `template`, the policy's ready tensors with their
-    nodes rebound once per episode as the leaves of `tape`, in the order of
-    the episode node's parents (leaf i is entry i), so no Node of the
-    episode's own tape is held."""
+    rest), its inputs, a flag per block for whether it is live, u at the
+    last step of each live block (`tails`, keyed by block, kept only with
+    the variation term, whose adjoint at a block's first step reads it),
+    the loss weights of the three sums of squares, and `template`, the
+    policy's ready tensors with their nodes rebound once per episode as the
+    leaves of `tape`, in the order of the episode node's parents (leaf i is
+    entry i), so no Node of the episode's own tape is held."""
 
     policy: object
     net: PowerNetwork
@@ -224,8 +227,8 @@ class _Sweep:
     span: int
     noise: np.ndarray | None
     p_steps: np.ndarray
+    live: np.ndarray
     tails: dict
-    chunks: list
     weights: tuple
 
     def angles(self, lo: int, hi: int) -> np.ndarray:
@@ -241,29 +244,23 @@ class _Sweep:
 
 
 class _Chunk:
-    """The policy re-run at one chunk of live steps on the sweep's tape: u
-    and its per-entry derivatives in the measured frequency and the line
-    flows (u at an entry reads only that entry's frequency and flows). The
-    angles at the steps from `lo` on are rows of `lams`, the costate's
-    block; those in earlier blocks are replayed from their marks. u must be
-    one node of a per-entry kernel on those states, whose rule's `factors`
-    give, from one pass over the node's cache, the derivatives and a push
-    of the chunk's u adjoints into the ready tensors' adjoints; the chunk's
-    entries then leave the tape. A TypeError names any other op."""
+    """The policy re-run over one live block, steps lo <= k < lo + len(lams),
+    on the sweep's tape: u and its per-entry derivatives in the measured
+    frequency and the line flows (u at an entry reads only that entry's
+    frequency and flows), from the block's replayed angles `lams` and its
+    slices of the kept frequencies and the inputs. u must be one node of a
+    per-entry kernel on those states, whose rule's `factors` give, from one
+    pass over the node's cache, the derivatives and a push of the block's u
+    adjoints into the ready tensors' adjoints; the chunk's entries then
+    leave the tape. A TypeError names any other op."""
 
-    def __init__(self, sw: _Sweep, steps: np.ndarray, lo: int, lams: np.ndarray):
-        tape, ndim = sw.tape, sw.omegas.ndim
-        self.steps, self.shapes, self.n_ready = steps, tape.shapes, len(tape)
-        parts = []
-        for block in dict.fromkeys((steps[steps < lo] // sw.span).tolist()):  # earlier blocks: replayed
-            first = block * sw.span
-            own = steps[(steps >= first) & (steps < first + sw.span)]
-            parts.append(sw.angles(first, own[-1] + 1)[own - first])
-        parts.append(lams[steps[steps >= lo] - lo])
-        flows = tape.leaf(np.stack([line_flows(sw.inc, lam) for lam in np.concatenate(parts)]))
-        measured = sw.omegas[steps] if sw.noise is None else sw.omegas[steps] + _rows(sw.noise, steps, ndim)
+    def __init__(self, sw: _Sweep, lo: int, lams: np.ndarray):
+        tape, ndim, hi = sw.tape, sw.omegas.ndim, lo + len(lams)
+        self.shapes, self.n_ready = tape.shapes, len(tape)
+        flows = tape.leaf(np.stack([line_flows(sw.inc, lam) for lam in lams]))
+        measured = sw.omegas[lo:hi] if sw.noise is None else sw.omegas[lo:hi] + _rows(sw.noise[lo:hi], ndim)
         omega = tape.leaf(measured)
-        node = sw.policy.control(sw.template, flows, omega, _rows(sw.p_steps, steps, ndim)).u
+        node = sw.policy.control(sw.template, flows, omega, _rows(sw.p_steps[lo:hi], ndim)).u
         self.u, self.u_bar, self.push = value(node), np.empty(measured.shape), None
         self.du_domega = self.du_dflows = np.zeros(measured.shape)
         if isinstance(node, Node):
@@ -285,66 +282,60 @@ class _Chunk:
         return adj
 
 
-def _rows(block: np.ndarray, steps: np.ndarray, ndim: int) -> np.ndarray:
-    """block[steps] with unit axes after the first, to broadcast against
-    (steps,) + state arrays of `ndim` axes."""
-    a = block[steps]
+def _rows(a: np.ndarray, ndim: int) -> np.ndarray:
+    """a with unit axes after the first, to broadcast against (steps,) +
+    state arrays of `ndim` axes."""
     return a.reshape(a.shape[:1] + (1,) * (ndim - a.ndim) + a.shape[1:])
 
 
 def _bk_episode(g, par, aux, shapes, adj, check_finite=False):
     # The discrete adjoint of the rollout, in reverse step order. wbar and
     # lbar are the costates of omega_k and lam_k: each takes the Euler
-    # updates' shares from step k + 1 and the frequency term's, and at a
-    # live step the policy's, u_bar times u's per-entry derivatives; u_bar
-    # sums the rate's share and the control and variation terms'. A live
-    # step's u and derivatives come from its chunk (`_Chunk`), re-run when
-    # the sweep reaches the chunk's last step; once it passes the chunk's
-    # first, the chunk's u_bar gives the ready tensors' adjoints, summed
-    # over chunks and handed to `par`. The sweep replays a block's angles
-    # from its mark when it enters the block (`_Sweep.angles`) and forms
-    # cos(lam_k) and the frequency term's seed for the block at once; a
-    # chunk reads its steps in that block from there and replays those in
-    # earlier blocks, so each angle update is replayed at most twice.
+    # updates' shares from step k + 1 and the frequency term's, and in a
+    # live block the policy's, u_bar times u's per-entry derivatives; u_bar
+    # sums the rate's share and the control and variation terms'. On
+    # entering a block the sweep replays its angles from its mark
+    # (`_Sweep.angles`), forms cos(lam_k) and the frequency term's seed for
+    # the block, and at a live block re-runs the policy over its steps
+    # (`_Chunk`); at the block's first step the chunk's u_bar gives the
+    # ready tensors' adjoints, summed over blocks and handed to `par`. Each
+    # angle update is replayed once.
     sw = aux
-    net, inc = sw.net, sw.inc
+    net, inc, span = sw.net, sw.inc, sw.span
     w_freq, w_ctrl, w_lip = (2.0 * g * w for w in sw.weights)  # slopes of the three sums of squares
     dt_m, b_dt = sw.dt / net.inertia, sw.dt * inc.b_mat.T  # of the rate u + p - D omega - flows; of lam's update
     k_steps = len(sw.omegas)
     lbar, wbar = np.zeros(sw.marks.shape[1:]), np.zeros(sw.omegas.shape[1:])
     totals = [None] * len(par)
-    chunks, cur, j, u_after, lo = list(sw.chunks), None, -1, None, k_steps
+    u_after, lo = 0.0, k_steps  # u at step k + 1; the first step of the sweep's block
     for k in range(k_steps - 1, -1, -1):
         if k < lo:
-            lo = k - k % sw.span
+            lo = k - k % span
             lams = sw.angles(lo, k + 1)
             cos_lam, seed = np.cos(lams), w_freq * (sw.omegas[lo:k + 1] - sw.omega_sync)
+            cur = _Chunk(sw, lo, lams) if sw.live[lo // span] else None
+        j = k - lo
         gr = wbar * dt_m
         f_bar = -gr
-        wbar = wbar - gr * net.damping + lbar @ b_dt + seed[k - lo]
-        if cur is None and chunks and chunks[-1][-1] == k:
-            cur = _Chunk(sw, chunks.pop(), lo, lams)
-            j = len(cur.steps) - 1
-        if cur is not None and cur.steps[j] == k:
+        wbar = wbar - gr * net.damping + lbar @ b_dt + seed[j]
+        if cur is None:
+            u_after = 0.0
+        else:
             u = cur.u[j]
             u_bar = gr + w_ctrl * u
             if w_lip and k > 0:
-                before = cur.u[j - 1] if j > 0 and cur.steps[j - 1] == k - 1 else sw.tails.get(k - 1, 0.0)
-                u_bar = u_bar + w_lip * (u - before)
+                u_bar = u_bar + w_lip * (u - (cur.u[j - 1] if j > 0 else sw.tails.get(lo // span - 1, 0.0)))
             if w_lip and k < k_steps - 1:
-                u_bar = u_bar - w_lip * ((0.0 if u_after is None else u_after) - u)
+                u_bar = u_bar - w_lip * (u_after - u)
             cur.u_bar[j] = u_bar
             f_bar = f_bar + u_bar * cur.du_dflows[j]
             wbar = wbar + u_bar * cur.du_domega[j]
-            u_after, j = u, j - 1
-            if j < 0:
+            u_after = u
+            if j == 0:
                 for i, a in enumerate(cur.policy_adjoints()):
                     if a is not None:
                         totals[i] = a if totals[i] is None else totals[i] + a
-                cur = None
-        else:
-            u_after = None
-        lbar = lbar + (f_bar @ inc.by_mat) * cos_lam[k - lo]
+        lbar = lbar + (f_bar @ inc.by_mat) * cos_lam[j]
         if check_finite:
             for what, bar in (("bus", wbar), ("edge", lbar)):
                 if not np.all(np.isfinite(bar)):
@@ -365,10 +356,10 @@ def loss_and_grad(policy, net, inc, eq, raw_values, lam0, omega0, p_steps, noise
     """Episode loss plus exact gradients for every raw parameter array.
 
     A loss that never reaches the tape (an empty horizon, or an episode
-    spent inside every dead zone) is constant and gets zero gradients. A
-    non-finite gradient triggers a second, checked reverse sweep that names
-    where it arose: the step, batch row and bus of the episode's first
-    non-finite costate, or else the first offending tape node.
+    with no live block) is constant and gets zero gradients. A non-finite
+    gradient triggers a second, checked reverse sweep that names where it
+    arose: the step, batch row and bus or edge of the first non-finite
+    costate it meets, or else the first offending tape node.
     """
     tp = Tape()
     leaves = {k: tp.leaf(raw_values[k]) for k in policy.keys}

@@ -546,6 +546,34 @@ def test_compare_checks_the_train_window_before_the_rollouts(files, capsys, monk
     assert one_error_line(capsys).startswith("error: ValueError: cost window must be finite and >= 0")
 
 
+def test_compare_train_window_past_the_horizon_costs_the_whole_run(tmp_path, capsys):
+    # ieee39 x eval-desk: a window of 1e308 s clamps to the horizon
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", "--net", str(bundled_path("ieee39_net.json")),
+            "--scenario", str(bundled_path("scenario_eval_desk.json")), "--controller", "zero"]
+    assert run([*argv, "--train-window", "1e308", "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()[1:]
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["cost_train_window"] == fields["cost"] and float(fields["cost"]) > 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_safe_controller_with_a_band_inside_its_thresholds_exits_one_before_the_rollouts(
+        tmp_path, capsys, monkeypatch, command):
+    def no_rollouts(*args, **kwargs):
+        raise AssertionError(f"{command} ran rollouts")
+
+    monkeypatch.setattr("swingctl.cli.rollout", no_rollouts)
+    out, report = tmp_path / "out.csv", tmp_path / "r.json"
+    argv = [command, "--net", str(bundled_path("ieee39_net.json")), "--band=-0.01,0.01",
+            "--scenario", str(bundled_path("scenario_eval_desk.json")), "--controller", "safe", "--out", str(out)]
+    assert run(argv + (["--report", str(report)] if command == "simulate" else [])) == 1
+    assert not out.exists() and not report.exists()
+    assert one_error_line(capsys).startswith("error: PolicyError: the safe controller's thresholds +/-0.1 Hz are not "
+                                             "strictly inside bus 0's band [-0.01, 0.01] Hz")
+
+
 @pytest.mark.parametrize("label", ["a,b", "", "a\nb"])
 def test_compare_rejects_labels_that_break_the_table(files, capsys, monkeypatch, label):
     def no_rollouts(*args, **kwargs):

@@ -2,6 +2,8 @@
 structural invariants under random raw parameters, and the two baselines.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -745,6 +747,18 @@ def test_analytic_safe_hand_cases(net2, inc2, eq2, spec_band):
     assert abs(dec.u[0] + 1.0) < 1e-12  # q = -3 -> min(0, 2 - 3)
     dec = safe(np.array([0.0]), np.array([0.05, 0.0]), np.zeros(2))
     assert np.array_equal(dec.u, np.zeros(2))
+
+
+@pytest.mark.parametrize("lo, hi, band", [(-0.1, 0.2, "bus 0's band [-0.1, 0.2]"),
+                                          (-0.2, 0.05, "bus 0's band [-0.2, 0.05]"),
+                                          ([-0.2, -0.2], [0.2, 0.1], "bus 1's band [-0.2, 0.1]")])
+def test_analytic_safe_rejects_a_band_inside_its_thresholds(net2, inc2, eq2, lo, hi, band):
+    # thresholds +/-0.1 Hz: a band edge at or inside one would send the
+    # barrier to -inf (+inf) as w reaches the threshold
+    spec = C.SafetySpec(omega_min=lo, omega_max=hi)
+    with pytest.raises(C.PolicyError, match=rf"thresholds \+/-0\.1 Hz are not strictly inside {re.escape(band)} Hz"):
+        C.make_analytic_safe_controller(spec, net2, inc2, eq2)
+    C.make_analytic_safe_controller(C.SafetySpec.band(-0.2, 0.2, 2), net2, inc2, eq2)
 
 
 def test_monotone_baseline_properties():

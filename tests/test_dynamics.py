@@ -289,3 +289,5 @@ def test_trajectory_cost_window(net2, inc2, eq2):
     assert traj.cost(window=0.0) == 0.0
     full = traj.cost()
     assert 0.0 < full < 0.8
+    # a window past the horizon averages every row, however long
+    assert traj.cost(window=scen.horizon + 0.25) == traj.cost(window=1e308) == full

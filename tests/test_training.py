@@ -179,11 +179,16 @@ def test_dead_zone_short_circuit_keeps_gradient_bits(net3, inc3, eq3, spec_band)
     assert loss == full_loss and parts == full_parts
     assert all(grads[k].tobytes() == full_grads[k].tobytes() for k in adapter.keys)
     assert any(np.any(g != 0.0) for g in grads.values())
-    # the episode re-runs the policy at the live steps only, and on the
-    # per-step taped reference the short-circuit records fewer nodes
+    # the episode re-runs the policy at the steps of the blocks that hold a
+    # live step only, and on the per-step taped reference the short-circuit
+    # records fewer nodes
     log = ControlLog(adapter)
     loss_and_grad(log, *args)
-    assert sum(len(u) for u in log.chunk_u) == sum(act)
+    span = -(-CHUNK_STATES // 2)
+    blocks = {k // span for k, a in enumerate(act) if a}
+    assert sorted(k for steps in log.reruns() for k in steps) == [k for k in range(300) if k // span in blocks]
+    assert len(blocks) < -(-300 // span)
+    assert_reruns_are_the_live_blocks(log, span)
     nodes = []
     for policy in (adapter, full):
         tp = Tape()
@@ -195,13 +200,13 @@ def test_dead_zone_short_circuit_keeps_gradient_bits(net3, inc3, eq3, spec_band)
 
 class ControlLog:
     """Forwards to a bound policy and logs its control calls: at each of the
-    rollout's states (shape (B, n) or (n,)), the measured frequency's bytes
-    mapped to (u bytes, whether some bus is active); at each stack of a
+    rollout's states (shape (B, n) or (n,)), in step order, the measured
+    frequency, u and whether some bus is active; at each stack of a
     backward chunk's states, the chunk's u and measured frequency."""
 
     def __init__(self, policy):
         self.policy, self.keys = policy, policy.keys
-        self.forward, self.chunk_u, self.chunk_omega = {}, [], []
+        self.forward, self.chunk_u, self.chunk_omega = [], [], []
 
     def precompute(self, raw_like):
         return self.policy.precompute(raw_like)
@@ -213,8 +218,33 @@ class ControlLog:
             self.chunk_u.append(u)
             self.chunk_omega.append(w)
         else:
-            self.forward[w.tobytes()] = (u.tobytes(), bool(dec.active.any()))
+            self.forward.append((w, u, bool(dec.active.any())))
         return dec
+
+    def live(self) -> list:
+        """Per rollout step, whether some bus is active or u is nonzero."""
+        return [active or bool(u.any()) for _, u, active in self.forward]
+
+    def reruns(self) -> list:
+        """Per backward chunk, in call order, the rollout steps whose
+        measured frequencies it re-ran, matched by their bytes."""
+        step = {w.tobytes(): k for k, (w, _, _) in enumerate(self.forward)}
+        return [[step[w.tobytes()] for w in ws] for ws in self.chunk_omega]
+
+
+def assert_reruns_are_the_live_blocks(log, span, bitwise=True):
+    """The backward chunks in `log` re-run, from the last block to the
+    first, each block of `span` steps that holds a live step and no other,
+    each as its own consecutive steps (so no step twice), and each re-run u
+    equals the forward's as bytes, settled steps included (or, without
+    `bitwise`, to rounding)."""
+    k_steps, live = len(log.forward), log.live()
+    blocks = [lo for lo in range(0, k_steps, span) if any(live[lo:lo + span])]
+    assert [steps[0] for steps in log.reruns()] == blocks[::-1] and blocks
+    for steps, us in zip(log.reruns(), log.chunk_u):
+        assert steps == list(range(steps[0], min(steps[0] + span, k_steps)))
+        forward = np.stack([log.forward[k][1] for k in steps])
+        assert us.tobytes() == forward.tobytes() if bitwise else np.allclose(us, forward, rtol=1e-12, atol=0.0)
 
 
 def fully_active_39(net39, inc39, eq39):
@@ -249,8 +279,8 @@ def test_episode_node_keeps_at_most_the_states_and_noise_per_step(net39, inc39, 
     # B=8, fully active, rho = 500: what an episode's tape keeps beyond its
     # inputs grows by at most (n + (m + n)/S) B 8 + 32 bytes per step, S =
     # CHUNK_STATES / B steps per block: omega_k, a block's share of its
-    # angle mark and of u at a chunk tail, and a step's live flag, index and
-    # share of its chunk's bookkeeping; not by lam_k nor a taped step's caches
+    # angle mark, of u at its last step and of its live flag and
+    # bookkeeping; not by lam_k nor a taped step's caches
     adapter = fully_active_39(net39, inc39, eq39)
     n, m, batch = 39, inc39.b_mat.shape[1], 8
     span = -(-CHUNK_STATES // batch)
@@ -366,13 +396,11 @@ def test_each_backward_chunk_runs_the_control_law_and_its_factor_pass_once(net3,
         chunks = [i + 1 for i, call in enumerate(calls) if call is not None]
         assert len(chunks) == len(log.chunk_u) > 1 and factored == chunks and len(sweeps) == 1, kernel
         if kernel == "control_law":
-            assert len(calls) - len(chunks) == sum(active for _, active in log.forward.values())
+            assert len(calls) - len(chunks) == sum(active for _, _, active in log.forward)
         for state, shapes, counts in filter(None, calls):
             assert len(state) == 3 and state[1:] == (4, 3) and all(s == state for s in shapes)
             assert counts and all(k.shape == count_axes + state for k in counts)
-        for us, ws in zip(log.chunk_u, log.chunk_omega):
-            for u, w in zip(us, ws):
-                assert u.tobytes() == log.forward[w.tobytes()][0]
+        assert_reruns_are_the_live_blocks(log, CHUNK_STATES // 4)
 
 
 def test_fully_active_39_bus_step_caches_no_more_than_six_nodes_did(net39, inc39, eq39):
@@ -384,23 +412,27 @@ def test_fully_active_39_bus_step_caches_no_more_than_six_nodes_did(net39, inc39
     rng = np.random.default_rng(6)
     omega0, noise = rng.uniform(-0.1, 0.1, (8, 39)), rng.uniform(-0.05, 0.05, (40, 8, 39))
     tp = Tape()
+    log = ControlLog(adapter)
     leaves = {k: tp.leaf(np.array(v)) for k, v in adapter.raw.items()}
-    loss, _ = episode_loss(adapter, net39, inc39, eq39, leaves, np.tile(eq39.lam_eq, (8, 1)), omega0,
+    loss, _ = episode_loss(log, net39, inc39, eq39, leaves, np.tile(eq39.lam_eq, (8, 1)), omega0,
                            np.tile(net39.p_nom, (40, 1)), noise, 40.0, 0.0, 5e-3)
     sweep = tp.aux[loss.idx]
-    assert np.array_equal(np.concatenate(sweep.chunks), np.arange(40))
     assert sweep.span == 16 and sweep.marks.shape == (3, 8, inc39.b_mat.shape[1])
     kept = step_arrays(sweep)
     assert len(kept) == 4
     per_step = sum(a.nbytes for a in kept) / 40
     assert 0 < per_step <= SIX_NODE_STEP_CACHE_BYTES
+    tp.backward(loss)
+    assert log.reruns() == [list(range(32, 40)), list(range(16, 32)), list(range(16))]
+    assert_reruns_are_the_live_blocks(log, 16)
 
 
 @pytest.mark.parametrize("case", ["3-bus settling", "39-bus fully active"])
 def test_backward_chunks_recompute_the_forward_controls_bitwise(request, spec_band, case):
-    # every state a backward chunk re-runs is a live step of the rollout
-    # (some bus active), none is re-run twice, a chunk holds at most
-    # CHUNK_STATES / B steps, and the chunk's u equals the forward's as bytes
+    # each backward chunk re-runs one block of CHUNK_STATES / B consecutive
+    # steps, no step is re-run twice, a block without a live step (some bus
+    # active) is not re-run, and each re-run u equals the forward's as
+    # bytes, settled steps included
     if case.startswith("3"):
         net, inc, eq = (request.getfixturevalue(f"{name}3") for name in ("net", "inc", "eq"))
         adapter, batch, k_steps = make_adapter(net, inc, eq, spec_band, dz_amp=6.0), 4, 300
@@ -413,13 +445,8 @@ def test_backward_chunks_recompute_the_forward_controls_bitwise(request, spec_ba
     log = ControlLog(adapter)
     loss_and_grad(log, net, inc, eq, adapter.raw, np.tile(eq.lam_eq, (batch, 1)), omega0,
                   np.tile(net.p_nom, (k_steps, 1)), noise, 40.0, 500.0, 5e-3)
-    live = [key for key, (_, active) in log.forward.items() if active]
-    rerun = [w.tobytes() for ws in log.chunk_omega for w in ws]
-    assert sorted(rerun) == sorted(live) and 0 < len(live) <= k_steps
-    assert max(len(ws) for ws in log.chunk_omega) <= -(-CHUNK_STATES // batch)
-    for us, ws in zip(log.chunk_u, log.chunk_omega):
-        for u, w in zip(us, ws):
-            assert u.tobytes() == log.forward[w.tobytes()][0]
+    assert len(log.forward) == k_steps
+    assert_reruns_are_the_live_blocks(log, -(-CHUNK_STATES // batch))
 
 
 def load_step_episode(net39, inc39, eq39, policy, batch, k_steps, noisy=False, rho=500.0):
@@ -446,11 +473,10 @@ def untrained_39(net39, inc39, eq39):
 
 @pytest.mark.parametrize("batch,k_steps", [(1, 300), (8, 53)])
 def test_replayed_angles_are_the_rollouts_as_bytes(net39, inc39, eq39, monkeypatch, batch, k_steps):
-    # the untrained policy is live at some steps only, so some chunk's live
-    # steps straddle blocks of S = CHUNK_STATES / B steps, and K is no
-    # multiple of S: every block's angles replayed from its mark, and the
-    # angles each chunk computes its line flows from, equal closed_loop's
-    # lam_k as bytes
+    # the untrained policy is live at some steps only, so some live block of
+    # S = CHUNK_STATES / B steps holds settled steps, and K is no multiple
+    # of S: every block's angles replayed from its mark, and the angles each
+    # chunk computes its line flows from, equal closed_loop's lam_k as bytes
     import swingctl.training as training_mod
 
     policy = untrained_39(net39, inc39, eq39)
@@ -458,24 +484,26 @@ def test_replayed_angles_are_the_rollouts_as_bytes(net39, inc39, eq39, monkeypat
     read, line_flows = [], training_mod.line_flows
     monkeypatch.setattr(training_mod, "line_flows", lambda inc, lam: read.append(lam.tobytes()) or line_flows(inc, lam))
     tp = Tape()
+    log = ControlLog(policy)
     leaves = {k: tp.leaf(np.array(v)) for k, v in policy.raw.items()}
-    loss, _ = episode_loss(policy, net39, inc39, eq39, leaves, *args)
+    loss, _ = episode_loss(log, net39, inc39, eq39, leaves, *args)
     sweep, span = tp.aux[loss.idx], -(-CHUNK_STATES // batch)
     assert sweep.span == span and k_steps % span and len(sweep.marks) == -(-k_steps // span)
-    assert any(c[0] // span != c[-1] // span for c in sweep.chunks) and not all(len(c) == span for c in sweep.chunks)
     blocks = [sweep.angles(lo, min(lo + span, k_steps)) for lo in range(0, k_steps, span)]
     assert np.concatenate(blocks).tobytes() == lams.tobytes()
     tp.backward(loss)
-    assert read == [lams[k].tobytes() for c in reversed(sweep.chunks) for k in c]
+    live = log.live()
+    assert any(not live[k] for steps in log.reruns() for k in steps) and not all(live)
+    assert read == [lams[k].tobytes() for steps in log.reruns() for k in steps]
+    assert_reruns_are_the_live_blocks(log, span)
 
 
 @pytest.mark.parametrize("kind,batch,k_steps", [("untrained", 1, 300), ("untrained", 8, 53), ("untrained", 8, 200),
                                                 ("fully active", 8, 200), ("fully active", 1, 300)])
-def test_an_episode_replays_at_most_two_angle_updates_per_step(net39, inc39, eq39, monkeypatch, kind, batch, k_steps):
+def test_an_episode_replays_each_angle_update_once(net39, inc39, eq39, monkeypatch, kind, batch, k_steps):
     # angles(lo, hi) steps from lo, a block's first step, to hi - 1: the
-    # costate replays each block once and a chunk the blocks before the
-    # costate's that it reads, at most 2K updates in all; in a fully active
-    # episode each chunk is a block and each update is replayed once
+    # backward replays each block once, K - ceil(K / S) updates in all for
+    # blocks of S = CHUNK_STATES / B steps, live or not
     import swingctl.training as training_mod
 
     policy = (untrained_39 if kind == "untrained" else fully_active_39)(net39, inc39, eq39)
@@ -485,23 +513,27 @@ def test_an_episode_replays_at_most_two_angle_updates_per_step(net39, inc39, eq3
                         lambda sw, lo, hi: spans.append(hi - 1 - lo) or angles(sw, lo, hi))
     loss_and_grad(policy, net39, inc39, eq39, policy.raw, *args)
     n_blocks = -(-k_steps // -(-CHUNK_STATES // batch))
-    assert 0 < sum(spans) <= 2 * k_steps
-    if kind == "fully active":
-        assert sum(spans) == k_steps - n_blocks
+    assert len(spans) == n_blocks and sum(spans) == k_steps - n_blocks
 
 
 def test_a_batch_1_episode_lays_its_chunks_over_the_steps_layout(net39, inc39, eq39):
-    # fully active, B=1, K=300: chunks of (128, 39) and (44, 39) states run
-    # on the control law's layout for one step's (39,) states, broadcast
-    # over the chunk's steps, so the template caches no layout per chunk
+    # fully active, B=1, K=300: chunks of (44, 39) and (128, 39) states,
+    # one per block, run on the control law's layout for one step's (39,)
+    # states, broadcast over the chunk's steps, so the template caches no
+    # layout per chunk
     policy = fully_active_39(net39, inc39, eq39)
     args, _ = load_step_episode(net39, inc39, eq39, policy, 1, 300)
     tp = Tape()
+    log = ControlLog(policy)
     leaves = {k: tp.leaf(np.array(v)) for k, v in policy.raw.items()}
-    loss, _ = episode_loss(policy, net39, inc39, eq39, leaves, *args)
+    loss, _ = episode_loss(log, net39, inc39, eq39, leaves, *args)
     tp.backward(loss)
     sweep = tp.aux[loss.idx]
-    assert [len(c) for c in sweep.chunks] == [128, 128, 44]
+    assert [ws.shape for ws in log.chunk_omega] == [(44, 39), (128, 39), (128, 39)]
+    # a batch-1 step's budgets are a vector-matrix product, a chunk's a
+    # matrix product, so a re-run u may differ from the forward's in its
+    # last bits
+    assert_reruns_are_the_live_blocks(log, 128, bitwise=False)
     assert list(sweep.template.units[5]) == [(39,)]
 
 
@@ -655,8 +687,8 @@ def test_an_episode_tape_leaves_no_reference_cycle(net3, inc3, eq3, spec_band):
 
 def test_variation_term_stays_off_the_tape_at_rho_zero(net3, inc3, eq3, spec_band):
     # at rho = 0 the variation sum never reaches the loss: the episode
-    # neither sums it nor keeps the chunk tails' u that its adjoint reads,
-    # which it keeps at rho > 0
+    # neither sums it nor keeps u at the live blocks' last steps that its
+    # adjoint reads, which it keeps at rho > 0
     adapter = make_adapter(net3, inc3, eq3, spec_band, dz_amp=6.0)
     omega0 = np.random.default_rng(5).uniform(-0.19, 0.19, size=(4, 3))
     for rho in (0.0, 500.0):
